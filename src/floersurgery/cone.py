@@ -319,20 +319,33 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
 
 
 def _check_degrees(pres: ConePresentation) -> None:
-    """Structural audit: the cone map has degree -1 and both U's degree -2."""
+    """Structural audit: the cone map has degree -1 and both U's degree -2.
+
+    Every cone grading is the anchor plus an integer, so all of them share
+    the ceiling's denominator D and a degree shift by -s is the integer
+    shift of numerators by -s D.  The audit checks that shared denominator
+    once per basis vector, then computes each column's target numerator
+    once and compares it with the numerator at every set bit: linear in
+    the basis size plus the nonzero entries.
+    """
+    den = pres.ceiling.denominator
+    dom = [g.numerator for g in pres.dom_gradings]
+    cod = [g.numerator for g in pres.cod_gradings]
+    for gradings in (pres.dom_gradings, pres.cod_gradings):
+        if any(g.denominator != den for g in gradings):
+            raise AssertionError("cone gradings off the ceiling's grading line")
     for j, col in enumerate(pres.d_cols):
+        target = dom[j] - den
         for i in gf2.bits(col):
-            if pres.cod_gradings[i] != pres.dom_gradings[j] - 1:
+            if cod[i] != target:
                 raise AssertionError(
                     f"cone map not of degree -1 at column {pres.dom_desc[j]}"
                 )
-    for gradings, cols in (
-        (pres.dom_gradings, pres.u_dom),
-        (pres.cod_gradings, pres.u_cod),
-    ):
+    for nums, cols in ((dom, pres.u_dom), (cod, pres.u_cod)):
         for j, col in enumerate(cols):
+            target = nums[j] - 2 * den
             for i in gf2.bits(col):
-                if gradings[i] != gradings[j] - 2:
+                if nums[i] != target:
                     raise AssertionError("U not of degree -2 in the cone")
 
 

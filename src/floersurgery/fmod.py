@@ -171,41 +171,58 @@ class FiniteUPresentation:
         return gf2.rank(cols)
 
 
-ZERO_MODULE = FiniteUPresentation((), (), ())
-
-
 def validate(m: FiniteUPresentation) -> list[str]:
-    """Check nilpotency, degree -2 homogeneity of U and parity consistency.
+    """Check degree -2 homogeneity of U, nilpotency and parity consistency.
 
     Returns a list of messages, each prefixed with one of the codes
     NonHomogeneousU, NotNilpotent, ParityMismatch; empty means valid.
+    Runs in time linear in the basis size plus the nonzero entries of U,
+    with integer comparisons only.
+
+    * Homogeneity: e_i may occur in U(e_j) only if g_i = g_j - 2.  On
+      reduced fractions that is den_i == den_j and num_i == num_j - 2 den_j.
+    * Nilpotency follows from homogeneity, so U^n is only computed when
+      homogeneity has failed: if U has degree -2, U^n(e_j) != 0 needs basis
+      vectors at the n + 1 distinct gradings g_j, g_j - 2, ..., g_j - 2n,
+      but there are only n basis vectors.
+    * Parity: every pair at an integral grading distance must declare
+      parities that differ by that distance mod 2.  Gradings are integrally
+      apart exactly when they share the class (num mod den, den), and the
+      pairwise condition holds exactly when every element agrees with the
+      first element of its class (agreement is transitive), so each
+      element is compared with that one anchor only.
     """
     errs: list[str] = []
     n = m.dim
+    num = [g.numerator for g in m.gradings]
+    den = [g.denominator for g in m.gradings]
     for j, col in enumerate(m.u_cols):
+        if not col:
+            continue
+        target, dj = num[j] - 2 * den[j], den[j]
         for i in gf2.bits(col):
-            if m.gradings[i] != m.gradings[j] - 2:
+            if num[i] != target or den[i] != dj:
                 errs.append(
                     f"NonHomogeneousU: U sends {m.labels[j]} (grading "
                     f"{m.gradings[j]}) to {m.labels[i]} (grading {m.gradings[i]})"
                 )
-    cols = list(gf2.identity(n))
-    u = list(m.u_cols)
-    for _ in range(n):
-        cols = gf2.mat_mul(u, cols)
-    if not gf2.is_zero(cols):
-        errs.append(f"NotNilpotent: U^{n} is nonzero")
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = m.gradings[i] - m.gradings[j]
-            if diff.denominator != 1:
-                continue
-            if (m.parities[i] - m.parities[j]) % 2 != diff.numerator % 2:
-                errs.append(
-                    f"ParityMismatch: {m.labels[i]} and {m.labels[j]} are "
-                    f"{diff} apart but declare parities "
-                    f"{m.parities[i]}/{m.parities[j]}"
-                )
+    if errs:
+        cols = list(gf2.identity(n))
+        u = list(m.u_cols)
+        for _ in range(n):
+            cols = gf2.mat_mul(u, cols)
+        if not gf2.is_zero(cols):
+            errs.append(f"NotNilpotent: U^{n} is nonzero")
+    anchors: dict[tuple[int, int], int] = {}
+    for j in range(n):
+        a = anchors.setdefault((num[j] % den[j], den[j]), j)
+        if (m.parities[a] - m.parities[j] - (num[a] - num[j]) // den[j]) % 2:
+            diff = m.gradings[a] - m.gradings[j]
+            errs.append(
+                f"ParityMismatch: {m.labels[a]} and {m.labels[j]} are "
+                f"{diff} apart but declare parities "
+                f"{m.parities[a]}/{m.parities[j]}"
+            )
     return errs
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +23,7 @@ from floersurgery import (
     surgery,
     torsion_coefficients,
 )
+from floersurgery.cone import _check_degrees
 
 
 def test_spec_validation():
@@ -124,6 +126,23 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
                 a = cone_homology(model, SurgerySpec(p, q, i))
                 b = cone_homology(model, SurgerySpec(p, q, i))
                 assert a.same_homology(b)
+
+
+def test_check_degrees_catches_corrupted_columns(trefoil):
+    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
+    _check_degrees(pres)
+    dom, cod = pres.dom_gradings, pres.cod_gradings
+    for name, src, dst, shift in (
+        ("d_cols", dom, cod, 1),
+        ("u_dom", dom, dom, 2),
+        ("u_cod", cod, cod, 2),
+    ):
+        j = len(src) - 1
+        i = next(i for i, g in enumerate(dst) if g != src[j] - shift)
+        cols = list(getattr(pres, name))
+        cols[j] ^= 1 << i
+        with pytest.raises(AssertionError, match=f"degree -{shift}"):
+            _check_degrees(replace(pres, **{name: tuple(cols)}))
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):

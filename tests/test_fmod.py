@@ -167,3 +167,91 @@ def test_u_decreases_grading_by_two_enforced():
         for j, col in enumerate(m.u_cols):
             for i in gf2.bits(col):
                 assert m.gradings[i] == m.gradings[j] - 2
+
+
+def reference_validate(m: FiniteUPresentation) -> list[str]:
+    """Brute-force validation: Fraction homogeneity per entry, the U^n
+    power test and the pairwise parity loop, each run unconditionally."""
+    errs = []
+    for j, col in enumerate(m.u_cols):
+        for i in gf2.bits(col):
+            if m.gradings[i] != m.gradings[j] - 2:
+                errs.append(
+                    f"NonHomogeneousU: U sends {m.labels[j]} (grading "
+                    f"{m.gradings[j]}) to {m.labels[i]} (grading {m.gradings[i]})"
+                )
+    cols = gf2.identity(m.dim)
+    for _ in range(m.dim):
+        cols = gf2.mat_mul(list(m.u_cols), cols)
+    if not gf2.is_zero(cols):
+        errs.append(f"NotNilpotent: U^{m.dim} is nonzero")
+    for i in range(m.dim):
+        for j in range(i + 1, m.dim):
+            diff = m.gradings[i] - m.gradings[j]
+            if diff.denominator != 1:
+                continue
+            if (m.parities[i] - m.parities[j]) % 2 != diff.numerator % 2:
+                errs.append(f"ParityMismatch: {i} and {j}")
+    return errs
+
+
+def _codes(errs: list[str]) -> list[str]:
+    return [e.split(":", 1)[0] for e in errs]
+
+
+def _break(m: FiniteUPresentation, rng: random.Random, kind: str):
+    """One defect of the given kind, placed at random."""
+    gradings, parities, cols = list(m.gradings), list(m.parities), list(m.u_cols)
+    j, i = rng.randrange(m.dim), rng.randrange(m.dim)
+    if kind == "flip_parity":
+        parities[j] ^= 1
+    elif kind == "random_bit":
+        cols[j] ^= 1 << i
+    elif kind == "self_loop":
+        cols[j] |= 1 << j
+    elif kind == "thirds":
+        gradings[j] += Fraction(rng.choice([1, 2]), 3)
+        parities[j] = rng.randint(0, 1)
+    return FiniteUPresentation(tuple(gradings), tuple(parities), tuple(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(
+        st.sampled_from(["flip_parity", "random_bit", "self_loop", "thirds"]),
+        max_size=4,
+    ),
+)
+def test_validate_matches_reference(seed, defects):
+    rng = random.Random(seed)
+    m = random_presentation(rng, max_dim=8)
+    if m.dim:
+        for kind in defects:
+            m = _break(m, rng, kind)
+    got, want = validate(m), reference_validate(m)
+    assert bool(got) == bool(want)
+    assert set(_codes(got)) == set(_codes(want))
+    assert _codes(got)[:1] == _codes(want)[:1]
+    assert [e for e in got if not e.startswith("ParityMismatch")] == [
+        e for e in want if not e.startswith("ParityMismatch")
+    ]
+
+
+def test_validate_homogeneous_runs_no_matrix_products(monkeypatch):
+    calls = []
+    real = gf2.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(gf2, "mat_mul", counting)
+    rng = random.Random(7)
+    for _ in range(50):
+        assert validate(random_presentation(rng, max_dim=12)) == []
+    assert calls == []
+    # a non-homogeneous U still gets the power test
+    loop = FiniteUPresentation((Fraction(0),), (0,), (1,))
+    assert _codes(validate(loop)) == ["NonHomogeneousU", "NotNilpotent"]
+    assert calls
