@@ -33,7 +33,6 @@ from .fmod import (
     as_graded_module,
     barcode,
     euler_z2,
-    iso_check,
     validate,
 )
 from .knotmodel import (
@@ -44,7 +43,6 @@ from .knotmodel import (
     load_ambient_file,
     load_model,
     torsion_coefficients,
-    vh_value,
 )
 from .numth import (
     CassonWalkerInput,

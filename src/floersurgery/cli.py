@@ -20,7 +20,6 @@ from pathlib import Path
 from . import obstruct
 from .cone import SurgerySpec, surgery
 from .errors import FloerError, ModelError, TruncationTooSmall
-from .fmod import format_grading
 from .knotmodel import (
     AmbientSummary,
     KnotModel,
@@ -82,14 +81,14 @@ def parse_q_values(values: list[str]) -> list[int]:
 
 def _tau_json(bar) -> dict:
     return {
-        "bottom": format_grading(bar.bottom),
+        "bottom": str(bar.bottom),
         "length": bar.length,
         "parity": bar.parity,
     }
 
 
 def _tau_text(bar) -> str:
-    return f"tau({format_grading(bar.bottom)};{bar.length};p{bar.parity})"
+    return f"tau({bar.bottom};{bar.length};p{bar.parity})"
 
 
 def _print_surgery(result, fmt: str) -> None:
@@ -101,7 +100,7 @@ def _print_surgery(result, fmt: str) -> None:
             "spin_c": [
                 {
                     "i": r.i,
-                    "d": format_grading(r.d),
+                    "d": str(r.d),
                     "red": [_tau_json(b) for b in r.red],
                     "dims": {"even": r.dims[0], "odd": r.dims[1]},
                     "depth": r.depth,
@@ -110,7 +109,7 @@ def _print_surgery(result, fmt: str) -> None:
             ],
             "total_dim_red": result.total_dim_red,
             "chi_red": result.chi_red,
-            "d_sum": format_grading(result.d_sum),
+            "d_sum": str(result.d_sum),
         }
         print(canonical_json(payload))
         return
@@ -122,12 +121,12 @@ def _print_surgery(result, fmt: str) -> None:
         bars = " ".join(_tau_text(b) for b in r.red) or "-"
         even, odd = r.dims
         print(
-            f"  i={r.i}  d = {format_grading(r.d)}  red: {bars}  "
+            f"  i={r.i}  d = {r.d}  red: {bars}  "
             f"dims: even {even}, odd {odd}"
         )
     print(
         f"aggregate: dim HF_red = {result.total_dim_red}  "
-        f"chi = {result.chi_red}  sum d = {format_grading(result.d_sum)}"
+        f"chi = {result.chi_red}  sum d = {result.d_sum}"
     )
 
 
@@ -160,18 +159,18 @@ def cmd_lens(args) -> int:
         payload = {
             "p": inv.p,
             "q": inv.q,
-            "dedekind_s": format_grading(inv.s),
-            "lambda": format_grading(inv.lam),
-            "tau": format_grading(inv.tau),
-            "d": [format_grading(d) for d in inv.d_table],
+            "dedekind_s": str(inv.s),
+            "lambda": str(inv.lam),
+            "tau": str(inv.tau),
+            "d": [str(d) for d in inv.d_table],
         }
         print(canonical_json(payload))
         return 0
     print(f"L({inv.p},{inv.q})")
-    print(f"  s({inv.q},{inv.p}) = {format_grading(inv.s)}")
-    print(f"  lambda = {format_grading(inv.lam)}")
-    print(f"  tau = {format_grading(inv.tau)}")
-    print("  d = {" + ", ".join(format_grading(d) for d in inv.d_table) + "}")
+    print(f"  s({inv.q},{inv.p}) = {inv.s}")
+    print(f"  lambda = {inv.lam}")
+    print(f"  tau = {inv.tau}")
+    print("  d = {" + ", ".join(str(d) for d in inv.d_table) + "}")
     return 0
 
 
@@ -193,18 +192,18 @@ def cmd_casson_walker(args, depth: int | None) -> int:
             "model": model.name,
             "p": p,
             "q": q,
-            "lambda_ambient": format_grading(lam_y),
+            "lambda_ambient": str(lam_y),
             "delta2": delta2,
-            "lambda_surgery": format_grading(formula),
-            "lambda_from_cone": format_grading(from_cone),
+            "lambda_surgery": str(formula),
+            "lambda_from_cone": str(from_cone),
             "consistent": agree,
         }
         print(canonical_json(payload))
     else:
         print(f"model: {model.name}  slope: {p}/{q}")
-        print(f"  lambda(Y) = {format_grading(lam_y)}  delta2 = {delta2}")
-        print(f"  lambda(Y_p/q(K)) by surgery formula = {format_grading(formula)}")
-        print(f"  lambda from cone homology          = {format_grading(from_cone)}")
+        print(f"  lambda(Y) = {lam_y}  delta2 = {delta2}")
+        print(f"  lambda(Y_p/q(K)) by surgery formula = {formula}")
+        print(f"  lambda from cone homology          = {from_cone}")
         print(f"  consistent: {'yes' if agree else 'NO'}")
     return 0
 

@@ -12,9 +12,13 @@ finite window the map is an isomorphism column by column, so the window
 with n_plus = min{n : k(n) >= G}, n_minus = max{n : k(n) <= -G} and
 G = max(genus, 1) carries the full homology.
 
-Gradings are anchored at the generator of the B-tower in column 0, whose
-grading is d(Y) + d(L(p,q), i) - 1, and propagate along columns by
-b_{n+1} - b_n = 2 k(n).  Towers are cut at a common grading ceiling;
+Each block is relatively Z-graded, so one rational anchor fixes every
+absolute grading in it: the generator of the B-tower in column 0, at
+d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
+offset from that anchor, propagated along columns by
+b_{n+1} - b_n = 2 k(n); model gradings enter through one conversion that
+rejects anything off the integer line, and ``Fraction`` comes back only
+when the result is read off.  Towers are cut at a common grading ceiling;
 homology is kernel plus cokernel of the assembled degree -1 matrix over
 F_2, decomposed into bars.  The unique kernel bar reaching the ceiling
 is the tower of the surgered manifold and its bottom is the d-invariant;
@@ -33,7 +37,14 @@ from math import gcd
 
 from . import gf2
 from .errors import NotCoprime, TruncationTooSmall, V0NonZero
-from .fmod import FiniteUPresentation, GradedModule, Tau, Tower, barcode
+from .fmod import (
+    FiniteUPresentation,
+    GradedModule,
+    Tau,
+    Tower,
+    barcode,
+    degree_violations,
+)
 from .knotmodel import KnotModel
 from .numth import lens_d
 
@@ -76,17 +87,24 @@ class ConeWindow:
 
 @dataclass(frozen=True)
 class ConePresentation:
-    """Assembled finite cone: graded basis on both sides and the matrix."""
+    """Assembled finite cone: graded basis on both sides and the matrix.
+
+    ``anchor`` is the absolute grading of the B-tower generator in column
+    0; ``ceiling``, the column gradings and the basis gradings are ``int``
+    offsets from it, so the absolute grading of basis vector j is
+    ``anchor + dom_gradings[j]``.
+    """
 
     spec: SurgerySpec
     window: ConeWindow
     depth: int
-    ceiling: Fraction
+    anchor: Fraction
+    ceiling: int
     k_of: dict[int, int]
-    a_grading: dict[int, Fraction]
-    b_grading: dict[int, Fraction]
-    dom_gradings: tuple[Fraction, ...]
-    cod_gradings: tuple[Fraction, ...]
+    a_grading: dict[int, int]
+    b_grading: dict[int, int]
+    dom_gradings: tuple[int, ...]
+    cod_gradings: tuple[int, ...]
     dom_desc: tuple[tuple, ...]
     cod_desc: tuple[tuple, ...]
     d_cols: tuple[int, ...]
@@ -167,34 +185,76 @@ def _k_of(spec: SurgerySpec, n: int) -> int:
     return (spec.i + spec.p * n) // spec.q
 
 
+def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
+    """max(V_k + H_k) over the window's A-columns plus the longest reduced bar.
+
+    The one depth rule: build_cone refuses depths below floor + 2, and
+    default_depth is 2 floor + 4.
+    """
+    win = _window(model, spec)
+    ks = [_k_of(spec, n) for n in win.a_columns]
+    max_vh = max((model.v_at(k) + model.h_at(k) for k in ks), default=0)
+    return max_vh + model.max_reduced_bar()
+
+
 def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
     """Stability-safe truncation depth for this model and slope."""
-    win = _window(model, spec)
-    ks = [_k_of(spec, n) for n in win.a_columns]
-    max_vh = max((model.v_at(k) + model.h_at(k) for k in ks), default=0)
-    return 2 * (max_vh + model.max_reduced_bar()) + 4
+    return 2 * _depth_floor(model, spec) + 4
 
 
-def _min_depth(model: KnotModel, spec: SurgerySpec) -> int:
-    win = _window(model, spec)
-    ks = [_k_of(spec, n) for n in win.a_columns]
-    max_vh = max((model.v_at(k) + model.h_at(k) for k in ks), default=0)
-    return max_vh + model.max_reduced_bar() + 2
+def _offset(g: Fraction) -> int:
+    """A tower-relative model grading as a cone offset; it must be integral."""
+    if g.denominator != 1:
+        raise AssertionError("cone gradings off the ceiling's grading line")
+    return g.numerator
+
+
+def _row(columns, grading, tower_len, reduced):
+    """Basis descriptors, gradings and U-columns of one row of the cone,
+    and the index where each column's tower starts.
+
+    Each column n contributes a tower ("t", n, j) at grading[n] + 2 j for
+    j < tower_len(n), then its reduced part ("r", n, c); ``reduced(n)``
+    gives that part's tower-relative gradings and U-columns.  Both pieces
+    are contiguous, so maps into them are shifts of local indices.
+    """
+    desc: list[tuple] = []
+    gradings: list[int] = []
+    u: list[int] = []
+    starts: dict[int, int] = {}
+    for n in columns:
+        start = starts[n] = len(desc)
+        for j in range(tower_len(n)):
+            desc.append(("t", n, j))
+            gradings.append(grading[n] + 2 * j)
+            u.append(1 << (start + j - 1) if j else 0)
+        start = len(desc)
+        red_gradings, red_u = reduced(n)
+        for c, g in enumerate(red_gradings):
+            desc.append(("r", n, c))
+            gradings.append(grading[n] + g)
+            u.append(red_u[c] << start)
+    return desc, gradings, u, starts
 
 
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
     """Assemble the truncated cone at the given tower depth."""
-    if depth < _min_depth(model, spec):
+    minimum = _depth_floor(model, spec) + 2
+    if depth < minimum:
         raise TruncationTooSmall(
-            f"depth {depth} below safe minimum {_min_depth(model, spec)} "
+            f"depth {depth} below safe minimum {minimum} "
             f"for {model.name} at {spec.p}/{spec.q}"
         )
     win = _window(model, spec)
     k_of = {n: _k_of(spec, n) for n in range(win.n_min - 1, win.n_max + 2)}
+    red_g = {
+        k: [_offset(g) for g in model.block(k).pres.gradings]
+        for k in {k_of[n] for n in win.a_columns}
+    }
+    amb_g = [_offset(g) for g in model.ambient.b_red.gradings]
 
-    d_y = model.ambient.d
-    d_lens = lens_d(spec.p, spec.q)[spec.i]
-    b_grading: dict[int, Fraction] = {0: d_y + d_lens - 1}
+    anchor = model.ambient.d + lens_d(spec.p, spec.q)[spec.i] - 1
+    b_grading = {0: 0}
     lo = min(win.n_min, 0)
     hi = max(win.n_max + 1, 0)
     for n in range(0, hi):
@@ -207,101 +267,59 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
 
     # common ceiling: all A-towers top out at the same grading
     a_ref = a_grading[win.n_min]
-    base = max(a_grading.values())
-    for n in win.a_columns:
-        pres = model.block(k_of[n]).pres
-        for g in pres.gradings:
-            base = max(base, a_grading[n] + g)
-    for n in win.b_columns:
-        for g in model.ambient.b_red.gradings:
-            base = max(base, b_grading[n] + g)
-    offset = base - a_ref
-    assert offset.denominator == 1
-    ceiling = a_ref + 2 * ((offset.numerator + 1) // 2) + 2 * depth
+    base = max(
+        [a_grading[n] + g for n in win.a_columns for g in [0] + red_g[k_of[n]]]
+        + [b_grading[n] + g for n in win.b_columns for g in amb_g]
+    )
+    ceiling = a_ref + 2 * ((base - a_ref + 1) // 2) + 2 * depth
 
     def tower_len_a(n: int) -> int:
-        return int((ceiling - a_grading[n]) / 2) + 1
+        return (ceiling - a_grading[n]) // 2 + 1
 
     def tower_len_b(n: int) -> int:
-        return int((ceiling - 1 - b_grading[n]) / 2) + 1
+        return (ceiling - 1 - b_grading[n]) // 2 + 1
 
-    dom_desc: list[tuple] = []
-    dom_gradings: list[Fraction] = []
-    dom_index: dict[tuple, int] = {}
-    for n in win.a_columns:
-        for j in range(tower_len_a(n)):
-            dom_index[("t", n, j)] = len(dom_desc)
-            dom_desc.append(("t", n, j))
-            dom_gradings.append(a_grading[n] + 2 * j)
-        pres = model.block(k_of[n]).pres
-        for c in range(pres.dim):
-            dom_index[("r", n, c)] = len(dom_desc)
-            dom_desc.append(("r", n, c))
-            dom_gradings.append(a_grading[n] + pres.gradings[c])
-
-    cod_desc: list[tuple] = []
-    cod_gradings: list[Fraction] = []
-    cod_index: dict[tuple, int] = {}
     for n in win.b_columns:
         if tower_len_b(n) < 1:
             raise TruncationTooSmall(f"empty target tower in column {n}")
-        for j in range(tower_len_b(n)):
-            cod_index[("t", n, j)] = len(cod_desc)
-            cod_desc.append(("t", n, j))
-            cod_gradings.append(b_grading[n] + 2 * j)
-        for c in range(model.ambient.b_red.dim):
-            cod_index[("r", n, c)] = len(cod_desc)
-            cod_desc.append(("r", n, c))
-            cod_gradings.append(b_grading[n] + model.ambient.b_red.gradings[c])
+    dom_desc, dom_gradings, u_dom, _ = _row(
+        win.a_columns,
+        a_grading,
+        tower_len_a,
+        lambda n: (red_g[k_of[n]], model.block(k_of[n]).pres.u_cols),
+    )
+    cod_desc, cod_gradings, u_cod, cod_start = _row(
+        win.b_columns,
+        b_grading,
+        tower_len_b,
+        lambda n: (amb_g, model.ambient.b_red.u_cols),
+    )
 
-    b_retained = set(win.b_columns)
-    d_cols = [0] * len(dom_desc)
-    for pos, desc in enumerate(dom_desc):
-        kind, n, j = desc
+    # A-column n maps to B-column n by U^{V_k} (v_cols on the reduced part)
+    # and to B-column n + 1 by U^{H_k} (h_cols); columns outside the
+    # window are not retained
+    d_cols = []
+    for kind, n, j in dom_desc:
         k = k_of[n]
         blk = model.block(k)
         col = 0
-        if kind == "t":
-            if n in b_retained:
-                j2 = j - model.v_at(k)
-                if j2 >= 0:
-                    col ^= 1 << cod_index[("t", n, j2)]
-            if n + 1 in b_retained:
-                j2 = j - model.h_at(k)
-                if j2 >= 0:
-                    col ^= 1 << cod_index[("t", n + 1, j2)]
-        else:
-            if n in b_retained:
-                for r in gf2.bits(blk.v_cols[j]):
-                    col ^= 1 << cod_index[("r", n, r)]
-            if n + 1 in b_retained:
-                for r in gf2.bits(blk.h_cols[j]):
-                    col ^= 1 << cod_index[("r", n + 1, r)]
-        d_cols[pos] = col
-
-    u_dom = [0] * len(dom_desc)
-    for pos, desc in enumerate(dom_desc):
-        kind, n, j = desc
-        if kind == "t":
-            if j >= 1:
-                u_dom[pos] = 1 << dom_index[("t", n, j - 1)]
-        else:
-            for r in gf2.bits(model.block(k_of[n]).pres.u_cols[j]):
-                u_dom[pos] |= 1 << dom_index[("r", n, r)]
-    u_cod = [0] * len(cod_desc)
-    for pos, desc in enumerate(cod_desc):
-        kind, n, j = desc
-        if kind == "t":
-            if j >= 1:
-                u_cod[pos] = 1 << cod_index[("t", n, j - 1)]
-        else:
-            for r in gf2.bits(model.ambient.b_red.u_cols[j]):
-                u_cod[pos] |= 1 << cod_index[("r", n, r)]
+        for m, power, red_cols in (
+            (n, model.v_at(k), blk.v_cols),
+            (n + 1, model.h_at(k), blk.h_cols),
+        ):
+            if m not in cod_start:
+                continue
+            if kind == "r":
+                col ^= red_cols[j] << (cod_start[m] + tower_len_b(m))
+            elif j >= power:
+                col ^= 1 << (cod_start[m] + j - power)
+        d_cols.append(col)
 
     pres = ConePresentation(
         spec=spec,
         window=win,
         depth=depth,
+        anchor=anchor,
         ceiling=ceiling,
         k_of={n: k_of[n] for n in win.a_columns},
         a_grading=a_grading,
@@ -319,56 +337,28 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
 
 
 def _check_degrees(pres: ConePresentation) -> None:
-    """Structural audit: the cone map has degree -1 and both U's degree -2.
-
-    Every cone grading is the anchor plus an integer, so all of them share
-    the ceiling's denominator D and a degree shift by -s is the integer
-    shift of numerators by -s D.  The audit checks that shared denominator
-    once per basis vector, then computes each column's target numerator
-    once and compares it with the numerator at every set bit: linear in
-    the basis size plus the nonzero entries.
-    """
-    den = pres.ceiling.denominator
-    dom = [g.numerator for g in pres.dom_gradings]
-    cod = [g.numerator for g in pres.cod_gradings]
-    for gradings in (pres.dom_gradings, pres.cod_gradings):
-        if any(g.denominator != den for g in gradings):
-            raise AssertionError("cone gradings off the ceiling's grading line")
-    for j, col in enumerate(pres.d_cols):
-        target = dom[j] - den
-        for i in gf2.bits(col):
-            if cod[i] != target:
-                raise AssertionError(
-                    f"cone map not of degree -1 at column {pres.dom_desc[j]}"
-                )
-    for nums, cols in ((dom, pres.u_dom), (cod, pres.u_cod)):
-        for j, col in enumerate(cols):
-            target = nums[j] - 2 * den
-            for i in gf2.bits(col):
-                if nums[i] != target:
-                    raise AssertionError("U not of degree -2 in the cone")
+    """Structural audit: the cone map has degree -1 and both U's degree -2."""
+    dom, cod = pres.dom_gradings, pres.cod_gradings
+    for j, _ in degree_violations(pres.d_cols, dom, cod, -1):
+        raise AssertionError(
+            f"cone map not of degree -1 at column {pres.dom_desc[j]}"
+        )
+    for gradings, cols in ((dom, pres.u_dom), (cod, pres.u_cod)):
+        for _ in degree_violations(cols, gradings, gradings, -2):
+            raise AssertionError("U not of degree -2 in the cone")
 
 
-def _group_by_grading(gradings: tuple[Fraction, ...]) -> dict[Fraction, list[int]]:
-    out: dict[Fraction, list[int]] = {}
+def _group_by_grading(gradings: tuple[int, ...]) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
     for idx, g in enumerate(gradings):
         out.setdefault(g, []).append(idx)
     return out
 
 
-def _parities(gradings: list[Fraction], anchor: Fraction) -> tuple[int, ...]:
-    out = []
-    for g in gradings:
-        diff = g - anchor
-        assert diff.denominator == 1
-        out.append(diff.numerator % 2)
-    return tuple(out)
-
-
 def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
     dom_by_g = _group_by_grading(pres.dom_gradings)
     vecs: list[int] = []
-    gradings: list[Fraction] = []
+    gradings: list[int] = []
     for g in sorted(dom_by_g):
         idxs = dom_by_g[g]
         sub = [pres.d_cols[j] for j in idxs]
@@ -378,7 +368,7 @@ def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
                 vec |= 1 << idxs[t]
             vecs.append(vec)
             gradings.append(g)
-    ech_by_g: dict[Fraction, gf2.Echelon] = {}
+    ech_by_g: dict[int, gf2.Echelon] = {}
     for idx, vec in enumerate(vecs):
         ech_by_g.setdefault(gradings[idx], gf2.Echelon()).insert(vec, 1 << idx)
     u_dom = list(pres.u_dom)
@@ -393,23 +383,22 @@ def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
         res, combo = ech.reduce(img)
         assert res == 0, "kernel not U-stable"
         u_cols.append(combo)
-    anchor = pres.a_grading[pres.window.n_min]
     return FiniteUPresentation(
         gradings=tuple(gradings),
-        parities=_parities(gradings, anchor),
+        parities=tuple(g % 2 for g in gradings),
         u_cols=tuple(u_cols),
     )
 
 
 def _cokernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
     cod_by_g = _group_by_grading(pres.cod_gradings)
-    image_ech: dict[Fraction, gf2.Echelon] = {}
+    image_ech: dict[int, gf2.Echelon] = {}
     for j, col in enumerate(pres.d_cols):
         if col:
             g = pres.dom_gradings[j] - 1
             image_ech.setdefault(g, gf2.Echelon()).insert(col)
     reps: list[int] = []
-    gradings: list[Fraction] = []
+    gradings: list[int] = []
     pos_of: dict[int, int] = {}
     for g in sorted(cod_by_g):
         pivots = image_ech[g].pivots if g in image_ech else {}
@@ -429,10 +418,9 @@ def _cokernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
         for b in gf2.bits(w):
             col |= 1 << pos_of[b]
         u_cols.append(col)
-    anchor = pres.a_grading[pres.window.n_min]
     return FiniteUPresentation(
         gradings=tuple(gradings),
-        parities=_parities(gradings, anchor),
+        parities=tuple(g % 2 for g in gradings),
         u_cols=tuple(u_cols),
     )
 
@@ -454,15 +442,12 @@ def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResul
             f"for {spec.p}/{spec.q} block {spec.i}; expected exactly one tower"
         )
     tower = near_ceiling[0]
-    d = tower.bottom
-
-    red = []
-    for bar in ker_bars + cok_bars:
-        if bar is tower:
-            continue
-        offset = bar.bottom - d
-        assert offset.denominator == 1
-        red.append(Tau(bar.bottom, bar.length, offset.numerator % 2))
+    d = pres.anchor + tower.bottom
+    red = [
+        Tau(pres.anchor + bar.bottom, bar.length, (bar.bottom - tower.bottom) % 2)
+        for bar in ker_bars + cok_bars
+        if bar is not tower
+    ]
     return ConeResult(
         p=spec.p, q=spec.q, i=spec.i, d=d, red=tuple(sorted(red)), depth=depth
     )
@@ -517,30 +502,14 @@ def d_invariant_bounds(
 def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map.
 
-    Only defined when V_0 = 0; no truncation is involved because both
-    sides are finite.
+    Only defined when V_0 = 0.  The map is the restriction of the cone
+    built at the minimum depth to its reduced ("r") columns and rows,
+    which no tower depth changes.
     """
     if model.v_at(0) != 0:
         raise V0NonZero(f"V_0 = {model.v_at(0)} for {model.name}")
-    win = _window(model, spec)
-    k_of = {n: _k_of(spec, n) for n in win.a_columns}
-    b_retained = set(win.b_columns)
-    dim_b = model.ambient.b_red.dim
-
-    cod_pos = {n: idx * dim_b for idx, n in enumerate(win.b_columns)}
-    cols = []
-    for n in win.a_columns:
-        blk = model.block(k_of[n])
-        for c in range(blk.pres.dim):
-            col = 0
-            if n in b_retained:
-                for r in gf2.bits(blk.v_cols[c]):
-                    col ^= 1 << (cod_pos[n] + r)
-            if n + 1 in b_retained:
-                for r in gf2.bits(blk.h_cols[c]):
-                    col ^= 1 << (cod_pos[n + 1] + r)
-            cols.append(col)
-    dim_dom = len(cols)
-    dim_cod = dim_b * len(list(win.b_columns))
+    pres = build_cone(model, spec, _depth_floor(model, spec) + 2)
+    cols = [c for c, desc in zip(pres.d_cols, pres.dom_desc) if desc[0] == "r"]
+    dim_cod = sum(1 for desc in pres.cod_desc if desc[0] == "r")
     r = gf2.rank(cols)
-    return dim_dom - r, dim_cod - r
+    return len(cols) - r, dim_cod - r

@@ -5,6 +5,9 @@ towers T+_d (U acts surjectively, one-dimensional kernel at the bottom
 grading d, U lowers grading by 2) and finite bars tau_d(N) (dimension N,
 killed by U^N but not U^{N-1}).  Finite modules are carried concretely by
 :class:`FiniteUPresentation` and decomposed into bars by :func:`barcode`.
+Gradings are ``Fraction`` at the API; the checks and the decomposition
+use only differences, ``%`` and ``//``, so they are exact on ``int``
+gradings too (the cone passes integer offsets from one rational anchor).
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent evaluation needs no coordination.
@@ -14,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import gf2
 from .errors import InfiniteModule, InvalidPresentation
-
-Grading = Fraction
 
 
 def as_grading(x: Union[int, str, Fraction]) -> Fraction:
@@ -31,10 +32,6 @@ def as_grading(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise ValueError(f"not an exact grading: {x!r}")
-
-
-def format_grading(x: Fraction) -> str:
-    return str(x)
 
 
 @dataclass(frozen=True, order=True)
@@ -163,12 +160,21 @@ class FiniteUPresentation:
                     cols[j] |= 1 << i
         return cls(gs, tuple(parities), tuple(cols), tuple(labels))
 
-    def u_power_rank(self, j: int) -> int:
-        """rank of U^j, by direct matrix power (used as a test oracle)."""
-        cols = list(gf2.identity(self.dim))
-        for _ in range(j):
-            cols = gf2.mat_mul(list(self.u_cols), cols)
-        return gf2.rank(cols)
+
+def degree_violations(
+    cols: Sequence[int], src: Sequence, dst: Sequence, shift
+) -> Iterator[tuple[int, int]]:
+    """Yield (j, i) for every entry e_i of cols[j] with dst[i] != src[j] + shift.
+
+    The map is homogeneous of degree ``shift`` iff nothing is yielded.  One
+    target per nonzero column: linear in the basis plus the nonzero entries.
+    """
+    for j, col in enumerate(cols):
+        if col:
+            target = src[j] + shift
+            for i in gf2.bits(col):
+                if dst[i] != target:
+                    yield j, i
 
 
 def validate(m: FiniteUPresentation) -> list[str]:
@@ -176,36 +182,29 @@ def validate(m: FiniteUPresentation) -> list[str]:
 
     Returns a list of messages, each prefixed with one of the codes
     NonHomogeneousU, NotNilpotent, ParityMismatch; empty means valid.
-    Runs in time linear in the basis size plus the nonzero entries of U,
-    with integer comparisons only.
+    Runs in time linear in the basis size plus the nonzero entries of U.
 
-    * Homogeneity: e_i may occur in U(e_j) only if g_i = g_j - 2.  On
-      reduced fractions that is den_i == den_j and num_i == num_j - 2 den_j.
+    * Homogeneity: e_i may occur in U(e_j) only if g_i = g_j - 2
+      (:func:`degree_violations` with shift -2).
     * Nilpotency follows from homogeneity, so U^n is only computed when
       homogeneity has failed: if U has degree -2, U^n(e_j) != 0 needs basis
       vectors at the n + 1 distinct gradings g_j, g_j - 2, ..., g_j - 2n,
       but there are only n basis vectors.
     * Parity: every pair at an integral grading distance must declare
       parities that differ by that distance mod 2.  Gradings are integrally
-      apart exactly when they share the class (num mod den, den), and the
-      pairwise condition holds exactly when every element agrees with the
-      first element of its class (agreement is transitive), so each
-      element is compared with that one anchor only.
+      apart exactly when they share the class g mod 1, and the pairwise
+      condition holds exactly when every element agrees with the first
+      element of its class (agreement is transitive), so each element is
+      compared with that one anchor only.
     """
     errs: list[str] = []
     n = m.dim
-    num = [g.numerator for g in m.gradings]
-    den = [g.denominator for g in m.gradings]
-    for j, col in enumerate(m.u_cols):
-        if not col:
-            continue
-        target, dj = num[j] - 2 * den[j], den[j]
-        for i in gf2.bits(col):
-            if num[i] != target or den[i] != dj:
-                errs.append(
-                    f"NonHomogeneousU: U sends {m.labels[j]} (grading "
-                    f"{m.gradings[j]}) to {m.labels[i]} (grading {m.gradings[i]})"
-                )
+    gs = m.gradings
+    for j, i in degree_violations(m.u_cols, gs, gs, -2):
+        errs.append(
+            f"NonHomogeneousU: U sends {m.labels[j]} (grading "
+            f"{gs[j]}) to {m.labels[i]} (grading {gs[i]})"
+        )
     if errs:
         cols = list(gf2.identity(n))
         u = list(m.u_cols)
@@ -213,11 +212,11 @@ def validate(m: FiniteUPresentation) -> list[str]:
             cols = gf2.mat_mul(u, cols)
         if not gf2.is_zero(cols):
             errs.append(f"NotNilpotent: U^{n} is nonzero")
-    anchors: dict[tuple[int, int], int] = {}
-    for j in range(n):
-        a = anchors.setdefault((num[j] % den[j], den[j]), j)
-        if (m.parities[a] - m.parities[j] - (num[a] - num[j]) // den[j]) % 2:
-            diff = m.gradings[a] - m.gradings[j]
+    anchors: dict = {}
+    for j, g in enumerate(gs):
+        a = anchors.setdefault(g % 1, j)
+        diff = gs[a] - g
+        if (m.parities[a] - m.parities[j] - diff) % 2:
             errs.append(
                 f"ParityMismatch: {m.labels[a]} and {m.labels[j]} are "
                 f"{diff} apart but declare parities "
@@ -241,15 +240,14 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     spanned by surviving images are born as new bars.
     """
     _require_valid(m)
-    by_grading: dict[Fraction, list[int]] = {}
+    by_grading: dict = {}
     for i, g in enumerate(m.gradings):
         by_grading.setdefault(g, []).append(i)
     parity_at = {m.gradings[i]: m.parities[i] for i in range(m.dim)}
 
-    lines: dict[Fraction, list[Fraction]] = {}
+    lines: dict = {}
     for g in by_grading:
-        key = g - 2 * (g / 2).__floor__()
-        lines.setdefault(key, []).append(g)
+        lines.setdefault(g % 2, []).append(g)
 
     u = list(m.u_cols)
     bars: list[Tau] = []
@@ -272,8 +270,8 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                 if added:
                     survivors.append((res, birth))
                 else:
-                    length = (birth - g) / 2 + 1
-                    bars.append(Tau(g, int(length), parity_at[g]))
+                    length = (birth - g) // 2 + 1
+                    bars.append(Tau(g, length, parity_at[g]))
             active = survivors
             g -= 2
         assert not active
@@ -292,8 +290,3 @@ def euler_z2(m: Union[GradedModule, FiniteUPresentation]) -> int:
         even, odd = m.dims()
         return even - odd
     return sum(1 if p == 0 else -1 for p in m.parities)
-
-
-def iso_check(a: GradedModule, b: GradedModule) -> bool:
-    """Graded isomorphism test: identical multisets of towers and bars."""
-    return a.towers == b.towers and a.bars == b.bars

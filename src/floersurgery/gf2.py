@@ -104,25 +104,3 @@ def nullspace(cols: list[int]) -> list[int]:
         if not added:
             out.append(combo)
     return out
-
-
-def solve_in_span(basis: list[int], v: int) -> int | None:
-    """Express v as a combination of basis vectors; None if not in span."""
-    ech = Echelon()
-    for j, b in enumerate(basis):
-        ech.insert(b, 1 << j)
-    res, combo = ech.reduce(v)
-    if res != 0:
-        return None
-    return combo
-
-
-def inverse(cols: list[int]) -> list[int]:
-    """Inverse of a square invertible matrix given by columns."""
-    n = len(cols)
-    ech = Echelon()
-    for j, c in enumerate(cols):
-        added, _, _ = ech.insert(c, 1 << j)
-        if not added:
-            raise ValueError("matrix is not invertible")
-    return [ech.reduce(1 << i)[1] for i in range(n)]

@@ -55,6 +55,7 @@ from .fmod import (
     FiniteUPresentation,
     as_grading,
     barcode,
+    degree_violations,
     euler_z2,
     validate,
 )
@@ -174,11 +175,6 @@ class KnotModel:
         return longest
 
 
-def vh_value(m: KnotModel, k: int) -> tuple[int, int]:
-    """(V_k, H_k) for any integer k."""
-    return m.v_at(k), m.h_at(k)
-
-
 def torsion_coefficients(m: KnotModel) -> TorsionProfile:
     """Torsion coefficients t_k = V_k + chi(A_red[k]) - chi(B_red), k >= 0.
 
@@ -288,13 +284,11 @@ def _check_map(
     rhs = gf2.mat_mul(list(cols), list(dom.u_cols))
     if lhs != rhs:
         raise _fail("MapNotEquivariant", f"{name} does not commute with U")
-    for j, col in enumerate(cols):
-        for i in gf2.bits(col):
-            if cod.gradings[i] != dom.gradings[j] + degree:
-                raise _fail(
-                    "MapNotEquivariant",
-                    f"{name} is not homogeneous of degree {degree} at column {j}",
-                )
+    for j, _ in degree_violations(cols, dom.gradings, cod.gradings, degree):
+        raise _fail(
+            "MapNotEquivariant",
+            f"{name} is not homogeneous of degree {degree} at column {j}",
+        )
 
 
 def _presentations_equal(a: FiniteUPresentation, b: FiniteUPresentation) -> bool:

@@ -8,6 +8,8 @@ import pytest
 
 from floersurgery import (
     CassonWalkerInput,
+    FiniteUPresentation,
+    KnotModel,
     SurgerySpec,
     Tau,
     TruncationTooSmall,
@@ -24,6 +26,7 @@ from floersurgery import (
     torsion_coefficients,
 )
 from floersurgery.cone import _check_degrees
+from floersurgery.knotmodel import ReducedBlock
 
 
 def test_spec_validation():
@@ -84,7 +87,26 @@ def test_anchor_grading(unknot, trefoil):
     for model in (unknot, trefoil):
         pres = build_cone(model, SurgerySpec(2, 3, 0), 8)
         d_lens = lens_d(2, 3)[0]
-        assert pres.b_grading[1] - 2 * pres.k_of[0] == model.ambient.d + d_lens - 1
+        assert (
+            pres.anchor + pres.b_grading[1] - 2 * pres.k_of[0]
+            == model.ambient.d + d_lens - 1
+        )
+
+
+def test_non_integral_block_grading_is_rejected(figure8):
+    # a hand-built model whose block-0 generator sits half a step off the
+    # tower's grading line must not be silently rounded into the cone
+    pres = FiniteUPresentation((Fraction(-1, 2),), (1,), (0,))
+    model = KnotModel(
+        "figure8_half",
+        figure8.ambient,
+        figure8.genus,
+        figure8.V,
+        {0: ReducedBlock(pres, (0,), (0,))},
+    )
+    for spec in (SurgerySpec(1, 1, 0), SurgerySpec(3, 2, 1)):
+        with pytest.raises(AssertionError, match="grading line"):
+            build_cone(model, spec, 12)
 
 
 def test_unknot_cone_is_lens_space(unknot):

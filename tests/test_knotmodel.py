@@ -13,7 +13,6 @@ from floersurgery import (
     gf2,
     load_model,
     torsion_coefficients,
-    vh_value,
 )
 from conftest import sigma237_synthetic_doc
 
@@ -100,10 +99,10 @@ def test_alexander_trivial(unknot, trefoil):
 
 
 def test_vh_values(trefoil):
-    assert vh_value(trefoil, 0) == (1, 1)
-    assert vh_value(trefoil, -1) == (1, 0)
+    assert (trefoil.v_at(0), trefoil.h_at(0)) == (1, 1)
+    assert (trefoil.v_at(-1), trefoil.h_at(-1)) == (1, 0)
     for k in range(1, 6):
-        assert vh_value(trefoil, k) == (0, k)
+        assert (trefoil.v_at(k), trefoil.h_at(k)) == (0, k)
 
 
 def test_vh_identity_window(trefoil, figure8, unknot):
@@ -111,7 +110,7 @@ def test_vh_identity_window(trefoil, figure8, unknot):
         g = model.genus
         prev = None
         for k in range(-2 * g - 2, 2 * g + 3):
-            v, h = vh_value(model, k)
+            v, h = model.v_at(k), model.h_at(k)
             assert h - v == k
             assert v >= 0 and h >= 0
             if prev is not None:
