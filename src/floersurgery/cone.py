@@ -18,12 +18,18 @@ d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
 offset from that anchor, propagated along columns by
 b_{n+1} - b_n = 2 k(n); model gradings enter through one conversion that
 rejects anything off the integer line, and ``Fraction`` comes back only
-when the result is read off.  Towers are cut at a common grading ceiling;
-homology is kernel plus cokernel of the assembled degree -1 matrix over
-F_2, decomposed into bars.  The unique kernel bar reaching the ceiling
-is the tower of the surgered manifold and its bottom is the d-invariant;
-every other bar is reduced homology.  Results are recomputed two levels
-deeper and must agree, otherwise TruncationTooSmall is raised.
+when the result is read off.  Towers are cut at a common grading ceiling.
+
+The cone is stored grading by grading (d has degree -1, U degree -2):
+local bitmask columns over the generators one or two gradings down, the
+towers first, numbered by bottom, so the towers present at a grading are
+a prefix of that order.  Reduced model maps are checked against their
+target grading as they are placed.  Kernel and cokernel are each built
+in one ascending pass over the gradings and decomposed into bars.  The
+unique kernel bar reaching the ceiling is the tower of the surgered
+manifold and its bottom is the d-invariant; every other bar is reduced
+homology.  Results are recomputed two levels deeper and must agree,
+otherwise TruncationTooSmall is raised.
 
 Each block index i is computed independently from immutable inputs, so
 callers may evaluate different i concurrently.
@@ -31,20 +37,14 @@ callers may evaluate different i concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import gf2
 from .errors import NotCoprime, TruncationTooSmall, V0NonZero
-from .fmod import (
-    FiniteUPresentation,
-    GradedModule,
-    Tau,
-    Tower,
-    barcode,
-    degree_violations,
-)
+from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
 from .numth import lens_d
 
@@ -87,12 +87,16 @@ class ConeWindow:
 
 @dataclass(frozen=True)
 class ConePresentation:
-    """Assembled finite cone: graded basis on both sides and the matrix.
+    """Assembled finite cone, stored grading by grading.
 
     ``anchor`` is the absolute grading of the B-tower generator in column
-    0; ``ceiling``, the column gradings and the basis gradings are ``int``
-    offsets from it, so the absolute grading of basis vector j is
-    ``anchor + dom_gradings[j]``.
+    0; ``ceiling``, the column gradings and the grading keys (ascending)
+    are ``int`` offsets from it.  ``d_cols[g]`` holds the columns of the
+    A-generators at g over the B-generators at g - 1; ``u_dom[g]`` and
+    ``u_cod[g]`` the U-columns over the same row at g - 2.  At each grading
+    the towers come first, sorted by bottom (``a_grading``/``b_grading``);
+    as all end at the ceiling (one below it for B), the towers present at g
+    are a prefix of that order and keep their index at every grading.
     """
 
     spec: SurgerySpec
@@ -103,13 +107,19 @@ class ConePresentation:
     k_of: dict[int, int]
     a_grading: dict[int, int]
     b_grading: dict[int, int]
-    dom_gradings: tuple[int, ...]
-    cod_gradings: tuple[int, ...]
-    dom_desc: tuple[tuple, ...]
-    cod_desc: tuple[tuple, ...]
-    d_cols: tuple[int, ...]
-    u_dom: tuple[int, ...]
-    u_cod: tuple[int, ...]
+    d_cols: dict[int, tuple[int, ...]]
+    u_dom: dict[int, tuple[int, ...]]
+    u_cod: dict[int, tuple[int, ...]]
+
+    @property
+    def dom_gradings(self) -> tuple[int, ...]:
+        """Grading of every A-generator, one entry per generator."""
+        return tuple(g for g, cols in self.u_dom.items() for _ in cols)
+
+    @property
+    def cod_gradings(self) -> tuple[int, ...]:
+        """Grading of every B-generator, one entry per generator."""
+        return tuple(g for g, cols in self.u_cod.items() for _ in cols)
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,6 @@ class ConeResult:
     def chi_red(self) -> int:
         even, odd = self.dims
         return even - odd
-
-    def as_graded_module(self) -> GradedModule:
-        return GradedModule(towers=(Tower(self.d),), bars=self.red)
 
     def same_homology(self, other: "ConeResult") -> bool:
         return self.d == other.d and self.red == other.red
@@ -209,32 +216,62 @@ def _offset(g: Fraction) -> int:
     return g.numerator
 
 
-def _row(columns, grading, tower_len, reduced):
-    """Basis descriptors, gradings and U-columns of one row of the cone,
-    and the index where each column's tower starts.
+def _towers(bottoms: list[int], top: int, g: int) -> int:
+    """How many towers with these sorted bottoms, all topping out at
+    ``top`` in steps of 2, have a generator at grading g."""
+    return bisect_right(bottoms, g) if (top - g) % 2 == 0 else 0
 
-    Each column n contributes a tower ("t", n, j) at grading[n] + 2 j for
-    j < tower_len(n), then its reduced part ("r", n, c); ``reduced(n)``
-    gives that part's tower-relative gradings and U-columns.  Both pieces
-    are contiguous, so maps into them are shifts of local indices.
+
+class _Row:
+    """One row of the cone laid out grading by grading.
+
+    Column n has a tower from bottom[n] up to top in steps of 2 and
+    reduced generators c at bottom[n] + offsets[c], where reduced[n] =
+    (offsets, U-columns).  At grading g the first ``towers[g]`` columns of
+    ``order`` (sorted by bottom, tower number ``index[n]``) have their
+    tower present; the reduced generators ``at[g]`` = [(n, c), ...]
+    follow, ``place[n, c]`` = (g, local index), and ``u[g]`` holds the
+    U-columns.
     """
-    desc: list[tuple] = []
-    gradings: list[int] = []
-    u: list[int] = []
-    starts: dict[int, int] = {}
-    for n in columns:
-        start = starts[n] = len(desc)
-        for j in range(tower_len(n)):
-            desc.append(("t", n, j))
-            gradings.append(grading[n] + 2 * j)
-            u.append(1 << (start + j - 1) if j else 0)
-        start = len(desc)
-        red_gradings, red_u = reduced(n)
-        for c, g in enumerate(red_gradings):
-            desc.append(("r", n, c))
-            gradings.append(grading[n] + g)
-            u.append(red_u[c] << start)
-    return desc, gradings, u, starts
+
+    def __init__(self, bottom: dict[int, int], top: int, reduced: dict):
+        self.order = sorted(bottom, key=bottom.__getitem__)
+        self.index = {n: t for t, n in enumerate(self.order)}
+        bottoms = [bottom[n] for n in self.order]
+        self.towers = {
+            g: _towers(bottoms, top, g)
+            for g in range(min(bottoms, default=top + 1), top + 1, 2)
+        }
+        self.at: dict[int, list[tuple[int, int]]] = {}
+        for n, (offsets, _) in reduced.items():
+            for c, off in enumerate(offsets):
+                self.at.setdefault(bottom[n] + off, []).append((n, c))
+        self.gradings = sorted(self.towers.keys() | self.at.keys())
+        self.place = {
+            key: (g, idx)
+            for g in self.gradings
+            for idx, key in enumerate(self.at.get(g, ()), self.towers.get(g, 0))
+        }
+        self.u = {}
+        for g in self.gradings:
+            # U keeps a tower's number; the towers at g - 2 are a prefix
+            below = self.towers.get(g - 2, 0)
+            cols = [1 << t if t < below else 0 for t in range(self.towers.get(g, 0))]
+            for n, c in self.at.get(g, ()):
+                u = reduced[n][1][c]
+                cols.append(self.image(u, n, g - 2, "U not of degree -2 in the cone"))
+            self.u[g] = tuple(cols)
+
+    def image(self, mask: int, n: int, g: int, error: str) -> int:
+        """The reduced generators c of column n set in mask, as a bitmask
+        over the generators at grading g; each must sit at g."""
+        out = 0
+        for c in gf2.bits(mask):
+            h, idx = self.place[n, c]
+            if h != g:
+                raise AssertionError(error)
+            out |= 1 << idx
+        return out
 
 
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
@@ -246,143 +283,99 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
             f"for {model.name} at {spec.p}/{spec.q}"
         )
     win = _window(model, spec)
-    k_of = {n: _k_of(spec, n) for n in range(win.n_min - 1, win.n_max + 2)}
-    red_g = {
-        k: [_offset(g) for g in model.block(k).pres.gradings]
-        for k in {k_of[n] for n in win.a_columns}
+    k_of = {n: _k_of(spec, n) for n in win.a_columns}
+    blocks = {n: model.block(k_of[n]) for n in win.a_columns}
+    a_red = {
+        n: ([_offset(g) for g in blk.pres.gradings], blk.pres.u_cols)
+        for n, blk in blocks.items()
     }
-    amb_g = [_offset(g) for g in model.ambient.b_red.gradings]
+    b_red = model.ambient.b_red
+    amb = ([_offset(g) for g in b_red.gradings], b_red.u_cols)
 
     anchor = model.ambient.d + lens_d(spec.p, spec.q)[spec.i] - 1
     b_grading = {0: 0}
-    lo = min(win.n_min, 0)
-    hi = max(win.n_max + 1, 0)
-    for n in range(0, hi):
-        b_grading[n + 1] = b_grading[n] + 2 * k_of.get(n, _k_of(spec, n))
-    for n in range(0, lo, -1):
-        b_grading[n - 1] = b_grading[n] - 2 * k_of.get(n - 1, _k_of(spec, n - 1))
+    for n in range(0, max(win.n_max, 0)):
+        b_grading[n + 1] = b_grading[n] + 2 * _k_of(spec, n)
+    for n in range(0, min(win.n_min, 0), -1):
+        b_grading[n - 1] = b_grading[n] - 2 * _k_of(spec, n - 1)
     a_grading = {
         n: b_grading[n] + 1 - 2 * model.v_at(k_of[n]) for n in win.a_columns
     }
+    b_grading = {n: b_grading[n] for n in win.b_columns}
 
     # common ceiling: all A-towers top out at the same grading
     a_ref = a_grading[win.n_min]
     base = max(
-        [a_grading[n] + g for n in win.a_columns for g in [0] + red_g[k_of[n]]]
-        + [b_grading[n] + g for n in win.b_columns for g in amb_g]
+        [a_grading[n] + g for n in win.a_columns for g in [0] + a_red[n][0]]
+        + [b_grading[n] + g for n in win.b_columns for g in amb[0]]
     )
     ceiling = a_ref + 2 * ((base - a_ref + 1) // 2) + 2 * depth
 
-    def tower_len_a(n: int) -> int:
-        return (ceiling - a_grading[n]) // 2 + 1
-
-    def tower_len_b(n: int) -> int:
-        return (ceiling - 1 - b_grading[n]) // 2 + 1
-
     for n in win.b_columns:
-        if tower_len_b(n) < 1:
+        if b_grading[n] > ceiling - 1:
             raise TruncationTooSmall(f"empty target tower in column {n}")
-    dom_desc, dom_gradings, u_dom, _ = _row(
-        win.a_columns,
-        a_grading,
-        tower_len_a,
-        lambda n: (red_g[k_of[n]], model.block(k_of[n]).pres.u_cols),
-    )
-    cod_desc, cod_gradings, u_cod, cod_start = _row(
-        win.b_columns,
-        b_grading,
-        tower_len_b,
-        lambda n: (amb_g, model.ambient.b_red.u_cols),
-    )
+    dom = _Row(a_grading, ceiling, a_red)
+    cod = _Row(b_grading, ceiling - 1, {n: amb for n in win.b_columns})
 
     # A-column n maps to B-column n by U^{V_k} (v_cols on the reduced part)
     # and to B-column n + 1 by U^{H_k} (h_cols); columns outside the
-    # window are not retained
-    d_cols = []
-    for kind, n, j in dom_desc:
-        k = k_of[n]
-        blk = model.block(k)
-        col = 0
-        for m, power, red_cols in (
-            (n, model.v_at(k), blk.v_cols),
-            (n + 1, model.h_at(k), blk.h_cols),
-        ):
-            if m not in cod_start:
-                continue
-            if kind == "r":
-                col ^= red_cols[j] << (cod_start[m] + tower_len_b(m))
-            elif j >= power:
-                col ^= 1 << (cod_start[m] + j - power)
-        d_cols.append(col)
+    # window are not retained.  A tower generator at g hits the B-tower of
+    # a retained neighbour exactly when that tower reaches down to g - 1.
+    d_cols = {}
+    for g in dom.gradings:
+        cols = []
+        for n in dom.order[: dom.towers.get(g, 0)]:
+            col = 0
+            for m in (n, n + 1):
+                if m in cod.index and b_grading[m] < g:
+                    col |= 1 << cod.index[m]
+            cols.append(col)
+        for n, c in dom.at.get(g, ()):
+            error = f"cone map not of degree -1 at reduced generator {(n, c)}"
+            col = 0
+            for m, red_cols in ((n, blocks[n].v_cols), (n + 1, blocks[n].h_cols)):
+                if m in cod.index:
+                    col ^= cod.image(red_cols[c], m, g - 1, error)
+            cols.append(col)
+        d_cols[g] = tuple(cols)
 
-    pres = ConePresentation(
+    return ConePresentation(
         spec=spec,
         window=win,
         depth=depth,
         anchor=anchor,
         ceiling=ceiling,
-        k_of={n: k_of[n] for n in win.a_columns},
+        k_of=k_of,
         a_grading=a_grading,
-        b_grading={n: b_grading[n] for n in win.b_columns},
-        dom_gradings=tuple(dom_gradings),
-        cod_gradings=tuple(cod_gradings),
-        dom_desc=tuple(dom_desc),
-        cod_desc=tuple(cod_desc),
-        d_cols=tuple(d_cols),
-        u_dom=tuple(u_dom),
-        u_cod=tuple(u_cod),
+        b_grading=b_grading,
+        d_cols=d_cols,
+        u_dom=dom.u,
+        u_cod=cod.u,
     )
-    _check_degrees(pres)
-    return pres
-
-
-def _check_degrees(pres: ConePresentation) -> None:
-    """Structural audit: the cone map has degree -1 and both U's degree -2."""
-    dom, cod = pres.dom_gradings, pres.cod_gradings
-    for j, _ in degree_violations(pres.d_cols, dom, cod, -1):
-        raise AssertionError(
-            f"cone map not of degree -1 at column {pres.dom_desc[j]}"
-        )
-    for gradings, cols in ((dom, pres.u_dom), (cod, pres.u_cod)):
-        for _ in degree_violations(cols, gradings, gradings, -2):
-            raise AssertionError("U not of degree -2 in the cone")
-
-
-def _group_by_grading(gradings: tuple[int, ...]) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for idx, g in enumerate(gradings):
-        out.setdefault(g, []).append(idx)
-    return out
 
 
 def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
-    dom_by_g = _group_by_grading(pres.dom_gradings)
-    vecs: list[int] = []
+    """ker d with its U-action, in one ascending pass over the gradings.
+
+    The kernel at g is spanned by local bitmasks; U maps it into the
+    kernel at g - 2, whose echelon is already built.
+    """
     gradings: list[int] = []
-    for g in sorted(dom_by_g):
-        idxs = dom_by_g[g]
-        sub = [pres.d_cols[j] for j in idxs]
-        for combo in gf2.nullspace(sub):
-            vec = 0
-            for t in gf2.bits(combo):
-                vec |= 1 << idxs[t]
-            vecs.append(vec)
+    u_cols: list[int] = []
+    ech: dict[int, gf2.Echelon] = {}
+    start: dict[int, int] = {}
+    empty = gf2.Echelon()
+    for g, cols in pres.d_cols.items():
+        start[g] = len(gradings)
+        ech[g] = here = gf2.Echelon()
+        below = ech.get(g - 2, empty)
+        u = pres.u_dom[g]
+        for t, vec in enumerate(gf2.nullspace(list(cols))):
+            res, combo = below.reduce(gf2.mat_vec(u, vec))
+            assert res == 0, "kernel not U-stable"
+            u_cols.append(combo << start.get(g - 2, 0))
             gradings.append(g)
-    ech_by_g: dict[int, gf2.Echelon] = {}
-    for idx, vec in enumerate(vecs):
-        ech_by_g.setdefault(gradings[idx], gf2.Echelon()).insert(vec, 1 << idx)
-    u_dom = list(pres.u_dom)
-    u_cols = []
-    for idx, vec in enumerate(vecs):
-        img = gf2.mat_vec(u_dom, vec)
-        if img == 0:
-            u_cols.append(0)
-            continue
-        ech = ech_by_g.get(gradings[idx] - 2)
-        assert ech is not None
-        res, combo = ech.reduce(img)
-        assert res == 0, "kernel not U-stable"
-        u_cols.append(combo)
+            here.insert(vec, 1 << t)
     return FiniteUPresentation(
         gradings=tuple(gradings),
         parities=tuple(g % 2 for g in gradings),
@@ -391,33 +384,33 @@ def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
 
 
 def _cokernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
-    cod_by_g = _group_by_grading(pres.cod_gradings)
-    image_ech: dict[int, gf2.Echelon] = {}
-    for j, col in enumerate(pres.d_cols):
-        if col:
-            g = pres.dom_gradings[j] - 1
-            image_ech.setdefault(g, gf2.Echelon()).insert(col)
-    reps: list[int] = []
+    """coker d with its U-action, in one ascending pass over the gradings.
+
+    At each grading the non-pivot coordinates of the image's echelon
+    represent the cokernel; U-images are reduced against the image two
+    gradings down, which leaves them on that grading's representatives.
+    """
     gradings: list[int] = []
-    pos_of: dict[int, int] = {}
-    for g in sorted(cod_by_g):
-        pivots = image_ech[g].pivots if g in image_ech else {}
-        for i in cod_by_g[g]:
-            if i not in pivots:
-                pos_of[i] = len(reps)
-                reps.append(i)
-                gradings.append(g)
-    u_cod = list(pres.u_cod)
-    u_cols = []
-    for i in reps:
-        w = u_cod[i]
-        g2 = pres.cod_gradings[i] - 2
-        if g2 in image_ech:
-            w, _ = image_ech[g2].reduce(w)
-        col = 0
-        for b in gf2.bits(w):
-            col |= 1 << pos_of[b]
-        u_cols.append(col)
+    u_cols: list[int] = []
+    image: dict[int, gf2.Echelon] = {}
+    pos_of: dict[int, dict[int, int]] = {}
+    empty = gf2.Echelon()
+    for g, u in pres.u_cod.items():
+        image[g] = here = gf2.Echelon()
+        for col in pres.d_cols.get(g + 1, ()):
+            here.insert(col)
+        below = image.get(g - 2, empty)
+        pos = pos_of[g] = {}
+        for i, w in enumerate(u):
+            if i in here.pivots:
+                continue
+            pos[i] = len(gradings)
+            gradings.append(g)
+            w, _ = below.reduce(w)
+            col = 0
+            for b in gf2.bits(w):
+                col |= 1 << pos_of[g - 2][b]
+            u_cols.append(col)
     return FiniteUPresentation(
         gradings=tuple(gradings),
         parities=tuple(g % 2 for g in gradings),
@@ -503,13 +496,19 @@ def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map.
 
     Only defined when V_0 = 0.  The map is the restriction of the cone
-    built at the minimum depth to its reduced ("r") columns and rows,
-    which no tower depth changes.
+    built at the minimum depth to its reduced columns and rows (at each
+    grading, those after the towers), which no tower depth changes.
     """
     if model.v_at(0) != 0:
         raise V0NonZero(f"V_0 = {model.v_at(0)} for {model.name}")
     pres = build_cone(model, spec, _depth_floor(model, spec) + 2)
-    cols = [c for c, desc in zip(pres.d_cols, pres.dom_desc) if desc[0] == "r"]
-    dim_cod = sum(1 for desc in pres.cod_desc if desc[0] == "r")
-    r = gf2.rank(cols)
-    return len(cols) - r, dim_cod - r
+    a_bottoms = sorted(pres.a_grading.values())
+    b_bottoms = sorted(pres.b_grading.values())
+    dim_dom = dim_cod = r = 0
+    for g, cols in pres.d_cols.items():
+        red = cols[_towers(a_bottoms, pres.ceiling, g) :]
+        dim_dom += len(red)
+        r += gf2.rank(red)
+    for g, cols in pres.u_cod.items():
+        dim_cod += len(cols) - _towers(b_bottoms, pres.ceiling - 1, g)
+    return dim_dom - r, dim_cod - r

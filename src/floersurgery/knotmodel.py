@@ -141,6 +141,7 @@ class KnotModel:
         self.genus = genus
         self.V = V
         self._blocks = dict(blocks)
+        self._max_reduced_bar: int | None = None
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
@@ -167,12 +168,16 @@ class KnotModel:
         return ReducedBlock(pos.pres, v_cols=pos.h_cols, h_cols=pos.v_cols)
 
     def max_reduced_bar(self) -> int:
-        longest = self.ambient.max_bar()
-        for blk in self._blocks.values():
-            longest = max(
-                longest, max((b.length for b in barcode(blk.pres)), default=0)
+        """Longest bar of the ambient reduced part or of any stored block.
+
+        Computed on the first call and kept: the model is immutable.
+        """
+        if self._max_reduced_bar is None:
+            self._max_reduced_bar = max(
+                [self.ambient.max_bar()]
+                + [b.length for blk in self._blocks.values() for b in barcode(blk.pres)]
             )
-        return longest
+        return self._max_reduced_bar
 
 
 def torsion_coefficients(m: KnotModel) -> TorsionProfile:
@@ -291,14 +296,6 @@ def _check_map(
         )
 
 
-def _presentations_equal(a: FiniteUPresentation, b: FiniteUPresentation) -> bool:
-    return (
-        a.gradings == b.gradings
-        and a.parities == b.parities
-        and a.u_cols == b.u_cols
-    )
-
-
 def load_ambient(doc: dict, what: str = "ambient") -> AmbientSummary:
     if not isinstance(doc, dict):
         raise _fail("Syntax", f"{what} must be an object")
@@ -409,7 +406,7 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
         if 0 <= k < genus:
             continue
         derived = model.block(k)
-        same = _presentations_equal(blk.pres, derived.pres)
+        same = blk.pres == derived.pres
         if abs(k) >= genus:
             # only the isomorphism direction is pinned out there
             same = same and (

@@ -59,6 +59,26 @@ def sigma237_synthetic():
     return load_model(sigma237_synthetic_doc())
 
 
+def staircase_doc(V: list[int]) -> dict:
+    """Model in S^3 with the staircase V_0, ..., V_g and empty reduced
+    blocks, the data of an L-space knot of genus g = len(V) - 1."""
+    genus = len(V) - 1
+    empty = {
+        "generators": [],
+        "u_matrix": [],
+        "v_matrix": [],
+        "h_matrix": [],
+        "tower_offset": "0",
+    }
+    return {
+        "name": f"staircase_{'_'.join(map(str, V))}",
+        "ambient": {"name": "S3", "d": "0", "b_red": [], "u_matrix": []},
+        "genus": genus,
+        "V": list(V),
+        "a_red": {str(k): dict(empty) for k in range(genus)},
+    }
+
+
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:
     """Random homogeneous nilpotent U-presentation.
 

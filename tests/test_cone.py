@@ -25,7 +25,6 @@ from floersurgery import (
     surgery,
     torsion_coefficients,
 )
-from floersurgery.cone import _check_degrees
 from floersurgery.knotmodel import ReducedBlock
 
 
@@ -150,21 +149,22 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
                 assert a.same_homology(b)
 
 
-def test_check_degrees_catches_corrupted_columns(trefoil):
-    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
-    _check_degrees(pres)
-    dom, cod = pres.dom_gradings, pres.cod_gradings
-    for name, src, dst, shift in (
-        ("d_cols", dom, cod, 1),
-        ("u_dom", dom, dom, 2),
-        ("u_cod", cod, cod, 2),
-    ):
-        j = len(src) - 1
-        i = next(i for i, g in enumerate(dst) if g != src[j] - shift)
-        cols = list(getattr(pres, name))
-        cols[j] ^= 1 << i
-        with pytest.raises(AssertionError, match=f"degree -{shift}"):
-            _check_degrees(replace(pres, **{name: tuple(cols)}))
+def test_misgraded_block_map_is_rejected(sigma237_synthetic):
+    # a hand-built model whose block-0 generator sits two steps too high,
+    # with the identity v/h maps left in place: the cone map would not
+    # have degree -1, and building the cone must say so
+    blk = sigma237_synthetic.block(0)
+    shifted = replace(blk.pres, gradings=tuple(g + 2 for g in blk.pres.gradings))
+    model = KnotModel(
+        "sigma237_shifted",
+        sigma237_synthetic.ambient,
+        sigma237_synthetic.genus,
+        sigma237_synthetic.V,
+        {0: replace(blk, pres=shifted)},
+    )
+    for spec in (SurgerySpec(1, 1, 0), SurgerySpec(3, 2, 1)):
+        with pytest.raises(AssertionError, match="not of degree -1"):
+            build_cone(model, spec, 12)
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):
