@@ -24,8 +24,9 @@ The cone is stored grading by grading (d has degree -1, U degree -2):
 local bitmask columns over the generators one or two gradings down, the
 towers first, numbered by bottom, so the towers present at a grading are
 a prefix of that order.  Reduced model maps are checked against their
-target grading as they are placed.  Kernel and cokernel are each built
-in one ascending pass over the gradings and decomposed into bars.  The
+target grading as they are placed.  One ascending pass eliminates each
+grading's d once; that gives the kernel there and the image one grading
+down, hence the cokernel, and both are decomposed into bars.  The
 unique kernel bar reaching the ceiling is the tower of the surgered
 manifold and its bottom is the d-invariant; every other bar is reduced
 homology.  Results are recomputed two levels deeper and must agree,
@@ -354,74 +355,51 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     )
 
 
-def _kernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
-    """ker d with its U-action, in one ascending pass over the gradings.
+def _presentation(basis: list[tuple[int, int, int]]) -> FiniteUPresentation:
+    """The module on ``basis``: triples (g, key, w), ascending in g, where U
+    sends the element to those at g - 2 whose keys are bits of w."""
+    pos: dict[tuple[int, int], int] = {}
+    u_cols = []
+    for j, (g, key, w) in enumerate(basis):
+        pos[g, key] = j
+        u_cols.append(sum(1 << pos[g - 2, b] for b in gf2.bits(w) if (g - 2, b) in pos))
+    gradings = tuple(g for g, _, _ in basis)
+    return FiniteUPresentation(gradings, tuple(g % 2 for g in gradings), tuple(u_cols))
 
-    The kernel at g is spanned by local bitmasks; U maps it into the
-    kernel at g - 2, whose echelon is already built.
+
+def _kernel_and_cokernel(pres: ConePresentation) -> tuple[FiniteUPresentation, ...]:
+    """ker d and coker d with their U-actions, eliminating each d_cols[g] once.
+
+    The nullspace of d_cols[g] is the kernel at g and leaves the image at
+    g - 1 in an echelon.  Kernel vectors lead with their dependent column
+    and are otherwise independent columns, so a kernel element's
+    coordinates are its bits on the dependent columns.  The cokernel at g
+    is represented on the non-pivot coordinates of the image at g, where
+    reducing against the image puts U-images from g + 2.
     """
-    gradings: list[int] = []
-    u_cols: list[int] = []
-    ech: dict[int, gf2.Echelon] = {}
-    start: dict[int, int] = {}
-    empty = gf2.Echelon()
+    image = {g - 1: gf2.Echelon() for g in pres.d_cols}
+    kernel = []
     for g, cols in pres.d_cols.items():
-        start[g] = len(gradings)
-        ech[g] = here = gf2.Echelon()
-        below = ech.get(g - 2, empty)
-        u = pres.u_dom[g]
-        for t, vec in enumerate(gf2.nullspace(list(cols))):
-            res, combo = below.reduce(gf2.mat_vec(u, vec))
-            assert res == 0, "kernel not U-stable"
-            u_cols.append(combo << start.get(g - 2, 0))
-            gradings.append(g)
-            here.insert(vec, 1 << t)
-    return FiniteUPresentation(
-        gradings=tuple(gradings),
-        parities=tuple(g % 2 for g in gradings),
-        u_cols=tuple(u_cols),
-    )
-
-
-def _cokernel_presentation(pres: ConePresentation) -> FiniteUPresentation:
-    """coker d with its U-action, in one ascending pass over the gradings.
-
-    At each grading the non-pivot coordinates of the image's echelon
-    represent the cokernel; U-images are reduced against the image two
-    gradings down, which leaves them on that grading's representatives.
-    """
-    gradings: list[int] = []
-    u_cols: list[int] = []
-    image: dict[int, gf2.Echelon] = {}
-    pos_of: dict[int, dict[int, int]] = {}
+        for vec in gf2.nullspace(list(cols), image[g - 1]):
+            w = gf2.mat_vec(pres.u_dom[g], vec)
+            if gf2.mat_vec(pres.d_cols.get(g - 2, ()), w):
+                raise AssertionError("kernel not U-stable")
+            kernel.append((g, vec.bit_length() - 1, w))
     empty = gf2.Echelon()
-    for g, u in pres.u_cod.items():
-        image[g] = here = gf2.Echelon()
-        for col in pres.d_cols.get(g + 1, ()):
-            here.insert(col)
-        below = image.get(g - 2, empty)
-        pos = pos_of[g] = {}
-        for i, w in enumerate(u):
-            if i in here.pivots:
-                continue
-            pos[i] = len(gradings)
-            gradings.append(g)
-            w, _ = below.reduce(w)
-            col = 0
-            for b in gf2.bits(w):
-                col |= 1 << pos_of[g - 2][b]
-            u_cols.append(col)
-    return FiniteUPresentation(
-        gradings=tuple(gradings),
-        parities=tuple(g % 2 for g in gradings),
-        u_cols=tuple(u_cols),
-    )
+    cokernel = [
+        (g, i, image.get(g - 2, empty).reduce(w)[0])
+        for g, u in pres.u_cod.items()
+        for i, w in enumerate(u)
+        if i not in image.get(g, empty).pivots
+    ]
+    return _presentation(kernel), _presentation(cokernel)
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
     pres = build_cone(model, spec, depth)
-    ker_bars = barcode(_kernel_presentation(pres))
-    cok_bars = barcode(_cokernel_presentation(pres))
+    kernel, cokernel = _kernel_and_cokernel(pres)
+    ker_bars = barcode(kernel)
+    cok_bars = barcode(cokernel)
 
     near_ceiling = [b for b in ker_bars if b.top >= pres.ceiling - 2]
     if [b for b in cok_bars if b.top >= pres.ceiling - 2]:

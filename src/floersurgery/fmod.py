@@ -237,7 +237,9 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     Grading-ordered column reduction: sweep each grading line top-down,
     carrying one vector per live bar.  When the U-images of live vectors
     become dependent the youngest bar dies (elder rule); basis vectors not
-    spanned by surviving images are born as new bars.
+    spanned by surviving images are born as new bars.  The surviving
+    images are the stored vectors of their echelon, so that echelon spans
+    the live vectors two gradings down and is carried there, not rebuilt.
     """
     _require_valid(m)
     by_grading: dict = {}
@@ -254,19 +256,17 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     for gradings in lines.values():
         top, bottom = max(gradings), min(gradings)
         active: list[tuple[int, Fraction]] = []  # (vector, birth), elder first
+        live = gf2.Echelon()  # spanned by the live vectors, which it stores
         g = top
         while g >= bottom:
-            ech = gf2.Echelon()
-            for vec, _ in active:
-                ech.insert(vec)
             for b in by_grading.get(g, []):
-                added, res, _ = ech.insert(1 << b)
+                added, res, _ = live.insert(1 << b)
                 if added:
                     active.append((res, g))
             survivors: list[tuple[int, Fraction]] = []
-            img_ech = gf2.Echelon()
+            live = gf2.Echelon()
             for vec, birth in active:
-                added, res, _ = img_ech.insert(gf2.mat_vec(u, vec))
+                added, res, _ = live.insert(gf2.mat_vec(u, vec))
                 if added:
                     survivors.append((res, birth))
                 else:
@@ -274,7 +274,8 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                     bars.append(Tau(g, length, parity_at[g]))
             active = survivors
             g -= 2
-        assert not active
+        if active:
+            raise AssertionError("bars still live below the lowest grading")
     return sorted(bars)
 
 

@@ -2,7 +2,8 @@
 
 A vector is a Python int whose bit ``i`` is coordinate ``i``.  A linear map
 is a list of columns, ``cols[j]`` being the image of the j-th domain basis
-vector as a bitmask over the codomain.
+vector as a bitmask over the codomain.  Spans are semi-echelon: each
+vector is eliminated once and never reduced again (:class:`Echelon`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ def is_zero(cols: Iterable[int]) -> bool:
 
 
 class Echelon:
-    """Fully reduced echelon basis with combination tracking.
+    """Semi-echelon basis with combination tracking.
 
-    Pivot of a stored vector is its highest set bit; stored vectors never
-    contain another vector's pivot bit, so residues of :meth:`reduce` are
-    canonical coset representatives supported on non-pivot coordinates.
+    ``pivots[b]`` is the stored vector whose highest set bit is b.
+    :meth:`reduce` clears each leading pivot bit with that vector, so
+    residues contain no pivot bit; every nonzero vector of the span leads
+    with a pivot bit, so residues are canonical coset representatives.
     """
 
     def __init__(self) -> None:
@@ -76,12 +78,7 @@ class Echelon:
         res, combo = self.reduce(v, combo)
         if res == 0:
             return False, 0, combo
-        b = res.bit_length() - 1
-        # keep the basis fully reduced
-        for pb, (pv, pc) in list(self.pivots.items()):
-            if (pv >> b) & 1:
-                self.pivots[pb] = (pv ^ res, pc ^ combo)
-        self.pivots[b] = (res, combo)
+        self.pivots[res.bit_length() - 1] = (res, combo)
         return True, res, combo
 
 
@@ -92,12 +89,14 @@ def rank(vecs: Iterable[int]) -> int:
     return len(ech)
 
 
-def nullspace(cols: list[int]) -> list[int]:
+def nullspace(cols: list[int], ech: Echelon | None = None) -> list[int]:
     """Kernel basis of the map with the given columns.
 
-    Returned vectors are bitmasks over domain coordinates.
+    One bitmask over domain coordinates per column j dependent on earlier
+    ones: e_j plus independent columns before j.  The columns are inserted
+    into ``ech``, which may be passed in empty to keep the image.
     """
-    ech = Echelon()
+    ech = Echelon() if ech is None else ech
     out = []
     for j, c in enumerate(cols):
         added, _, combo = ech.insert(c, 1 << j)

@@ -343,20 +343,23 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
     )
 
 
-def _affine_maps(p: int):
+def _matches(res1, res2, p: int) -> bool:
+    """Does a relabelling i -> a i + b mod p (a a unit) send every block of
+    res1 to one of res2 with the same homology?  A relabelling keeps the
+    multiset of (d, bars), so results whose multisets differ fail at once."""
+    if sorted((r.d, r.red) for r in res1.results) != sorted(
+        (r.d, r.red) for r in res2.results
+    ):
+        return False
     for a in range(1, p + 1):
         if gcd(a, p) != 1:
             continue
         for b in range(p):
-            yield lambda i, a=a, b=b: (a * i + b) % p
-
-
-def _matches(res1, res2, p: int) -> bool:
-    for sigma in _affine_maps(p):
-        if all(
-            res1.results[i].same_homology(res2.results[sigma(i)]) for i in range(p)
-        ):
-            return True
+            if all(
+                res1.results[i].same_homology(res2.results[(a * i + b) % p])
+                for i in range(p)
+            ):
+                return True
     return False
 
 

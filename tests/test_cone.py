@@ -25,6 +25,7 @@ from floersurgery import (
     surgery,
     torsion_coefficients,
 )
+from floersurgery import cone, gf2
 from floersurgery.knotmodel import ReducedBlock
 
 
@@ -165,6 +166,30 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
     for spec in (SurgerySpec(1, 1, 0), SurgerySpec(3, 2, 1)):
         with pytest.raises(AssertionError, match="not of degree -1"):
             build_cone(model, spec, 12)
+
+
+def test_kernel_not_u_stable_is_reported(trefoil, monkeypatch):
+    # corrupt U on the A-row so that it sends a kernel vector at g to a
+    # generator at g - 2 that d does not kill; the kernel pass must stop
+    spec = SurgerySpec(2, 5, 0)
+    pres = build_cone(trefoil, spec, default_depth(trefoil, spec))
+    u_dom = dict(pres.u_dom)
+    for g, cols in pres.d_cols.items():
+        below = pres.d_cols.get(g - 2, ())
+        live = [j for j, col in enumerate(below) if col]
+        kernel = gf2.nullspace(list(cols))
+        if live and kernel:
+            t = next(gf2.bits(kernel[0]))
+            u = list(u_dom[g])
+            u[t] ^= 1 << live[0]
+            u_dom[g] = tuple(u)
+            break
+    else:
+        pytest.fail("no grading with a kernel vector above a non-cycle")
+    broken = replace(pres, u_dom=u_dom)
+    monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
+    with pytest.raises(AssertionError, match="kernel not U-stable"):
+        cone_homology(trefoil, spec)
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):

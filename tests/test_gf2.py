@@ -63,3 +63,50 @@ def test_inverse_round_trip():
         inv = inverse(cols)
         assert gf2.mat_mul(cols, inv) == gf2.identity(n)
         assert gf2.mat_mul(inv, cols) == gf2.identity(n)
+
+
+def test_echelon_is_independent_of_insertion_order():
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        cols = [rng.getrandbits(m) for _ in range(rng.randint(0, 9))]
+        first = gf2.Echelon()
+        for c in cols:
+            first.insert(c)
+        for _ in range(3):
+            shuffled = cols[:]
+            rng.shuffle(shuffled)
+            other = gf2.Echelon()
+            for c in shuffled:
+                other.insert(c)
+            assert other.pivots.keys() == first.pivots.keys()
+            for v in range(1 << m):
+                assert other.reduce(v)[0] == first.reduce(v)[0]
+
+
+def test_nullspace_vectors_lead_with_their_dependent_column():
+    rng = random.Random(29)
+    for _ in range(200):
+        m = rng.randint(0, 8)
+        cols = [rng.getrandbits(m) if m else 0 for _ in range(rng.randint(0, 10))]
+        null = gf2.nullspace(cols)
+        tops = [v.bit_length() - 1 for v in null]
+        assert len(set(tops)) == len(tops)
+        for j in tops:
+            # column j depends on the columns before it
+            assert gf2.rank(cols[:j]) == gf2.rank(cols[: j + 1])
+
+
+def test_nullspace_keeps_the_image_echelon():
+    rng = random.Random(31)
+    for _ in range(200):
+        m = rng.randint(0, 8)
+        cols = [rng.getrandbits(m) if m else 0 for _ in range(rng.randint(0, 10))]
+        image = gf2.Echelon()
+        assert gf2.nullspace(cols, image) == gf2.nullspace(cols)
+        direct = gf2.Echelon()
+        for c in cols:
+            direct.insert(c)
+        assert image.pivots.keys() == direct.pivots.keys()
+        for v in range(1 << m):
+            assert image.reduce(v)[0] == direct.reduce(v)[0]

@@ -23,7 +23,9 @@ from floersurgery import (
     v0_bound,
     z_special,
 )
-from floersurgery.obstruct import FAIL, INAPPLICABLE, PASS, assemble_report
+from floersurgery.cone import ConeResult, SurgeryResult
+from floersurgery.fmod import Tau
+from floersurgery.obstruct import FAIL, INAPPLICABLE, PASS, _matches, assemble_report
 from conftest import sigma237_synthetic_doc
 
 
@@ -239,6 +241,35 @@ def test_cosmetic_scan_unknot_finds_the_classical_pair(unknot):
     # 2/1 and 2/3 on the unknot give the same oriented lens space; the
     # solid-torus exterior is exactly the case the conjecture excludes
     assert cosmetic_pair_scan(unknot, 2, [1, 3]) == [(1, 3)]
+
+
+def _synthetic_p5(blocks) -> SurgeryResult:
+    """A p = 5 surgery result whose block j has the given (d, red)."""
+    results = tuple(
+        ConeResult(p=5, q=1, i=j, d=d, red=red, depth=0)
+        for j, (d, red) in enumerate(blocks)
+    )
+    return SurgeryResult(model_name="synthetic", p=5, q=1, results=results)
+
+
+def test_matches_is_affine_relabelling():
+    # five pairwise distinct blocks, so the aligning permutation is unique
+    blocks = [
+        (Fraction(j, 5), (Tau(Fraction(j, 5) - 1, 1 + j % 2, 1),) * (j % 3))
+        for j in range(5)
+    ]
+    base = _synthetic_p5(blocks)
+    # i -> 2 i + 3 mod 5 is affine
+    relabelled = [None] * 5
+    for j in range(5):
+        relabelled[(2 * j + 3) % 5] = blocks[j]
+    assert _matches(base, _synthetic_p5(relabelled), 5)
+    # swapping two blocks keeps the multiset but is no affine map mod 5
+    swapped = [blocks[1], blocks[0]] + blocks[2:]
+    assert not _matches(base, _synthetic_p5(swapped), 5)
+    # one changed d-invariant
+    changed = [(blocks[0][0] + 2, blocks[0][1])] + blocks[1:]
+    assert not _matches(base, _synthetic_p5(changed), 5)
 
 
 def test_reports_are_reproducible(trefoil):
