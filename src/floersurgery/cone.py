@@ -47,7 +47,7 @@ from . import gf2
 from .errors import NotCoprime, TruncationTooSmall, V0NonZero
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
-from .numth import lens_d
+from .numth import lens_d_at
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     b_red = model.ambient.b_red
     amb = ([_offset(g) for g in b_red.gradings], b_red.u_cols)
 
-    anchor = model.ambient.d + lens_d(spec.p, spec.q)[spec.i] - 1
+    anchor = model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 1
     b_grading = {0: 0}
     for n in range(0, max(win.n_max, 0)):
         b_grading[n + 1] = b_grading[n] + 2 * _k_of(spec, n)
@@ -464,7 +464,7 @@ def d_invariant_bounds(
     v = model.v_at(spec.i // spec.q)
     h = model.h_at((spec.i - spec.p) // spec.q)
     upper = (
-        model.ambient.d + lens_d(spec.p, spec.q)[spec.i] - 2 * max(v, h)
+        model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 2 * max(v, h)
     )
     lower = upper - 2 * model.ambient.max_odd_bar()
     return lower, upper

@@ -8,15 +8,19 @@ are tied together by identities that double as self-checks:
     tau(L(p,q))    = -4p s(q,p)
     sum_i d(L(p,q), i) = -2p lambda(L(p,q)) = p s(q,p)
 
-All functions are pure; the correction-term table cache is guarded by
-functools.lru_cache and therefore safe under concurrent use.
+Dedekind sums and correction terms both fold, in integers, over the
+Euclid chain (p, r) -> (r, p mod r) -> ... of r = q mod p: s(q,p) by
+reciprocity as the integer 12p s(q,p), O(log p) steps, and the table
+d(L(p,q), .) as the integer numerators 4p d(L(p,q), i).  lens_d_at
+folds a single entry in O(log p).  Fraction appears only in return
+values; nothing is cached, so every function is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import cycle
 from math import gcd
 
 from .errors import NotCoprime
@@ -29,29 +33,51 @@ def _require_coprime(p: int, q: int) -> None:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
 
 
-def dedekind(q: int, p: int) -> Fraction:
-    """Classical Dedekind sum s(q, p) = sum_k ((k/p)) ((kq/p)).
-
-    The sawtooth sum collapses to a single integer sum because k -> kq
-    permutes the nonzero residues mod p.
-    """
+def _euclid_chain(p: int, q: int) -> list[tuple[int, int]]:
+    """Pairs (p, r), (r, p mod r), ... with r = q mod p, top first,
+    down to the last pair whose remainder is 1 (empty for p = 1)."""
     _require_coprime(p, q)
-    if p == 1:
-        return Fraction(0)
-    total = sum(k * ((k * q) % p) for k in range(1, p))
-    return Fraction(total, p * p) - Fraction(p - 1, 4)
+    chain = []
+    r = q % p
+    while p > 1:
+        chain.append((p, r))
+        p, r = r, p % r
+    return chain
 
 
-@lru_cache(maxsize=None)
-def _d_table(p: int, r: int) -> tuple[Fraction, ...]:
-    # 0 <= r < p, gcd(p, r) = 1
-    if p == 1:
-        return (Fraction(0),)
-    sub = _d_table(r, p % r)
-    return tuple(
-        Fraction((2 * i + 1 - p - r) ** 2 - p * r, 4 * p * r) - sub[i % r]
-        for i in range(p)
-    )
+def _sigma(chain: list[tuple[int, int]]) -> int:
+    # sigma = 12 p s(r, p), an integer because 6p s(r, p) is one.
+    # Reciprocity s(r,p) + s(p mod r, r) = (p/r + r/p + 1/(pr))/12 - 1/4
+    # times 12p makes each step an exact integer division; s = 0 at p = 1.
+    sigma = 0
+    for p, r in reversed(chain):
+        sigma = (p * p + r * r + 1 - p * sigma) // r - 3 * p
+    return sigma
+
+
+def dedekind(q: int, p: int) -> Fraction:
+    """Classical Dedekind sum s(q, p) = sum_k ((k/p)) ((kq/p)), by
+    reciprocity along the Euclid chain of (p, q mod p)."""
+    return Fraction(_sigma(_euclid_chain(p, q)), 12 * p)
+
+
+def _d_numerators(chain: list[tuple[int, int]]) -> list[int]:
+    # N_i = 4p d(L(p,r), i) from the Ozsvath-Szabo recursion
+    #   d(L(p,r), i) = ((2i+1-p-r)^2 - pr) / (4pr) - d(L(r, p mod r), i mod r),
+    # times 4p; the division by r is exact.  N = [0] at p = 1.
+    table = [0]
+    for p, r in reversed(chain):
+        table = [
+            (c * c - p * r - p * n) // r
+            for c, n in zip(range(1 - p - r, p - r, 2), cycle(table))
+        ]
+    return table
+
+
+def _over(numerators: list[int], denominator: int) -> list[Fraction]:
+    # One Fraction per distinct numerator: tables repeat about half their values.
+    value = {n: Fraction(n, denominator) for n in set(numerators)}
+    return [value[n] for n in numerators]
 
 
 def lens_d(p: int, q: int) -> list[Fraction]:
@@ -62,10 +88,22 @@ def lens_d(p: int, q: int) -> list[Fraction]:
     are the surgery-block labels used by the cone module, pinned only up
     to affine relabeling.
     """
-    _require_coprime(p, q)
-    if p == 1:
-        return [Fraction(0)]
-    return list(_d_table(p, q % p))
+    return _over(_d_numerators(_euclid_chain(p, q)), 4 * p)
+
+
+def lens_d_at(p: int, q: int, i: int) -> Fraction:
+    """The single entry lens_d(p, q)[i], 0 <= i < p, in O(log p) steps."""
+    chain = _euclid_chain(p, q)
+    if not 0 <= i < p:
+        raise ValueError(f"index {i} outside 0..{p - 1}")
+    steps = []  # (p, r, 2i+1-p-r) at each level, i reduced mod each r
+    for pk, r in chain:
+        steps.append((pk, r, 2 * i + 1 - pk - r))
+        i %= r
+    n = 0
+    for pk, r, c in reversed(steps):
+        n = (c * c - pk * r - pk * n) // r
+    return Fraction(n, 4 * p)
 
 
 def lens_lambda(p: int, q: int) -> Fraction:
@@ -91,15 +129,23 @@ class LensInvariants:
 
 
 def lens_invariants(p: int, q: int) -> LensInvariants:
-    s = dedekind(q, p)
-    lam = lens_lambda(p, q)
-    tau = lens_tau(p, q)
-    table = tuple(lens_d(p, q))
-    if sum(table) != -2 * p * lam:
+    chain = _euclid_chain(p, q)
+    sigma = _sigma(chain)
+    numerators = _d_numerators(chain)
+    # sum d = p s  <=>  sum N = 4p^2 s = p sigma / 3
+    if 3 * sum(numerators) != p * sigma:
         raise AssertionError(
             f"lens invariants of ({p},{q}) violate sum d = -2p lambda"
         )
-    return LensInvariants(p=p, q=q, s=s, lam=lam, tau=tau, d_table=table)
+    s = Fraction(sigma, 12 * p)
+    return LensInvariants(
+        p=p,
+        q=q,
+        s=s,
+        lam=-s / 2,
+        tau=-4 * p * s,
+        d_table=tuple(_over(numerators, 4 * p)),
+    )
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -136,3 +137,32 @@ def rank_profile_matches(pres: FiniteUPresentation, bars) -> bool:
             g = b.bottom + 2 * step
             covered[g] = covered.get(g, 0) + 1
     return covered == levels
+
+
+def dedekind_reference(q: int, p: int) -> Fraction:
+    """s(q, p) by the O(p) integer sum: k -> kq permutes the nonzero
+    residues mod p, so the sawtooth sum collapses to sum_k k (kq mod p)."""
+    if p == 1:
+        return Fraction(0)
+    total = sum(k * ((k * q) % p) for k in range(1, p))
+    return Fraction(total, p * p) - Fraction(p - 1, 4)
+
+
+def lens_d_reference(p: int, q: int) -> list[Fraction]:
+    """d(L(p,q), i) for i = 0..p-1 by the Ozsvath-Szabo recursion in
+    Fraction arithmetic, one whole table per level."""
+    if p == 1:
+        return [Fraction(0)]
+    r = q % p
+    sub = lens_d_reference(r, p % r)
+    return [
+        Fraction((2 * i + 1 - p - r) ** 2 - p * r, 4 * p * r) - sub[i % r]
+        for i in range(p)
+    ]
+
+
+def coprime_pairs(p_max: int) -> list[tuple[int, int]]:
+    """Every (p, q) with 1 <= q <= p <= p_max and gcd(p, q) = 1."""
+    return [
+        (p, q) for p in range(1, p_max + 1) for q in range(1, p + 1) if gcd(p, q) == 1
+    ]

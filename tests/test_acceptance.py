@@ -78,10 +78,10 @@ def test_criterion_4_lens_sum_identity():
         for q in range(1, p + 1):
             if gcd(p, q) != 1:
                 continue
-            table = lens_d(p, q)
-            if sum(table) != p * dedekind(q, p):
+            total = sum(lens_d(p, q))
+            if total != p * dedekind(q, p):
                 ok = False
-            if sum(table) != -2 * p * lens_lambda(p, q):
+            if total != -2 * p * lens_lambda(p, q):
                 ok = False
     _report("criterion 4: sum of lens correction terms = p s(q,p), p <= 200", ok)
 

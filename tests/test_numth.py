@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from floersurgery import (
     CassonWalkerInput,
+    LensInvariants,
     NotCoprime,
     casson_walker_surgery,
     dedekind,
@@ -20,6 +21,8 @@ from floersurgery import (
     lens_tau,
     totient,
 )
+from floersurgery.numth import lens_d_at
+from conftest import coprime_pairs, dedekind_reference, lens_d_reference
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -33,6 +36,37 @@ def dedekind_by_summation(q: int, p: int) -> Fraction:
         (sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p)) for k in range(1, p)),
         Fraction(0),
     )
+
+
+def test_dedekind_matches_reference_oracle():
+    for p in range(1, 201):
+        for q in range(-p + 1, p + 1):
+            if gcd(p, q) == 1:
+                assert dedekind(q, p) == dedekind_reference(q, p), (q, p)
+
+
+def test_lens_tables_match_reference_oracle():
+    for p, q in coprime_pairs(120):
+        table = lens_d_reference(p, q)
+        assert lens_d(p, q) == table, (p, q)
+        s = dedekind_reference(q, p)
+        assert lens_invariants(p, q) == LensInvariants(
+            p=p, q=q, s=s, lam=-s / 2, tau=-4 * p * s, d_table=tuple(table)
+        ), (p, q)
+
+
+def test_lens_d_at_is_the_table_entry():
+    for p, q in coprime_pairs(120):
+        table = lens_d(p, q)
+        assert [lens_d_at(p, q, i) for i in range(p)] == table, (p, q)
+
+
+def test_lens_d_at_rejects_bad_input():
+    for i in (-1, 5):
+        with pytest.raises(ValueError):
+            lens_d_at(5, 2, i)
+    with pytest.raises(NotCoprime):
+        lens_d_at(4, 2, 0)
 
 
 def test_dedekind_small_values():
