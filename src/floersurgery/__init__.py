@@ -16,7 +16,6 @@ from .cone import (
 )
 from .errors import (
     FloerError,
-    InfiniteModule,
     InvalidPresentation,
     MissingGradings,
     ModelError,
@@ -27,10 +26,7 @@ from .errors import (
 )
 from .fmod import (
     FiniteUPresentation,
-    GradedModule,
     Tau,
-    Tower,
-    as_graded_module,
     barcode,
     euler_z2,
     validate,
@@ -38,22 +34,19 @@ from .fmod import (
 from .knotmodel import (
     AmbientSummary,
     KnotModel,
-    TorsionProfile,
     alexander_trivial,
-    load_ambient_file,
     load_model,
+    load_model_or_ambient,
     torsion_coefficients,
 )
 from .numth import (
     CassonWalkerInput,
-    LensInvariants,
     casson_walker_surgery,
     dedekind,
     lambda_from_hf,
     lens_d,
     lens_invariants,
     lens_lambda,
-    lens_tau,
     totient,
 )
 from .obstruct import (

@@ -13,20 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from . import obstruct
-from .cone import SurgerySpec, surgery
+from .cone import surgery
 from .errors import FloerError, ModelError, TruncationTooSmall
-from .knotmodel import (
-    AmbientSummary,
-    KnotModel,
-    load_ambient_file,
-    load_model,
-    torsion_coefficients,
-)
+from .fmod import as_grading
+from .knotmodel import load_model, load_model_or_ambient, torsion_coefficients
 from .numth import (
     CassonWalkerInput,
     casson_walker_surgery,
@@ -213,15 +207,15 @@ def cmd_validate(args) -> int:
     for name in args.models:
         path = resolve_model_path(name)
         try:
-            model = load_model(path)
-            print(f"{model.name}: ok")
+            model, ambient = load_model_or_ambient(path)
         except ModelError as e:
-            try:
-                ambient = load_ambient_file(path)
-                print(f"{ambient.name}: ok (ambient summary)")
-            except ModelError:
-                print(f"{name}: {e}")
-                status = 2
+            print(f"{name}: {e}")
+            status = 2
+            continue
+        if model is None:
+            print(f"{ambient.name}: ok (ambient summary)")
+        else:
+            print(f"{model.name}: ok")
     return status
 
 
@@ -229,22 +223,18 @@ def _target_summary(args) -> TargetSummary:
     if args.chi is None:
         raise ModelError("Syntax", "this rule needs --chi")
     dim_red = args.dim_red if args.dim_red is not None else abs(args.chi)
-    excess = Fraction(args.d_excess) if args.d_excess is not None else None
+    excess = None
+    if args.d_excess is not None:
+        try:
+            excess = as_grading(args.d_excess)
+        except ValueError as e:
+            raise ModelError("Syntax", f"--d-excess: {e}") from None
     return TargetSummary(
         h1_order=args.h1 if args.h1 is not None else 1,
         dim_red=dim_red,
         chi_red=args.chi,
         max_excess=excess,
     )
-
-
-def _load_model_or_ambient(name: str) -> tuple[KnotModel | None, AmbientSummary]:
-    path = resolve_model_path(name)
-    try:
-        model = load_model(path)
-        return model, model.ambient
-    except ModelError:
-        return None, load_ambient_file(path)
 
 
 def cmd_obstruct(args, depth: int | None) -> int:
@@ -286,7 +276,7 @@ def cmd_obstruct(args, depth: int | None) -> int:
     if args.k_special:
         if args.p is None or not args.q:
             raise ModelError("Syntax", "--k-special needs --p and --q")
-        model, ambient = _load_model_or_ambient(args.k_special)
+        model, ambient = load_model_or_ambient(resolve_model_path(args.k_special))
         z = _target_summary(args)
         for q in parse_q_values(args.q):
             verdicts.append(obstruct.k_special(ambient, z, args.p, q, model))
@@ -294,7 +284,7 @@ def cmd_obstruct(args, depth: int | None) -> int:
     if args.genus_bound:
         if args.p is None or not args.q:
             raise ModelError("Syntax", "--genus-bound needs --p and --q")
-        _, ambient = _load_model_or_ambient(args.genus_bound)
+        _, ambient = load_model_or_ambient(resolve_model_path(args.genus_bound))
         z = _target_summary(args)
         for q in parse_q_values(args.q):
             verdicts.append(obstruct.genus_bound(ambient, z, args.p, q))

@@ -71,7 +71,6 @@ class SurgerySpec:
 class ConeWindow:
     """Retained columns: A-columns n_min..n_max, B-columns b_min..b_max."""
 
-    G: int
     n_min: int
     n_max: int
     b_min: int
@@ -184,9 +183,7 @@ def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
     G = max(model.genus, 1)
     n_plus = -((-(G * q - i)) // p)  # ceil((G q - i)/p)
     n_minus = ((1 - G) * q - 1 - i) // p
-    return ConeWindow(
-        G=G, n_min=n_minus + 1, n_max=n_plus, b_min=n_minus + 2, b_max=n_plus
-    )
+    return ConeWindow(n_min=n_minus + 1, n_max=n_plus, b_min=n_minus + 2, b_max=n_plus)
 
 
 def _k_of(spec: SurgerySpec, n: int) -> int:

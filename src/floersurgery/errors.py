@@ -18,10 +18,6 @@ class InvalidPresentation(FloerError):
         self.errors = list(errors)
 
 
-class InfiniteModule(FloerError):
-    """An Euler characteristic was requested for a module with towers."""
-
-
 class ModelError(FloerError):
     """A knot-model document failed validation.
 

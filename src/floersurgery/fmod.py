@@ -1,10 +1,9 @@
-"""Absolutely Q-graded, relatively Z-graded F_2[U]-modules.
+"""Absolutely Q-graded, relatively Z-graded finite F_2[U]-modules.
 
-The value type used throughout the package is a finite direct sum of
-towers T+_d (U acts surjectively, one-dimensional kernel at the bottom
-grading d, U lowers grading by 2) and finite bars tau_d(N) (dimension N,
-killed by U^N but not U^{N-1}).  Finite modules are carried concretely by
-:class:`FiniteUPresentation` and decomposed into bars by :func:`barcode`.
+A finite module is carried concretely by :class:`FiniteUPresentation`
+(a graded basis and the U matrix, U lowering grading by 2) and
+decomposed by :func:`barcode` into its bars tau_d(N): dimension N,
+bottom grading d, killed by U^N but not U^{N-1}.
 Gradings are ``Fraction`` at the API; the checks and the decomposition
 use only differences, ``%`` and ``//``, so they are exact on ``int``
 gradings too (the cone passes integer offsets from one rational anchor).
@@ -15,12 +14,12 @@ functions, so concurrent evaluation needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import gf2
-from .errors import InfiniteModule, InvalidPresentation
+from .errors import InvalidPresentation
 
 
 def as_grading(x: Union[int, str, Fraction]) -> Fraction:
@@ -30,15 +29,11 @@ def as_grading(x: Union[int, str, Fraction]) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise ValueError(f"not an exact grading: {x!r}")
-
-
-@dataclass(frozen=True, order=True)
-class Tower:
-    """The module F[U,U^-1]/U.F[U] with its generator 1 at grading bottom."""
-
-    bottom: Fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -61,53 +56,6 @@ class Tau:
 
 
 @dataclass(frozen=True)
-class GradedModule:
-    """Finite direct sum of towers and bars, kept in canonical sorted order.
-
-    Towers carry parity 0 by convention; when a tower is present every bar
-    parity must equal its bottom-grading offset from the tower mod 2.
-    """
-
-    towers: tuple[Tower, ...] = ()
-    bars: tuple[Tau, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "towers", tuple(sorted(self.towers)))
-        object.__setattr__(self, "bars", tuple(sorted(self.bars)))
-        if self.towers:
-            anchor = self.towers[0].bottom
-            for t in self.towers[1:]:
-                diff = t.bottom - anchor
-                if diff.denominator != 1 or diff.numerator % 2 != 0:
-                    raise ValueError(
-                        f"tower bottoms {anchor} and {t.bottom} do not differ "
-                        "by an even integer"
-                    )
-            for b in self.bars:
-                diff = b.bottom - anchor
-                if diff.denominator != 1:
-                    raise ValueError(
-                        f"bar at {b.bottom} is not integrally graded against "
-                        f"the tower at {anchor}"
-                    )
-                if diff.numerator % 2 != b.parity:
-                    raise ValueError(
-                        f"bar at {b.bottom} declares parity {b.parity} but "
-                        f"sits at offset {diff} from the tower"
-                    )
-
-    @property
-    def dim_red(self) -> int:
-        return sum(b.length for b in self.bars)
-
-    def dims(self) -> tuple[int, int]:
-        """(even, odd) dimensions of the finite part."""
-        even = sum(b.length for b in self.bars if b.parity == 0)
-        odd = sum(b.length for b in self.bars if b.parity == 1)
-        return even, odd
-
-
-@dataclass(frozen=True)
 class FiniteUPresentation:
     """Concrete finite F_2[U]-module: graded basis plus the U matrix.
 
@@ -119,16 +67,11 @@ class FiniteUPresentation:
     gradings: tuple[Fraction, ...]
     parities: tuple[int, ...]
     u_cols: tuple[int, ...]
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         n = len(self.gradings)
         if len(self.parities) != n or len(self.u_cols) != n:
             raise ValueError("basis fields must have equal lengths")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"e{i}" for i in range(n)))
-        elif len(self.labels) != n:
-            raise ValueError("labels must match basis length")
         for c in self.u_cols:
             if c < 0 or c >> n:
                 raise ValueError("U column has bits outside the basis")
@@ -145,7 +88,6 @@ class FiniteUPresentation:
         gradings: Iterable[Union[int, str, Fraction]],
         parities: Iterable[int],
         rows: list[list[int]],
-        labels: Iterable[str] = (),
     ) -> "FiniteUPresentation":
         gs = tuple(as_grading(g) for g in gradings)
         n = len(gs)
@@ -158,7 +100,7 @@ class FiniteUPresentation:
                     raise ValueError("U matrix entries must be 0 or 1")
                 if entry:
                     cols[j] |= 1 << i
-        return cls(gs, tuple(parities), tuple(cols), tuple(labels))
+        return cls(gs, tuple(parities), tuple(cols))
 
 
 def degree_violations(
@@ -202,8 +144,8 @@ def validate(m: FiniteUPresentation) -> list[str]:
     gs = m.gradings
     for j, i in degree_violations(m.u_cols, gs, gs, -2):
         errs.append(
-            f"NonHomogeneousU: U sends {m.labels[j]} (grading "
-            f"{gs[j]}) to {m.labels[i]} (grading {gs[i]})"
+            f"NonHomogeneousU: U sends e{j} (grading {gs[j]}) "
+            f"to e{i} (grading {gs[i]})"
         )
     if errs:
         cols = list(gf2.identity(n))
@@ -218,17 +160,11 @@ def validate(m: FiniteUPresentation) -> list[str]:
         diff = gs[a] - g
         if (m.parities[a] - m.parities[j] - diff) % 2:
             errs.append(
-                f"ParityMismatch: {m.labels[a]} and {m.labels[j]} are "
+                f"ParityMismatch: e{a} and e{j} are "
                 f"{diff} apart but declare parities "
                 f"{m.parities[a]}/{m.parities[j]}"
             )
     return errs
-
-
-def _require_valid(m: FiniteUPresentation) -> None:
-    errs = validate(m)
-    if errs:
-        raise InvalidPresentation(errs)
 
 
 def barcode(m: FiniteUPresentation) -> list[Tau]:
@@ -241,7 +177,9 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     images are the stored vectors of their echelon, so that echelon spans
     the live vectors two gradings down and is carried there, not rebuilt.
     """
-    _require_valid(m)
+    errs = validate(m)
+    if errs:
+        raise InvalidPresentation(errs)
     by_grading: dict = {}
     for i, g in enumerate(m.gradings):
         by_grading.setdefault(g, []).append(i)
@@ -279,15 +217,6 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     return sorted(bars)
 
 
-def as_graded_module(m: FiniteUPresentation) -> GradedModule:
-    return GradedModule(towers=(), bars=tuple(barcode(m)))
-
-
-def euler_z2(m: Union[GradedModule, FiniteUPresentation]) -> int:
+def euler_z2(m: FiniteUPresentation) -> int:
     """Euler characteristic in the Z_2-grading: dim(even) - dim(odd)."""
-    if isinstance(m, GradedModule):
-        if m.towers:
-            raise InfiniteModule("module contains towers")
-        even, odd = m.dims()
-        return even - odd
     return sum(1 if p == 0 else -1 for p in m.parities)

@@ -202,72 +202,74 @@ def alexander_trivial(m: KnotModel) -> bool:
     return all(x == 0 for x in torsion_coefficients(m).t)
 
 
-def _fail(code: str, message: str) -> ModelError:
-    return ModelError(code, message)
-
-
 def _parse_rational(x, what: str) -> Fraction:
     if isinstance(x, float):
-        raise _fail("Syntax", f"{what} must be exact (string 'a/b' or int), got float")
+        raise ModelError(
+            "Syntax", f"{what} must be exact (string 'a/b' or int), got float"
+        )
     try:
         return as_grading(x)
     except (ValueError, TypeError) as e:
-        raise _fail("Syntax", f"{what}: {e}") from e
+        raise ModelError("Syntax", f"{what}: {e}") from e
 
 
 def _parse_presentation(
     gens, u_matrix, offset: Fraction, what: str
 ) -> FiniteUPresentation:
     if not isinstance(gens, list):
-        raise _fail("Syntax", f"{what}: generators must be a list")
+        raise ModelError("Syntax", f"{what}: generators must be a list")
     gradings = []
     parities = []
     for idx, g in enumerate(gens):
         if not isinstance(g, dict) or "grading" not in g or "parity" not in g:
-            raise _fail("Syntax", f"{what}: generator {idx} needs grading and parity")
+            raise ModelError(
+                "Syntax", f"{what}: generator {idx} needs grading and parity"
+            )
         gradings.append(_parse_rational(g["grading"], f"{what} generator {idx}") - offset)
         if g["parity"] not in (0, 1):
-            raise _fail("Syntax", f"{what}: generator {idx} parity must be 0 or 1")
+            raise ModelError(
+                "Syntax", f"{what}: generator {idx} parity must be 0 or 1"
+            )
         parities.append(g["parity"])
     if not isinstance(u_matrix, list):
-        raise _fail("Syntax", f"{what}: u_matrix must be a matrix")
+        raise ModelError("Syntax", f"{what}: u_matrix must be a matrix")
     try:
         pres = FiniteUPresentation.from_rows(gradings, parities, u_matrix)
     except ValueError as e:
-        raise _fail("Syntax", f"{what}: {e}") from e
+        raise ModelError("Syntax", f"{what}: {e}") from e
     for off in pres.gradings:
         if off.denominator != 1:
-            raise _fail(
+            raise ModelError(
                 "ParityMismatch",
                 f"{what}: generator grading offset {off} is not an integer",
             )
     for off, par in zip(pres.gradings, pres.parities):
         if off.numerator % 2 != par:
-            raise _fail(
+            raise ModelError(
                 "ParityMismatch",
                 f"{what}: declared parity {par} disagrees with grading offset {off}",
             )
     errs = validate(pres)
     if errs:
         code = errs[0].split(":", 1)[0]
-        raise _fail(code, f"{what}: {errs[0]}")
+        raise ModelError(code, f"{what}: {errs[0]}")
     return pres
 
 
 def _parse_map(rows, dim_from: int, dim_to: int, what: str) -> tuple[int, ...]:
     if not isinstance(rows, list):
-        raise _fail("Syntax", f"{what} must be a matrix")
+        raise ModelError("Syntax", f"{what} must be a matrix")
     if rows == [] and (dim_from == 0 or dim_to == 0):
         return tuple([0] * dim_from)
     if len(rows) != dim_to or any(
         not isinstance(r, list) or len(r) != dim_from for r in rows
     ):
-        raise _fail("Syntax", f"{what} must be {dim_to}x{dim_from}")
+        raise ModelError("Syntax", f"{what} must be {dim_to}x{dim_from}")
     cols = [0] * dim_from
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             if entry not in (0, 1):
-                raise _fail("Syntax", f"{what} entries must be 0 or 1")
+                raise ModelError("Syntax", f"{what} entries must be 0 or 1")
             if entry:
                 cols[j] |= 1 << i
     return tuple(cols)
@@ -288,9 +290,9 @@ def _check_map(
     lhs = gf2.mat_mul(list(cod.u_cols), list(cols))
     rhs = gf2.mat_mul(list(cols), list(dom.u_cols))
     if lhs != rhs:
-        raise _fail("MapNotEquivariant", f"{name} does not commute with U")
+        raise ModelError("MapNotEquivariant", f"{name} does not commute with U")
     for j, _ in degree_violations(cols, dom.gradings, cod.gradings, degree):
-        raise _fail(
+        raise ModelError(
             "MapNotEquivariant",
             f"{name} is not homogeneous of degree {degree} at column {j}",
         )
@@ -298,33 +300,26 @@ def _check_map(
 
 def load_ambient(doc: dict, what: str = "ambient") -> AmbientSummary:
     if not isinstance(doc, dict):
-        raise _fail("Syntax", f"{what} must be an object")
+        raise ModelError("Syntax", f"{what} must be an object")
     for key in ("name", "d", "b_red", "u_matrix"):
         if key not in doc:
-            raise _fail("Syntax", f"{what} is missing '{key}'")
+            raise ModelError("Syntax", f"{what} is missing '{key}'")
     d = _parse_rational(doc["d"], f"{what}.d")
     b_red = _parse_presentation(doc["b_red"], doc["u_matrix"], d, f"{what}.b_red")
     return AmbientSummary(name=str(doc["name"]), d=d, b_red=b_red)
-
-
-def load_ambient_file(path: Union[str, Path]) -> AmbientSummary:
-    doc = _read_json(path)
-    if "ambient" not in doc:
-        raise _fail("Syntax", "ambient summary file needs an 'ambient' object")
-    return load_ambient(doc["ambient"])
 
 
 def _read_json(path: Union[str, Path]) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise _fail("Syntax", f"cannot read {path}: {e}") from e
+        raise ModelError("Syntax", f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise _fail("Syntax", f"{path} is not valid JSON: {e}") from e
+        raise ModelError("Syntax", f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise _fail("Syntax", f"{path}: top level must be an object")
+        raise ModelError("Syntax", f"{path}: top level must be an object")
     return doc
 
 
@@ -334,13 +329,13 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
 
     for key in ("name", "ambient", "genus", "V", "a_red"):
         if key not in doc:
-            raise _fail("Syntax", f"model is missing '{key}'")
+            raise ModelError("Syntax", f"model is missing '{key}'")
     name = str(doc["name"])
     ambient = load_ambient(doc["ambient"])
 
     genus = doc["genus"]
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-        raise _fail("Syntax", "genus must be a non-negative integer")
+        raise ModelError("Syntax", "genus must be a non-negative integer")
 
     V = doc["V"]
     if (
@@ -348,29 +343,29 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
         or len(V) != genus + 1
         or any(not isinstance(v, int) or isinstance(v, bool) for v in V)
     ):
-        raise _fail("Syntax", f"V must list the {genus + 1} integers V_0..V_g")
+        raise ModelError("Syntax", f"V must list the {genus + 1} integers V_0..V_g")
     if any(v < 0 for v in V):
-        raise _fail("Syntax", "V entries must be non-negative")
+        raise ModelError("Syntax", "V entries must be non-negative")
     for a, b in zip(V, V[1:]):
         if a < b:
-            raise _fail("MonotonicityViolation", f"V is not non-increasing: {V}")
+            raise ModelError("MonotonicityViolation", f"V is not non-increasing: {V}")
     if V[genus] != 0:
-        raise _fail("GenusViolation", f"V_g must vanish at the genus, got V={V}")
+        raise ModelError("GenusViolation", f"V_g must vanish at the genus, got V={V}")
 
     a_red = doc["a_red"]
     if not isinstance(a_red, dict):
-        raise _fail("Syntax", "a_red must map k to blocks")
+        raise ModelError("Syntax", "a_red must map k to blocks")
     parsed: dict[int, ReducedBlock] = {}
     for key, raw in a_red.items():
         try:
             k = int(key)
         except (TypeError, ValueError):
-            raise _fail("Syntax", f"a_red key {key!r} is not an integer") from None
+            raise ModelError("Syntax", f"a_red key {key!r} is not an integer") from None
         if not isinstance(raw, dict):
-            raise _fail("Syntax", f"a_red[{k}] must be an object")
+            raise ModelError("Syntax", f"a_red[{k}] must be an object")
         for fkey in ("generators", "u_matrix", "v_matrix", "h_matrix", "tower_offset"):
             if fkey not in raw:
-                raise _fail("Syntax", f"a_red[{k}] is missing '{fkey}'")
+                raise ModelError("Syntax", f"a_red[{k}] is missing '{fkey}'")
         offset = _parse_rational(raw["tower_offset"], f"a_red[{k}].tower_offset")
         pres = _parse_presentation(
             raw["generators"], raw["u_matrix"], offset, f"a_red[{k}]"
@@ -397,7 +392,7 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
     stored: dict[int, ReducedBlock] = {}
     for k in range(genus):
         if k not in parsed:
-            raise _fail("Syntax", f"a_red is missing the block for k={k}")
+            raise ModelError("Syntax", f"a_red is missing the block for k={k}")
         stored[k] = parsed[k]
     model = KnotModel(name, ambient, genus, tuple(V), stored)
 
@@ -418,8 +413,24 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
             same = same and blk.v_cols == derived.v_cols
             same = same and blk.h_cols == derived.h_cols
         if not same:
-            raise _fail(
+            raise ModelError(
                 "SymmetryViolation",
                 f"a_red[{k}] disagrees with the block derived from k={abs(k)}",
             )
     return model
+
+
+def load_model_or_ambient(
+    path: Union[str, Path],
+) -> tuple[KnotModel | None, AmbientSummary]:
+    """Load a knot model, or (None, summary) from an ambient summary file.
+
+    A document is read as an ambient summary only when it has an
+    'ambient' object and none of the model keys genus, V, a_red; any
+    other document must load as a model and reports the model's error.
+    """
+    doc = _read_json(path)
+    if "ambient" in doc and not doc.keys() & {"genus", "V", "a_red"}:
+        return None, load_ambient(doc["ambient"])
+    model = load_model(doc)
+    return model, model.ambient

@@ -111,11 +111,6 @@ def lens_lambda(p: int, q: int) -> Fraction:
     return -dedekind(q, p) / 2
 
 
-def lens_tau(p: int, q: int) -> Fraction:
-    """Casson-Gordon invariant of L(p,q): -4p s(q,p)."""
-    return -4 * p * dedekind(q, p)
-
-
 @dataclass(frozen=True)
 class LensInvariants:
     """Invariant bundle of L(p,q), cross-checked on construction."""

@@ -71,9 +71,6 @@ class ObstructionReport:
             ]
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_jsonable())
-
 
 def canonical_json(obj) -> str:
     """Canonical rendering: sorted keys, fixed separators, exact rationals."""
@@ -90,6 +87,11 @@ def _jsonable(x):
     return x
 
 
+def _require_positive_p(p: int) -> None:
+    if p < 1:
+        raise NotCoprime(f"p must be positive, got {p}")
+
+
 def _straddles(p: int, q_low: int, q_high: int) -> bool:
     """Is there a multiple of p strictly between q_low and q_high?"""
     return (q_high - 1) // p > q_low // p
@@ -101,6 +103,7 @@ def z_special(z: TargetSummary, p: int, q_list: list[int]) -> Verdict:
     When the divisibility fails, no two surgery slopes p/q for the same Z
     may straddle a multiple of p, and at most phi(|H1(Z)|) slopes exist.
     """
+    _require_positive_p(p)
     qs = sorted(set(q_list))
     for q in qs:
         if gcd(p, q) != 1:
@@ -136,6 +139,7 @@ def chi_relation(y_chi: int, z: TargetSummary, p: int) -> list[Verdict]:
     negative slope with numerator p; the divisibility whenever two
     slopes straddle a multiple of p.
     """
+    _require_positive_p(p)
     witness = {"p": p, "chi_red_z": z.chi_red, "chi_red_y": y_chi}
     eq = Verdict(
         "CHI_EQ",
@@ -259,6 +263,7 @@ def genus_bound(y: AmbientSummary, z: TargetSummary, p: int, q: int) -> Verdict:
     D(Z) is the supplied maximal grading excess of reduced elements of Z;
     D(Y) the minimal excess over the ambient reduced part.
     """
+    _require_positive_p(p)
     if z.max_excess is None:
         raise MissingGradings("target grading excess D(Z) was not supplied")
     d_y = y.min_excess()
@@ -288,6 +293,7 @@ def d_sandwich(
     When the ambient reduced part has no odd bars the bounds coincide
     and equality is asserted.
     """
+    _require_positive_p(p)
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
@@ -377,6 +383,7 @@ def cosmetic_pair_scan(
     Every reported pair straddling a multiple of p is asserted to have
     p | chi(HF_red), as the divisibility rule demands.
     """
+    _require_positive_p(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     computed = {q: surgery(model, p, q, depth) for q in qs}
     hits = []

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from floersurgery import FiniteUPresentation, gf2, load_ambient_file, load_model
+from floersurgery import FiniteUPresentation, gf2, load_model, load_model_or_ambient
 from floersurgery.cli import resolve_model_path
 
 
@@ -27,7 +27,7 @@ def figure8():
 
 @pytest.fixture(scope="session")
 def sigma237():
-    return load_ambient_file(resolve_model_path("sigma237_ambient"))
+    return load_model_or_ambient(resolve_model_path("sigma237_ambient"))[1]
 
 
 def sigma237_synthetic_doc() -> dict:

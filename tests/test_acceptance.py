@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from floersurgery import (
     SurgerySpec,
@@ -78,7 +78,13 @@ def test_criterion_4_lens_sum_identity():
         for q in range(1, p + 1):
             if gcd(p, q) != 1:
                 continue
-            total = sum(lens_d(p, q))
+            # one exact integer sum over a common denominator (4p in practice)
+            # instead of p Fraction additions
+            table = lens_d(p, q)
+            common = lcm(*{d.denominator for d in table})
+            total = Fraction(
+                sum(d.numerator * (common // d.denominator) for d in table), common
+            )
             if total != p * dedekind(q, p):
                 ok = False
             if total != -2 * p * lens_lambda(p, q):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
 from floersurgery.obstruct import canonical_json
 
@@ -170,3 +172,96 @@ def test_negative_slope_with_mirror(capsys):
     assert code == 0
     assert "orientation reversal" in out
     assert "dim HF_red = 1" in out
+
+
+def _edited_model(tmp_path, name, edit):
+    doc = json.loads(resolve_model_path(name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / f"{name}_edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _increasing_v(doc):
+    doc["V"] = [0, 1]
+
+
+def test_validate_reports_the_error_of_a_broken_model(tmp_path, capsys):
+    path = _edited_model(tmp_path, "trefoil_rh_s3", _increasing_v)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert "MonotonicityViolation" in out
+    assert "ambient summary" not in out
+
+
+@pytest.mark.parametrize("rule", ["--k-special", "--genus-bound"])
+def test_obstruct_reports_the_error_of_a_broken_model(rule, tmp_path, capsys):
+    path = _edited_model(tmp_path, "trefoil_rh_s3", _increasing_v)
+    code, out, err = run(
+        capsys,
+        "obstruct", rule, path, "--p", "1", "--q", "9", "--chi", "1",
+        "--d-excess", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "MonotonicityViolation" in err
+
+
+def _zero_d(doc):
+    doc["ambient"]["d"] = "1/0"
+
+
+def _zero_offset(doc):
+    doc["a_red"]["0"]["tower_offset"] = "1/0"
+
+
+def _zero_grading(doc):
+    doc["a_red"]["0"]["generators"][0]["grading"] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_zero_d, _zero_offset, _zero_grading, None],
+    ids=["ambient_d", "tower_offset", "grading", "d_excess"],
+)
+def test_zero_denominator_is_a_syntax_error(edit, tmp_path, capsys):
+    if edit is None:
+        argv = [
+            "obstruct", "--genus-bound", "sigma237_ambient", "--p", "1",
+            "--q", "3", "--chi", "1", "--d-excess", "1/0",
+        ]
+    else:
+        argv = ["surgery", _edited_model(tmp_path, "figure8_s3", edit), "2/1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Syntax" in err
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--z-special", "--p", "0", "--q", "1", "--chi", "1"],
+        ["--chi-relation", "1", "--p", "0", "--chi", "0"],
+        [
+            "--genus-bound", "sigma237_ambient", "--p", "0", "--q", "3",
+            "--chi", "1", "--d-excess", "3",
+        ],
+        ["--d-sandwich", "trefoil_rh_s3", "--p", "0", "--q", "1"],
+        ["--d-sandwich", "trefoil_rh_s3", "--p", "-3", "--q", "1"],
+        ["--cosmetic-scan", "trefoil_rh_s3", "--p", "-2", "--q", "1..5"],
+    ],
+    ids=[
+        "z_special",
+        "chi_relation",
+        "genus_bound",
+        "d_sandwich_0",
+        "d_sandwich_-3",
+        "cosmetic_scan",
+    ],
+)
+def test_obstruct_rules_reject_nonpositive_p(argv, capsys):
+    code, out, err = run(capsys, "obstruct", *argv)
+    assert code == 2
+    assert out == ""
+    assert "p must be positive" in err

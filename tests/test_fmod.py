@@ -3,17 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floersurgery import (
     FiniteUPresentation,
-    GradedModule,
-    InfiniteModule,
     Tau,
-    Tower,
-    as_graded_module,
     barcode,
     euler_z2,
     gf2,
@@ -118,44 +113,14 @@ def test_euler_matches_dim_mod_2(seed):
 def test_euler_examples():
     assert euler_z2(FiniteUPresentation((), (), ())) == 0
     # tau(3) has uniform parity since U preserves parity
-    tau3 = GradedModule(bars=(Tau(Fraction(0), 3, 0),))
+    tau3 = FiniteUPresentation.from_rows(
+        [0, 2, 4], [0, 0, 0], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    )
+    assert barcode(tau3) == [Tau(Fraction(0), 3, 0)]
     assert euler_z2(tau3) == 3
     # figure-eight hook reduced part: one generator at parity 1
     fig8_a0 = FiniteUPresentation((Fraction(-1),), (1,), (0,))
     assert euler_z2(fig8_a0) == -1
-
-
-def test_euler_rejects_towers():
-    m = GradedModule(towers=(Tower(Fraction(0)),))
-    with pytest.raises(InfiniteModule):
-        euler_z2(m)
-
-
-def test_iso_check_examples():
-    t0 = GradedModule(towers=(Tower(Fraction(0)),))
-    assert t0 == GradedModule(towers=(Tower(Fraction(0)),))
-    a = GradedModule(towers=(Tower(Fraction(0)),), bars=(Tau(Fraction(1), 2, 1),))
-    b = GradedModule(towers=(Tower(Fraction(0)),), bars=(Tau(Fraction(1), 1, 1),))
-    assert a != b
-
-
-def test_iso_check_on_conjugated_presentations():
-    rng = random.Random(123)
-    for _ in range(30):
-        m = random_presentation(rng, max_dim=8)
-        conj = conjugate_by_graded_basis_change(m, rng)
-        assert as_graded_module(m) == as_graded_module(conj)
-
-
-def test_graded_module_rejects_bad_parity_against_tower():
-    with pytest.raises(ValueError):
-        GradedModule(
-            towers=(Tower(Fraction(0)),), bars=(Tau(Fraction(1), 1, 0),)
-        )
-    with pytest.raises(ValueError):
-        GradedModule(
-            towers=(Tower(Fraction(0)), Tower(Fraction(1))),
-        )
 
 
 def test_u_decreases_grading_by_two_enforced():
@@ -176,8 +141,8 @@ def reference_validate(m: FiniteUPresentation) -> list[str]:
         for i in gf2.bits(col):
             if m.gradings[i] != m.gradings[j] - 2:
                 errs.append(
-                    f"NonHomogeneousU: U sends {m.labels[j]} (grading "
-                    f"{m.gradings[j]}) to {m.labels[i]} (grading {m.gradings[i]})"
+                    f"NonHomogeneousU: U sends e{j} (grading {m.gradings[j]}) "
+                    f"to e{i} (grading {m.gradings[i]})"
                 )
     cols = gf2.identity(m.dim)
     for _ in range(m.dim):

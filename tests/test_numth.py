@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from floersurgery import (
     CassonWalkerInput,
-    LensInvariants,
     NotCoprime,
     casson_walker_surgery,
     dedekind,
@@ -18,10 +17,9 @@ from floersurgery import (
     lens_d,
     lens_invariants,
     lens_lambda,
-    lens_tau,
     totient,
 )
-from floersurgery.numth import lens_d_at
+from floersurgery.numth import LensInvariants, lens_d_at
 from conftest import coprime_pairs, dedekind_reference, lens_d_reference
 
 
