@@ -15,6 +15,7 @@ from .cone import (
     surgery,
 )
 from .errors import (
+    ConeTooLarge,
     FloerError,
     InvalidPresentation,
     MissingGradings,

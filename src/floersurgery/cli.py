@@ -5,7 +5,8 @@ flags ``--format {text,json}`` and ``--depth N`` (the environment
 variable FSL_DEPTH also overrides the default truncation depth).
 
 Exit codes: 0 the run completed (including reported obstruction
-failures), 2 input or validation error, 3 truncation instability.
+failures), 2 input or validation error or a cone too large to build,
+3 truncation instability.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def parse_q_values(values: list[str]) -> list[int]:
     for v in values:
         if ".." in v:
             a_str, b_str = v.split("..", 1)
-            out.extend(range(int(a_str), int(b_str) + 1))
+            qs = range(int(a_str), int(b_str) + 1)
+            if not qs:
+                raise ValueError(f"empty range {v!r}; expected LOW..HIGH")
+            out.extend(qs)
         else:
             out.append(int(v))
     return out

@@ -44,10 +44,13 @@ from fractions import Fraction
 from math import gcd
 
 from . import gf2
-from .errors import NotCoprime, TruncationTooSmall, V0NonZero
+from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
 from .numth import lens_d_at
+
+# largest cone build_cone assembles; a hostile --depth stops here
+MAX_GENERATORS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,29 @@ def _k_of(spec: SurgerySpec, n: int) -> int:
 
 
 def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
-    """max(V_k + H_k) over the window's A-columns plus the longest reduced bar.
+    """max(V_k + H_k) over the window's maps plus the longest reduced bar.
+
+    A-column n counts V_k only when B-column n is retained and H_k only
+    when B-column n + 1 is: a column whose target is not retained
+    contributes no map, so its U^{V_k} or U^{H_k} cannot need tower depth.
+    The two boundary columns, where H_k = k >= G or V_k = -k, both about
+    p/q, count only their zero side, so the floor is bounded by the model
+    alone: the max over |k| < G of V_k + H_k plus the longest reduced bar.
 
     The one depth rule: build_cone refuses depths below floor + 2, and
     default_depth is 2 floor + 4.
     """
     win = _window(model, spec)
-    ks = [_k_of(spec, n) for n in win.a_columns]
-    max_vh = max((model.v_at(k) + model.h_at(k) for k in ks), default=0)
+    retained = win.b_columns
+    max_vh = max(
+        (
+            (model.v_at(k) if n in retained else 0)
+            + (model.h_at(k) if n + 1 in retained else 0)
+            for n in win.a_columns
+            for k in [_k_of(spec, n)]
+        ),
+        default=0,
+    )
     return max_vh + model.max_reduced_bar()
 
 
@@ -273,7 +291,11 @@ class _Row:
 
 
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
-    """Assemble the truncated cone at the given tower depth."""
+    """Assemble the truncated cone at the given tower depth.
+
+    Raises ConeTooLarge, before assembly, when the cone would have more
+    than MAX_GENERATORS generators.
+    """
     minimum = _depth_floor(model, spec) + 2
     if depth < minimum:
         raise TruncationTooSmall(
@@ -312,6 +334,17 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     for n in win.b_columns:
         if b_grading[n] > ceiling - 1:
             raise TruncationTooSmall(f"empty target tower in column {n}")
+    # each tower runs from its bottom to the ceiling (one below for B)
+    gens = sum(
+        (ceiling - a_grading[n]) // 2 + 1 + len(a_red[n][0]) for n in win.a_columns
+    ) + sum(
+        (ceiling - 1 - b_grading[n]) // 2 + 1 + len(amb[0]) for n in win.b_columns
+    )
+    if gens > MAX_GENERATORS:
+        raise ConeTooLarge(
+            f"cone of {gens} generators at depth {depth} for {model.name} at "
+            f"{spec.p}/{spec.q} block {spec.i} exceeds {MAX_GENERATORS}"
+        )
     dom = _Row(a_grading, ceiling, a_red)
     cod = _Row(b_grading, ceiling - 1, {n: amb for n in win.b_columns})
 

@@ -38,6 +38,10 @@ class TruncationTooSmall(FloerError):
     """The truncated cone could not be certified stable at this depth."""
 
 
+class ConeTooLarge(FloerError):
+    """The truncated cone would have more generators than the size limit."""
+
+
 class V0NonZero(FloerError):
     """Reduced-cone computation requires V_0 = 0."""
 

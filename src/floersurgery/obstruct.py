@@ -87,9 +87,13 @@ def _jsonable(x):
     return x
 
 
-def _require_positive_p(p: int) -> None:
+def _require_slope(p: int, q: int = 1) -> None:
+    """p/q must be a surgery slope: p >= 1 and gcd(p, q) = 1 (q may be
+    negative)."""
     if p < 1:
         raise NotCoprime(f"p must be positive, got {p}")
+    if gcd(p, q) != 1:
+        raise NotCoprime(f"q={q} is not coprime to p={p}")
 
 
 def _straddles(p: int, q_low: int, q_high: int) -> bool:
@@ -103,11 +107,10 @@ def z_special(z: TargetSummary, p: int, q_list: list[int]) -> Verdict:
     When the divisibility fails, no two surgery slopes p/q for the same Z
     may straddle a multiple of p, and at most phi(|H1(Z)|) slopes exist.
     """
-    _require_positive_p(p)
+    _require_slope(p)
     qs = sorted(set(q_list))
     for q in qs:
-        if gcd(p, q) != 1:
-            raise NotCoprime(f"q={q} is not coprime to p={p}")
+        _require_slope(p, q)
     witness: dict = {"p": p, "q_list": qs, "h1_order": z.h1_order, "chi_red": z.chi_red}
     if p == 1:
         return Verdict("Z_SPECIAL", INAPPLICABLE, {**witness, "note": "p=1 is vacuous"})
@@ -139,7 +142,7 @@ def chi_relation(y_chi: int, z: TargetSummary, p: int) -> list[Verdict]:
     negative slope with numerator p; the divisibility whenever two
     slopes straddle a multiple of p.
     """
-    _require_positive_p(p)
+    _require_slope(p)
     witness = {"p": p, "chi_red_z": z.chi_red, "chi_red_y": y_chi}
     eq = Verdict(
         "CHI_EQ",
@@ -185,6 +188,7 @@ def k_special(
     ones in every hook module) are evaluated individually; the verdict
     fails if any of them does.
     """
+    _require_slope(p, q)
     witness: dict = {"p": p, "q": q}
     if y.is_l_space:
         return Verdict(
@@ -241,8 +245,9 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
     v0 = model.v_at(0)
     if v0 == 0:
         raise V0Zero(f"V_0 = 0 for {model.name}; the bound needs V_0 > 0")
-    if p < 1 or q < 1:
+    if q < 1:
         raise NotCoprime("the bound applies to positive slopes")
+    _require_slope(p, q)
     n_i = [max(0, len(range(i, q, p)) - 1) for i in range(p)]
     bound = p + Fraction(z.dim_red, v0)
     witness = {
@@ -263,7 +268,7 @@ def genus_bound(y: AmbientSummary, z: TargetSummary, p: int, q: int) -> Verdict:
     D(Z) is the supplied maximal grading excess of reduced elements of Z;
     D(Y) the minimal excess over the ambient reduced part.
     """
-    _require_positive_p(p)
+    _require_slope(p, q)
     if z.max_excess is None:
         raise MissingGradings("target grading excess D(Z) was not supplied")
     d_y = y.min_excess()
@@ -293,7 +298,7 @@ def d_sandwich(
     When the ambient reduced part has no odd bars the bounds coincide
     and equality is asserted.
     """
-    _require_positive_p(p)
+    _require_slope(p)
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
@@ -383,7 +388,7 @@ def cosmetic_pair_scan(
     Every reported pair straddling a multiple of p is asserted to have
     p | chi(HF_red), as the divisibility rule demands.
     """
-    _require_positive_p(p)
+    _require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     computed = {q: surgery(model, p, q, depth) for q in qs}
     hits = []

@@ -80,6 +80,18 @@ def staircase_doc(V: list[int]) -> dict:
     }
 
 
+def depth_floor_reference(model, spec) -> int:
+    """The depth floor counting V_k + H_k on every A-column of the window,
+    boundary columns with a non-retained target included: always at least
+    the library's floor, and growing with p/q."""
+    G = max(model.genus, 1)
+    p, q, i = spec.p, spec.q, spec.i
+    n_plus = -((-(G * q - i)) // p)
+    n_minus = ((1 - G) * q - 1 - i) // p
+    ks = [(i + p * n) // q for n in range(n_minus + 1, n_plus + 1)]
+    return max(model.v_at(k) + model.h_at(k) for k in ks) + model.max_reduced_bar()
+
+
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:
     """Random homogeneous nilpotent U-presentation.
 

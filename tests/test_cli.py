@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,17 @@ def test_parse_slope():
 
 def test_parse_q_values():
     assert parse_q_values(["3", "5..8"]) == [3, 5, 6, 7, 8]
+
+
+def test_reversed_q_range_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys,
+        "obstruct", "--z-special", "--p", "3", "--q", "5..1", "--chi", "1",
+        "--h1", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "empty range '5..1'" in err
 
 
 def test_shipped_models_resolve():
@@ -150,6 +162,18 @@ def test_truncation_too_small_exit_code(capsys):
     assert "depth" in err
 
 
+def test_oversized_cone_is_refused_quickly(capsys):
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "--depth", "1000000", "surgery", "trefoil_rh_s3", "2/1"
+    )
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert out == ""
+    assert "generators" in err
+    assert "Traceback" not in err
+
+
 def test_depth_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FSL_DEPTH", "12")
     code, out, _ = run(capsys, "surgery", "trefoil_rh_s3", "2/3")
@@ -265,3 +289,22 @@ def test_obstruct_rules_reject_nonpositive_p(argv, capsys):
     assert code == 2
     assert out == ""
     assert "p must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "--genus-bound", "sigma237_ambient", "--p", "2", "--q", "4",
+            "--chi", "1", "--d-excess", "3",
+        ],
+        ["--v0-bound", "trefoil_rh_s3", "--p", "3", "--q", "6", "--dim-red", "1"],
+        ["--k-special", "sigma237_ambient", "--p", "0", "--q", "40", "--chi", "1"],
+    ],
+    ids=["genus_bound_2_4", "v0_bound_3_6", "k_special_0_40"],
+)
+def test_obstruct_rules_reject_non_slopes(argv, capsys):
+    code, out, err = run(capsys, "obstruct", *argv)
+    assert code == 2
+    assert out == ""
+    assert "not coprime" in err or "p must be positive" in err

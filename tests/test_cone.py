@@ -8,6 +8,7 @@ import pytest
 
 from floersurgery import (
     CassonWalkerInput,
+    ConeTooLarge,
     FiniteUPresentation,
     KnotModel,
     SurgerySpec,
@@ -21,12 +22,15 @@ from floersurgery import (
     default_depth,
     lambda_from_hf,
     lens_d,
+    load_model,
     reduced_cone,
     surgery,
     torsion_coefficients,
 )
 from floersurgery import cone, gf2
 from floersurgery.knotmodel import ReducedBlock
+
+from conftest import depth_floor_reference, staircase_doc
 
 
 def test_spec_validation():
@@ -207,6 +211,48 @@ def test_truncation_stability_explicit_depths(trefoil, figure8):
 def test_depth_below_minimum_raises(trefoil):
     with pytest.raises(TruncationTooSmall):
         cone_homology(trefoil, SurgerySpec(2, 3, 0), 1)
+
+
+def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot):
+    # the floor over every A-column, boundary columns included, is never
+    # below the library's; both default depths give the same homology
+    staircases = [
+        load_model(staircase_doc(V)) for V in ([2, 1, 1, 0], [3, 2, 2, 1, 1, 0])
+    ]
+    slopes = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
+    for model in [unknot, trefoil, figure8] + staircases:
+        for p, q in slopes:
+            for i in range(p):
+                spec = SurgerySpec(p, q, i)
+                old_depth = 2 * depth_floor_reference(model, spec) + 4
+                assert default_depth(model, spec) <= old_depth
+                new = cone_homology(model, spec)
+                assert new.same_homology(cone_homology(model, spec, old_depth))
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("unknot", 4), ("trefoil", 6), ("figure8", 6)]
+)
+def test_default_depth_does_not_grow_with_p(name, expected, request):
+    model = request.getfixturevalue(name)
+    for p in (101, 1009):
+        deepest = max(
+            default_depth(model, SurgerySpec(p, q, i))
+            for q in (1, 2, 3, 5)
+            for i in range(p)
+        )
+        assert deepest == expected, p
+
+
+def test_size_guard_counts_every_generator(trefoil, monkeypatch):
+    spec = SurgerySpec(3, 2, 1)
+    pres = build_cone(trefoil, spec, 10)
+    gens = len(pres.dom_gradings) + len(pres.cod_gradings)
+    monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
+    assert build_cone(trefoil, spec, 10) == pres
+    monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
+    with pytest.raises(ConeTooLarge, match=f"cone of {gens} generators"):
+        build_cone(trefoil, spec, 10)
 
 
 def test_d_invariant_bounds_unknot(unknot):

@@ -112,7 +112,7 @@ def test_k_special_arithmetic(sigma237):
 
 def test_k_special_l_space_ambient(trefoil):
     z = TargetSummary(h1_order=2, dim_red=3, chi_red=3)
-    v = k_special(trefoil.ambient, z, 2, 100)
+    v = k_special(trefoil.ambient, z, 2, 101)
     assert v.status == INAPPLICABLE
 
 
