@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: surgery, lens, casson-walker, obstruct, validate.  Global
-flags ``--format {text,json}`` and ``--depth N`` (the environment
-variable FSL_DEPTH also overrides the default truncation depth).
+flags ``--format {text,json}`` and ``--depth N`` (overrides the default
+truncation depth).
 
 Exit codes: 0 the run completed (including reported obstruction
 failures), 2 input or validation error or a cone too large to build,
@@ -12,7 +12,6 @@ failures), 2 input or validation error or a cone too large to build,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -380,22 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    depth = args.depth
-    if depth is None and os.environ.get("FSL_DEPTH"):
-        try:
-            depth = int(os.environ["FSL_DEPTH"])
-        except ValueError:
-            print("FSL_DEPTH must be an integer", file=sys.stderr)
-            return 2
     try:
         if args.command == "surgery":
-            return cmd_surgery(args, depth)
+            return cmd_surgery(args, args.depth)
         if args.command == "lens":
             return cmd_lens(args)
         if args.command == "casson-walker":
-            return cmd_casson_walker(args, depth)
+            return cmd_casson_walker(args, args.depth)
         if args.command == "obstruct":
-            return cmd_obstruct(args, depth)
+            return cmd_obstruct(args, args.depth)
         if args.command == "validate":
             return cmd_validate(args)
         parser.error(f"unknown command {args.command}")

@@ -16,9 +16,9 @@ Each block is relatively Z-graded, so one rational anchor fixes every
 absolute grading in it: the generator of the B-tower in column 0, at
 d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
 offset from that anchor, propagated along columns by
-b_{n+1} - b_n = 2 k(n); model gradings enter through one conversion that
-rejects anything off the integer line, and ``Fraction`` comes back only
-when the result is read off.  Towers are cut at a common grading ceiling.
+b_{n+1} - b_n = 2 k(n); model presentations already hold ``int``
+offsets from their own towers, and ``Fraction`` comes back only when the
+result is read off.  Towers are cut at a common grading ceiling.
 
 The cone is stored grading by grading (d has degree -1, U degree -2):
 local bitmask columns over the generators one or two gradings down, the
@@ -41,13 +41,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
-from .numth import lens_d_at
+from .numth import lens_d_at, require_slope
 
 # largest cone build_cone assembles; a hostile --depth stops here
 MAX_GENERATORS = 1_000_000
@@ -62,10 +61,9 @@ class SurgerySpec:
     i: int = 0
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise NotCoprime(f"need p, q >= 1, got {self.p}/{self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
+        require_slope(self.p, self.q)
+        if self.q < 1:
+            raise NotCoprime(f"need q >= 1, got {self.p}/{self.q}")
         if not 0 <= self.i < self.p:
             raise ValueError(f"block index {self.i} outside 0..{self.p - 1}")
 
@@ -225,13 +223,6 @@ def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
     return 2 * _depth_floor(model, spec) + 4
 
 
-def _offset(g: Fraction) -> int:
-    """A tower-relative model grading as a cone offset; it must be integral."""
-    if g.denominator != 1:
-        raise AssertionError("cone gradings off the ceiling's grading line")
-    return g.numerator
-
-
 def _towers(bottoms: list[int], top: int, g: int) -> int:
     """How many towers with these sorted bottoms, all topping out at
     ``top`` in steps of 2, have a generator at grading g."""
@@ -242,15 +233,16 @@ class _Row:
     """One row of the cone laid out grading by grading.
 
     Column n has a tower from bottom[n] up to top in steps of 2 and
-    reduced generators c at bottom[n] + offsets[c], where reduced[n] =
-    (offsets, U-columns).  At grading g the first ``towers[g]`` columns of
-    ``order`` (sorted by bottom, tower number ``index[n]``) have their
-    tower present; the reduced generators ``at[g]`` = [(n, c), ...]
-    follow, ``place[n, c]`` = (g, local index), and ``u[g]`` holds the
-    U-columns.
+    reduced generators c at bottom[n] + reduced[n].gradings[c].  At
+    grading g the first ``towers[g]`` columns of ``order`` (sorted by
+    bottom, tower number ``index[n]``) have their tower present; the
+    reduced generators ``at[g]`` = [(n, c), ...] follow, ``place[n, c]``
+    = (g, local index), and ``u[g]`` holds the U-columns.
     """
 
-    def __init__(self, bottom: dict[int, int], top: int, reduced: dict):
+    def __init__(
+        self, bottom: dict[int, int], top: int, reduced: dict[int, FiniteUPresentation]
+    ):
         self.order = sorted(bottom, key=bottom.__getitem__)
         self.index = {n: t for t, n in enumerate(self.order)}
         bottoms = [bottom[n] for n in self.order]
@@ -259,8 +251,8 @@ class _Row:
             for g in range(min(bottoms, default=top + 1), top + 1, 2)
         }
         self.at: dict[int, list[tuple[int, int]]] = {}
-        for n, (offsets, _) in reduced.items():
-            for c, off in enumerate(offsets):
+        for n, pres in reduced.items():
+            for c, off in enumerate(pres.gradings):
                 self.at.setdefault(bottom[n] + off, []).append((n, c))
         self.gradings = sorted(self.towers.keys() | self.at.keys())
         self.place = {
@@ -274,7 +266,7 @@ class _Row:
             below = self.towers.get(g - 2, 0)
             cols = [1 << t if t < below else 0 for t in range(self.towers.get(g, 0))]
             for n, c in self.at.get(g, ()):
-                u = reduced[n][1][c]
+                u = reduced[n].u_cols[c]
                 cols.append(self.image(u, n, g - 2, "U not of degree -2 in the cone"))
             self.u[g] = tuple(cols)
 
@@ -305,12 +297,8 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     win = _window(model, spec)
     k_of = {n: _k_of(spec, n) for n in win.a_columns}
     blocks = {n: model.block(k_of[n]) for n in win.a_columns}
-    a_red = {
-        n: ([_offset(g) for g in blk.pres.gradings], blk.pres.u_cols)
-        for n, blk in blocks.items()
-    }
-    b_red = model.ambient.b_red
-    amb = ([_offset(g) for g in b_red.gradings], b_red.u_cols)
+    a_red = {n: blk.pres for n, blk in blocks.items()}
+    amb = model.ambient.b_red
 
     anchor = model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 1
     b_grading = {0: 0}
@@ -326,8 +314,8 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     # common ceiling: all A-towers top out at the same grading
     a_ref = a_grading[win.n_min]
     base = max(
-        [a_grading[n] + g for n in win.a_columns for g in [0] + a_red[n][0]]
-        + [b_grading[n] + g for n in win.b_columns for g in amb[0]]
+        [a_grading[n] + g for n in win.a_columns for g in (0, *a_red[n].gradings)]
+        + [b_grading[n] + g for n in win.b_columns for g in amb.gradings]
     )
     ceiling = a_ref + 2 * ((base - a_ref + 1) // 2) + 2 * depth
 
@@ -336,10 +324,8 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
             raise TruncationTooSmall(f"empty target tower in column {n}")
     # each tower runs from its bottom to the ceiling (one below for B)
     gens = sum(
-        (ceiling - a_grading[n]) // 2 + 1 + len(a_red[n][0]) for n in win.a_columns
-    ) + sum(
-        (ceiling - 1 - b_grading[n]) // 2 + 1 + len(amb[0]) for n in win.b_columns
-    )
+        (ceiling - a_grading[n]) // 2 + 1 + a_red[n].dim for n in win.a_columns
+    ) + sum((ceiling - 1 - b_grading[n]) // 2 + 1 + amb.dim for n in win.b_columns)
     if gens > MAX_GENERATORS:
         raise ConeTooLarge(
             f"cone of {gens} generators at depth {depth} for {model.name} at "
@@ -393,8 +379,7 @@ def _presentation(basis: list[tuple[int, int, int]]) -> FiniteUPresentation:
     for j, (g, key, w) in enumerate(basis):
         pos[g, key] = j
         u_cols.append(sum(1 << pos[g - 2, b] for b in gf2.bits(w) if (g - 2, b) in pos))
-    gradings = tuple(g for g, _, _ in basis)
-    return FiniteUPresentation(gradings, tuple(g % 2 for g in gradings), tuple(u_cols))
+    return FiniteUPresentation(tuple(g for g, _, _ in basis), tuple(u_cols))
 
 
 def _kernel_and_cokernel(pres: ConePresentation) -> tuple[FiniteUPresentation, ...]:

@@ -4,9 +4,11 @@ A finite module is carried concretely by :class:`FiniteUPresentation`
 (a graded basis and the U matrix, U lowering grading by 2) and
 decomposed by :func:`barcode` into its bars tau_d(N): dimension N,
 bottom grading d, killed by U^N but not U^{N-1}.
-Gradings are ``Fraction`` at the API; the checks and the decomposition
-use only differences, ``%`` and ``//``, so they are exact on ``int``
-gradings too (the cone passes integer offsets from one rational anchor).
+A presentation's gradings are ``int`` offsets from a tower generator:
+the module's own for a loaded model block or ambient reduced part, the
+block's anchor for a cone kernel or cokernel, which adds it back as a
+``Fraction`` when the result is read off.  The Z_2-parity of a generator
+is its grading mod 2.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent evaluation needs no coordination.
@@ -38,9 +40,13 @@ def as_grading(x: Union[int, str, Fraction]) -> Fraction:
 
 @dataclass(frozen=True, order=True)
 class Tau:
-    """Length-N truncated tower: bottom grading, dimension N, Z_2-parity."""
+    """Length-N truncated tower: bottom grading, dimension N, Z_2-parity.
 
-    bottom: Fraction
+    :func:`barcode` gives ``int`` bottoms (offsets); cone results give
+    absolute ``Fraction`` bottoms.
+    """
+
+    bottom: Fraction | int
     length: int
     parity: int = 0
 
@@ -51,7 +57,7 @@ class Tau:
             raise ValueError("parity must be 0 or 1")
 
     @property
-    def top(self) -> Fraction:
+    def top(self) -> Fraction | int:
         return self.bottom + 2 * (self.length - 1)
 
 
@@ -59,24 +65,25 @@ class Tau:
 class FiniteUPresentation:
     """Concrete finite F_2[U]-module: graded basis plus the U matrix.
 
-    ``u_cols[j]`` is the bitmask of U(e_j) over basis indices.  Use
+    ``gradings[j]`` is the ``int`` offset of e_j from the module's tower
+    and ``u_cols[j]`` the bitmask of U(e_j) over basis indices.  Use
     :meth:`from_rows` to build from a row-major 0/1 matrix where entry
     [i][j] is the coefficient of e_i in U(e_j).
     """
 
-    gradings: tuple[Fraction, ...]
-    parities: tuple[int, ...]
+    gradings: tuple[int, ...]
     u_cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.gradings)
-        if len(self.parities) != n or len(self.u_cols) != n:
+        if len(self.u_cols) != n:
             raise ValueError("basis fields must have equal lengths")
+        for g in self.gradings:
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise ValueError(f"grading {g!r} is not an int offset")
         for c in self.u_cols:
             if c < 0 or c >> n:
                 raise ValueError("U column has bits outside the basis")
-        if any(p not in (0, 1) for p in self.parities):
-            raise ValueError("parities must be 0 or 1")
 
     @property
     def dim(self) -> int:
@@ -85,11 +92,10 @@ class FiniteUPresentation:
     @classmethod
     def from_rows(
         cls,
-        gradings: Iterable[Union[int, str, Fraction]],
-        parities: Iterable[int],
+        gradings: Iterable[int],
         rows: list[list[int]],
     ) -> "FiniteUPresentation":
-        gs = tuple(as_grading(g) for g in gradings)
+        gs = tuple(gradings)
         n = len(gs)
         if rows and (len(rows) != n or any(len(r) != n for r in rows)):
             raise ValueError(f"U matrix must be {n}x{n}")
@@ -100,7 +106,7 @@ class FiniteUPresentation:
                     raise ValueError("U matrix entries must be 0 or 1")
                 if entry:
                     cols[j] |= 1 << i
-        return cls(gs, tuple(parities), tuple(cols))
+        return cls(gs, tuple(cols))
 
 
 def degree_violations(
@@ -120,10 +126,10 @@ def degree_violations(
 
 
 def validate(m: FiniteUPresentation) -> list[str]:
-    """Check degree -2 homogeneity of U, nilpotency and parity consistency.
+    """Check degree -2 homogeneity of U and nilpotency.
 
     Returns a list of messages, each prefixed with one of the codes
-    NonHomogeneousU, NotNilpotent, ParityMismatch; empty means valid.
+    NonHomogeneousU, NotNilpotent; empty means valid.
     Runs in time linear in the basis size plus the nonzero entries of U.
 
     * Homogeneity: e_i may occur in U(e_j) only if g_i = g_j - 2
@@ -132,12 +138,6 @@ def validate(m: FiniteUPresentation) -> list[str]:
       homogeneity has failed: if U has degree -2, U^n(e_j) != 0 needs basis
       vectors at the n + 1 distinct gradings g_j, g_j - 2, ..., g_j - 2n,
       but there are only n basis vectors.
-    * Parity: every pair at an integral grading distance must declare
-      parities that differ by that distance mod 2.  Gradings are integrally
-      apart exactly when they share the class g mod 1, and the pairwise
-      condition holds exactly when every element agrees with the first
-      element of its class (agreement is transitive), so each element is
-      compared with that one anchor only.
     """
     errs: list[str] = []
     n = m.dim
@@ -154,16 +154,6 @@ def validate(m: FiniteUPresentation) -> list[str]:
             cols = gf2.mat_mul(u, cols)
         if not gf2.is_zero(cols):
             errs.append(f"NotNilpotent: U^{n} is nonzero")
-    anchors: dict = {}
-    for j, g in enumerate(gs):
-        a = anchors.setdefault(g % 1, j)
-        diff = gs[a] - g
-        if (m.parities[a] - m.parities[j] - diff) % 2:
-            errs.append(
-                f"ParityMismatch: e{a} and e{j} are "
-                f"{diff} apart but declare parities "
-                f"{m.parities[a]}/{m.parities[j]}"
-            )
     return errs
 
 
@@ -183,7 +173,6 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     by_grading: dict = {}
     for i, g in enumerate(m.gradings):
         by_grading.setdefault(g, []).append(i)
-    parity_at = {m.gradings[i]: m.parities[i] for i in range(m.dim)}
 
     lines: dict = {}
     for g in by_grading:
@@ -193,7 +182,7 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     bars: list[Tau] = []
     for gradings in lines.values():
         top, bottom = max(gradings), min(gradings)
-        active: list[tuple[int, Fraction]] = []  # (vector, birth), elder first
+        active: list[tuple[int, int]] = []  # (vector, birth), elder first
         live = gf2.Echelon()  # spanned by the live vectors, which it stores
         g = top
         while g >= bottom:
@@ -201,7 +190,7 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                 added, res, _ = live.insert(1 << b)
                 if added:
                     active.append((res, g))
-            survivors: list[tuple[int, Fraction]] = []
+            survivors: list[tuple[int, int]] = []
             live = gf2.Echelon()
             for vec, birth in active:
                 added, res, _ = live.insert(gf2.mat_vec(u, vec))
@@ -209,7 +198,7 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                     survivors.append((res, birth))
                 else:
                     length = (birth - g) // 2 + 1
-                    bars.append(Tau(g, length, parity_at[g]))
+                    bars.append(Tau(g, length, g % 2))
             active = survivors
             g -= 2
         if active:
@@ -219,4 +208,4 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
 
 def euler_z2(m: FiniteUPresentation) -> int:
     """Euler characteristic in the Z_2-grading: dim(even) - dim(odd)."""
-    return sum(1 if p == 0 else -1 for p in m.parities)
+    return m.dim - 2 * sum(g % 2 for g in m.gradings)

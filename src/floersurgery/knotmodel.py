@@ -30,8 +30,10 @@ Model files are JSON documents::
 Rationals are strings "a/b" (or plain integers).  Ambient ``b_red``
 gradings are absolute, anchored so the ambient tower generator sits at
 ``d``.  Generators of an ``a_red`` block are graded on a per-block scale
-whose tower generator sits at ``tower_offset``; internally only the
-differences (grading - tower_offset) matter.  ``v_matrix``/``h_matrix``
+whose tower generator sits at ``tower_offset``.  A loaded model keeps
+only the differences grading - d and grading - tower_offset, as ``int``
+offsets: each must be an integer, and its parity the declared one.
+``v_matrix``/``h_matrix``
 are row-major over F_2 with rows indexed by ``b_red`` generators and
 columns by the block generators.
 
@@ -74,9 +76,8 @@ class AmbientSummary:
     b_red: FiniteUPresentation
 
     def dims(self) -> tuple[int, int]:
-        even = sum(1 for p in self.b_red.parities if p == 0)
-        odd = self.b_red.dim - even
-        return even, odd
+        odd = sum(g % 2 for g in self.b_red.gradings)
+        return self.b_red.dim - odd, odd
 
     @property
     def chi_red(self) -> int:
@@ -101,7 +102,7 @@ class AmbientSummary:
         """min over reduced generators of (grading - d); None if L-space."""
         if self.b_red.dim == 0:
             return None
-        return min(self.b_red.gradings)
+        return Fraction(min(self.b_red.gradings))
 
 
 @dataclass(frozen=True)
@@ -216,39 +217,40 @@ def _parse_rational(x, what: str) -> Fraction:
 def _parse_presentation(
     gens, u_matrix, offset: Fraction, what: str
 ) -> FiniteUPresentation:
+    """The one place a file's rational gradings become ``int`` offsets
+    from the tower generator at ``offset``; each declared parity must be
+    its offset mod 2."""
     if not isinstance(gens, list):
         raise ModelError("Syntax", f"{what}: generators must be a list")
     gradings = []
-    parities = []
     for idx, g in enumerate(gens):
         if not isinstance(g, dict) or "grading" not in g or "parity" not in g:
             raise ModelError(
                 "Syntax", f"{what}: generator {idx} needs grading and parity"
             )
-        gradings.append(_parse_rational(g["grading"], f"{what} generator {idx}") - offset)
-        if g["parity"] not in (0, 1):
+        off = _parse_rational(g["grading"], f"{what} generator {idx}") - offset
+        par = g["parity"]
+        if par not in (0, 1):
             raise ModelError(
                 "Syntax", f"{what}: generator {idx} parity must be 0 or 1"
             )
-        parities.append(g["parity"])
-    if not isinstance(u_matrix, list):
-        raise ModelError("Syntax", f"{what}: u_matrix must be a matrix")
-    try:
-        pres = FiniteUPresentation.from_rows(gradings, parities, u_matrix)
-    except ValueError as e:
-        raise ModelError("Syntax", f"{what}: {e}") from e
-    for off in pres.gradings:
         if off.denominator != 1:
             raise ModelError(
                 "ParityMismatch",
                 f"{what}: generator grading offset {off} is not an integer",
             )
-    for off, par in zip(pres.gradings, pres.parities):
         if off.numerator % 2 != par:
             raise ModelError(
                 "ParityMismatch",
                 f"{what}: declared parity {par} disagrees with grading offset {off}",
             )
+        gradings.append(off.numerator)
+    if not isinstance(u_matrix, list):
+        raise ModelError("Syntax", f"{what}: u_matrix must be a matrix")
+    try:
+        pres = FiniteUPresentation.from_rows(gradings, u_matrix)
+    except ValueError as e:
+        raise ModelError("Syntax", f"{what}: {e}") from e
     errs = validate(pres)
     if errs:
         code = errs[0].split(":", 1)[0]

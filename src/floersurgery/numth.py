@@ -26,17 +26,20 @@ from math import gcd
 from .errors import NotCoprime
 
 
-def _require_coprime(p: int, q: int) -> None:
+def require_slope(p: int, q: int = 1) -> None:
+    """p/q must be a surgery slope: p >= 1 and gcd(p, q) = 1 (q may be
+    negative)."""
     if p < 1:
         raise NotCoprime(f"p must be positive, got {p}")
-    if gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
+    g = gcd(p, q)
+    if g != 1:
+        raise NotCoprime(f"gcd({p}, {q}) = {g}: q={q} is not coprime to p={p}")
 
 
 def _euclid_chain(p: int, q: int) -> list[tuple[int, int]]:
     """Pairs (p, r), (r, p mod r), ... with r = q mod p, top first,
     down to the last pair whose remainder is 1 (empty for p = 1)."""
-    _require_coprime(p, q)
+    require_slope(p, q)
     chain = []
     r = q % p
     while p > 1:
@@ -156,7 +159,7 @@ class CassonWalkerInput:
 
 def casson_walker_surgery(data: CassonWalkerInput) -> Fraction:
     """lambda of p/q surgery: lambda(Y) + lambda(L(p,q)) + q delta2 / (2p|H1|)."""
-    _require_coprime(data.p, data.q)
+    require_slope(data.p, data.q)
     if data.h1_order < 1:
         raise ValueError("h1_order must be positive")
     correction = Fraction(data.q * data.delta2, 2 * data.p * data.h1_order)

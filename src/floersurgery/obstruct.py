@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .cone import SurgerySpec, cone_homology, d_invariant_bounds, surgery
 from .errors import MissingGradings, NotCoprime, V0Zero
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
-from .numth import dedekind, totient
+from .numth import dedekind, require_slope, totient
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,7 +38,6 @@ class TargetSummary:
     h1_order: int
     dim_red: int
     chi_red: int
-    d_table: Optional[tuple[Fraction, ...]] = None
     max_excess: Optional[Fraction] = None  # max over reduced z of gr(z) - d(Z,i)
 
     def __post_init__(self) -> None:
@@ -87,15 +86,6 @@ def _jsonable(x):
     return x
 
 
-def _require_slope(p: int, q: int = 1) -> None:
-    """p/q must be a surgery slope: p >= 1 and gcd(p, q) = 1 (q may be
-    negative)."""
-    if p < 1:
-        raise NotCoprime(f"p must be positive, got {p}")
-    if gcd(p, q) != 1:
-        raise NotCoprime(f"q={q} is not coprime to p={p}")
-
-
 def _straddles(p: int, q_low: int, q_high: int) -> bool:
     """Is there a multiple of p strictly between q_low and q_high?"""
     return (q_high - 1) // p > q_low // p
@@ -107,10 +97,10 @@ def z_special(z: TargetSummary, p: int, q_list: list[int]) -> Verdict:
     When the divisibility fails, no two surgery slopes p/q for the same Z
     may straddle a multiple of p, and at most phi(|H1(Z)|) slopes exist.
     """
-    _require_slope(p)
+    require_slope(p)
     qs = sorted(set(q_list))
     for q in qs:
-        _require_slope(p, q)
+        require_slope(p, q)
     witness: dict = {"p": p, "q_list": qs, "h1_order": z.h1_order, "chi_red": z.chi_red}
     if p == 1:
         return Verdict("Z_SPECIAL", INAPPLICABLE, {**witness, "note": "p=1 is vacuous"})
@@ -142,7 +132,7 @@ def chi_relation(y_chi: int, z: TargetSummary, p: int) -> list[Verdict]:
     negative slope with numerator p; the divisibility whenever two
     slopes straddle a multiple of p.
     """
-    _require_slope(p)
+    require_slope(p)
     witness = {"p": p, "chi_red_z": z.chi_red, "chi_red_y": y_chi}
     eq = Verdict(
         "CHI_EQ",
@@ -188,7 +178,7 @@ def k_special(
     ones in every hook module) are evaluated individually; the verdict
     fails if any of them does.
     """
-    _require_slope(p, q)
+    require_slope(p, q)
     witness: dict = {"p": p, "q": q}
     if y.is_l_space:
         return Verdict(
@@ -218,18 +208,16 @@ def k_special(
         return Verdict("K_SPECIAL", PASS, witness)
     even_y, odd_y = y.dims()
     ks = range(-(model.genus - 1), model.genus) if model.genus > 0 else range(0, 1)
-    dims = [model.block(k).pres for k in ks]
-    even_ok = all(
-        sum(1 for par in pres.parities if par == 0) == even_y for pres in dims
-    )
-    odd_ok = all(
-        sum(1 for par in pres.parities if par == 1) == odd_y for pres in dims
-    )
+    dims = [
+        (pres.dim - odd, odd)
+        for pres in (model.block(k).pres for k in ks)
+        for odd in [sum(g % 2 for g in pres.gradings)]
+    ]
     conclusions = {
         "v0_zero": model.v_at(0) == 0,
         "alexander_trivial": alexander_trivial(model),
-        "dims_even_match": even_ok,
-        "dims_odd_match": odd_ok,
+        "dims_even_match": all(even == even_y for even, _ in dims),
+        "dims_odd_match": all(odd == odd_y for _, odd in dims),
     }
     witness["conclusions"] = conclusions
     status = PASS if all(conclusions.values()) else FAIL
@@ -247,7 +235,7 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
         raise V0Zero(f"V_0 = 0 for {model.name}; the bound needs V_0 > 0")
     if q < 1:
         raise NotCoprime("the bound applies to positive slopes")
-    _require_slope(p, q)
+    require_slope(p, q)
     n_i = [max(0, len(range(i, q, p)) - 1) for i in range(p)]
     bound = p + Fraction(z.dim_red, v0)
     witness = {
@@ -268,7 +256,7 @@ def genus_bound(y: AmbientSummary, z: TargetSummary, p: int, q: int) -> Verdict:
     D(Z) is the supplied maximal grading excess of reduced elements of Z;
     D(Y) the minimal excess over the ambient reduced part.
     """
-    _require_slope(p, q)
+    require_slope(p, q)
     if z.max_excess is None:
         raise MissingGradings("target grading excess D(Z) was not supplied")
     d_y = y.min_excess()
@@ -298,7 +286,7 @@ def d_sandwich(
     When the ambient reduced part has no odd bars the bounds coincide
     and equality is asserted.
     """
-    _require_slope(p)
+    require_slope(p)
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
@@ -330,8 +318,7 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
     the lens space, so the verdict fails; when candidates exist at most
     one of them can actually occur.
     """
-    if p < 1 or gcd(p, q) != 1:
-        raise NotCoprime(f"L({p},{q}) needs coprime p >= 1")
+    require_slope(p, q)
     if w < 0:
         raise ValueError("winding number must be non-negative")
     witness: dict = {"p": p, "q": q, "w": w}
@@ -388,7 +375,7 @@ def cosmetic_pair_scan(
     Every reported pair straddling a multiple of p is asserted to have
     p | chi(HF_red), as the divisibility rule demands.
     """
-    _require_slope(p)
+    require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     computed = {q: surgery(model, p, q, depth) for q in qs}
     hits = []

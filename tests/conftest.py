@@ -95,24 +95,17 @@ def depth_floor_reference(model, spec) -> int:
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:
     """Random homogeneous nilpotent U-presentation.
 
-    Gradings live on at most two lines (integer and half-integer);
-    homogeneity of degree -2 makes any such matrix nilpotent.
+    Gradings are int offsets in -4..4; homogeneity of degree -2 makes any
+    such matrix nilpotent.
     """
     n = rng.randint(0, max_dim)
-    gradings = []
-    parities = []
-    for _ in range(n):
-        level = rng.randint(-4, 4)
-        offset = rng.choice([Fraction(0), Fraction(1, 2)])
-        g = level + offset
-        gradings.append(g)
-        parities.append(level % 2)
+    gradings = [rng.randint(-4, 4) for _ in range(n)]
     cols = [0] * n
     for j in range(n):
         for i in range(n):
             if gradings[i] == gradings[j] - 2 and rng.random() < 0.4:
                 cols[j] |= 1 << i
-    return FiniteUPresentation(tuple(gradings), tuple(parities), tuple(cols))
+    return FiniteUPresentation(tuple(gradings), tuple(cols))
 
 
 def u_power_rank(pres: FiniteUPresentation, j: int) -> int:

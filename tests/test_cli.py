@@ -174,9 +174,8 @@ def test_oversized_cone_is_refused_quickly(capsys):
     assert "Traceback" not in err
 
 
-def test_depth_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FSL_DEPTH", "12")
-    code, out, _ = run(capsys, "surgery", "trefoil_rh_s3", "2/3")
+def test_depth_flag_override(capsys):
+    code, out, _ = run(capsys, "--depth", "12", "surgery", "trefoil_rh_s3", "2/3")
     assert code == 0
     assert "depth: 12" in out
 
@@ -229,6 +228,26 @@ def test_obstruct_reports_the_error_of_a_broken_model(rule, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "MonotonicityViolation" in err
+
+
+def _half_step_block(doc):
+    doc["a_red"]["0"]["generators"][0]["grading"] = "-1/2"
+
+
+def _half_step_ambient(doc):
+    doc["ambient"]["b_red"][0]["grading"] = "-1/2"
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [("figure8_s3", _half_step_block), ("sigma237_ambient", _half_step_ambient)],
+    ids=["a_red", "ambient"],
+)
+def test_validate_rejects_half_step_grading(name, edit, tmp_path, capsys):
+    code, out, _ = run(capsys, "validate", _edited_model(tmp_path, name, edit))
+    assert code == 2
+    assert "ParityMismatch" in out
+    assert "is not an integer" in out
 
 
 def _zero_d(doc):

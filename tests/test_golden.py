@@ -33,8 +33,7 @@ def render(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv("FSL_DEPTH", raising=False)
+def test_golden_output(name):
     expected = (GOLDEN / f"{name}.golden").read_bytes()
     assert render(CASES[name]).encode() == expected
 

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import copy
-from fractions import Fraction
+import json
+from pathlib import Path
 
 import pytest
 
+import floersurgery
 from floersurgery import (
-    FiniteUPresentation,
     ModelError,
     alexander_trivial,
     euler_z2,
     gf2,
     load_model,
+    load_model_or_ambient,
     torsion_coefficients,
 )
 from conftest import sigma237_synthetic_doc
@@ -43,8 +45,7 @@ def test_shipped_figure8(figure8):
     assert figure8.V == (0, 0)
     blk = figure8.block(0)
     assert blk.pres.dim == 1
-    assert blk.pres.parities == (1,)
-    assert blk.pres.gradings == (Fraction(-1),)
+    assert blk.pres.gradings == (-1,)
     assert blk.pres.u_cols == (0,)  # generator lies in ker U
     assert blk.v_cols == (0,)
     assert blk.h_cols == (0,)
@@ -185,6 +186,41 @@ def test_parity_mismatch():
     with pytest.raises(ModelError) as exc:
         load_model(doc)
     assert exc.value.code == "ParityMismatch"
+
+
+@pytest.mark.parametrize("where", ["a_red", "ambient"])
+def test_half_step_grading_is_rejected(where):
+    # block 0 has tower_offset "0" and the ambient d is "0": -1/2 is half a
+    # step off either tower's grading line
+    doc = base_doc()
+    if where == "a_red":
+        gens = doc["a_red"]["0"]["generators"]
+    else:
+        gens = doc["ambient"]["b_red"]
+    gens[0]["grading"] = "-1/2"
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "ParityMismatch"
+    assert "is not an integer" in str(exc.value)
+
+
+SHIPPED = Path(floersurgery.__file__).parent / "models"
+STRESS = Path(__file__).resolve().parents[1] / "perfbench/models/genus2_stress.json"
+MODEL_FILES = sorted(SHIPPED.glob("*.json")) + [STRESS]
+
+
+def _declared_chi(gens: list[dict]) -> int:
+    return sum(1 if g["parity"] == 0 else -1 for g in gens)
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_euler_matches_declared_parities(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    model, ambient = load_model_or_ambient(path)
+    assert euler_z2(ambient.b_red) == _declared_chi(doc["ambient"]["b_red"])
+    for key, raw in doc.get("a_red", {}).items():
+        pres = model.block(int(key)).pres
+        assert euler_z2(pres) == _declared_chi(raw["generators"])
 
 
 def test_symmetry_violation_on_stored_negative_block():
