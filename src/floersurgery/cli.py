@@ -19,8 +19,12 @@ from pathlib import Path
 from . import obstruct
 from .cone import surgery
 from .errors import FloerError, ModelError, TruncationTooSmall
-from .fmod import as_grading
-from .knotmodel import load_model, load_model_or_ambient, torsion_coefficients
+from .knotmodel import (
+    load_model,
+    load_model_or_ambient,
+    parse_rational,
+    torsion_coefficients,
+)
 from .numth import (
     CassonWalkerInput,
     casson_walker_surgery,
@@ -228,10 +232,7 @@ def _target_summary(args) -> TargetSummary:
     dim_red = args.dim_red if args.dim_red is not None else abs(args.chi)
     excess = None
     if args.d_excess is not None:
-        try:
-            excess = as_grading(args.d_excess)
-        except ValueError as e:
-            raise ModelError("Syntax", f"--d-excess: {e}") from None
+        excess = parse_rational(args.d_excess, "--d-excess")
     return TargetSummary(
         h1_order=args.h1 if args.h1 is not None else 1,
         dim_red=dim_red,

@@ -22,7 +22,8 @@ class ModelError(FloerError):
     """A knot-model document failed validation.
 
     ``code`` is one of: Syntax, MonotonicityViolation, GenusViolation,
-    MapNotEquivariant, SymmetryViolation, ParityMismatch.
+    MapNotEquivariant, SymmetryViolation, ParityMismatch, NonHomogeneousU,
+    NotNilpotent.
     """
 
     def __init__(self, code: str, message: str):

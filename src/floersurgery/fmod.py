@@ -18,24 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from . import gf2
 from .errors import InvalidPresentation
-
-
-def as_grading(x: Union[int, str, Fraction]) -> Fraction:
-    """Parse a grading: int, Fraction or a string like '-3/4'."""
-    if isinstance(x, bool):
-        raise ValueError(f"not a grading: {x!r}")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"not an exact grading: {x!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -66,9 +52,7 @@ class FiniteUPresentation:
     """Concrete finite F_2[U]-module: graded basis plus the U matrix.
 
     ``gradings[j]`` is the ``int`` offset of e_j from the module's tower
-    and ``u_cols[j]`` the bitmask of U(e_j) over basis indices.  Use
-    :meth:`from_rows` to build from a row-major 0/1 matrix where entry
-    [i][j] is the coefficient of e_i in U(e_j).
+    and ``u_cols[j]`` the bitmask of U(e_j) over basis indices.
     """
 
     gradings: tuple[int, ...]
@@ -88,25 +72,6 @@ class FiniteUPresentation:
     @property
     def dim(self) -> int:
         return len(self.gradings)
-
-    @classmethod
-    def from_rows(
-        cls,
-        gradings: Iterable[int],
-        rows: list[list[int]],
-    ) -> "FiniteUPresentation":
-        gs = tuple(gradings)
-        n = len(gs)
-        if rows and (len(rows) != n or any(len(r) != n for r in rows)):
-            raise ValueError(f"U matrix must be {n}x{n}")
-        cols = [0] * n
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ValueError("U matrix entries must be 0 or 1")
-                if entry:
-                    cols[j] |= 1 << i
-        return cls(gs, tuple(cols))
 
 
 def degree_violations(
@@ -206,6 +171,13 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     return sorted(bars)
 
 
+def parity_dims(m: FiniteUPresentation) -> tuple[int, int]:
+    """Dimensions (even, odd) of the two Z_2-graded parts."""
+    odd = sum(g % 2 for g in m.gradings)
+    return m.dim - odd, odd
+
+
 def euler_z2(m: FiniteUPresentation) -> int:
     """Euler characteristic in the Z_2-grading: dim(even) - dim(odd)."""
-    return m.dim - 2 * sum(g % 2 for g in m.gradings)
+    even, odd = parity_dims(m)
+    return even - odd

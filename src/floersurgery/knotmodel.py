@@ -33,9 +33,14 @@ gradings are absolute, anchored so the ambient tower generator sits at
 whose tower generator sits at ``tower_offset``.  A loaded model keeps
 only the differences grading - d and grading - tower_offset, as ``int``
 offsets: each must be an integer, and its parity the declared one.
-``v_matrix``/``h_matrix``
-are row-major over F_2 with rows indexed by ``b_red`` generators and
-columns by the block generators.
+Matrices are row-major over F_2: entry [i][j] is the coefficient of
+generator i in the image of generator j, so ``u_matrix`` is n x n over
+the module's own generators, and ``v_matrix``/``h_matrix`` have rows
+indexed by ``b_red`` generators and columns by the block generators.
+Every row is a list of exactly that many entries, each the integer 0 or
+1 (JSON booleans are rejected); ``[]`` stands for a matrix only when
+one of its dimensions is 0.  A malformed value anywhere is a ``Syntax``
+error.
 
 Only k >= 0 blocks are stored; negative k is derived by the symmetry
 that swaps the two maps.  Blocks with |k| >= genus are the ambient
@@ -53,14 +58,7 @@ from typing import Union
 
 from . import gf2
 from .errors import ModelError
-from .fmod import (
-    FiniteUPresentation,
-    as_grading,
-    barcode,
-    degree_violations,
-    euler_z2,
-    validate,
-)
+from .fmod import FiniteUPresentation, barcode, degree_violations, euler_z2, validate
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,6 @@ class AmbientSummary:
     name: str
     d: Fraction
     b_red: FiniteUPresentation
-
-    def dims(self) -> tuple[int, int]:
-        odd = sum(g % 2 for g in self.b_red.gradings)
-        return self.b_red.dim - odd, odd
 
     @property
     def chi_red(self) -> int:
@@ -203,15 +197,47 @@ def alexander_trivial(m: KnotModel) -> bool:
     return all(x == 0 for x in torsion_coefficients(m).t)
 
 
-def _parse_rational(x, what: str) -> Fraction:
+def _is_int(x) -> bool:
+    """A JSON integer: ``true``/``false`` load as ``bool`` and are not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def parse_rational(x, what: str) -> Fraction:
+    """An exact rational from an int, a Fraction or a string like '-3/4'."""
     if isinstance(x, float):
         raise ModelError(
             "Syntax", f"{what} must be exact (string 'a/b' or int), got float"
         )
+    if _is_int(x) or isinstance(x, Fraction):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise ModelError("Syntax", f"{what}: not an exact grading: {x!r}")
     try:
-        return as_grading(x)
-    except (ValueError, TypeError) as e:
-        raise ModelError("Syntax", f"{what}: {e}") from e
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ModelError("Syntax", f"{what}: zero denominator in {x!r}") from None
+    except ValueError as e:
+        raise ModelError("Syntax", f"{what}: {e}") from None
+
+
+def _parse_matrix(rows, n_rows: int, n_cols: int, what: str) -> tuple[int, ...]:
+    """Column bitmasks of a row-major ``n_rows`` x ``n_cols`` 0/1 matrix."""
+    if rows == [] and 0 in (n_rows, n_cols):
+        return (0,) * n_cols
+    if (
+        not isinstance(rows, list)
+        or len(rows) != n_rows
+        or any(not isinstance(r, list) or len(r) != n_cols for r in rows)
+    ):
+        raise ModelError("Syntax", f"{what} must be {n_rows}x{n_cols}")
+    cols = [0] * n_cols
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if not _is_int(entry) or entry not in (0, 1):
+                raise ModelError("Syntax", f"{what} entries must be 0 or 1")
+            if entry:
+                cols[j] |= 1 << i
+    return tuple(cols)
 
 
 def _parse_presentation(
@@ -228,9 +254,9 @@ def _parse_presentation(
             raise ModelError(
                 "Syntax", f"{what}: generator {idx} needs grading and parity"
             )
-        off = _parse_rational(g["grading"], f"{what} generator {idx}") - offset
+        off = parse_rational(g["grading"], f"{what} generator {idx}") - offset
         par = g["parity"]
-        if par not in (0, 1):
+        if not _is_int(par) or par not in (0, 1):
             raise ModelError(
                 "Syntax", f"{what}: generator {idx} parity must be 0 or 1"
             )
@@ -245,36 +271,14 @@ def _parse_presentation(
                 f"{what}: declared parity {par} disagrees with grading offset {off}",
             )
         gradings.append(off.numerator)
-    if not isinstance(u_matrix, list):
-        raise ModelError("Syntax", f"{what}: u_matrix must be a matrix")
-    try:
-        pres = FiniteUPresentation.from_rows(gradings, u_matrix)
-    except ValueError as e:
-        raise ModelError("Syntax", f"{what}: {e}") from e
+    n = len(gradings)
+    u_cols = _parse_matrix(u_matrix, n, n, f"{what}.u_matrix")
+    pres = FiniteUPresentation(tuple(gradings), u_cols)
     errs = validate(pres)
     if errs:
-        code = errs[0].split(":", 1)[0]
-        raise ModelError(code, f"{what}: {errs[0]}")
+        code, text = errs[0].split(": ", 1)
+        raise ModelError(code, f"{what}: {text}")
     return pres
-
-
-def _parse_map(rows, dim_from: int, dim_to: int, what: str) -> tuple[int, ...]:
-    if not isinstance(rows, list):
-        raise ModelError("Syntax", f"{what} must be a matrix")
-    if rows == [] and (dim_from == 0 or dim_to == 0):
-        return tuple([0] * dim_from)
-    if len(rows) != dim_to or any(
-        not isinstance(r, list) or len(r) != dim_from for r in rows
-    ):
-        raise ModelError("Syntax", f"{what} must be {dim_to}x{dim_from}")
-    cols = [0] * dim_from
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if entry not in (0, 1):
-                raise ModelError("Syntax", f"{what} entries must be 0 or 1")
-            if entry:
-                cols[j] |= 1 << i
-    return tuple(cols)
 
 
 def _check_map(
@@ -306,8 +310,8 @@ def load_ambient(doc: dict, what: str = "ambient") -> AmbientSummary:
     for key in ("name", "d", "b_red", "u_matrix"):
         if key not in doc:
             raise ModelError("Syntax", f"{what} is missing '{key}'")
-    d = _parse_rational(doc["d"], f"{what}.d")
-    b_red = _parse_presentation(doc["b_red"], doc["u_matrix"], d, f"{what}.b_red")
+    d = parse_rational(doc["d"], f"{what}.d")
+    b_red = _parse_presentation(doc["b_red"], doc["u_matrix"], d, what)
     return AmbientSummary(name=str(doc["name"]), d=d, b_red=b_red)
 
 
@@ -336,14 +340,14 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
     ambient = load_ambient(doc["ambient"])
 
     genus = doc["genus"]
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+    if not _is_int(genus) or genus < 0:
         raise ModelError("Syntax", "genus must be a non-negative integer")
 
     V = doc["V"]
     if (
         not isinstance(V, list)
         or len(V) != genus + 1
-        or any(not isinstance(v, int) or isinstance(v, bool) for v in V)
+        or not all(_is_int(v) for v in V)
     ):
         raise ModelError("Syntax", f"V must list the {genus + 1} integers V_0..V_g")
     if any(v < 0 for v in V):
@@ -368,15 +372,15 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
         for fkey in ("generators", "u_matrix", "v_matrix", "h_matrix", "tower_offset"):
             if fkey not in raw:
                 raise ModelError("Syntax", f"a_red[{k}] is missing '{fkey}'")
-        offset = _parse_rational(raw["tower_offset"], f"a_red[{k}].tower_offset")
+        offset = parse_rational(raw["tower_offset"], f"a_red[{k}].tower_offset")
         pres = _parse_presentation(
             raw["generators"], raw["u_matrix"], offset, f"a_red[{k}]"
         )
-        v_cols = _parse_map(
-            raw["v_matrix"], pres.dim, ambient.b_red.dim, f"a_red[{k}].v_matrix"
+        v_cols = _parse_matrix(
+            raw["v_matrix"], ambient.b_red.dim, pres.dim, f"a_red[{k}].v_matrix"
         )
-        h_cols = _parse_map(
-            raw["h_matrix"], pres.dim, ambient.b_red.dim, f"a_red[{k}].h_matrix"
+        h_cols = _parse_matrix(
+            raw["h_matrix"], ambient.b_red.dim, pres.dim, f"a_red[{k}].h_matrix"
         )
         parsed[k] = ReducedBlock(pres, v_cols, h_cols)
 
@@ -423,15 +427,15 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
 
 
 def load_model_or_ambient(
-    path: Union[str, Path],
+    source: Union[str, Path, dict],
 ) -> tuple[KnotModel | None, AmbientSummary]:
-    """Load a knot model, or (None, summary) from an ambient summary file.
+    """Load a knot model, or (None, summary) from an ambient summary.
 
     A document is read as an ambient summary only when it has an
     'ambient' object and none of the model keys genus, V, a_red; any
     other document must load as a model and reports the model's error.
     """
-    doc = _read_json(path)
+    doc = source if isinstance(source, dict) else _read_json(source)
     if "ambient" in doc and not doc.keys() & {"genus", "V", "a_red"}:
         return None, load_ambient(doc["ambient"])
     model = load_model(doc)

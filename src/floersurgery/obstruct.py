@@ -23,6 +23,7 @@ from typing import Optional, Union
 
 from .cone import SurgerySpec, cone_homology, d_invariant_bounds, surgery
 from .errors import MissingGradings, NotCoprime, V0Zero
+from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
 from .numth import dedekind, require_slope, totient
 
@@ -206,13 +207,9 @@ def k_special(
         witness["conclusions"] = conclusions
         witness["note"] = "no model supplied; conclusions are forced constraints"
         return Verdict("K_SPECIAL", PASS, witness)
-    even_y, odd_y = y.dims()
+    even_y, odd_y = parity_dims(y.b_red)
     ks = range(-(model.genus - 1), model.genus) if model.genus > 0 else range(0, 1)
-    dims = [
-        (pres.dim - odd, odd)
-        for pres in (model.block(k).pres for k in ks)
-        for odd in [sum(g % 2 for g in pres.gradings)]
-    ]
+    dims = [parity_dims(model.block(k).pres) for k in ks]
     conclusions = {
         "v0_zero": model.v_at(0) == 0,
         "alexander_trivial": alexander_trivial(model),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,15 @@ def trefoil():
 @pytest.fixture(scope="session")
 def figure8():
     return load_model(resolve_model_path("figure8_s3"))
+
+
+# read only: the benchmark's own model file
+STRESS_MODEL = Path(__file__).resolve().parents[1] / "perfbench/models/genus2_stress.json"
+
+
+@pytest.fixture(scope="session")
+def genus2_stress():
+    return load_model(STRESS_MODEL)
 
 
 @pytest.fixture(scope="session")

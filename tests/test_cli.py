@@ -327,3 +327,14 @@ def test_obstruct_rules_reject_non_slopes(argv, capsys):
     assert code == 2
     assert out == ""
     assert "not coprime" in err or "p must be positive" in err
+
+
+def _u_row_not_a_list(doc):
+    doc["a_red"]["0"]["u_matrix"] = [1]
+
+
+def test_validate_rejects_a_u_row_that_is_not_a_list(tmp_path, capsys):
+    path = _edited_model(tmp_path, "figure8_s3", _u_row_not_a_list)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert "Syntax: a_red[0].u_matrix must be 1x1" in out

@@ -328,53 +328,8 @@ def test_lambda_consistency_through_cone(trefoil, figure8, unknot):
                 assert via_cone == via_formula
 
 
-def genus2_stress_model():
-    from floersurgery import load_model
-
-    return load_model(
-        {
-            "name": "genus2_stress",
-            "ambient": {
-                "name": "Ystress",
-                "d": "0",
-                "b_red": [
-                    {"grading": "2", "parity": 0},
-                    {"grading": "4", "parity": 0},
-                    {"grading": "-3", "parity": 1},
-                ],
-                "u_matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-            },
-            "genus": 2,
-            "V": [1, 0, 0],
-            "a_red": {
-                "0": {
-                    "generators": [
-                        {"grading": "4", "parity": 0},
-                        {"grading": "1", "parity": 1},
-                    ],
-                    "u_matrix": [[0, 0], [0, 0]],
-                    "v_matrix": [[1, 0], [0, 0], [0, 0]],
-                    "h_matrix": [[1, 0], [0, 0], [0, 0]],
-                    "tower_offset": "0",
-                },
-                "1": {
-                    "generators": [
-                        {"grading": "2", "parity": 0},
-                        {"grading": "4", "parity": 0},
-                        {"grading": "-3", "parity": 1},
-                    ],
-                    "u_matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-                    "v_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                    "h_matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-                    "tower_offset": "0",
-                },
-            },
-        }
-    )
-
-
-def test_genus2_model_lambda_consistency_and_sandwich():
-    model = genus2_stress_model()
+def test_genus2_model_lambda_consistency_and_sandwich(genus2_stress):
+    model = genus2_stress
     delta2 = torsion_coefficients(model).delta2
     lam_y = lambda_from_hf(model.ambient.chi_red, model.ambient.d, 1)
     assert lam_y == 1 and delta2 == 0
@@ -394,9 +349,8 @@ def test_genus2_model_lambda_consistency_and_sandwich():
                 assert up - lo == 2  # one odd bar of length 1 upstairs
 
 
-def test_genus2_model_frozen_block():
-    model = genus2_stress_model()
-    r = cone_homology(model, SurgerySpec(3, 5, 1))
+def test_genus2_model_frozen_block(genus2_stress):
+    r = cone_homology(genus2_stress, SurgerySpec(3, 5, 1))
     assert r.d == Fraction(-11, 6)
     assert [(b.bottom, b.length, b.parity) for b in r.red] == [
         (Fraction(-23, 6), 1, 0),

@@ -104,9 +104,7 @@ def test_euler_matches_dim_mod_2(seed):
 def test_euler_examples():
     assert euler_z2(FiniteUPresentation((), ())) == 0
     # tau(3) has uniform parity since U preserves parity
-    tau3 = FiniteUPresentation.from_rows(
-        [0, 2, 4], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    )
+    tau3 = FiniteUPresentation((0, 2, 4), (0, 0b001, 0b010))
     assert barcode(tau3) == [Tau(0, 3, 0)]
     assert euler_z2(tau3) == 3
     # figure-eight hook reduced part: one generator at parity 1

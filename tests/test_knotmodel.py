@@ -10,13 +10,14 @@ import floersurgery
 from floersurgery import (
     ModelError,
     alexander_trivial,
+    cli,
     euler_z2,
     gf2,
     load_model,
     load_model_or_ambient,
     torsion_coefficients,
 )
-from conftest import sigma237_synthetic_doc
+from conftest import STRESS_MODEL, sigma237_synthetic_doc
 
 
 def base_doc() -> dict:
@@ -205,8 +206,7 @@ def test_half_step_grading_is_rejected(where):
 
 
 SHIPPED = Path(floersurgery.__file__).parent / "models"
-STRESS = Path(__file__).resolve().parents[1] / "perfbench/models/genus2_stress.json"
-MODEL_FILES = sorted(SHIPPED.glob("*.json")) + [STRESS]
+MODEL_FILES = sorted(SHIPPED.glob("*.json")) + [STRESS_MODEL]
 
 
 def _declared_chi(gens: list[dict]) -> int:
@@ -297,3 +297,105 @@ def test_derived_blocks(figure8, trefoil):
     blk = model.block(-1)
     assert blk.v_cols == model.block(1).h_cols
     assert blk.h_cols == model.block(1).v_cols
+
+
+@pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])
+def test_u_matrix_must_list_every_row(u_matrix):
+    doc = base_doc()
+    doc["a_red"]["0"]["u_matrix"] = u_matrix  # block 0 has one generator
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "Syntax"
+    assert "a_red[0].u_matrix must be 1x1" in str(exc.value)
+
+
+def test_validate_error_code_appears_once():
+    doc = base_doc()
+    doc["a_red"]["0"]["generators"] = [
+        {"grading": "-1", "parity": 1},
+        {"grading": "3", "parity": 1},
+    ]
+    doc["a_red"]["0"]["u_matrix"] = [[0, 1], [0, 0]]  # U: degree 4 -> -1
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "NonHomogeneousU"
+    assert str(exc.value).count("NonHomogeneousU") == 1
+    assert str(exc.value).startswith("NonHomogeneousU: a_red[0]: U sends e1")
+
+
+def _bool_parity(doc):
+    doc["a_red"]["0"]["generators"][0]["parity"] = True
+
+
+def _bool_u_entry(doc):
+    doc["ambient"]["u_matrix"] = [[False]]
+
+
+def _bool_v_entry(doc):
+    doc["a_red"]["0"]["v_matrix"] = [[True]]
+
+
+@pytest.mark.parametrize(
+    "edit", [_bool_parity, _bool_u_entry, _bool_v_entry], ids=["parity", "u", "v"]
+)
+def test_booleans_are_not_zero_or_one(edit):
+    doc = base_doc()
+    edit(doc)
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "Syntax"
+    assert "must be 0 or 1" in str(exc.value)
+
+
+JUNK = [None, True, 1.5, -1, "1/0", "3/2", [], [1], [[1]], {}, 10**6]
+_DELETE = object()
+
+
+def _key_paths(node, prefix=()):
+    """Every key or index path into a JSON document, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _mutations(doc):
+    """Each path deleted, then set to each JUNK value, on a fresh copy."""
+    for where in _key_paths(doc):
+        for value in [_DELETE, *JUNK]:
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in where[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = copy.deepcopy(value)
+            yield where, value, mutated
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_any_single_field_mutation_loads_or_raises_model_error(
+    path, tmp_path, capsys
+):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for n, (where, value, mutated) in enumerate(_mutations(doc)):
+        shown = "<deleted>" if value is _DELETE else repr(value)
+        label = f"{path.stem} {list(where)} = {shown}"
+        try:
+            load_model_or_ambient(mutated)
+        except ModelError:
+            pass
+        except Exception as e:
+            pytest.fail(f"{label}: {type(e).__name__}: {e}")
+        if n % 25 == 0:
+            mutated_file = tmp_path / f"mutation{n}.json"
+            mutated_file.write_text(json.dumps(mutated), encoding="utf-8")
+            code = cli.main(["validate", str(mutated_file)])
+            capsys.readouterr()
+            assert code in (0, 2), label
