@@ -24,13 +24,20 @@ The cone is stored grading by grading (d has degree -1, U degree -2):
 local bitmask columns over the generators one or two gradings down, the
 towers first, numbered by bottom, so the towers present at a grading are
 a prefix of that order.  Reduced model maps are checked against their
-target grading as they are placed.  One ascending pass eliminates each
-grading's d once; that gives the kernel there and the image one grading
-down, hence the cokernel, and both are decomposed into bars.  The
-unique kernel bar reaching the ceiling is the tower of the surgered
-manifold and its bottom is the d-invariant; every other bar is reduced
-homology.  Results are recomputed two levels deeper and must agree,
-otherwise TruncationTooSmall is raised.
+target grading as they are placed.  The cone is the direct sum of its
+towers and its reduced part: tower entries of d hit only B-towers,
+reduced columns only reduced generators, and U never mixes the two.
+The tower summand is solved in closed form, as 0-dimensional
+persistence of the window's path graph (A-columns are vertices, B-columns
+the edges joining their neighbours); its map is onto, so it has kernel
+bars only.  The reduced summand is the cone with each grading's tower
+prefix stripped; one ascending pass eliminates its d once per grading,
+which gives the kernel there and the image one grading down, hence the
+cokernel, and both are decomposed into bars.  The unique kernel bar
+reaching the ceiling is the tower of the surgered manifold and its bottom
+is the d-invariant; every other bar is reduced homology.  Results are
+recomputed two levels deeper and must agree, otherwise
+TruncationTooSmall is raised.
 
 Each block index i is computed independently from immutable inputs, so
 callers may evaluate different i concurrently.
@@ -39,7 +46,7 @@ callers may evaluate different i concurrently.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import gf2
@@ -410,12 +417,75 @@ def _kernel_and_cokernel(pres: ConePresentation) -> tuple[FiniteUPresentation, .
     return _presentation(kernel), _presentation(cokernel)
 
 
-def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
-    pres = build_cone(model, spec, depth)
-    kernel, cokernel = _kernel_and_cokernel(pres)
-    ker_bars = barcode(kernel)
-    cok_bars = barcode(cokernel)
+def _tower_bars(pres: ConePresentation) -> list[Tau]:
+    """Kernel bars of the tower summand, by 0-dimensional persistence.
 
+    The towers form a path graph filtered by grading: A-column n is a
+    vertex born at a_grading[n], B-column m an edge joining m - 1 and m
+    born at b_grading[m] + 1, where both tower maps into B_m switch on.
+    The kernel at g is spanned by the runs of vertices joined by the edges
+    alive at g, and the tower map is onto, so the summand has no cokernel.
+    Union-find with the elder rule: at each edge the run with the higher
+    bottom ends, in a bar up to two below the edge; the last run reaches
+    the ceiling.
+    """
+    bottom = dict(pres.a_grading)
+    root = {n: n for n in bottom}
+
+    def find(n: int) -> int:
+        while root[n] != n:
+            root[n] = root[root[n]]
+            n = root[n]
+        return n
+
+    bars = []
+    for m in sorted(pres.b_grading, key=pres.b_grading.__getitem__):
+        elder, younger = sorted((find(m - 1), find(m)), key=bottom.__getitem__)
+        root[younger] = elder
+        low, birth = bottom[younger], pres.b_grading[m] + 1
+        if birth > low:
+            bars.append(Tau(low, (birth - low) // 2, low % 2))
+    low = min(bottom.values())
+    bars.append(Tau(low, (pres.ceiling - low) // 2 + 1, low % 2))
+    return bars
+
+
+def _reduced_part(pres: ConePresentation) -> ConePresentation:
+    """The reduced summand of the cone: at each grading the columns after
+    the tower prefix, their bits shifted past the target grading's tower
+    prefix.  Gradings without reduced generators are dropped."""
+    a_bottoms = sorted(pres.a_grading.values())
+    b_bottoms = sorted(pres.b_grading.values())
+
+    def a_towers(g: int) -> int:
+        return _towers(a_bottoms, pres.ceiling, g)
+
+    def b_towers(g: int) -> int:
+        return _towers(b_bottoms, pres.ceiling - 1, g)
+
+    def strip(by_grading, towers, target_towers, step):
+        out = {}
+        for g, cols in by_grading.items():
+            t = towers(g)
+            if len(cols) > t:
+                shift = target_towers(g - step)
+                out[g] = tuple(c >> shift for c in cols[t:])
+        return out
+
+    return replace(
+        pres,
+        d_cols=strip(pres.d_cols, a_towers, b_towers, 1),
+        u_dom=strip(pres.u_dom, a_towers, a_towers, 2),
+        u_cod=strip(pres.u_cod, b_towers, b_towers, 2),
+    )
+
+
+def _read_off(
+    pres: ConePresentation, ker_bars: list[Tau], cok_bars: list[Tau]
+) -> ConeResult:
+    """The block's homology from the kernel and cokernel bars of ``pres``:
+    the one kernel bar near the ceiling is the tower, the rest reduced."""
+    spec, depth = pres.spec, pres.depth
     near_ceiling = [b for b in ker_bars if b.top >= pres.ceiling - 2]
     if [b for b in cok_bars if b.top >= pres.ceiling - 2]:
         raise TruncationTooSmall(
@@ -437,6 +507,12 @@ def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResul
     return ConeResult(
         p=spec.p, q=spec.q, i=spec.i, d=d, red=tuple(sorted(red)), depth=depth
     )
+
+
+def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
+    pres = build_cone(model, spec, depth)
+    kernel, cokernel = _kernel_and_cokernel(_reduced_part(pres))
+    return _read_off(pres, _tower_bars(pres) + barcode(kernel), barcode(cokernel))
 
 
 def cone_homology(
@@ -488,20 +564,13 @@ def d_invariant_bounds(
 def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map.
 
-    Only defined when V_0 = 0.  The map is the restriction of the cone
-    built at the minimum depth to its reduced columns and rows (at each
-    grading, those after the towers), which no tower depth changes.
+    Only defined when V_0 = 0.  The map is d on the reduced summand of the
+    cone built at the minimum depth, which no tower depth changes.
     """
     if model.v_at(0) != 0:
         raise V0NonZero(f"V_0 = {model.v_at(0)} for {model.name}")
-    pres = build_cone(model, spec, _depth_floor(model, spec) + 2)
-    a_bottoms = sorted(pres.a_grading.values())
-    b_bottoms = sorted(pres.b_grading.values())
-    dim_dom = dim_cod = r = 0
-    for g, cols in pres.d_cols.items():
-        red = cols[_towers(a_bottoms, pres.ceiling, g) :]
-        dim_dom += len(red)
-        r += gf2.rank(red)
-    for g, cols in pres.u_cod.items():
-        dim_cod += len(cols) - _towers(b_bottoms, pres.ceiling - 1, g)
+    pres = _reduced_part(build_cone(model, spec, _depth_floor(model, spec) + 2))
+    dim_dom = sum(len(cols) for cols in pres.d_cols.values())
+    dim_cod = sum(len(cols) for cols in pres.u_cod.values())
+    r = sum(gf2.rank(cols) for cols in pres.d_cols.values())
     return dim_dom - r, dim_cod - r

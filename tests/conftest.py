@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from floersurgery import FiniteUPresentation, gf2, load_model, load_model_or_ambient
+from floersurgery import (
+    FiniteUPresentation,
+    barcode,
+    cone,
+    gf2,
+    load_model,
+    load_model_or_ambient,
+)
 from floersurgery.cli import resolve_model_path
 
 
@@ -100,6 +107,16 @@ def depth_floor_reference(model, spec) -> int:
     n_minus = ((1 - G) * q - 1 - i) // p
     ks = [(i + p * n) // q for n in range(n_minus + 1, n_plus + 1)]
     return max(model.v_at(k) + model.h_at(k) for k in ks) + model.max_reduced_bar()
+
+
+def truncated_cone_reference(model, spec, depth):
+    """The block's homology by eliminating the whole truncated cone, tower
+    generators included: kernel and cokernel of every d_cols[g], barcoded,
+    then read off as the library does.  Looks up ``cone.build_cone`` at
+    call time, so a test may inject a presentation."""
+    pres = cone.build_cone(model, spec, depth)
+    kernel, cokernel = cone._kernel_and_cokernel(pres)
+    return cone._read_off(pres, barcode(kernel), barcode(cokernel))
 
 
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:

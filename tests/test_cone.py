@@ -29,7 +29,7 @@ from floersurgery import (
 )
 from floersurgery import cone, gf2
 
-from conftest import depth_floor_reference, staircase_doc
+from conftest import depth_floor_reference, staircase_doc, truncated_cone_reference
 
 
 def test_spec_validation():
@@ -164,7 +164,9 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
 
 def test_kernel_not_u_stable_is_reported(trefoil, monkeypatch):
     # corrupt U on the A-row so that it sends a kernel vector at g to a
-    # generator at g - 2 that d does not kill; the kernel pass must stop
+    # generator at g - 2 that d does not kill; the kernel pass must stop.
+    # The corrupted columns are trefoil's towers, which only the
+    # whole-cone reference eliminates.
     spec = SurgerySpec(2, 5, 0)
     pres = build_cone(trefoil, spec, default_depth(trefoil, spec))
     u_dom = dict(pres.u_dom)
@@ -183,7 +185,81 @@ def test_kernel_not_u_stable_is_reported(trefoil, monkeypatch):
     broken = replace(pres, u_dom=u_dom)
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
     with pytest.raises(AssertionError, match="kernel not U-stable"):
-        cone_homology(trefoil, spec)
+        truncated_cone_reference(trefoil, spec, default_depth(trefoil, spec))
+
+
+def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
+    genus2_stress, monkeypatch
+):
+    # the same corruption on the reduced summand, which the library
+    # eliminates: a reduced kernel vector at g sent by U to a reduced
+    # generator at g - 2 that d does not kill
+    spec = SurgerySpec(2, 3, 0)
+    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
+    red = cone._reduced_part(pres)
+    u_dom = dict(pres.u_dom)
+    for g, cols in red.d_cols.items():
+        below = red.d_cols.get(g - 2, ())
+        live = [j for j, col in enumerate(below) if col]
+        kernel = gf2.nullspace(list(cols))
+        if live and kernel:
+            # local reduced indices sit after the towers at their grading
+            towers = len(pres.d_cols[g]) - len(cols)
+            towers_below = len(pres.d_cols[g - 2]) - len(below)
+            t = towers + next(gf2.bits(kernel[0]))
+            u = list(u_dom[g])
+            u[t] ^= 1 << (towers_below + live[0])
+            u_dom[g] = tuple(u)
+            break
+    else:
+        pytest.fail("no grading with a reduced kernel vector above a non-cycle")
+    broken = replace(pres, u_dom=u_dom)
+    monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
+    with pytest.raises(AssertionError, match="kernel not U-stable"):
+        cone_homology(genus2_stress, spec)
+
+
+def test_tower_bars_without_b_columns(figure8):
+    # one hook column and no edge: the only bar is the surviving tower
+    pres = build_cone(figure8, SurgerySpec(2, 1, 1), 8)
+    assert pres.b_grading == {}
+    bottom = pres.a_grading[0]
+    length = (pres.ceiling - bottom) // 2 + 1
+    assert cone._tower_bars(pres) == [Tau(bottom, length, bottom % 2)]
+
+
+def test_edge_born_at_the_younger_bottom_gives_no_bar(trefoil):
+    # trefoil 2/3 block 0: A-columns 0, 1 at -1 and 2 at 1 with V_1 = 0,
+    # so edge 2 is born at column 2's bottom and ends that run at once;
+    # edge 1 joins two runs at -1 one step above them and ends one
+    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
+    assert pres.a_grading == {0: -1, 1: -1, 2: 1}
+    assert pres.b_grading == {1: 0, 2: 0}
+    length = (pres.ceiling + 1) // 2 + 1
+    assert cone._tower_bars(pres) == [Tau(-1, 1, 1), Tau(-1, length, 1)]
+
+
+def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
+    # cut the same cone at grading 1, where both edges are born: the bar
+    # ended by edge 1 tops out two below the ceiling, next to the tower
+    spec = SurgerySpec(2, 3, 0)
+    pres = build_cone(trefoil, spec, 8)
+    ceiling = max(pres.b_grading.values()) + 1
+
+    def cut(by_grading):
+        return {g: cols for g, cols in by_grading.items() if g <= ceiling}
+
+    broken = replace(
+        pres,
+        ceiling=ceiling,
+        d_cols=cut(pres.d_cols),
+        u_dom=cut(pres.u_dom),
+        u_cod=cut(pres.u_cod),
+    )
+    monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
+    for solve in (cone_homology, truncated_cone_reference):
+        with pytest.raises(TruncationTooSmall, match="2 chains reach the ceiling"):
+            solve(trefoil, spec, 8)
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):

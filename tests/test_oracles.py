@@ -21,13 +21,17 @@ import pytest
 
 from floersurgery import (
     CassonWalkerInput,
+    SurgerySpec,
     casson_walker_surgery,
+    cone,
+    cone_homology,
+    default_depth,
     lambda_from_hf,
     load_model,
     surgery,
 )
 
-from conftest import staircase_doc
+from conftest import staircase_doc, truncated_cone_reference
 
 SLOPES = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
 
@@ -58,3 +62,38 @@ def test_lspace_staircases_against_closed_forms(V):
         via_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
         via_formula = casson_walker_surgery(CassonWalkerInput(0, 1, delta2, p, q))
         assert via_cone == via_formula, (p, q)
+
+
+def test_split_solve_matches_the_truncated_cone_reference(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+):
+    # the tower summand by persistence plus the reduced summand by
+    # elimination against the elimination of the whole truncated cone, at
+    # the default depth and at the certificate's depth two levels up
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    models += [load_model(staircase_doc(V)) for V in FAMILY]
+    # build_cone is shared by both solvers, so one build per depth serves
+    # both; the library's result at each depth is recorded as it is solved
+    built, solved = {}, {}
+    build, solve = cone.build_cone, cone._homology_once
+
+    def build_once(model, spec, depth):
+        if depth not in built:
+            built[depth] = build(model, spec, depth)
+        return built[depth]
+
+    def record(model, spec, depth):
+        solved[depth] = solve(model, spec, depth)
+        return solved[depth]
+
+    monkeypatch.setattr(cone, "build_cone", build_once)
+    monkeypatch.setattr(cone, "_homology_once", record)
+    for model in models:
+        for p, q in SLOPES:
+            for i in range(p):
+                spec = SurgerySpec(p, q, i)
+                built.clear()
+                n = default_depth(model, spec)
+                result = cone_homology(model, spec)
+                assert result == solved[n] == truncated_cone_reference(model, spec, n)
+                assert solved[n + 2] == truncated_cone_reference(model, spec, n + 2)
