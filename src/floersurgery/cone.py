@@ -20,19 +20,18 @@ b_{n+1} - b_n = 2 k(n); model presentations already hold ``int``
 offsets from their own towers, and ``Fraction`` comes back only when the
 result is read off.  Towers are cut at a common grading ceiling.
 
-The cone is stored grading by grading (d has degree -1, U degree -2):
-local bitmask columns over the generators one or two gradings down, the
-towers first, numbered by bottom, so the towers present at a grading are
-a prefix of that order.  Reduced model maps are checked against their
-target grading as they are placed.  The cone is the direct sum of its
-towers and its reduced part: tower entries of d hit only B-towers,
-reduced columns only reduced generators, and U never mixes the two.
-The tower summand is solved in closed form, as 0-dimensional
-persistence of the window's path graph (A-columns are vertices, B-columns
-the edges joining their neighbours); its map is onto, so it has kernel
-bars only.  The reduced summand is the cone with each grading's tower
-prefix stripped; one ascending pass eliminates its d once per grading,
-which gives the kernel there and the image one grading down, hence the
+The cone is the direct sum of its towers and its reduced part: tower
+entries of d hit only B-towers, reduced columns only reduced generators,
+and U never mixes the two.  A tower is its bottom (``a_grading``,
+``b_grading``) plus the common ceiling, and its summand is solved in
+closed form, as 0-dimensional persistence of the window's path graph
+(A-columns are vertices, B-columns the edges joining their neighbours);
+its map is onto, so it has kernel bars only.  Only the reduced summand is
+assembled, grading by grading (d has degree -1, U degree -2): local
+bitmask columns over the reduced generators one or two gradings down,
+each reduced model map checked against its target grading as it is
+placed.  One ascending pass eliminates its d once per grading, which
+gives the kernel there and the image one grading down, hence the
 cokernel, and both are decomposed into bars.  The unique kernel bar
 reaching the ceiling is the tower of the surgered manifold and its bottom
 is the d-invariant; every other bar is reduced homology.  Results are
@@ -45,8 +44,7 @@ callers may evaluate different i concurrently.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
@@ -95,16 +93,17 @@ class ConeWindow:
 
 @dataclass(frozen=True)
 class ConePresentation:
-    """Assembled finite cone, stored grading by grading.
+    """Assembled finite cone: the towers by their bottoms, the reduced
+    summand grading by grading.
 
     ``anchor`` is the absolute grading of the B-tower generator in column
-    0; ``ceiling``, the column gradings and the grading keys (ascending)
-    are ``int`` offsets from it.  ``d_cols[g]`` holds the columns of the
-    A-generators at g over the B-generators at g - 1; ``u_dom[g]`` and
-    ``u_cod[g]`` the U-columns over the same row at g - 2.  At each grading
-    the towers come first, sorted by bottom (``a_grading``/``b_grading``);
-    as all end at the ceiling (one below it for B), the towers present at g
-    are a prefix of that order and keep their index at every grading.
+    0; ``ceiling``, the tower bottoms and the grading keys (ascending) are
+    ``int`` offsets from it.  The A-tower of column n runs from
+    ``a_grading[n]`` up to the ceiling in steps of 2, the B-tower from
+    ``b_grading[n]`` up to one below it.  ``d_cols[g]`` holds the columns
+    of the reduced A-generators at g over the reduced B-generators at
+    g - 1; ``u_dom[g]`` and ``u_cod[g]`` the U-columns over the same row
+    at g - 2.  Gradings without reduced generators have no entry.
     """
 
     spec: SurgerySpec
@@ -121,13 +120,22 @@ class ConePresentation:
 
     @property
     def dom_gradings(self) -> tuple[int, ...]:
-        """Grading of every A-generator, one entry per generator."""
-        return tuple(g for g, cols in self.u_dom.items() for _ in cols)
+        """Grading of every A-generator of the truncated cone, towers
+        included, ascending."""
+        return _gradings(self.a_grading, self.ceiling, self.u_dom)
 
     @property
     def cod_gradings(self) -> tuple[int, ...]:
-        """Grading of every B-generator, one entry per generator."""
-        return tuple(g for g, cols in self.u_cod.items() for _ in cols)
+        """Grading of every B-generator of the truncated cone, towers
+        included, ascending."""
+        return _gradings(self.b_grading, self.ceiling - 1, self.u_cod)
+
+
+def _gradings(
+    bottom: dict[int, int], top: int, reduced: dict[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    towers = [g for b in bottom.values() for g in range(b, top + 1, 2)]
+    return tuple(sorted(towers + [g for g, cols in reduced.items() for _ in cols]))
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,12 @@ def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
     G = max(model.genus, 1)
     n_plus = -((-(G * q - i)) // p)  # ceil((G q - i)/p)
     n_minus = ((1 - G) * q - 1 - i) // p
+    # each A-column carries at least its tower's bottom generator
+    if n_plus - n_minus > MAX_GENERATORS:
+        raise ConeTooLarge(
+            f"window of {n_plus - n_minus} A-columns for {model.name} at "
+            f"{p}/{q} block {i}: more than {MAX_GENERATORS} generators"
+        )
     return ConeWindow(n_min=n_minus + 1, n_max=n_plus, b_min=n_minus + 2, b_max=n_plus)
 
 
@@ -230,52 +244,30 @@ def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
     return 2 * _depth_floor(model, spec) + 4
 
 
-def _towers(bottoms: list[int], top: int, g: int) -> int:
-    """How many towers with these sorted bottoms, all topping out at
-    ``top`` in steps of 2, have a generator at grading g."""
-    return bisect_right(bottoms, g) if (top - g) % 2 == 0 else 0
-
-
 class _Row:
-    """One row of the cone laid out grading by grading.
+    """The reduced generators of one row, laid out grading by grading.
 
-    Column n has a tower from bottom[n] up to top in steps of 2 and
-    reduced generators c at bottom[n] + reduced[n].gradings[c].  At
-    grading g the first ``towers[g]`` columns of ``order`` (sorted by
-    bottom, tower number ``index[n]``) have their tower present; the
-    reduced generators ``at[g]`` = [(n, c), ...] follow, ``place[n, c]``
-    = (g, local index), and ``u[g]`` holds the U-columns.
+    Column n has reduced generators c at bottom[n] + reduced[n].gradings[c]:
+    ``at[g]`` = [(n, c), ...] lists those at g (gradings ascending),
+    ``place[n, c]`` = (g, local index), and ``u[g]`` holds the U-columns.
     """
 
     def __init__(
-        self, bottom: dict[int, int], top: int, reduced: dict[int, FiniteUPresentation]
+        self, bottom: dict[int, int], reduced: dict[int, FiniteUPresentation]
     ):
-        self.order = sorted(bottom, key=bottom.__getitem__)
-        self.index = {n: t for t, n in enumerate(self.order)}
-        bottoms = [bottom[n] for n in self.order]
-        self.towers = {
-            g: _towers(bottoms, top, g)
-            for g in range(min(bottoms, default=top + 1), top + 1, 2)
-        }
-        self.at: dict[int, list[tuple[int, int]]] = {}
+        at: dict[int, list[tuple[int, int]]] = {}
         for n, pres in reduced.items():
             for c, off in enumerate(pres.gradings):
-                self.at.setdefault(bottom[n] + off, []).append((n, c))
-        self.gradings = sorted(self.towers.keys() | self.at.keys())
+                at.setdefault(bottom[n] + off, []).append((n, c))
+        self.at = dict(sorted(at.items()))
         self.place = {
-            key: (g, idx)
-            for g in self.gradings
-            for idx, key in enumerate(self.at.get(g, ()), self.towers.get(g, 0))
+            key: (g, idx) for g, keys in self.at.items() for idx, key in enumerate(keys)
         }
-        self.u = {}
-        for g in self.gradings:
-            # U keeps a tower's number; the towers at g - 2 are a prefix
-            below = self.towers.get(g - 2, 0)
-            cols = [1 << t if t < below else 0 for t in range(self.towers.get(g, 0))]
-            for n, c in self.at.get(g, ()):
-                u = reduced[n].u_cols[c]
-                cols.append(self.image(u, n, g - 2, "U not of degree -2 in the cone"))
-            self.u[g] = tuple(cols)
+        error = "U not of degree -2 in the cone"
+        self.u = {
+            g: tuple(self.image(reduced[n].u_cols[c], n, g - 2, error) for n, c in keys)
+            for g, keys in self.at.items()
+        }
 
     def image(self, mask: int, n: int, g: int, error: str) -> int:
         """The reduced generators c of column n set in mask, as a bitmask
@@ -290,10 +282,11 @@ class _Row:
 
 
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
-    """Assemble the truncated cone at the given tower depth.
+    """Assemble the truncated cone at the given tower depth: the towers
+    by their bottoms and the common ceiling, the reduced summand in full.
 
-    Raises ConeTooLarge, before assembly, when the cone would have more
-    than MAX_GENERATORS generators.
+    Raises ConeTooLarge, before assembly, when the truncated cone would
+    have more than MAX_GENERATORS generators, towers included.
     """
     minimum = _depth_floor(model, spec) + 2
     if depth < minimum:
@@ -338,27 +331,19 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
             f"cone of {gens} generators at depth {depth} for {model.name} at "
             f"{spec.p}/{spec.q} block {spec.i} exceeds {MAX_GENERATORS}"
         )
-    dom = _Row(a_grading, ceiling, a_red)
-    cod = _Row(b_grading, ceiling - 1, {n: amb for n in win.b_columns})
+    dom = _Row(a_grading, a_red)
+    cod = _Row(b_grading, {n: amb for n in win.b_columns})
 
-    # A-column n maps to B-column n by U^{V_k} (v_cols on the reduced part)
-    # and to B-column n + 1 by U^{H_k} (h_cols); columns outside the
-    # window are not retained.  A tower generator at g hits the B-tower of
-    # a retained neighbour exactly when that tower reaches down to g - 1.
+    # reduced A-column n maps to B-column n by v_cols and to B-column
+    # n + 1 by h_cols; columns outside the window are not retained
     d_cols = {}
-    for g in dom.gradings:
+    for g, keys in dom.at.items():
         cols = []
-        for n in dom.order[: dom.towers.get(g, 0)]:
-            col = 0
-            for m in (n, n + 1):
-                if m in cod.index and b_grading[m] < g:
-                    col |= 1 << cod.index[m]
-            cols.append(col)
-        for n, c in dom.at.get(g, ()):
+        for n, c in keys:
             error = f"cone map not of degree -1 at reduced generator {(n, c)}"
             col = 0
             for m, red_cols in ((n, blocks[n].v_cols), (n + 1, blocks[n].h_cols)):
-                if m in cod.index:
+                if m in b_grading:
                     col ^= cod.image(red_cols[c], m, g - 1, error)
             cols.append(col)
         d_cols[g] = tuple(cols)
@@ -450,36 +435,6 @@ def _tower_bars(pres: ConePresentation) -> list[Tau]:
     return bars
 
 
-def _reduced_part(pres: ConePresentation) -> ConePresentation:
-    """The reduced summand of the cone: at each grading the columns after
-    the tower prefix, their bits shifted past the target grading's tower
-    prefix.  Gradings without reduced generators are dropped."""
-    a_bottoms = sorted(pres.a_grading.values())
-    b_bottoms = sorted(pres.b_grading.values())
-
-    def a_towers(g: int) -> int:
-        return _towers(a_bottoms, pres.ceiling, g)
-
-    def b_towers(g: int) -> int:
-        return _towers(b_bottoms, pres.ceiling - 1, g)
-
-    def strip(by_grading, towers, target_towers, step):
-        out = {}
-        for g, cols in by_grading.items():
-            t = towers(g)
-            if len(cols) > t:
-                shift = target_towers(g - step)
-                out[g] = tuple(c >> shift for c in cols[t:])
-        return out
-
-    return replace(
-        pres,
-        d_cols=strip(pres.d_cols, a_towers, b_towers, 1),
-        u_dom=strip(pres.u_dom, a_towers, a_towers, 2),
-        u_cod=strip(pres.u_cod, b_towers, b_towers, 2),
-    )
-
-
 def _read_off(
     pres: ConePresentation, ker_bars: list[Tau], cok_bars: list[Tau]
 ) -> ConeResult:
@@ -511,7 +466,7 @@ def _read_off(
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
     pres = build_cone(model, spec, depth)
-    kernel, cokernel = _kernel_and_cokernel(_reduced_part(pres))
+    kernel, cokernel = _kernel_and_cokernel(pres)
     return _read_off(pres, _tower_bars(pres) + barcode(kernel), barcode(cokernel))
 
 
@@ -564,12 +519,13 @@ def d_invariant_bounds(
 def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map.
 
-    Only defined when V_0 = 0.  The map is d on the reduced summand of the
-    cone built at the minimum depth, which no tower depth changes.
+    Only defined when V_0 = 0.  The map is d on the reduced summand, the
+    only part build_cone assembles, at the minimum depth; no tower depth
+    changes it.
     """
     if model.v_at(0) != 0:
         raise V0NonZero(f"V_0 = {model.v_at(0)} for {model.name}")
-    pres = _reduced_part(build_cone(model, spec, _depth_floor(model, spec) + 2))
+    pres = build_cone(model, spec, _depth_floor(model, spec) + 2)
     dim_dom = sum(len(cols) for cols in pres.d_cols.values())
     dim_cod = sum(len(cols) for cols in pres.u_cod.values())
     r = sum(gf2.rank(cols) for cols in pres.d_cols.values())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -109,13 +110,85 @@ def depth_floor_reference(model, spec) -> int:
     return max(model.v_at(k) + model.h_at(k) for k in ks) + model.max_reduced_bar()
 
 
-def truncated_cone_reference(model, spec, depth):
+@dataclass(frozen=True)
+class WholeCone:
+    """The truncated cone with every generator laid out, grading by
+    grading (ascending): at each grading the towers present come first,
+    sorted by bottom, so they are a prefix of that order and keep their
+    index at every grading; the reduced generators follow."""
+
+    d_cols: dict[int, tuple[int, ...]]
+    u_dom: dict[int, tuple[int, ...]]
+    u_cod: dict[int, tuple[int, ...]]
+
+    @property
+    def generators(self) -> int:
+        rows = (self.u_dom, self.u_cod)
+        return sum(len(cols) for row in rows for cols in row.values())
+
+
+def whole_cone(pres) -> WholeCone:
+    """``pres`` with its tower prefix put back: tower columns of d and U
+    from the bottoms and the ceiling, reduced columns shifted past the
+    towers at their target grading."""
+
+    def towers(bottom, top):
+        order = sorted(bottom, key=bottom.__getitem__)
+        return {
+            g: [n for n in order if bottom[n] <= g]
+            for g in range(min(bottom.values(), default=top + 1), top + 1, 2)
+        }
+
+    a_at = towers(pres.a_grading, pres.ceiling)
+    b_at = towers(pres.b_grading, pres.ceiling - 1)
+    b_index = {n: t for ns in b_at.values() for t, n in enumerate(ns)}
+
+    def lay_out(tower_cols, reduced, target_at, step):
+        out = {}
+        for g in sorted(tower_cols.keys() | reduced.keys()):
+            shift = len(target_at.get(g - step, ()))
+            out[g] = tuple(tower_cols.get(g, [])) + tuple(
+                col << shift for col in reduced.get(g, ())
+            )
+        return out
+
+    def tower_u(at):
+        # U keeps a tower's number; the towers at g - 2 are a prefix
+        return {
+            g: [1 << t if t < len(at.get(g - 2, ())) else 0 for t in range(len(ns))]
+            for g, ns in at.items()
+        }
+
+    # a tower generator at g hits the B-tower of a retained neighbour
+    # exactly when that tower reaches down to g - 1
+    d_towers = {
+        g: [
+            sum(
+                1 << b_index[m]
+                for m in (n, n + 1)
+                if m in pres.b_grading and pres.b_grading[m] < g
+            )
+            for n in ns
+        ]
+        for g, ns in a_at.items()
+    }
+    return WholeCone(
+        d_cols=lay_out(d_towers, pres.d_cols, b_at, 1),
+        u_dom=lay_out(tower_u(a_at), pres.u_dom, a_at, 2),
+        u_cod=lay_out(tower_u(b_at), pres.u_cod, b_at, 2),
+    )
+
+
+def truncated_cone_reference(model, spec, depth, whole=None):
     """The block's homology by eliminating the whole truncated cone, tower
-    generators included: kernel and cokernel of every d_cols[g], barcoded,
-    then read off as the library does.  Looks up ``cone.build_cone`` at
-    call time, so a test may inject a presentation."""
+    generators included: kernel and cokernel of every d_cols[g] of
+    ``whole_cone``, barcoded, then read off as the library does.  Looks
+    up ``cone.build_cone`` at call time, so a test may inject a
+    presentation, or pass the laid-out cone itself as ``whole``."""
     pres = cone.build_cone(model, spec, depth)
-    kernel, cokernel = cone._kernel_and_cokernel(pres)
+    if whole is None:
+        whole = whole_cone(pres)
+    kernel, cokernel = cone._kernel_and_cokernel(whole)
     return cone._read_off(pres, barcode(kernel), barcode(cokernel))
 
 

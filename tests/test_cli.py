@@ -162,11 +162,18 @@ def test_truncation_too_small_exit_code(capsys):
     assert "depth" in err
 
 
-def test_oversized_cone_is_refused_quickly(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--depth", "1000000", "surgery", "trefoil_rh_s3", "2/1"),
+        # a window of 10^8 columns, refused before it is walked
+        ("surgery", "trefoil_rh_s3", "2/100000001"),
+    ],
+    ids=["depth", "window"],
+)
+def test_oversized_cone_is_refused_quickly(capsys, argv):
     started = time.monotonic()
-    code, out, err = run(
-        capsys, "--depth", "1000000", "surgery", "trefoil_rh_s3", "2/1"
-    )
+    code, out, err = run(capsys, *argv)
     assert time.monotonic() - started < 1
     assert code == 2
     assert out == ""

@@ -29,7 +29,12 @@ from floersurgery import (
 )
 from floersurgery import cone, gf2
 
-from conftest import depth_floor_reference, staircase_doc, truncated_cone_reference
+from conftest import (
+    depth_floor_reference,
+    staircase_doc,
+    truncated_cone_reference,
+    whole_cone,
+)
 
 
 def test_spec_validation():
@@ -162,13 +167,40 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
             build_cone(model, spec, 12)
 
 
-def test_kernel_not_u_stable_is_reported(trefoil, monkeypatch):
+def test_kernel_not_u_stable_is_reported(trefoil):
     # corrupt U on the A-row so that it sends a kernel vector at g to a
     # generator at g - 2 that d does not kill; the kernel pass must stop.
     # The corrupted columns are trefoil's towers, which only the
-    # whole-cone reference eliminates.
+    # whole-cone reference lays out and eliminates.
     spec = SurgerySpec(2, 5, 0)
-    pres = build_cone(trefoil, spec, default_depth(trefoil, spec))
+    depth = default_depth(trefoil, spec)
+    whole = whole_cone(build_cone(trefoil, spec, depth))
+    u_dom = dict(whole.u_dom)
+    for g, cols in whole.d_cols.items():
+        below = whole.d_cols.get(g - 2, ())
+        live = [j for j, col in enumerate(below) if col]
+        kernel = gf2.nullspace(list(cols))
+        if live and kernel:
+            t = next(gf2.bits(kernel[0]))
+            u = list(u_dom[g])
+            u[t] ^= 1 << live[0]
+            u_dom[g] = tuple(u)
+            break
+    else:
+        pytest.fail("no grading with a kernel vector above a non-cycle")
+    broken = replace(whole, u_dom=u_dom)
+    with pytest.raises(AssertionError, match="kernel not U-stable"):
+        truncated_cone_reference(trefoil, spec, depth, whole=broken)
+
+
+def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
+    genus2_stress, monkeypatch
+):
+    # the same corruption on the reduced summand, which the library
+    # eliminates: a reduced kernel vector at g sent by U to a reduced
+    # generator at g - 2 that d does not kill
+    spec = SurgerySpec(2, 3, 0)
+    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
     u_dom = dict(pres.u_dom)
     for g, cols in pres.d_cols.items():
         below = pres.d_cols.get(g - 2, ())
@@ -181,42 +213,39 @@ def test_kernel_not_u_stable_is_reported(trefoil, monkeypatch):
             u_dom[g] = tuple(u)
             break
     else:
-        pytest.fail("no grading with a kernel vector above a non-cycle")
-    broken = replace(pres, u_dom=u_dom)
-    monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
-    with pytest.raises(AssertionError, match="kernel not U-stable"):
-        truncated_cone_reference(trefoil, spec, default_depth(trefoil, spec))
-
-
-def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
-    genus2_stress, monkeypatch
-):
-    # the same corruption on the reduced summand, which the library
-    # eliminates: a reduced kernel vector at g sent by U to a reduced
-    # generator at g - 2 that d does not kill
-    spec = SurgerySpec(2, 3, 0)
-    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
-    red = cone._reduced_part(pres)
-    u_dom = dict(pres.u_dom)
-    for g, cols in red.d_cols.items():
-        below = red.d_cols.get(g - 2, ())
-        live = [j for j, col in enumerate(below) if col]
-        kernel = gf2.nullspace(list(cols))
-        if live and kernel:
-            # local reduced indices sit after the towers at their grading
-            towers = len(pres.d_cols[g]) - len(cols)
-            towers_below = len(pres.d_cols[g - 2]) - len(below)
-            t = towers + next(gf2.bits(kernel[0]))
-            u = list(u_dom[g])
-            u[t] ^= 1 << (towers_below + live[0])
-            u_dom[g] = tuple(u)
-            break
-    else:
         pytest.fail("no grading with a reduced kernel vector above a non-cycle")
     broken = replace(pres, u_dom=u_dom)
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
     with pytest.raises(AssertionError, match="kernel not U-stable"):
         cone_homology(genus2_stress, spec)
+
+
+def test_build_cone_lays_out_only_reduced_generators(
+    trefoil, genus2_stress, sigma237_synthetic
+):
+    # the towers are their bottoms and the ceiling, nothing else: a
+    # staircase has no reduced generator, so nothing is laid out
+    slopes = [(1, 1), (2, 3), (5, 2), (7, 4)]
+    for model in [load_model(staircase_doc(V)) for V in ([1, 0], [3, 2, 2, 1, 1, 0])]:
+        for p, q in slopes:
+            pres = build_cone(model, SurgerySpec(p, q, p - 1), 8)
+            assert pres.d_cols == pres.u_dom == pres.u_cod == {}
+    for model in (genus2_stress, sigma237_synthetic):
+        for p, q in slopes:
+            for i in range(p):
+                spec = SurgerySpec(p, q, i)
+                pres = build_cone(model, spec, default_depth(model, spec))
+                a_red = sum(
+                    model.block(pres.k_of[n]).pres.dim for n in pres.window.a_columns
+                )
+                b_red = model.ambient.dim_red * len(pres.window.b_columns)
+                assert sum(map(len, pres.u_dom.values())) == a_red
+                assert sum(map(len, pres.d_cols.values())) == a_red
+                assert sum(map(len, pres.u_cod.values())) == b_red
+    # a deeper cone differs only in how far its towers reach
+    spec = SurgerySpec(2, 1, 0)
+    shallow, deep = build_cone(trefoil, spec, 8), build_cone(trefoil, spec, 40000)
+    assert replace(deep, depth=8, ceiling=shallow.ceiling) == shallow
 
 
 def test_tower_bars_without_b_columns(figure8):
@@ -310,15 +339,22 @@ def test_default_depth_does_not_grow_with_p(name, expected, request):
         assert deepest == expected, p
 
 
-def test_size_guard_counts_every_generator(trefoil, monkeypatch):
+def test_size_guard_counts_every_generator(trefoil, genus2_stress, monkeypatch):
     spec = SurgerySpec(3, 2, 1)
-    pres = build_cone(trefoil, spec, 10)
-    gens = len(pres.dom_gradings) + len(pres.cod_gradings)
-    monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
-    assert build_cone(trefoil, spec, 10) == pres
-    monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
-    with pytest.raises(ConeTooLarge, match=f"cone of {gens} generators"):
-        build_cone(trefoil, spec, 10)
+    for model in (trefoil, genus2_stress):
+        monkeypatch.undo()
+        pres = build_cone(model, spec, 10)
+        gens = len(pres.dom_gradings) + len(pres.cod_gradings)
+        # the counting property and the reference's layout agree
+        whole = whole_cone(pres)
+        assert whole.generators == gens
+        assert pres.dom_gradings == tuple(g for g, c in whole.u_dom.items() for _ in c)
+        assert pres.cod_gradings == tuple(g for g, c in whole.u_cod.items() for _ in c)
+        monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
+        assert build_cone(model, spec, 10) == pres
+        monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
+        with pytest.raises(ConeTooLarge, match=f"cone of {gens} generators"):
+            build_cone(model, spec, 10)
 
 
 def test_d_invariant_bounds_unknot(unknot):
