@@ -38,8 +38,14 @@ is the d-invariant; every other bar is reduced homology.  Results are
 recomputed two levels deeper and must agree, otherwise
 TruncationTooSmall is raised.
 
-Each block index i is computed independently from immutable inputs, so
-callers may evaluate different i concurrently.
+A block's cone is fixed, up to a grading shift, by its shape (``_shape``):
+the window's k-sequence, with the last column's k, always >= G, written
+as G.  Two blocks i, j of one shape are one complex, shifted in grading
+by d(L(p,q), i) - d(L(p,q), j).  ``surgery`` solves each shape once, at
+its lowest block index, and gives every later block of that shape the
+same result with d and every bar bottom moved by that shift.
+``cone_homology`` solves one block from immutable inputs, so callers may
+evaluate different i concurrently.
 """
 
 from __future__ import annotations
@@ -210,6 +216,35 @@ def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
 
 def _k_of(spec: SurgerySpec, n: int) -> int:
     return (spec.i + spec.p * n) // spec.q
+
+
+def _shape(model: KnotModel, spec: SurgerySpec) -> tuple[int, ...]:
+    """The window's k-sequence, with the last column's k (always >= G)
+    written as G.
+
+    These k alone give the cone up to a grading shift, and its default
+    depth: the blocks, V and H of every column and the grading steps
+    between columns.  The last column has V_k = 0 and the identity block
+    for every k >= G, and its H-target is never retained, so neither the
+    cone nor ``_depth_floor`` reads its k.  The shape also fixes where
+    column 0 sits, since the window always holds it and it is the first
+    column with k >= 0 (k(-1) < 0 <= k(0)).  So the window's first B-tower
+    bottom lies at the offset b(n_min) = -2 (the sum of the negative k)
+    from the anchor, and two blocks of one shape differ in grading by the
+    difference of their anchors, d(L(p,q), i) - d(L(p,q), j).
+    """
+    win = _window(model, spec)
+    ks = [_k_of(spec, n) for n in range(win.n_min, win.n_max)]
+    return (*ks, max(model.genus, 1))
+
+
+def _shifted(result: ConeResult, i: int, delta: Fraction) -> ConeResult:
+    """``result`` as block i, every grading moved up by delta; parities,
+    lengths and order are those of a complex shifted in grading."""
+    red = tuple(Tau(b.bottom + delta, b.length, b.parity) for b in result.red)
+    return ConeResult(
+        p=result.p, q=result.q, i=i, d=result.d + delta, red=red, depth=result.depth
+    )
 
 
 def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
@@ -454,14 +489,16 @@ def _read_off(
         )
     tower = near_ceiling[0]
     d = pres.anchor + tower.bottom
-    red = [
-        Tau(pres.anchor + bar.bottom, bar.length, (bar.bottom - tower.bottom) % 2)
-        for bar in ker_bars + cok_bars
-        if bar is not tower
-    ]
-    return ConeResult(
-        p=spec.p, q=spec.q, i=spec.i, d=d, red=tuple(sorted(red)), depth=depth
+    # sorted on the int offsets: adding the anchor keeps the order, and
+    # equal bottoms have equal parity
+    offsets = sorted(
+        (bar.bottom, bar.length) for bar in ker_bars + cok_bars if bar is not tower
     )
+    red = tuple(
+        Tau(pres.anchor + bottom, length, (bottom - tower.bottom) % 2)
+        for bottom, length in offsets
+    )
+    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red, depth=depth)
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
@@ -492,11 +529,30 @@ def cone_homology(
 def surgery(
     model: KnotModel, p: int, q: int, depth: int | None = None
 ) -> SurgeryResult:
-    """Full surgery computation: one ConeResult per block index."""
-    results = tuple(
-        cone_homology(model, SurgerySpec(p, q, i), depth) for i in range(p)
-    )
-    return SurgeryResult(model_name=model.name, p=p, q=q, results=results)
+    """Full surgery computation: one ConeResult per block index.
+
+    Each block shape (``_shape``) is solved once, by ``cone_homology`` at
+    its lowest block index, so the first block to raise is the one that
+    raises when every block is solved.  A later block of that shape is the
+    same complex shifted in grading: it takes the first one's result with
+    every grading moved by the difference of their lens-space
+    d-invariants, which is computed only for shapes that repeat.
+    """
+    first: dict[tuple[int, ...], ConeResult] = {}
+    first_lens: dict[tuple[int, ...], Fraction] = {}
+    results = []
+    for i in range(p):
+        spec = SurgerySpec(p, q, i)
+        shape = _shape(model, spec)
+        if shape not in first:
+            first[shape] = cone_homology(model, spec, depth)
+            results.append(first[shape])
+            continue
+        if shape not in first_lens:
+            first_lens[shape] = lens_d_at(p, q, first[shape].i)
+        delta = lens_d_at(p, q, i) - first_lens[shape]
+        results.append(_shifted(first[shape], i, delta))
+    return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))
 
 
 def d_invariant_bounds(

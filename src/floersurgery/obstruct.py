@@ -340,12 +340,7 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
 
 def _matches(res1, res2, p: int) -> bool:
     """Does a relabelling i -> a i + b mod p (a a unit) send every block of
-    res1 to one of res2 with the same homology?  A relabelling keeps the
-    multiset of (d, bars), so results whose multisets differ fail at once."""
-    if sorted((r.d, r.red) for r in res1.results) != sorted(
-        (r.d, r.red) for r in res2.results
-    ):
-        return False
+    res1 to one of res2 with the same homology?"""
     for a in range(1, p + 1):
         if gcd(a, p) != 1:
             continue
@@ -375,10 +370,15 @@ def cosmetic_pair_scan(
     require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     computed = {q: surgery(model, p, q, depth) for q in qs}
+    # a relabelling keeps the multiset of (d, bars), so surgeries whose
+    # multisets differ cannot match
+    multiset = {
+        q: sorted((r.d, r.red) for r in res.results) for q, res in computed.items()
+    }
     hits = []
     for idx, q1 in enumerate(qs):
         for q2 in qs[idx + 1 :]:
-            if _matches(computed[q1], computed[q2], p):
+            if multiset[q1] == multiset[q2] and _matches(computed[q1], computed[q2], p):
                 if _straddles(p, q1, q2) and computed[q1].chi_red % p != 0:
                     raise AssertionError(
                         f"cosmetic hit ({q1},{q2}) violates the divisibility rule"

@@ -339,6 +339,26 @@ def test_default_depth_does_not_grow_with_p(name, expected, request):
         assert deepest == expected, p
 
 
+def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
+    solved = []
+    solve = cone.cone_homology
+
+    def counted(model, spec, depth=None):
+        solved.append(spec.i)
+        return solve(model, spec, depth)
+
+    monkeypatch.setattr(cone, "cone_homology", counted)
+    # at p/1 the window of every block i >= G is the one column n = 0,
+    # of k = i >= G: one shape
+    result = surgery(trefoil, 3000, 1)
+    assert len(result.results) == 3000
+    assert len(solved) <= 2 * trefoil.genus + 2
+    # three blocks, three window k-sequences: none is shared
+    solved.clear()
+    surgery(load_model(staircase_doc([1, 1, 0])), 3, 2)
+    assert solved == [0, 1, 2]
+
+
 def test_size_guard_counts_every_generator(trefoil, genus2_stress, monkeypatch):
     spec = SurgerySpec(3, 2, 1)
     for model in (trefoil, genus2_stress):

@@ -10,7 +10,13 @@ values come from formulas, not from the cone code path:
   rational surgeries, arXiv math/0504404);
 * the Casson-Walker invariant of p/q surgery is lambda(L(p,q)) +
   q Delta''(1) / (2p), where Delta''(1) = 2 t_0 + 4 (t_1 + ... + t_{g-1})
-  and the torsion coefficients t_k of an L-space knot are its V_k.
+  and the torsion coefficients t_k of an L-space knot are its V_k;
+* conjugation: block i and block (q - 1 - i) mod p have the same d and
+  reduced bars, since k_j(n) = -k_i(-n) and the block at -k is the block
+  at k with its two maps swapped.
+
+Beyond staircases, ``surgery``, which solves each block shape once, is
+checked against ``cone_homology`` on every block.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import pytest
 from floersurgery import (
     CassonWalkerInput,
     SurgerySpec,
+    TruncationTooSmall,
     casson_walker_surgery,
     cone,
     cone_homology,
@@ -97,3 +104,33 @@ def test_split_solve_matches_the_truncated_cone_reference(
                 result = cone_homology(model, spec)
                 assert result == solved[n] == truncated_cone_reference(model, spec, n)
                 assert solved[n + 2] == truncated_cone_reference(model, spec, n + 2)
+
+
+def test_surgery_equals_every_block_solved(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # surgery solves each window k-sequence once and shifts the result to
+    # the other blocks of that shape; cone_homology solves every block
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    models += [load_model(staircase_doc(V)) for V in FAMILY[:5]]
+    slopes = [(p, q) for p in (1, 2, 3, 5, 7, 8, 11, 13, 19) for q in range(1, 8)]
+    cases = [(model, p, q) for model in models for p, q in slopes if gcd(p, q) == 1]
+    cases += [(trefoil, 301, 1), (figure8, 97, 5), (genus2_stress, 43, 3)]
+    for model, p, q in cases:
+        blocks = tuple(cone_homology(model, SurgerySpec(p, q, i)) for i in range(p))
+        assert surgery(model, p, q).results == blocks, (model.name, p, q)
+        for r in blocks:
+            twin = blocks[(q - 1 - r.i) % p]
+            assert (r.d, r.red) == (twin.d, twin.red), (model.name, p, q, r.i)
+
+
+def test_surgery_raises_at_the_first_block_that_raises(trefoil, genus2_stress):
+    # too small a depth: the first block of each shape is solved, and it
+    # is the lowest block index with that shape; genus2_stress 9/5 passes
+    # blocks 0-3 at depth 5 and raises at block 4
+    for model, p, q, depth in ((trefoil, 7, 2, 1), (genus2_stress, 9, 5, 5)):
+        with pytest.raises(TruncationTooSmall) as shared:
+            surgery(model, p, q, depth)
+        with pytest.raises(TruncationTooSmall) as every:
+            [cone_homology(model, SurgerySpec(p, q, i), depth) for i in range(p)]
+        assert str(shared.value) == str(every.value)
