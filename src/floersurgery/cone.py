@@ -40,10 +40,13 @@ TruncationTooSmall is raised.
 
 A block's cone is fixed, up to a grading shift, by its shape (``_shape``):
 the window's k-sequence, with the last column's k, always >= G, written
-as G.  Two blocks i, j of one shape are one complex, shifted in grading
-by d(L(p,q), i) - d(L(p,q), j).  ``surgery`` solves each shape once, at
+as G.  The shape does not depend on q: block i of p/q2 and block j of
+p/q1 of one shape are one complex, shifted in grading by
+d(L(p,q2), i) - d(L(p,q1), j).  ``surgery`` solves each shape once, at
 its lowest block index, and gives every later block of that shape the
-same result with d and every bar bottom moved by that shift.
+same result with d and every bar bottom moved by that shift.  A scan of
+several q at one model and one p passes ``surgery`` one dict of shapes,
+so each shape is solved once across all of its q.
 ``cone_homology`` solves one block from immutable inputs, so callers may
 evaluate different i concurrently.
 """
@@ -238,12 +241,12 @@ def _shape(model: KnotModel, spec: SurgerySpec) -> tuple[int, ...]:
     return (*ks, max(model.genus, 1))
 
 
-def _shifted(result: ConeResult, i: int, delta: Fraction) -> ConeResult:
-    """``result`` as block i, every grading moved up by delta; parities,
-    lengths and order are those of a complex shifted in grading."""
+def _shifted(result: ConeResult, q: int, i: int, delta: Fraction) -> ConeResult:
+    """``result`` as block i of p/q, every grading moved up by delta;
+    parities, lengths and order are those of a complex shifted in grading."""
     red = tuple(Tau(b.bottom + delta, b.length, b.parity) for b in result.red)
     return ConeResult(
-        p=result.p, q=result.q, i=i, d=result.d + delta, red=red, depth=result.depth
+        p=result.p, q=q, i=i, d=result.d + delta, red=red, depth=result.depth
     )
 
 
@@ -527,7 +530,12 @@ def cone_homology(
 
 
 def surgery(
-    model: KnotModel, p: int, q: int, depth: int | None = None
+    model: KnotModel,
+    p: int,
+    q: int,
+    depth: int | None = None,
+    *,
+    shapes: dict[tuple[int, ...], tuple[ConeResult, Fraction | None]] | None = None,
 ) -> SurgeryResult:
     """Full surgery computation: one ConeResult per block index.
 
@@ -537,21 +545,30 @@ def surgery(
     same complex shifted in grading: it takes the first one's result with
     every grading moved by the difference of their lens-space
     d-invariants, which is computed only for shapes that repeat.
+
+    ``shapes`` maps each shape to its first result and, once the shape
+    repeats, that block's lens-space d-invariant.  It is read and
+    extended; by default each call starts an empty one.  Surgeries of one
+    model at one p and one ``depth`` may share it, whatever their q, and
+    then solve each shape once between them.  A shape whose solve raises
+    is never stored, so a shared dict changes no result and no error.
     """
-    first: dict[tuple[int, ...], ConeResult] = {}
-    first_lens: dict[tuple[int, ...], Fraction] = {}
+    shapes = {} if shapes is None else shapes
     results = []
     for i in range(p):
         spec = SurgerySpec(p, q, i)
         shape = _shape(model, spec)
-        if shape not in first:
-            first[shape] = cone_homology(model, spec, depth)
-            results.append(first[shape])
+        if shape not in shapes:
+            first = cone_homology(model, spec, depth)
+            shapes[shape] = (first, None)
+            results.append(first)
             continue
-        if shape not in first_lens:
-            first_lens[shape] = lens_d_at(p, q, first[shape].i)
-        delta = lens_d_at(p, q, i) - first_lens[shape]
-        results.append(_shifted(first[shape], i, delta))
+        first, first_lens = shapes[shape]
+        if first_lens is None:
+            first_lens = lens_d_at(p, first.q, first.i)
+            shapes[shape] = (first, first_lens)
+        delta = lens_d_at(p, q, i) - first_lens
+        results.append(_shifted(first, q, i, delta))
     return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))
 
 

@@ -9,8 +9,9 @@ Every rule examines a hypothetical surgery scenario and returns a
 
 Each verdict carries the exact inputs that produced it in ``witness``,
 so reports are reproducible: identical inputs give identical reports.
-Scans parallelize across slopes and blocks if desired; verdict assembly
-is a deterministic reduction independent of evaluation order.
+A cosmetic scan runs its slopes in order and solves each block shape
+once across all of them; verdict assembly is a deterministic reduction
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .cone import SurgerySpec, cone_homology, d_invariant_bounds, surgery
+from .cone import SurgerySpec, d_invariant_bounds, surgery
 from .errors import MissingGradings, NotCoprime, V0Zero
 from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
@@ -287,16 +288,14 @@ def d_sandwich(
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
-    for i in range(p):
-        spec = SurgerySpec(p, q, i)
-        lower, upper = d_invariant_bounds(model, spec)
-        result = cone_homology(model, spec, depth)
+    for result in surgery(model, p, q, depth).results:
+        lower, upper = d_invariant_bounds(model, SurgerySpec(p, q, result.i))
         inside = lower <= result.d <= upper
         if equality_required:
             inside = inside and result.d == upper
         ok = ok and inside
         rows.append(
-            {"i": i, "lower": lower, "d": result.d, "upper": upper, "ok": inside}
+            {"i": result.i, "lower": lower, "d": result.d, "upper": upper, "ok": inside}
         )
     witness = {
         "p": p,
@@ -366,10 +365,14 @@ def cosmetic_pair_scan(
     every reduced bar; this quantification makes the scan conservative.
     Every reported pair straddling a multiple of p is asserted to have
     p | chi(HF_red), as the divisibility rule demands.
+
+    The surgeries share one dict of block shapes (see ``surgery``), so
+    each shape is solved once over the whole scan, not once per q.
     """
     require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
-    computed = {q: surgery(model, p, q, depth) for q in qs}
+    shapes: dict = {}
+    computed = {q: surgery(model, p, q, depth, shapes=shapes) for q in qs}
     # a relabelling keeps the multiset of (d, bars), so surgeries whose
     # multisets differ cannot match
     multiset = {

@@ -8,10 +8,15 @@ import pytest
 from floersurgery import (
     MissingGradings,
     NotCoprime,
+    SurgerySpec,
     TargetSummary,
+    TruncationTooSmall,
     V0Zero,
     chi_relation,
+    cone,
+    cone_homology,
     cosmetic_pair_scan,
+    d_sandwich,
     dedekind,
     dedekind_necessary,
     genus_bound,
@@ -248,6 +253,59 @@ def test_cosmetic_scan_unknot_finds_the_classical_pair(unknot):
     # 2/1 and 2/3 on the unknot give the same oriented lens space; the
     # solid-torus exterior is exactly the case the conjecture excludes
     assert cosmetic_pair_scan(unknot, 2, [1, 3]) == [(1, 3)]
+
+
+def test_cosmetic_scan_solves_each_block_shape_once(
+    figure8, genus2_stress, monkeypatch
+):
+    solved = []
+    solve = cone.cone_homology
+
+    def counted(model, spec, depth=None):
+        solved.append((spec.q, spec.i))
+        return solve(model, spec, depth)
+
+    monkeypatch.setattr(cone, "cone_homology", counted)
+    # the scan solves each shape once, at the first q and block that has
+    # it; surgeries run one by one solve each shape once per q
+    stress_shapes = [(1, 0), (1, 1), (1, 2), (1, 22), (8, 15)]
+    cases = (
+        (figure8, 43, range(1, 7), [(1, 0), (1, 1)], 12),
+        (genus2_stress, 23, range(1, 9), stress_shapes, 32),
+    )
+    for model, p, qs, shapes, per_surgery in cases:
+        solved.clear()
+        cosmetic_pair_scan(model, p, qs)
+        assert solved == shapes
+        solved.clear()
+        for q in qs:
+            surgery(model, p, q)
+        assert len(solved) == per_surgery
+
+
+def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
+    solved = []
+    solve = cone.cone_homology
+
+    def counted(model, spec, depth=None):
+        solved.append(spec.i)
+        return solve(model, spec, depth)
+
+    monkeypatch.setattr(cone, "cone_homology", counted)
+    verdict = d_sandwich(trefoil, 3000, 1)
+    assert 0 < len(solved) <= 2 * trefoil.genus + 2
+    rows = verdict.witness["per_block"]
+    assert [row["i"] for row in rows] == list(range(3000))
+    assert tuple(row["d"] for row in rows) == surgery(trefoil, 3000, 1).d_table
+    # too small a depth raises at the block that raises when every block
+    # is solved (block 4 of genus2_stress 9/5), with its message
+    solved.clear()
+    with pytest.raises(TruncationTooSmall) as sandwich:
+        d_sandwich(genus2_stress, 9, 5, 5)
+    assert solved[-1] == 4
+    with pytest.raises(TruncationTooSmall) as every:
+        [cone_homology(genus2_stress, SurgerySpec(9, 5, i), 5) for i in range(9)]
+    assert str(sandwich.value) == str(every.value)
 
 
 def _synthetic_p5(blocks) -> SurgeryResult:

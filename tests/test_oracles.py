@@ -16,27 +16,34 @@ values come from formulas, not from the cone code path:
   at k with its two maps swapped.
 
 Beyond staircases, ``surgery``, which solves each block shape once, is
-checked against ``cone_homology`` on every block.
+checked against ``cone_homology`` on every block, and a cosmetic scan,
+which solves each shape once across all of its q, against a fresh
+``surgery`` for every q.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import ceil, gcd
 
 import pytest
 
 from floersurgery import (
     CassonWalkerInput,
+    FloerError,
     SurgerySpec,
     TruncationTooSmall,
     casson_walker_surgery,
     cone,
     cone_homology,
+    cosmetic_pair_scan,
     default_depth,
     lambda_from_hf,
     load_model,
+    obstruct,
     surgery,
 )
+from floersurgery.obstruct import _matches
 
 from conftest import staircase_doc, truncated_cone_reference
 
@@ -134,3 +141,58 @@ def test_surgery_raises_at_the_first_block_that_raises(trefoil, genus2_stress):
         with pytest.raises(TruncationTooSmall) as every:
             [cone_homology(model, SurgerySpec(p, q, i), depth) for i in range(p)]
         assert str(shared.value) == str(every.value)
+
+
+SCAN_MODELS = ["unknot", "trefoil", "figure8", "genus2_stress"]
+SCAN_MODELS += [f"staircase{genus}" for genus in (3, 6, 9)]
+
+
+@pytest.mark.parametrize("name", SCAN_MODELS)
+def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
+    # a scan shares one dict of block shapes across its q; every surgery
+    # it runs must equal a fresh one, q, i and depth included, its hits
+    # must be the fresh surgeries' matches, and at a depth too small it
+    # must raise where the fresh surgeries first raise, in q order
+    if name.startswith("staircase"):
+        model = load_model(staircase_doc(staircases(int(name[9:]))[0]))
+    else:
+        model = request.getfixturevalue(name)
+    qs = range(1, 10)
+    recorded = []
+    scan_surgery = obstruct.surgery
+
+    def record(*args, **kwargs):
+        recorded.append(scan_surgery(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(obstruct, "surgery", record)
+    raised = 0
+    for p in (1, 2, 3, 5, 7, 11, 13, 23, 41):
+        pairs = None
+        for depth in (None, 12, 3):
+            fresh, error = {}, None
+            try:
+                for q in (q for q in qs if gcd(p, q) == 1):
+                    fresh[q] = surgery(model, p, q, depth)
+            except FloerError as err:
+                error = err
+            recorded.clear()
+            if error is not None:
+                raised += 1
+                with pytest.raises(type(error)) as scan_error:
+                    cosmetic_pair_scan(model, p, qs, depth)
+                assert str(scan_error.value) == str(error), (p, depth)
+                assert recorded == list(fresh.values()), (p, depth)
+                continue
+            hits = cosmetic_pair_scan(model, p, qs, depth)
+            assert recorded == list(fresh.values()), (p, depth)
+            # matching ignores depth, so one depth's pairs serve all
+            if pairs is None:
+                pairs = [
+                    (q1, q2)
+                    for q1, q2 in combinations(fresh, 2)
+                    if _matches(fresh[q1], fresh[q2], p)
+                ]
+            assert hits == pairs, (p, depth)
+    # depth 3 is below the minimum of every model but these two
+    assert bool(raised) == (name not in ("unknot", "figure8"))
