@@ -9,7 +9,6 @@ from .cone import (
     SurgerySpec,
     build_cone,
     cone_homology,
-    d_invariant_bounds,
     default_depth,
     reduced_cone,
     surgery,
@@ -56,6 +55,7 @@ from .obstruct import (
     Verdict,
     cosmetic_pair_scan,
     chi_relation,
+    d_invariant_bounds,
     d_sandwich,
     dedekind_necessary,
     genus_bound,

@@ -42,11 +42,13 @@ A block's cone is fixed, up to a grading shift, by its shape (``_shape``):
 the window's k-sequence, with the last column's k, always >= G, written
 as G.  The shape does not depend on q: block i of p/q2 and block j of
 p/q1 of one shape are one complex, shifted in grading by
-d(L(p,q2), i) - d(L(p,q1), j).  ``surgery`` solves each shape once, at
-its lowest block index, and gives every later block of that shape the
-same result with d and every bar bottom moved by that shift.  A scan of
-several q at one model and one p passes ``surgery`` one dict of shapes,
-so each shape is solved once across all of its q.
+d(L(p,q2), i) - d(L(p,q1), j) = (N2[i] - N1[j]) / 4p, in the integer
+lens tables N = 4p d(L(p,q), .) that ``surgery`` reads once per call.
+``surgery`` solves each shape once, at its lowest block index, and moves
+d and every bar bottom of that result once per further value of N met
+with the shape; the blocks of one shape and one N share those d and bars.
+A scan of several q at one model and one p passes ``surgery`` one dict
+of shapes, so each shape is solved once across all of its q.
 ``cone_homology`` solves one block from immutable inputs, so callers may
 evaluate different i concurrently.
 """
@@ -60,7 +62,7 @@ from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
-from .numth import lens_d_at, require_slope
+from .numth import lens_d_at, lens_d_numerators, require_slope
 
 # largest cone build_cone assembles; a hostile --depth stops here
 MAX_GENERATORS = 1_000_000
@@ -203,8 +205,8 @@ class SurgeryResult:
         return tuple(r.d for r in self.results)
 
 
-def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
-    p, q, i = spec.p, spec.q, spec.i
+def _ends(model: KnotModel, p: int, q: int, i: int) -> tuple[int, int]:
+    """(n_minus, n_plus) of block i of p/q; see the module docstring."""
     G = max(model.genus, 1)
     n_plus = -((-(G * q - i)) // p)  # ceil((G q - i)/p)
     n_minus = ((1 - G) * q - 1 - i) // p
@@ -214,6 +216,11 @@ def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
             f"window of {n_plus - n_minus} A-columns for {model.name} at "
             f"{p}/{q} block {i}: more than {MAX_GENERATORS} generators"
         )
+    return n_minus, n_plus
+
+
+def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
+    n_minus, n_plus = _ends(model, spec.p, spec.q, spec.i)
     return ConeWindow(n_min=n_minus + 1, n_max=n_plus, b_min=n_minus + 2, b_max=n_plus)
 
 
@@ -221,7 +228,7 @@ def _k_of(spec: SurgerySpec, n: int) -> int:
     return (spec.i + spec.p * n) // spec.q
 
 
-def _shape(model: KnotModel, spec: SurgerySpec) -> tuple[int, ...]:
+def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     """The window's k-sequence, with the last column's k (always >= G)
     written as G.
 
@@ -236,18 +243,16 @@ def _shape(model: KnotModel, spec: SurgerySpec) -> tuple[int, ...]:
     from the anchor, and two blocks of one shape differ in grading by the
     difference of their anchors, d(L(p,q), i) - d(L(p,q), j).
     """
-    win = _window(model, spec)
-    ks = [_k_of(spec, n) for n in range(win.n_min, win.n_max)]
+    n_minus, n_plus = _ends(model, p, q, i)
+    ks = [(i + p * n) // q for n in range(n_minus + 1, n_plus)]
     return (*ks, max(model.genus, 1))
 
 
-def _shifted(result: ConeResult, q: int, i: int, delta: Fraction) -> ConeResult:
-    """``result`` as block i of p/q, every grading moved up by delta;
+def _shifted(result: ConeResult, delta: Fraction) -> tuple[Fraction, tuple[Tau, ...]]:
+    """d and reduced bars of ``result`` moved up in grading by delta;
     parities, lengths and order are those of a complex shifted in grading."""
     red = tuple(Tau(b.bottom + delta, b.length, b.parity) for b in result.red)
-    return ConeResult(
-        p=result.p, q=q, i=i, d=result.d + delta, red=red, depth=result.depth
-    )
+    return result.d + delta, red
 
 
 def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
@@ -535,58 +540,42 @@ def surgery(
     q: int,
     depth: int | None = None,
     *,
-    shapes: dict[tuple[int, ...], tuple[ConeResult, Fraction | None]] | None = None,
+    shapes: dict[tuple[int, ...], tuple[ConeResult, int, dict]] | None = None,
 ) -> SurgeryResult:
     """Full surgery computation: one ConeResult per block index.
 
-    Each block shape (``_shape``) is solved once, by ``cone_homology`` at
-    its lowest block index, so the first block to raise is the one that
-    raises when every block is solved.  A later block of that shape is the
-    same complex shifted in grading: it takes the first one's result with
-    every grading moved by the difference of their lens-space
-    d-invariants, which is computed only for shapes that repeat.
+    The slope is checked before any block.  Each block shape (``_shape``)
+    is solved once, by ``cone_homology`` at its lowest block index, so the
+    first block to raise is the one that raises when every block is
+    solved.  A later block of that shape is the same complex shifted in
+    grading by the difference of the two blocks' lens-space d-invariants,
+    read from one integer table N = 4p d(L(p,q), .) per call
+    (``lens_d_numerators``).  Blocks of one shape with one N have the same
+    d and bars, so those are shifted once per (shape, N) and shared.
 
-    ``shapes`` maps each shape to its first result and, once the shape
-    repeats, that block's lens-space d-invariant.  It is read and
+    ``shapes`` maps each shape to (first result, its N, {N: (d, bars)}),
+    the last holding every N of that shape met so far.  It is read and
     extended; by default each call starts an empty one.  Surgeries of one
     model at one p and one ``depth`` may share it, whatever their q, and
     then solve each shape once between them.  A shape whose solve raises
     is never stored, so a shared dict changes no result and no error.
     """
+    SurgerySpec(p, q)  # the slope's errors, before any block
     shapes = {} if shapes is None else shapes
     results = []
-    for i in range(p):
-        spec = SurgerySpec(p, q, i)
-        shape = _shape(model, spec)
+    for i, lens in enumerate(lens_d_numerators(p, q)):
+        shape = _shape(model, p, q, i)
         if shape not in shapes:
-            first = cone_homology(model, spec, depth)
-            shapes[shape] = (first, None)
+            first = cone_homology(model, SurgerySpec(p, q, i), depth)
+            shapes[shape] = (first, lens, {lens: (first.d, first.red)})
             results.append(first)
             continue
-        first, first_lens = shapes[shape]
-        if first_lens is None:
-            first_lens = lens_d_at(p, first.q, first.i)
-            shapes[shape] = (first, first_lens)
-        delta = lens_d_at(p, q, i) - first_lens
-        results.append(_shifted(first, q, i, delta))
+        first, first_lens, by_lens = shapes[shape]
+        if lens not in by_lens:
+            by_lens[lens] = _shifted(first, Fraction(lens - first_lens, 4 * p))
+        d, red = by_lens[lens]
+        results.append(ConeResult(p, q, i, d, red, first.depth))
     return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))
-
-
-def d_invariant_bounds(
-    model: KnotModel, spec: SurgerySpec
-) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds for the d-invariant of the i-th block.
-
-    upper = d(Y) + d(L(p,q), i) - 2 max(V_{floor(i/q)}, H_{floor((i-p)/q)});
-    lower subtracts twice the longest odd bar of the ambient reduced part.
-    """
-    v = model.v_at(spec.i // spec.q)
-    h = model.h_at((spec.i - spec.p) // spec.q)
-    upper = (
-        model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 2 * max(v, h)
-    )
-    lower = upper - 2 * model.ambient.max_odd_bar()
-    return lower, upper
 
 
 def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:

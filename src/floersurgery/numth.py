@@ -11,9 +11,9 @@ are tied together by identities that double as self-checks:
 Dedekind sums and correction terms both fold, in integers, over the
 Euclid chain (p, r) -> (r, p mod r) -> ... of r = q mod p: s(q,p) by
 reciprocity as the integer 12p s(q,p), O(log p) steps, and the table
-d(L(p,q), .) as the integer numerators 4p d(L(p,q), i).  lens_d_at
-folds a single entry in O(log p).  Fraction appears only in return
-values; nothing is cached, so every function is pure.
+d(L(p,q), .) as the integers 4p d(L(p,q), i) (lens_d_numerators).
+lens_d_at folds a single entry in O(log p).  Fraction appears only in
+return values; nothing is cached, so every function is pure.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ def _over(numerators: list[int], denominator: int) -> list[Fraction]:
     return [value[n] for n in numerators]
 
 
+def lens_d_numerators(p: int, q: int) -> list[int]:
+    """The integers 4p d(L(p,q), i), i = 0..p-1: lens_d over its denominator."""
+    return _d_numerators(_euclid_chain(p, q))
+
+
 def lens_d(p: int, q: int) -> list[Fraction]:
     """Correction terms d(L(p,q), i) for i = 0..p-1.
 
@@ -91,7 +96,7 @@ def lens_d(p: int, q: int) -> list[Fraction]:
     are the surgery-block labels used by the cone module, pinned only up
     to affine relabeling.
     """
-    return _over(_d_numerators(_euclid_chain(p, q)), 4 * p)
+    return _over(lens_d_numerators(p, q), 4 * p)
 
 
 def lens_d_at(p: int, q: int, i: int) -> Fraction:

@@ -17,16 +17,17 @@ independent of evaluation order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .cone import SurgerySpec, d_invariant_bounds, surgery
+from .cone import SurgerySpec, surgery
 from .errors import MissingGradings, NotCoprime, V0Zero
 from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
-from .numth import dedekind, require_slope, totient
+from .numth import dedekind, lens_d_at, lens_d_numerators, require_slope, totient
 
 PASS = "pass"
 FAIL = "fail"
@@ -276,20 +277,42 @@ def genus_bound(y: AmbientSummary, z: TargetSummary, p: int, q: int) -> Verdict:
     return Verdict("GENUS_BOUND", FAIL if q // p > bound else PASS, witness)
 
 
+def d_invariant_bounds(
+    model: KnotModel, spec: SurgerySpec
+) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds for the d-invariant of the i-th block.
+
+    upper = d(Y) + d(L(p,q), i) - 2 max(V_{floor(i/q)}, H_{floor((i-p)/q)});
+    lower subtracts twice the longest odd bar of the ambient reduced part.
+    """
+    p, q, i = spec.p, spec.q, spec.i
+    return _d_bounds(model, p, q, i, lens_d_at(p, q, i))
+
+
+def _d_bounds(
+    model: KnotModel, p: int, q: int, i: int, lens: Fraction
+) -> tuple[Fraction, Fraction]:
+    """d_invariant_bounds of block i of p/q, given lens = d(L(p,q), i)."""
+    v, h = model.v_at(i // q), model.h_at((i - p) // q)
+    upper = model.ambient.d + lens - 2 * max(v, h)
+    return upper - 2 * model.ambient.max_odd_bar(), upper
+
+
 def d_sandwich(
     model: KnotModel, p: int, q: int, depth: Optional[int] = None
 ) -> Verdict:
     """Computed d-invariants must lie between the two structural bounds.
 
     When the ambient reduced part has no odd bars the bounds coincide
-    and equality is asserted.
+    and equality is asserted.  The bounds read one lens table.
     """
     require_slope(p)
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
-    for result in surgery(model, p, q, depth).results:
-        lower, upper = d_invariant_bounds(model, SurgerySpec(p, q, result.i))
+    results = surgery(model, p, q, depth).results
+    for result, lens in zip(results, lens_d_numerators(p, q)):
+        lower, upper = _d_bounds(model, p, q, result.i, Fraction(lens, 4 * p))
         inside = lower <= result.d <= upper
         if equality_required:
             inside = inside and result.d == upper
@@ -339,11 +362,14 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
 
 def _matches(res1, res2, p: int) -> bool:
     """Does a relabelling i -> a i + b mod p (a a unit) send every block of
-    res1 to one of res2 with the same homology?"""
+    res1 to one of res2 with the same homology?  Block 0 goes to block b,
+    so only the b whose block has block 0's homology are tried."""
+    first = res1.results[0]
+    offsets = [b for b, r in enumerate(res2.results) if r.same_homology(first)]
     for a in range(1, p + 1):
         if gcd(a, p) != 1:
             continue
-        for b in range(p):
+        for b in offsets:
             if all(
                 res1.results[i].same_homology(res2.results[(a * i + b) % p])
                 for i in range(p)
@@ -376,7 +402,7 @@ def cosmetic_pair_scan(
     # a relabelling keeps the multiset of (d, bars), so surgeries whose
     # multisets differ cannot match
     multiset = {
-        q: sorted((r.d, r.red) for r in res.results) for q, res in computed.items()
+        q: Counter((r.d, r.red) for r in res.results) for q, res in computed.items()
     }
     hits = []
     for idx, q1 in enumerate(qs):

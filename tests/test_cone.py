@@ -11,6 +11,7 @@ from floersurgery import (
     ConeTooLarge,
     FiniteUPresentation,
     KnotModel,
+    NotCoprime,
     SurgerySpec,
     Tau,
     TruncationTooSmall,
@@ -357,6 +358,31 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
     solved.clear()
     surgery(load_model(staircase_doc([1, 1, 0])), 3, 2)
     assert solved == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "p, q, error, message",
+    [
+        (3, 0, NotCoprime, "gcd(3, 0) = 3: q=0 is not coprime to p=3"),
+        (1, 0, NotCoprime, "need q >= 1, got 1/0"),
+        (3, -2, NotCoprime, "need q >= 1, got 3/-2"),
+        (4, 2, NotCoprime, "gcd(4, 2) = 2: q=2 is not coprime to p=4"),
+        (0, 1, NotCoprime, "p must be positive, got 0"),
+        (
+            2,
+            100000001,
+            ConeTooLarge,
+            "window of 50000002 A-columns for trefoil_rh_s3 at 2/100000001 "
+            "block 0: more than 1000000 generators",
+        ),
+    ],
+)
+def test_surgery_checks_the_slope_before_any_block(trefoil, p, q, error, message):
+    # the slope is checked once, before the lens table and the first
+    # window; the window guard still refuses block 0 of 2/100000001
+    with pytest.raises(error) as raised:
+        surgery(trefoil, p, q)
+    assert str(raised.value) == message
 
 
 def test_size_guard_counts_every_generator(trefoil, genus2_stress, monkeypatch):

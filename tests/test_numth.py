@@ -19,7 +19,7 @@ from floersurgery import (
     lens_lambda,
     totient,
 )
-from floersurgery.numth import LensInvariants, lens_d_at
+from floersurgery.numth import LensInvariants, lens_d_at, lens_d_numerators
 from conftest import coprime_pairs, dedekind_reference, lens_d_reference
 
 
@@ -57,6 +57,14 @@ def test_lens_d_at_is_the_table_entry():
     for p, q in coprime_pairs(120):
         table = lens_d(p, q)
         assert [lens_d_at(p, q, i) for i in range(p)] == table, (p, q)
+
+
+def test_lens_d_numerators_are_the_table_over_4p():
+    for p, q in coprime_pairs(60):
+        numerators = lens_d_numerators(p, q)
+        assert numerators == [4 * p * lens_d_at(p, q, i) for i in range(p)], (p, q)
+        assert all(type(n) is int for n in numerators), (p, q)
+        assert lens_d(p, q) == [Fraction(n, 4 * p) for n in numerators], (p, q)
 
 
 def test_lens_d_at_rejects_bad_input():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -24,12 +27,14 @@ from floersurgery import (
     lens_complement,
     load_model,
     n_bound,
+    obstruct,
     surgery,
     v0_bound,
     z_special,
 )
 from floersurgery.cone import ConeResult, SurgeryResult
 from floersurgery.fmod import Tau
+from floersurgery.numth import lens_d_at, lens_d_numerators
 from floersurgery.obstruct import (
     FAIL,
     INAPPLICABLE,
@@ -283,6 +288,82 @@ def test_cosmetic_scan_solves_each_block_shape_once(
         assert len(solved) == per_surgery
 
 
+def test_cosmetic_scan_shifts_once_per_shape_and_lens_value(
+    figure8, trefoil, genus2_stress, monkeypatch
+):
+    shifted = []
+    shift = cone._shifted
+
+    def counted(*args):
+        shifted.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(cone, "_shifted", counted)
+    # one shift per (shape, lens numerator) met after the shape's first
+    # block; a shift per repeated block would give 256, 203 and 179
+    cases = (
+        (figure8, 43, range(1, 7), 87),
+        (trefoil, 41, range(1, 6), 69),
+        (genus2_stress, 23, range(1, 9), 75),
+    )
+    for model, p, qs, expected in cases:
+        shifted.clear()
+        cosmetic_pair_scan(model, p, qs)
+        assert len(shifted) == expected, model.name
+
+
+def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
+    figure8, monkeypatch
+):
+    recorded = []
+    scan_surgery = obstruct.surgery
+
+    def record(*args, **kwargs):
+        recorded.append(scan_surgery(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(obstruct, "surgery", record)
+    cosmetic_pair_scan(figure8, 43, range(1, 7))
+    groups: dict = {}
+    for res in recorded:
+        lens = lens_d_numerators(43, res.q)
+        for r in res.results:
+            key = (cone._shape(figure8, 43, res.q, r.i), lens[r.i])
+            groups.setdefault(key, []).append(r)
+    for blocks in groups.values():
+        assert all(r.d is blocks[0].d and r.red is blocks[0].red for r in blocks)
+    # sharing reaches across the scan's q
+    assert any(len({r.q for r in blocks}) > 1 for blocks in groups.values())
+
+
+def test_d_sandwich_reads_one_lens_table(trefoil, monkeypatch):
+    # build_cone reads each block's anchor from lens_d_at; the bounds
+    # read one integer table for the whole surgery
+    outside, inside = [], []
+    building = []
+    build = cone.build_cone
+
+    def counted_build(*args, **kwargs):
+        building.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            building.pop()
+
+    def counted_lens(*args):
+        (inside if building else outside).append(args)
+        return lens_d_at(*args)
+
+    monkeypatch.setattr(cone, "build_cone", counted_build)
+    # every module binding of lens_d_at, as ``from .numth import`` makes them
+    modules = [m for n, m in sys.modules.items() if n.startswith("floersurgery")]
+    for module in modules:
+        if vars(module).get("lens_d_at") is lens_d_at:
+            monkeypatch.setattr(module, "lens_d_at", counted_lens)
+    assert d_sandwich(trefoil, 3000, 1).status == PASS
+    assert inside and outside == []
+
+
 def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     solved = []
     solve = cone.cone_homology
@@ -335,6 +416,40 @@ def test_matches_is_affine_relabelling():
     # one changed d-invariant
     changed = [(blocks[0][0] + 2, blocks[0][1])] + blocks[1:]
     assert not _matches(base, _synthetic_p5(changed), 5)
+
+
+def _matches_by_brute_force(res1, res2, p: int) -> bool:
+    return any(
+        all(
+            res1.results[i].same_homology(res2.results[(a * i + b) % p])
+            for i in range(p)
+        )
+        for a in range(1, p + 1)
+        if gcd(a, p) == 1
+        for b in range(p)
+    )
+
+
+def test_matches_equals_the_search_over_every_relabelling(
+    unknot, trefoil, figure8, genus2_stress
+):
+    # _matches tries only the offsets b that send block 0 to a block with
+    # its homology; every ordered pair of surgeries, a surgery with
+    # itself included, must get the answer of the search over all b
+    outcomes = set()
+    for model in (unknot, trefoil, figure8, genus2_stress):
+        for p in range(1, 14):
+            shapes: dict = {}
+            results = [
+                surgery(model, p, q, shapes=shapes)
+                for q in range(1, 10)
+                if gcd(p, q) == 1
+            ]
+            for res1, res2 in product(results, repeat=2):
+                expected = _matches_by_brute_force(res1, res2, p)
+                assert _matches(res1, res2, p) == expected, (model.name, p)
+                outcomes.add((expected, res1.q == res2.q))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_reports_are_reproducible(trefoil):
