@@ -212,9 +212,8 @@ def cmd_casson_walker(args, depth: int | None) -> int:
 def cmd_validate(args) -> int:
     status = 0
     for name in args.models:
-        path = resolve_model_path(name)
         try:
-            model, ambient = load_model_or_ambient(path)
+            model, ambient = load_model_or_ambient(resolve_model_path(name))
         except ModelError as e:
             print(f"{name}: {e}")
             status = 2
@@ -378,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "surgery":
             return cmd_surgery(args, args.depth)
@@ -389,19 +387,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_casson_walker(args, args.depth)
         if args.command == "obstruct":
             return cmd_obstruct(args, args.depth)
-        if args.command == "validate":
-            return cmd_validate(args)
-        parser.error(f"unknown command {args.command}")
+        return cmd_validate(args)  # the subcommand is required
     except TruncationTooSmall as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except FloerError as e:
+    except (FloerError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

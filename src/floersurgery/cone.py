@@ -1,22 +1,28 @@
 """Truncated mapping cone for p/q surgery and its homology.
 
 For coprime p, q > 0 and a block index 0 <= i < p the surgery complex is
-a finite two-row complex: a row of hook modules A_{k(n)} with
+a two-row complex: a row of hook modules A_{k(n)} with
 k(n) = floor((i + p n)/q), mapped to a row of ambient modules B by a
-vertical map (U^{V_k} on towers, the stored reduced matrix on reduced
-parts) and a diagonal map (U^{H_k}, the other stored matrix).  Outside a
-finite window the map is an isomorphism column by column, so the window
-
-    A-columns  n_minus+1 .. n_plus,   B-columns  n_minus+2 .. n_plus
-
-with n_plus = min{n : k(n) >= G}, n_minus = max{n : k(n) <= -G} and
-G = max(genus, 1) carries the full homology.
+vertical map from column n to column n (U^{V_k} on towers, the stored
+reduced matrix on reduced parts) and a diagonal map from n to n + 1
+(U^{H_k}, the other stored matrix).  Outside a finite window the map is
+an isomorphism column by column, so the window carries the full
+homology.  With G = max(genus, 1) its A-columns run from the first n
+with k(n) > -G to the first n with k(n) >= G, and its B-columns are the
+same less the first.  The block's shape (``_shape``) is that window's
+k-sequence, with the last k, always >= G, written as G: there V_k = 0,
+the block is the identity for every k >= G and the H-target is not
+retained, so nothing reads that k.  Column 0 is the first column with
+k >= 0 (k(-1) < 0 <= k(0)) and the window always holds it, so the
+shape alone places the window: its first column is minus the number of
+negative k.
 
 Each block is relatively Z-graded, so one rational anchor fixes every
 absolute grading in it: the generator of the B-tower in column 0, at
 d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
 offset from that anchor, propagated along columns by
-b_{n+1} - b_n = 2 k(n); model presentations already hold ``int``
+b_{n+1} - b_n = 2 k(n), so the first column's B-tower bottom sits at
+-2 (the sum of the negative k); model presentations already hold ``int``
 offsets from their own towers, and ``Fraction`` comes back only when the
 result is read off.  Towers are cut at a common grading ceiling.
 
@@ -38,10 +44,9 @@ is the d-invariant; every other bar is reduced homology.  Results are
 recomputed two levels deeper and must agree, otherwise
 TruncationTooSmall is raised.
 
-A block's cone is fixed, up to a grading shift, by its shape (``_shape``):
-the window's k-sequence, with the last column's k, always >= G, written
-as G.  The shape does not depend on q: block i of p/q2 and block j of
-p/q1 of one shape are one complex, shifted in grading by
+The shape fixes a block's cone up to a grading shift and does not
+depend on q: block i of p/q2 and block j of p/q1 of one shape are one
+complex, shifted in grading by the difference of their anchors,
 d(L(p,q2), i) - d(L(p,q1), j) = (N2[i] - N1[j]) / 4p, in the integer
 lens tables N = 4p d(L(p,q), .) that ``surgery`` reads once per call.
 ``surgery`` solves each shape once, at its lowest block index, and moves
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
@@ -85,28 +91,12 @@ class SurgerySpec:
 
 
 @dataclass(frozen=True)
-class ConeWindow:
-    """Retained columns: A-columns n_min..n_max, B-columns b_min..b_max."""
-
-    n_min: int
-    n_max: int
-    b_min: int
-    b_max: int
-
-    @property
-    def a_columns(self) -> range:
-        return range(self.n_min, self.n_max + 1)
-
-    @property
-    def b_columns(self) -> range:
-        return range(self.b_min, self.b_max + 1)
-
-
-@dataclass(frozen=True)
 class ConePresentation:
     """Assembled finite cone: the towers by their bottoms, the reduced
     summand grading by grading.
 
+    ``shape`` is the window's k-sequence (``_shape``); ``a_grading`` and
+    ``b_grading`` are keyed by the retained A- and B-columns, ascending.
     ``anchor`` is the absolute grading of the B-tower generator in column
     0; ``ceiling``, the tower bottoms and the grading keys (ascending) are
     ``int`` offsets from it.  The A-tower of column n runs from
@@ -118,11 +108,10 @@ class ConePresentation:
     """
 
     spec: SurgerySpec
-    window: ConeWindow
+    shape: tuple[int, ...]
     depth: int
     anchor: Fraction
     ceiling: int
-    k_of: dict[int, int]
     a_grading: dict[int, int]
     b_grading: dict[int, int]
     d_cols: dict[int, tuple[int, ...]]
@@ -205,8 +194,10 @@ class SurgeryResult:
         return tuple(r.d for r in self.results)
 
 
-def _ends(model: KnotModel, p: int, q: int, i: int) -> tuple[int, int]:
-    """(n_minus, n_plus) of block i of p/q; see the module docstring."""
+def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
+    """The window's k-sequence, with the last k written as G; the module
+    docstring states the window.  Raises ConeTooLarge, before the window
+    is walked, when it has more A-columns than MAX_GENERATORS."""
     G = max(model.genus, 1)
     n_plus = -((-(G * q - i)) // p)  # ceil((G q - i)/p)
     n_minus = ((1 - G) * q - 1 - i) // p
@@ -216,36 +207,7 @@ def _ends(model: KnotModel, p: int, q: int, i: int) -> tuple[int, int]:
             f"window of {n_plus - n_minus} A-columns for {model.name} at "
             f"{p}/{q} block {i}: more than {MAX_GENERATORS} generators"
         )
-    return n_minus, n_plus
-
-
-def _window(model: KnotModel, spec: SurgerySpec) -> ConeWindow:
-    n_minus, n_plus = _ends(model, spec.p, spec.q, spec.i)
-    return ConeWindow(n_min=n_minus + 1, n_max=n_plus, b_min=n_minus + 2, b_max=n_plus)
-
-
-def _k_of(spec: SurgerySpec, n: int) -> int:
-    return (spec.i + spec.p * n) // spec.q
-
-
-def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
-    """The window's k-sequence, with the last column's k (always >= G)
-    written as G.
-
-    These k alone give the cone up to a grading shift, and its default
-    depth: the blocks, V and H of every column and the grading steps
-    between columns.  The last column has V_k = 0 and the identity block
-    for every k >= G, and its H-target is never retained, so neither the
-    cone nor ``_depth_floor`` reads its k.  The shape also fixes where
-    column 0 sits, since the window always holds it and it is the first
-    column with k >= 0 (k(-1) < 0 <= k(0)).  So the window's first B-tower
-    bottom lies at the offset b(n_min) = -2 (the sum of the negative k)
-    from the anchor, and two blocks of one shape differ in grading by the
-    difference of their anchors, d(L(p,q), i) - d(L(p,q), j).
-    """
-    n_minus, n_plus = _ends(model, p, q, i)
-    ks = [(i + p * n) // q for n in range(n_minus + 1, n_plus)]
-    return (*ks, max(model.genus, 1))
+    return (*[(i + p * n) // q for n in range(n_minus + 1, n_plus)], G)
 
 
 def _shifted(result: ConeResult, delta: Fraction) -> tuple[Fraction, tuple[Tau, ...]]:
@@ -258,26 +220,22 @@ def _shifted(result: ConeResult, delta: Fraction) -> tuple[Fraction, tuple[Tau, 
 def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
     """max(V_k + H_k) over the window's maps plus the longest reduced bar.
 
-    A-column n counts V_k only when B-column n is retained and H_k only
-    when B-column n + 1 is: a column whose target is not retained
+    An A-column counts V_k only when its own B-column is retained and H_k
+    only when the next one is: a column whose target is not retained
     contributes no map, so its U^{V_k} or U^{H_k} cannot need tower depth.
-    The two boundary columns, where H_k = k >= G or V_k = -k, both about
-    p/q, count only their zero side, so the floor is bounded by the model
-    alone: the max over |k| < G of V_k + H_k plus the longest reduced bar.
+    So the first column counts no V and the last no H.  These two boundary
+    columns, where V_k = -k or H_k = k >= G, both about p/q, count only
+    their zero side, so the floor is bounded by the model alone: the max
+    over |k| < G of V_k + H_k plus the longest reduced bar.
 
     The one depth rule: build_cone refuses depths below floor + 2, and
     default_depth is 2 floor + 4.
     """
-    win = _window(model, spec)
-    retained = win.b_columns
+    shape = _shape(model, spec.p, spec.q, spec.i)
+    last = len(shape) - 1
     max_vh = max(
-        (
-            (model.v_at(k) if n in retained else 0)
-            + (model.h_at(k) if n + 1 in retained else 0)
-            for n in win.a_columns
-            for k in [_k_of(spec, n)]
-        ),
-        default=0,
+        (model.v_at(k) if j else 0) + (model.h_at(k) if j < last else 0)
+        for j, k in enumerate(shape)
     )
     return max_vh + model.max_reduced_bar()
 
@@ -337,45 +295,45 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
             f"depth {depth} below safe minimum {minimum} "
             f"for {model.name} at {spec.p}/{spec.q}"
         )
-    win = _window(model, spec)
-    k_of = {n: _k_of(spec, n) for n in win.a_columns}
-    blocks = {n: model.block(k_of[n]) for n in win.a_columns}
+    shape = _shape(model, spec.p, spec.q, spec.i)
+    negative = [k for k in shape if k < 0]
+    columns = range(-len(negative), len(shape) - len(negative))
+    blocks = {n: model.block(k) for n, k in zip(columns, shape)}
     a_red = {n: blk.pres for n, blk in blocks.items()}
     amb = model.ambient.b_red
 
     anchor = model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 1
-    b_grading = {0: 0}
-    for n in range(0, max(win.n_max, 0)):
-        b_grading[n + 1] = b_grading[n] + 2 * _k_of(spec, n)
-    for n in range(0, min(win.n_min, 0), -1):
-        b_grading[n - 1] = b_grading[n] - 2 * _k_of(spec, n - 1)
+    # B-tower bottoms b(n), from b(0) = 0 and b(n + 1) = b(n) + 2 k(n)
+    b_grading = dict(
+        zip(columns, accumulate((2 * k for k in shape), initial=-2 * sum(negative)))
+    )
     a_grading = {
-        n: b_grading[n] + 1 - 2 * model.v_at(k_of[n]) for n in win.a_columns
+        n: b_grading[n] + 1 - 2 * model.v_at(k) for n, k in zip(columns, shape)
     }
-    b_grading = {n: b_grading[n] for n in win.b_columns}
+    del b_grading[columns[0]]  # the first B-column is not retained
 
     # common ceiling: all A-towers top out at the same grading
-    a_ref = a_grading[win.n_min]
+    a_ref = a_grading[columns[0]]
     base = max(
-        [a_grading[n] + g for n in win.a_columns for g in (0, *a_red[n].gradings)]
-        + [b_grading[n] + g for n in win.b_columns for g in amb.gradings]
+        [a_grading[n] + g for n in columns for g in (0, *a_red[n].gradings)]
+        + [b + g for b in b_grading.values() for g in amb.gradings]
     )
     ceiling = a_ref + 2 * ((base - a_ref + 1) // 2) + 2 * depth
 
-    for n in win.b_columns:
-        if b_grading[n] > ceiling - 1:
+    for n, b in b_grading.items():
+        if b > ceiling - 1:
             raise TruncationTooSmall(f"empty target tower in column {n}")
     # each tower runs from its bottom to the ceiling (one below for B)
     gens = sum(
-        (ceiling - a_grading[n]) // 2 + 1 + a_red[n].dim for n in win.a_columns
-    ) + sum((ceiling - 1 - b_grading[n]) // 2 + 1 + amb.dim for n in win.b_columns)
+        (ceiling - a_grading[n]) // 2 + 1 + a_red[n].dim for n in columns
+    ) + sum((ceiling - 1 - b) // 2 + 1 + amb.dim for b in b_grading.values())
     if gens > MAX_GENERATORS:
         raise ConeTooLarge(
             f"cone of {gens} generators at depth {depth} for {model.name} at "
             f"{spec.p}/{spec.q} block {spec.i} exceeds {MAX_GENERATORS}"
         )
     dom = _Row(a_grading, a_red)
-    cod = _Row(b_grading, {n: amb for n in win.b_columns})
+    cod = _Row(b_grading, {n: amb for n in b_grading})
 
     # reduced A-column n maps to B-column n by v_cols and to B-column
     # n + 1 by h_cols; columns outside the window are not retained
@@ -393,11 +351,10 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
 
     return ConePresentation(
         spec=spec,
-        window=win,
+        shape=shape,
         depth=depth,
         anchor=anchor,
         ceiling=ceiling,
-        k_of=k_of,
         a_grading=a_grading,
         b_grading=b_grading,
         d_cols=d_cols,

@@ -42,9 +42,11 @@ Every row is a list of exactly that many entries, each the integer 0 or
 one of its dimensions is 0.  A malformed value anywhere is a ``Syntax``
 error.
 
-Only k >= 0 blocks are stored; negative k is derived by the symmetry
-that swaps the two maps.  Blocks with |k| >= genus are the ambient
-reduced part with the appropriate identity map and may be omitted.
+An ``a_red`` key is k written as ``str(k)`` ("0", not "00", "+0" or
+"-0"), so no two keys name one block.  Only k >= 0 blocks are stored;
+negative k is derived by the symmetry that swaps the two maps.  Blocks
+with |k| >= genus are the ambient reduced part with the appropriate
+identity map and may be omitted.
 Stored blocks in the derived range are checked against the derivation.
 """
 
@@ -367,6 +369,8 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
             k = int(key)
         except (TypeError, ValueError):
             raise ModelError("Syntax", f"a_red key {key!r} is not an integer") from None
+        if key != str(k):
+            raise ModelError("Syntax", f"a_red key {key!r} must be written {str(k)!r}")
         if not isinstance(raw, dict):
             raise ModelError("Syntax", f"a_red[{k}] must be an object")
         for fkey in ("generators", "u_matrix", "v_matrix", "h_matrix", "tower_offset"):

@@ -150,6 +150,19 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "Syntax" in out
 
 
+def test_validate_reports_a_missing_file_and_goes_on(capsys):
+    code, out, err = run(
+        capsys, "validate", "trefoil_rh_s3", "missing.json", "figure8_s3"
+    )
+    assert code == 2
+    assert err == ""
+    assert out.splitlines() == [
+        "trefoil_rh_s3: ok",
+        "missing.json: Syntax: model file not found: missing.json",
+        "figure8_s3: ok",
+    ]
+
+
 def test_missing_model_is_input_error(capsys):
     code, _, err = run(capsys, "surgery", "no_such_model", "2/3")
     assert code == 2

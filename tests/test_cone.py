@@ -58,25 +58,25 @@ def test_window_enumeration_oracle(trefoil, figure8, unknot):
                 ks = [(i + p * n) // q for n in range(-50, 50)]
                 n_plus = min(n for n in range(-50, 50) if ks[n + 50] >= G)
                 n_minus = max(n for n in range(-50, 50) if ks[n + 50] <= -G)
-                assert pres.window.n_min == n_minus + 1
-                assert pres.window.n_max == n_plus
-                assert pres.window.b_min == n_minus + 2
-                assert pres.window.b_max == n_plus
-                # one more hook column than target columns
-                assert len(pres.window.a_columns) == len(pres.window.b_columns) + 1
+                # A-columns n_minus + 1 .. n_plus, B-columns n_minus + 2 .. n_plus
+                assert list(pres.a_grading) == list(range(n_minus + 1, n_plus + 1))
+                assert list(pres.b_grading) == list(range(n_minus + 2, n_plus + 1))
+                # the shape is their k-sequence, the last k written as G
+                assert pres.shape == (*ks[n_minus + 51 : n_plus + 50], G)
 
 
 def test_window_figure8_2_1_block1(figure8):
     # single hook column with k = 1, no target columns
     pres = build_cone(figure8, SurgerySpec(2, 1, 1), 8)
-    assert list(pres.window.a_columns) == [0]
-    assert list(pres.window.b_columns) == []
-    assert pres.k_of[0] == 1
+    assert list(pres.a_grading) == [0]
+    assert list(pres.b_grading) == []
+    assert pres.shape == (1,)
 
 
 def test_window_trefoil_2_3_block0(trefoil):
     pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
-    assert [pres.k_of[n] for n in pres.window.a_columns] == [0, 0, 1]
+    assert list(pres.a_grading) == [0, 1, 2]
+    assert pres.shape == (0, 0, 1)
 
 
 def test_grading_telescope(trefoil, figure8, unknot):
@@ -85,9 +85,10 @@ def test_grading_telescope(trefoil, figure8, unknot):
         for p, q in ((2, 3), (3, 4), (5, 3)):
             for i in range(p):
                 pres = build_cone(model, SurgerySpec(p, q, i), 8)
+                k_of = dict(zip(pres.a_grading, pres.shape))
                 cols = sorted(pres.b_grading)
                 for a, b in zip(cols, cols[1:]):
-                    k = pres.k_of[a]
+                    k = k_of[a]
                     assert pres.b_grading[b] - pres.b_grading[a] == 2 * k
 
 
@@ -95,9 +96,10 @@ def test_anchor_grading(unknot, trefoil):
     # grading of the bottom tower element of target column 0 when retained
     for model in (unknot, trefoil):
         pres = build_cone(model, SurgerySpec(2, 3, 0), 8)
+        k_of = dict(zip(pres.a_grading, pres.shape))
         d_lens = lens_d(2, 3)[0]
         assert (
-            pres.anchor + pres.b_grading[1] - 2 * pres.k_of[0]
+            pres.anchor + pres.b_grading[1] - 2 * k_of[0]
             == model.ambient.d + d_lens - 1
         )
 
@@ -236,10 +238,8 @@ def test_build_cone_lays_out_only_reduced_generators(
             for i in range(p):
                 spec = SurgerySpec(p, q, i)
                 pres = build_cone(model, spec, default_depth(model, spec))
-                a_red = sum(
-                    model.block(pres.k_of[n]).pres.dim for n in pres.window.a_columns
-                )
-                b_red = model.ambient.dim_red * len(pres.window.b_columns)
+                a_red = sum(model.block(k).pres.dim for k in pres.shape)
+                b_red = model.ambient.dim_red * len(pres.b_grading)
                 assert sum(map(len, pres.u_dom.values())) == a_red
                 assert sum(map(len, pres.d_cols.values())) == a_red
                 assert sum(map(len, pres.u_cod.values())) == b_red
@@ -338,6 +338,29 @@ def test_default_depth_does_not_grow_with_p(name, expected, request):
             for i in range(p)
         )
         assert deepest == expected, p
+
+
+def test_blocks_of_one_shape_have_one_cone(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # the shape is the key surgery shares results by: two blocks of one
+    # shape, at one p and any q, must have one depth and one cone, up to
+    # the spec and the anchor
+    for model in (unknot, trefoil, figure8, genus2_stress, sigma237_synthetic):
+        for p in range(1, 14):
+            groups = {}
+            for q in range(1, 10):
+                if gcd(p, q) == 1:
+                    for i in range(p):
+                        shape = cone._shape(model, p, q, i)
+                        groups.setdefault(shape, []).append(SurgerySpec(p, q, i))
+            for specs in groups.values():
+                depth = default_depth(model, specs[0])
+                ref = build_cone(model, specs[0], depth)
+                for spec in specs[1:]:
+                    assert default_depth(model, spec) == depth
+                    pres = build_cone(model, spec, depth)
+                    assert replace(pres, spec=ref.spec, anchor=ref.anchor) == ref
 
 
 def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
@@ -441,8 +464,8 @@ def test_reduced_cone_examples(figure8, unknot, sigma237_synthetic):
             spec = SurgerySpec(p, q, i)
             kd, cd = reduced_cone(sigma237_synthetic, spec)
             pres = build_cone(sigma237_synthetic, spec, 8)
-            dim_a = len(list(pres.window.a_columns))
-            dim_b = len(list(pres.window.b_columns))
+            dim_a = len(pres.a_grading)
+            dim_b = len(pres.b_grading)
             dim_red = sigma237_synthetic.ambient.dim_red
             assert kd - cd == (dim_a - dim_b) * dim_red
 

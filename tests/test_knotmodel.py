@@ -209,6 +209,22 @@ SHIPPED = Path(floersurgery.__file__).parent / "models"
 MODEL_FILES = sorted(SHIPPED.glob("*.json")) + [STRESS_MODEL]
 
 
+@pytest.mark.parametrize("spelling", ["00", "+0", " 0", "-0"])
+@pytest.mark.parametrize("first", [True, False], ids=["then-0", "after-0"])
+def test_a_second_spelling_of_a_block_key_is_rejected(spelling, first):
+    # int() reads each spelling as 0, so one of two valid blocks of k = 0
+    # would be dropped without a word
+    doc = json.loads((SHIPPED / "figure8_s3.json").read_text(encoding="utf-8"))
+    block = doc["a_red"]["0"]
+    other = {**block, "generators": [], "u_matrix": []}
+    pairs = [(spelling, other), ("0", block)]
+    doc["a_red"] = dict(pairs if first else pairs[::-1])
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "Syntax"
+    assert repr(spelling) in str(exc.value)
+
+
 def _declared_chi(gens: list[dict]) -> int:
     return sum(1 if g["parity"] == 0 else -1 for g in gens)
 
