@@ -20,6 +20,7 @@ from .errors import (
     MissingGradings,
     ModelError,
     NotCoprime,
+    TableTooLarge,
     TruncationTooSmall,
     V0NonZero,
     V0Zero,

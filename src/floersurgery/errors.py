@@ -53,3 +53,7 @@ class V0Zero(FloerError):
 
 class MissingGradings(FloerError):
     """A grading-based obstruction was invoked without grading data."""
+
+
+class TableTooLarge(FloerError):
+    """A whole lens-space table of more entries than the size limit."""

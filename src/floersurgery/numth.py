@@ -12,18 +12,29 @@ Dedekind sums and correction terms both fold, in integers, over the
 Euclid chain (p, r) -> (r, p mod r) -> ... of r = q mod p: s(q,p) by
 reciprocity as the integer 12p s(q,p), O(log p) steps, and the table
 d(L(p,q), .) as the integers 4p d(L(p,q), i) (lens_d_numerators).
-lens_d_at folds a single entry in O(log p).  Fraction appears only in
-return values; nothing is cached, so every function is pure.
+The table is symmetric under spin^c conjugation,
+d(L(p,q), i) = d(L(p,q), (q-1-i) mod p), so its entries 0..r-1 form
+one palindrome and r..p-1 another: the top level of the fold computes
+only the first half of each, and the rest is mirrored by slicing.  The
+Fraction tables (lens_d, lens_invariants) likewise build one Fraction
+per entry of the two halves, about p/2, and mirror them.  A whole table
+is refused above MAX_TABLE_P entries (TableTooLarge); lens_d_at folds a
+single entry in O(log p) at any p.  Fraction appears only in return
+values; nothing is cached, so every function is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, repeat
 from math import gcd
 
-from .errors import NotCoprime
+from .errors import NotCoprime, TableTooLarge
+
+# The largest p of a whole lens table: `floersurgery lens p 3` prints a
+# table of this size in about a second.  Larger tables are refused.
+MAX_TABLE_P = 600_000
 
 
 def require_slope(p: int, q: int = 1) -> None:
@@ -64,28 +75,56 @@ def dedekind(q: int, p: int) -> Fraction:
     return Fraction(_sigma(_euclid_chain(p, q)), 12 * p)
 
 
-def _d_numerators(chain: list[tuple[int, int]]) -> list[int]:
+def _table_chain(p: int, q: int) -> list[tuple[int, int]]:
+    """_euclid_chain of a whole table, refused above MAX_TABLE_P entries."""
+    require_slope(p, q)
+    if p > MAX_TABLE_P:
+        raise TableTooLarge(
+            f"the lens table of L({p},{q}) has {p} entries, "
+            f"more than the limit of {MAX_TABLE_P}"
+        )
+    return _euclid_chain(p, q)
+
+
+def _d_halves(chain: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
     # N_i = 4p d(L(p,r), i) from the Ozsvath-Szabo recursion
     #   d(L(p,r), i) = ((2i+1-p-r)^2 - pr) / (4pr) - d(L(r, p mod r), i mod r),
-    # times 4p; the division by r is exact.  N = [0] at p = 1.
+    # times 4p; the division by r is exact.  N = [0] at p = 1.  Lower
+    # levels are whole tables.  At the top, N_i = N_{(r-1-i) mod p}, so
+    # only the first halves of the palindromes 0..r-1 (c = 2i+1-p-r < 1-p)
+    # and r..p-1 (c < 1) are folded, from the child terms p (N' + r).
+    if not chain:
+        return [], [0]
     table = [0]
-    for p, r in reversed(chain):
+    for p, r in reversed(chain[1:]):
         table = [
             (c * c - p * r - p * n) // r
             for c, n in zip(range(1 - p - r, p - r, 2), cycle(table))
         ]
-    return table
+    p, r = chain[0]
+    terms = [p * (n + r) for n in table]
+    return (
+        [(c * c - t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)],
+        [(c * c - t) // r for c, t in zip(range(1 + r - p, 1, 2), cycle(terms))],
+    )
 
 
-def _over(numerators: list[int], denominator: int) -> list[Fraction]:
-    # One Fraction per distinct numerator: tables repeat about half their values.
-    value = {n: Fraction(n, denominator) for n in set(numerators)}
-    return [value[n] for n in numerators]
+def _mirror(first: list, second: list, p: int, r: int) -> list:
+    # The whole table of L(p, q), r = q mod p, from the first halves of
+    # its two palindromes.
+    return first + first[: r // 2][::-1] + second + second[: (p - r) // 2][::-1]
+
+
+def _d_fractions(first: list[int], second: list[int], p: int, r: int) -> list[Fraction]:
+    # One Fraction per entry of the halves, mirrored like the integers.
+    den = repeat(4 * p)
+    first, second = list(map(Fraction, first, den)), list(map(Fraction, second, den))
+    return _mirror(first, second, p, r)
 
 
 def lens_d_numerators(p: int, q: int) -> list[int]:
     """The integers 4p d(L(p,q), i), i = 0..p-1: lens_d over its denominator."""
-    return _d_numerators(_euclid_chain(p, q))
+    return _mirror(*_d_halves(_table_chain(p, q)), p, q % p)
 
 
 def lens_d(p: int, q: int) -> list[Fraction]:
@@ -96,7 +135,7 @@ def lens_d(p: int, q: int) -> list[Fraction]:
     are the surgery-block labels used by the cone module, pinned only up
     to affine relabeling.
     """
-    return _over(lens_d_numerators(p, q), 4 * p)
+    return _d_fractions(*_d_halves(_table_chain(p, q)), p, q % p)
 
 
 def lens_d_at(p: int, q: int, i: int) -> Fraction:
@@ -132,22 +171,28 @@ class LensInvariants:
 
 
 def lens_invariants(p: int, q: int) -> LensInvariants:
-    chain = _euclid_chain(p, q)
+    """Dedekind sum s(q,p), Casson-Walker lambda, tau and the d-table of
+    L(p,q), all from one Euclid chain.
+
+    s, lambda and tau are sigma = 12p s(q,p) over 12p, -24p and 3.  The
+    integer table is checked against sum d = p s (3 sum N = p sigma)
+    before it is returned; TableTooLarge above MAX_TABLE_P.
+    """
+    chain = _table_chain(p, q)
     sigma = _sigma(chain)
-    numerators = _d_numerators(chain)
-    # sum d = p s  <=>  sum N = 4p^2 s = p sigma / 3
-    if 3 * sum(numerators) != p * sigma:
+    first, second = _d_halves(chain)
+    r = q % p
+    if 3 * sum(_mirror(first, second, p, r)) != p * sigma:
         raise AssertionError(
             f"lens invariants of ({p},{q}) violate sum d = -2p lambda"
         )
-    s = Fraction(sigma, 12 * p)
     return LensInvariants(
         p=p,
         q=q,
-        s=s,
-        lam=-s / 2,
-        tau=-4 * p * s,
-        d_table=tuple(_over(numerators, 4 * p)),
+        s=Fraction(sigma, 12 * p),
+        lam=Fraction(-sigma, 24 * p),
+        tau=Fraction(-sigma, 3),
+        d_table=tuple(_d_fractions(first, second, p, r)),
     )
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
+from floersurgery.numth import MAX_TABLE_P
 from floersurgery.obstruct import canonical_json
 
 
@@ -191,6 +192,26 @@ def test_oversized_cone_is_refused_quickly(capsys, argv):
     assert code == 2
     assert out == ""
     assert "generators" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (("lens", "99999999999999999999", "1"), 99999999999999999999),
+        (("lens", "20000000", "3"), 20000000),
+        # surgery reads one whole lens table
+        (("surgery", "trefoil_rh_s3", "1000000/1"), 1000000),
+    ],
+    ids=["lens_huge", "lens_20000000", "surgery_1000000"],
+)
+def test_oversized_lens_table_is_refused_quickly(capsys, argv, p):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert out == ""
+    assert f"{p} entries, more than the limit of {MAX_TABLE_P}" in err
     assert "Traceback" not in err
 
 

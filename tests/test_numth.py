@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from floersurgery import (
     CassonWalkerInput,
     NotCoprime,
+    TableTooLarge,
     casson_walker_surgery,
     dedekind,
     lambda_from_hf,
@@ -19,7 +20,12 @@ from floersurgery import (
     lens_lambda,
     totient,
 )
-from floersurgery.numth import LensInvariants, lens_d_at, lens_d_numerators
+from floersurgery.numth import (
+    MAX_TABLE_P,
+    LensInvariants,
+    lens_d_at,
+    lens_d_numerators,
+)
 from conftest import coprime_pairs, dedekind_reference, lens_d_reference
 
 
@@ -65,6 +71,82 @@ def test_lens_d_numerators_are_the_table_over_4p():
         assert numerators == [4 * p * lens_d_at(p, q, i) for i in range(p)], (p, q)
         assert all(type(n) is int for n in numerators), (p, q)
         assert lens_d(p, q) == [Fraction(n, 4 * p) for n in numerators], (p, q)
+
+
+def test_lens_tables_are_conjugation_symmetric():
+    # d(L(p,q), i) = d(L(p,q), (q-1-i) mod p), which the table fold
+    # relies on, checked on the Fraction oracle; the same grid pins the
+    # integer table at q <= 0 and q > p, which coprime_pairs never reaches.
+    for p in range(1, 61):
+        for q in range(1 - p, 2 * p + 1):
+            if gcd(p, q) != 1:
+                continue
+            table = lens_d_reference(p, q)
+            assert [table[(q - 1 - i) % p] for i in range(p)] == table, (p, q)
+            assert lens_d_numerators(p, q) == [
+                d.numerator * (4 * p // d.denominator) for d in table
+            ], (p, q)
+    for p, q in coprime_pairs(200):
+        numerators = lens_d_numerators(p, q)
+        assert [numerators[(q - 1 - i) % p] for i in range(p)] == numerators, (p, q)
+
+
+# (p, q) with r = q mod p and p - r of every possible parity (both even
+# is not coprime), r = 1, r = p - 1, q outside 1..p, and p <= 3
+PALINDROME_CASES = (
+    *((10, 3), (12, 7), (11, 4), (13, 6), (11, 3), (13, 5)),
+    *((17, 1), (16, 1), (17, 16), (16, 15), (17, -1), (16, 33)),
+    *((1, 1), (1, 0), (1, -3), (2, 1), (2, -1), (2, 3)),
+    *((3, 1), (3, 2), (3, -1), (3, 5)),
+)
+
+
+def test_lens_tables_at_the_palindrome_boundaries():
+    for p, q in PALINDROME_CASES:
+        table = lens_d_reference(p, q)
+        assert lens_d_numerators(p, q) == [4 * p * d for d in table], (p, q)
+        assert lens_d(p, q) == table, (p, q)
+        assert lens_invariants(p, q).d_table == tuple(table), (p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q", [(10007, 2), (10007, 5003), (100003, 7), (100003, 50002)]
+)
+def test_large_lens_tables_agree_with_single_entries(p, q):
+    r = q % p
+    # both ends and both centres of the palindromes 0..r-1 and r..p-1
+    fixed = {0, r - 1, r, p - 1, (r - 1) // 2, r // 2, (p + r - 1) // 2, (p + r) // 2}
+    rest = sorted(set(range(p)) - fixed)
+    indices = sorted(fixed | set(random.Random(p * q).sample(rest, 64 - len(fixed))))
+    assert len(indices) == 64
+    numerators = lens_d_numerators(p, q)
+    assert len(numerators) == p
+    assert [numerators[i] for i in indices] == [
+        4 * p * lens_d_at(p, q, i) for i in indices
+    ], (p, q)
+    inv = lens_invariants(p, q)
+    assert [inv.d_table[i] for i in indices] == [
+        Fraction(numerators[i], 4 * p) for i in indices
+    ], (p, q)
+    # sum d = p s, in integers: sum of 4p d over the Fraction table
+    assert sum(d.numerator * (4 * p // d.denominator) for d in inv.d_table) == (
+        4 * p * p * inv.s
+    ), (p, q)
+    assert inv.s == dedekind(q, p)
+    assert inv.lam == -inv.s / 2
+    assert inv.tau == -4 * p * inv.s
+
+
+def test_whole_tables_are_refused_above_the_limit():
+    p = MAX_TABLE_P + 1
+    for table in (lens_d_numerators, lens_d, lens_invariants):
+        with pytest.raises(TableTooLarge, match=f"{p} entries.*limit of {MAX_TABLE_P}"):
+            table(p, 1)
+    assert len(lens_d_numerators(MAX_TABLE_P, 1)) == MAX_TABLE_P
+    # single entries and Dedekind sums stay O(log p) at any p
+    p = 10**20 - 1
+    assert lens_d_at(p, 1, 0) == Fraction(p - 1, 4)
+    assert dedekind(1, p) == Fraction((p - 1) * (p - 2), 12 * p)
 
 
 def test_lens_d_at_rejects_bad_input():
