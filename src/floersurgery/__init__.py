@@ -20,6 +20,7 @@ from .errors import (
     MissingGradings,
     ModelError,
     NotCoprime,
+    NumberTooLarge,
     TableTooLarge,
     TruncationTooSmall,
     V0NonZero,

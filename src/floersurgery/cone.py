@@ -40,9 +40,9 @@ placed.  One ascending pass eliminates its d once per grading, which
 gives the kernel there and the image one grading down, hence the
 cokernel, and both are decomposed into bars.  The unique kernel bar
 reaching the ceiling is the tower of the surgered manifold and its bottom
-is the d-invariant; every other bar is reduced homology.  Results are
-recomputed two levels deeper and must agree, otherwise
-TruncationTooSmall is raised.
+is the d-invariant; every other bar is reduced homology.  Each block is
+solved again two levels deeper, and the two solves must give the same
+int offsets, otherwise TruncationTooSmall is raised.
 
 The shape fixes a block's cone up to a grading shift and does not
 depend on q: block i of p/q2 and block j of p/q1 of one shape are one
@@ -402,8 +402,8 @@ def _kernel_and_cokernel(pres: ConePresentation) -> tuple[FiniteUPresentation, .
     return _presentation(kernel), _presentation(cokernel)
 
 
-def _tower_bars(pres: ConePresentation) -> list[Tau]:
-    """Kernel bars of the tower summand, by 0-dimensional persistence.
+def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
+    """Kernel bars (bottom, length) of the tower summand, by persistence.
 
     The towers form a path graph filtered by grading: A-column n is a
     vertex born at a_grading[n], B-column m an edge joining m - 1 and m
@@ -429,47 +429,51 @@ def _tower_bars(pres: ConePresentation) -> list[Tau]:
         root[younger] = elder
         low, birth = bottom[younger], pres.b_grading[m] + 1
         if birth > low:
-            bars.append(Tau(low, (birth - low) // 2, low % 2))
+            bars.append((low, (birth - low) // 2))
     low = min(bottom.values())
-    bars.append(Tau(low, (pres.ceiling - low) // 2 + 1, low % 2))
+    bars.append((low, (pres.ceiling - low) // 2 + 1))
     return bars
 
 
-def _read_off(
-    pres: ConePresentation, ker_bars: list[Tau], cok_bars: list[Tau]
-) -> ConeResult:
-    """The block's homology from the kernel and cokernel bars of ``pres``:
-    the one kernel bar near the ceiling is the tower, the rest reduced."""
-    spec, depth = pres.spec, pres.depth
-    near_ceiling = [b for b in ker_bars if b.top >= pres.ceiling - 2]
-    if [b for b in cok_bars if b.top >= pres.ceiling - 2]:
+def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tuple:
+    """Int offsets from the anchor, from the tower bars (bottom, length) and
+    the kernel and cokernel Tau bars of ``pres``: the bottom of the one kernel
+    bar whose top reaches ceiling - 2 (the tower), the rest sorted as pairs."""
+    spec, depth, ceiling = pres.spec, pres.depth, pres.ceiling
+    ker = towers + [(b.bottom, b.length) for b in ker]
+    cok = [(b.bottom, b.length) for b in cok]
+    if any(b + 2 * n >= ceiling for b, n in cok):
         raise TruncationTooSmall(
             f"cokernel reaches the ceiling at depth {depth} for "
             f"{spec.p}/{spec.q} block {spec.i}"
         )
-    if len(near_ceiling) != 1:
+    near = [bar for bar in ker if bar[0] + 2 * bar[1] >= ceiling]
+    if len(near) != 1:
         raise TruncationTooSmall(
-            f"{len(near_ceiling)} chains reach the ceiling at depth {depth} "
+            f"{len(near)} chains reach the ceiling at depth {depth} "
             f"for {spec.p}/{spec.q} block {spec.i}; expected exactly one tower"
         )
-    tower = near_ceiling[0]
-    d = pres.anchor + tower.bottom
-    # sorted on the int offsets: adding the anchor keeps the order, and
-    # equal bottoms have equal parity
-    offsets = sorted(
-        (bar.bottom, bar.length) for bar in ker_bars + cok_bars if bar is not tower
-    )
-    red = tuple(
-        Tau(pres.anchor + bottom, length, (bottom - tower.bottom) % 2)
-        for bottom, length in offsets
-    )
-    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red, depth=depth)
+    return near[0][0], sorted(bar for bar in ker + cok if bar is not near[0])
 
 
-def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> ConeResult:
+def _cone_result(pres: ConePresentation, tower: int, bars: list) -> ConeResult:
+    """``_offsets``' result read off: offset k is at grading anchor + k
+    (which keeps the order), a bar's parity its distance from the tower."""
+    spec, num, den = pres.spec, pres.anchor.numerator, pres.anchor.denominator
+    red = tuple(Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars)
+    d = Fraction(num + tower * den, den)
+    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red, depth=pres.depth)
+
+
+def _read_off(pres: ConePresentation, ker_bars: list, cok_bars: list) -> ConeResult:
+    """``_cone_result`` of the ``_offsets`` of int-graded Tau bars."""
+    return _cone_result(pres, *_offsets(pres, [], ker_bars, cok_bars))
+
+
+def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
     pres = build_cone(model, spec, depth)
     kernel, cokernel = _kernel_and_cokernel(pres)
-    return _read_off(pres, _tower_bars(pres) + barcode(kernel), barcode(cokernel))
+    return pres, _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
 
 
 def cone_homology(
@@ -477,18 +481,21 @@ def cone_homology(
 ) -> ConeResult:
     """Homology of the truncated cone, certified stable in the depth.
 
-    The computation runs at the requested (or default) depth and again
-    two levels deeper; any disagreement raises TruncationTooSmall.
+    The cone is solved to ``_offsets`` at the requested (or default) depth
+    N and at N + 2; any disagreement raises TruncationTooSmall, and only
+    then is the depth-N result read off.  That is as strong as comparing
+    read-off results: the anchor depends on the spec, not on the depth,
+    so equal offsets give equal d and bars, whose parity is their
+    distance from the tower mod 2.
     """
     n = depth if depth is not None else default_depth(model, spec)
-    first = _homology_once(model, spec, n)
-    second = _homology_once(model, spec, n + 2)
-    if not first.same_homology(second):
+    pres, first = _homology_once(model, spec, n)
+    if _homology_once(model, spec, n + 2)[1] != first:
         raise TruncationTooSmall(
             f"results at depths {n} and {n + 2} disagree for "
             f"{spec.p}/{spec.q} block {spec.i}"
         )
-    return first
+    return _cone_result(pres, *first)
 
 
 def surgery(

@@ -57,3 +57,7 @@ class MissingGradings(FloerError):
 
 class TableTooLarge(FloerError):
     """A whole lens-space table of more entries than the size limit."""
+
+
+class NumberTooLarge(FloerError):
+    """An integer above the size limit of the function it was passed to."""

@@ -42,10 +42,6 @@ class Tau:
         if self.parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
 
-    @property
-    def top(self) -> Fraction | int:
-        return self.bottom + 2 * (self.length - 1)
-
 
 @dataclass(frozen=True)
 class FiniteUPresentation:

@@ -138,27 +138,24 @@ class KnotModel:
         self.genus = genus
         self.V = V
         self._blocks = dict(blocks)
+        ident = tuple(gf2.identity(ambient.b_red.dim))
+        self._identity = ReducedBlock(ambient.b_red, ident, ident)
         self._max_reduced_bar: int | None = None
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
         if k >= 0:
             return self.V[k] if k <= self.genus else 0
-        return self.v_at(-k) + (-k)
+        return (self.V[-k] if -k <= self.genus else 0) - k
 
     def h_at(self, k: int) -> int:
         """H_k = V_k + k."""
         return self.v_at(k) + k
 
-    def _identity_block(self) -> ReducedBlock:
-        b = self.ambient.b_red
-        ident = tuple(gf2.identity(b.dim))
-        return ReducedBlock(b, ident, ident)
-
     def block(self, k: int) -> ReducedBlock:
         """Reduced block for any k; derived outside the stored range."""
         if abs(k) >= self.genus:
-            return self._identity_block()
+            return self._identity
         if k >= 0:
             return self._blocks[k]
         pos = self._blocks[-k]

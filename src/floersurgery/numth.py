@@ -30,11 +30,13 @@ from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd
 
-from .errors import NotCoprime, TableTooLarge
+from .errors import NotCoprime, NumberTooLarge, TableTooLarge
 
 # The largest p of a whole lens table: `floersurgery lens p 3` prints a
 # table of this size in about a second.  Larger tables are refused.
 MAX_TABLE_P = 600_000
+# The largest n whose totient trial division finishes in about a second.
+MAX_TOTIENT_N = 10**14
 
 
 def require_slope(p: int, q: int = 1) -> None:
@@ -224,9 +226,11 @@ def lambda_from_hf(chi_red: int, d_sum: Fraction, h1_order: int) -> Fraction:
 
 
 def totient(n: int) -> int:
-    """Euler's totient."""
+    """Euler's totient, by trial division; NumberTooLarge above MAX_TOTIENT_N."""
     if n < 1:
         raise ValueError("totient needs n >= 1")
+    if n > MAX_TOTIENT_N:
+        raise NumberTooLarge(f"totient of {n}: more than the limit of {MAX_TOTIENT_N}")
     result = n
     m = n
     f = 2

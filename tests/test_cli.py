@@ -6,7 +6,7 @@ import time
 import pytest
 
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
-from floersurgery.numth import MAX_TABLE_P
+from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N
 from floersurgery.obstruct import canonical_json
 
 
@@ -212,6 +212,20 @@ def test_oversized_lens_table_is_refused_quickly(capsys, argv, p):
     assert code == 2
     assert out == ""
     assert f"{p} entries, more than the limit of {MAX_TABLE_P}" in err
+    assert "Traceback" not in err
+
+
+def test_oversized_h1_order_is_refused_quickly(capsys):
+    # Z_SPECIAL takes the totient of --h1, which trial division would not
+    # finish for this prime
+    h1 = 1000000000000000003
+    argv = "obstruct --z-special --p 2 --q 1 --q 3 --chi 1 --dim-red 1 --h1"
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv.split(), str(h1))
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert out == ""
+    assert f"totient of {h1}: more than the limit of {MAX_TOTIENT_N}" in err
     assert "Traceback" not in err
 
 

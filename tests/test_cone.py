@@ -29,6 +29,7 @@ from floersurgery import (
     torsion_coefficients,
 )
 from floersurgery import cone, gf2
+from floersurgery.cli import main
 
 from conftest import (
     depth_floor_reference,
@@ -250,12 +251,13 @@ def test_build_cone_lays_out_only_reduced_generators(
 
 
 def test_tower_bars_without_b_columns(figure8):
-    # one hook column and no edge: the only bar is the surviving tower
+    # one hook column and no edge: the only bar is the surviving tower,
+    # as a (bottom, length) offset pair
     pres = build_cone(figure8, SurgerySpec(2, 1, 1), 8)
     assert pres.b_grading == {}
     bottom = pres.a_grading[0]
     length = (pres.ceiling - bottom) // 2 + 1
-    assert cone._tower_bars(pres) == [Tau(bottom, length, bottom % 2)]
+    assert cone._tower_bars(pres) == [(bottom, length)]
 
 
 def test_edge_born_at_the_younger_bottom_gives_no_bar(trefoil):
@@ -266,7 +268,7 @@ def test_edge_born_at_the_younger_bottom_gives_no_bar(trefoil):
     assert pres.a_grading == {0: -1, 1: -1, 2: 1}
     assert pres.b_grading == {1: 0, 2: 0}
     length = (pres.ceiling + 1) // 2 + 1
-    assert cone._tower_bars(pres) == [Tau(-1, 1, 1), Tau(-1, length, 1)]
+    assert cone._tower_bars(pres) == [(-1, 1), (-1, length)]
 
 
 def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
@@ -290,6 +292,88 @@ def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
     for solve in (cone_homology, truncated_cone_reference):
         with pytest.raises(TruncationTooSmall, match="2 chains reach the ceiling"):
             solve(trefoil, spec, 8)
+
+
+def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
+    trefoil, capsys, monkeypatch
+):
+    # the deeper presentation loses its first tower and the edge to it, so
+    # the bar that edge ended is gone at N + 2 alone; each depth is valid
+    # on its own, and only the comparison of the two can see it
+    build = cone.build_cone
+
+    def losing_a_tower(model, spec, depth):
+        pres = build(model, spec, depth)
+        if depth != default_depth(model, spec) + 2:
+            return pres
+        a_grading, b_grading = dict(pres.a_grading), dict(pres.b_grading)
+        del a_grading[min(a_grading)], b_grading[min(b_grading)]
+        return replace(pres, a_grading=a_grading, b_grading=b_grading)
+
+    spec = SurgerySpec(2, 3, 0)
+    n = default_depth(trefoil, spec)
+    assert len(cone._tower_bars(build(trefoil, spec, n + 2))) == 2
+    assert len(cone._tower_bars(losing_a_tower(trefoil, spec, n + 2))) == 1
+    monkeypatch.setattr(cone, "build_cone", losing_a_tower)
+    message = f"results at depths {n} and {n + 2} disagree for 2/3 block 0"
+    with pytest.raises(TruncationTooSmall) as raised:
+        cone_homology(trefoil, spec)
+    assert str(raised.value) == message
+    assert main(["surgery", "trefoil_rh_s3", "2/3"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, monkeypatch):
+    # the depth-N cone is cut so that two chains reach its ceiling: that
+    # error comes from the first pass, and no cone at N + 2 is built
+    spec = SurgerySpec(2, 3, 0)
+    n = default_depth(trefoil, spec)
+    pres = build_cone(trefoil, spec, n)
+    broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
+    built = []
+
+    def recorded(model, spec, depth):
+        built.append(depth)
+        return broken
+
+    monkeypatch.setattr(cone, "build_cone", recorded)
+    with pytest.raises(TruncationTooSmall) as raised:
+        cone_homology(trefoil, spec)
+    assert str(raised.value) == (
+        f"2 chains reach the ceiling at depth {n} for 2/3 block 0; "
+        "expected exactly one tower"
+    )
+    assert built == [n]
+
+
+def test_each_solve_is_read_off_once(trefoil, monkeypatch):
+    # both depths are solved to int offsets; Fractions and Taus are built
+    # once per cone_homology call, from the depth-N result
+    calls = {"solve": 0, "read off": 0}
+    solve, read_off = cone.cone_homology, cone._cone_result
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def counted_read_off(*args):
+        calls["read off"] += 1
+        return read_off(*args)
+
+    monkeypatch.setattr(cone, "cone_homology", counted_solve)
+    monkeypatch.setattr(cone, "_cone_result", counted_read_off)
+    genus12 = load_model(staircase_doc([6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0]))
+    for model, p, q in ((trefoil, 3, 2), (genus12, 1, 2)):
+        for i in range(p):
+            before = dict(calls)
+            cone.cone_homology(model, SurgerySpec(p, q, i))
+            assert calls["solve"] == before["solve"] + 1
+            assert calls["read off"] == before["read off"] + 1
+        before = dict(calls)
+        surgery(model, p, q)
+        solved = calls["solve"] - before["solve"]
+        assert solved > 0
+        assert calls["read off"] - before["read off"] == solved
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):

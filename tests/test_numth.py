@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from floersurgery import (
     CassonWalkerInput,
     NotCoprime,
+    NumberTooLarge,
     TableTooLarge,
     casson_walker_surgery,
     dedekind,
@@ -22,6 +23,7 @@ from floersurgery import (
 )
 from floersurgery.numth import (
     MAX_TABLE_P,
+    MAX_TOTIENT_N,
     LensInvariants,
     lens_d_at,
     lens_d_numerators,
@@ -295,3 +297,12 @@ def test_totient():
     for n in range(1, 200):
         brute = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
         assert totient(n) == brute
+
+
+def test_totient_is_refused_above_the_limit():
+    # the limit itself is factored: 10^14 = 2^14 5^14
+    assert totient(MAX_TOTIENT_N) == 4 * 10**13
+    message = f"totient of {MAX_TOTIENT_N + 1}: more than the limit of {MAX_TOTIENT_N}"
+    with pytest.raises(NumberTooLarge) as raised:
+        totient(MAX_TOTIENT_N + 1)
+    assert str(raised.value) == message

@@ -87,7 +87,8 @@ def test_split_solve_matches_the_truncated_cone_reference(
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
     models += [load_model(staircase_doc(V)) for V in FAMILY]
     # build_cone is shared by both solvers, so one build per depth serves
-    # both; the library's result at each depth is recorded as it is solved
+    # both; the library's result at each depth is recorded as it is
+    # solved, read off to a ConeResult
     built, solved = {}, {}
     build, solve = cone.build_cone, cone._homology_once
 
@@ -97,8 +98,9 @@ def test_split_solve_matches_the_truncated_cone_reference(
         return built[depth]
 
     def record(model, spec, depth):
-        solved[depth] = solve(model, spec, depth)
-        return solved[depth]
+        pres, offsets = solve(model, spec, depth)
+        solved[depth] = cone._cone_result(pres, *offsets)
+        return pres, offsets
 
     monkeypatch.setattr(cone, "build_cone", build_once)
     monkeypatch.setattr(cone, "_homology_once", record)
