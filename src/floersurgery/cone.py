@@ -13,32 +13,32 @@ same less the first.  The block's shape (``_shape``) is that window's
 k-sequence, with the last k, always >= G, written as G: there V_k = 0,
 the block is the identity for every k >= G and the H-target is not
 retained, so nothing reads that k.  Column 0 is the first column with
-k >= 0 (k(-1) < 0 <= k(0)) and the window always holds it, so the
-shape alone places the window: its first column is minus the number of
-negative k.
+k >= 0 and the window always holds it, so the shape alone places the
+window: its first column is minus the number of negative k.
 
 Each block is relatively Z-graded, so one rational anchor fixes every
 absolute grading in it: the generator of the B-tower in column 0, at
 d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
 offset from that anchor, propagated along columns by
-b_{n+1} - b_n = 2 k(n), so the first column's B-tower bottom sits at
--2 (the sum of the negative k); model presentations already hold ``int``
+b_{n+1} - b_n = 2 k(n); model presentations already hold ``int``
 offsets from their own towers, and ``Fraction`` comes back only when the
 result is read off.  Towers are cut at a common grading ceiling.
 
 The cone is the direct sum of its towers and its reduced part: tower
 entries of d hit only B-towers, reduced columns only reduced generators,
-and U never mixes the two.  A tower is its bottom (``a_grading``,
-``b_grading``) plus the common ceiling, and its summand is solved in
-closed form, as 0-dimensional persistence of the window's path graph
-(A-columns are vertices, B-columns the edges joining their neighbours);
-its map is onto, so it has kernel bars only.  Only the reduced summand is
-assembled, grading by grading (d has degree -1, U degree -2): local
-bitmask columns over the reduced generators one or two gradings down,
-each reduced model map checked against its target grading as it is
-placed.  One ascending pass eliminates its d once per grading, which
-gives the kernel there and the image one grading down, hence the
-cokernel, and both are decomposed into bars.  The unique kernel bar
+and U never mixes the two.  A pass computes the shape once and walks it
+once, reading the model once per run of equal k, for the tower bottoms,
+the reduced blocks, the ceiling and the generator count.  A tower is its
+bottom plus the ceiling; its summand has kernel bars only, given by
+0-dimensional persistence of the window's path graph (A-columns are
+vertices, B-columns the edges joining their neighbours).  k(n) is
+nondecreasing, so the B-bottoms fall and then rise along the window: the
+edges alive at any grading are one interval around the lowest, and a
+sweep outward from it is exact.  Only the reduced summand is assembled,
+grading by grading, each reduced model map checked against its target
+grading as it is placed; one ascending pass eliminates its d once per
+grading, which gives the kernel there and the image one grading down,
+hence the cokernel, both decomposed into bars.  The unique kernel bar
 reaching the ceiling is the tower of the surgered manifold and its bottom
 is the d-invariant; every other bar is reduced homology.  Each block is
 solved again two levels deeper, and the two solves must give the same
@@ -60,9 +60,9 @@ evaluate different i concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
@@ -229,15 +229,18 @@ def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
     over |k| < G of V_k + H_k plus the longest reduced bar.
 
     The one depth rule: build_cone refuses depths below floor + 2, and
-    default_depth is 2 floor + 4.
+    default_depth is 2 floor + 4.  build_cone reads the floor off the
+    shape it walks (``_shape_floor``), so a pass computes one shape.
     """
-    shape = _shape(model, spec.p, spec.q, spec.i)
+    return _shape_floor(model, _shape(model, spec.p, spec.q, spec.i))
+
+
+def _shape_floor(model: KnotModel, shape: tuple[int, ...]) -> int:
+    """``_depth_floor`` of this shape; an interior k counts 2 V_k + k once."""
     last = len(shape) - 1
-    max_vh = max(
-        (model.v_at(k) if j else 0) + (model.h_at(k) if j < last else 0)
-        for j, k in enumerate(shape)
-    )
-    return max_vh + model.max_reduced_bar()
+    ends = [model.h_at(shape[0]), model.v_at(shape[last])] if last else [0]
+    vh = [2 * model.v_at(k) + k for k in set(shape[1:last])]
+    return max(vh + ends) + model.max_reduced_bar()
 
 
 def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
@@ -289,51 +292,54 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     Raises ConeTooLarge, before assembly, when the truncated cone would
     have more than MAX_GENERATORS generators, towers included.
     """
-    minimum = _depth_floor(model, spec) + 2
+    shape = _shape(model, spec.p, spec.q, spec.i)
+    minimum = _shape_floor(model, shape) + 2
     if depth < minimum:
         raise TruncationTooSmall(
             f"depth {depth} below safe minimum {minimum} "
             f"for {model.name} at {spec.p}/{spec.q}"
         )
-    shape = _shape(model, spec.p, spec.q, spec.i)
-    negative = [k for k in shape if k < 0]
-    columns = range(-len(negative), len(shape) - len(negative))
-    blocks = {n: model.block(k) for n, k in zip(columns, shape)}
-    a_red = {n: blk.pres for n, blk in blocks.items()}
+    negative = bisect_left(shape, 0)  # the shape is nondecreasing
     amb = model.ambient.b_red
-
     anchor = model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 1
-    # B-tower bottoms b(n), from b(0) = 0 and b(n + 1) = b(n) + 2 k(n)
-    b_grading = dict(
-        zip(columns, accumulate((2 * k for k in shape), initial=-2 * sum(negative)))
-    )
-    a_grading = {
-        n: b_grading[n] + 1 - 2 * model.v_at(k) for n, k in zip(columns, shape)
-    }
-    del b_grading[columns[0]]  # the first B-column is not retained
 
-    # common ceiling: all A-towers top out at the same grading
-    a_ref = a_grading[columns[0]]
-    base = max(
-        [a_grading[n] + g for n in columns for g in (0, *a_red[n].gradings)]
-        + [b + g for b in b_grading.values() for g in amb.gradings]
-    )
-    ceiling = a_ref + 2 * ((base - a_ref + 1) // 2) + 2 * depth
+    # b(n + 1) = b(n) + 2 k(n) from b(0) = 0, the model read once per run
+    # of k; a column with reduced generators adds its highest to ``tops``
+    a_grading, b_grading, blocks, tops = {}, {}, {}, []
+    a_red, b, run = 0, -2 * sum(shape[:negative]), None
+    for n, k in enumerate(shape, -negative):
+        if k != run:
+            run, blk, v = k, model.block(k), model.v_at(k)
+            dim, top = blk.pres.dim, max(blk.pres.gradings, default=0)
+        a = b + 1 - 2 * v
+        a_grading[n], b_grading[n] = a, b
+        if dim:
+            blocks[n] = blk
+            tops.append(a + top)
+            a_red += dim
+        b += 2 * k
+    del b_grading[-negative]  # the first B-column is not retained
 
-    for n, b in b_grading.items():
-        if b > ceiling - 1:
-            raise TruncationTooSmall(f"empty target tower in column {n}")
-    # each tower runs from its bottom to the ceiling (one below for B)
-    gens = sum(
-        (ceiling - a_grading[n]) // 2 + 1 + a_red[n].dim for n in columns
-    ) + sum((ceiling - 1 - b) // 2 + 1 + amb.dim for b in b_grading.values())
+    # common ceiling, where all A-towers top out: the highest A-bottom or
+    # reduced generator rounded up to odd (every A-bottom is), plus 2 depth
+    b_top = max(b_grading.values(), default=None)
+    if amb.dim and b_grading:
+        tops.append(b_top + max(amb.gradings))
+    ceiling = (max([*a_grading.values(), *tops]) | 1) + 2 * depth
+
+    if b_top is not None and b_top > ceiling - 1:
+        n = next(n for n, b in b_grading.items() if b > ceiling - 1)
+        raise TruncationTooSmall(f"empty target tower in column {n}")
+    n_b = len(b_grading)  # towers: odd A bottoms, even B bottoms, odd ceiling
+    gens = (len(a_grading) * (ceiling + 2) - sum(a_grading.values())) // 2 + a_red
+    gens += (n_b * (ceiling + 1) - sum(b_grading.values())) // 2 + n_b * amb.dim
     if gens > MAX_GENERATORS:
         raise ConeTooLarge(
             f"cone of {gens} generators at depth {depth} for {model.name} at "
             f"{spec.p}/{spec.q} block {spec.i} exceeds {MAX_GENERATORS}"
         )
-    dom = _Row(a_grading, a_red)
-    cod = _Row(b_grading, {n: amb for n in b_grading})
+    dom = _Row(a_grading, {n: blk.pres for n, blk in blocks.items()})
+    cod = _Row(b_grading, dict.fromkeys(b_grading, amb) if amb.dim else {})
 
     # reduced A-column n maps to B-column n by v_cols and to B-column
     # n + 1 by h_cols; columns outside the window are not retained
@@ -410,29 +416,30 @@ def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
     born at b_grading[m] + 1, where both tower maps into B_m switch on.
     The kernel at g is spanned by the runs of vertices joined by the edges
     alive at g, and the tower map is onto, so the summand has no cokernel.
-    Union-find with the elder rule: at each edge the run with the higher
-    bottom ends, in a bar up to two below the edge; the last run reaches
-    the ceiling.
+    k(n) is nondecreasing, so the B-bottoms fall, then rise, and the edges
+    alive at g are one interval around the lowest edge, grown by the lower
+    frontier edge (AssertionError at a birth below the last).  Each joins
+    a vertex to the run; the higher bottom of the two ends in a bar up to
+    two below the edge (elder rule), and the run reaches the ceiling.
     """
-    bottom = dict(pres.a_grading)
-    root = {n: n for n in bottom}
-
-    def find(n: int) -> int:
-        while root[n] != n:
-            root[n] = root[root[n]]
-            n = root[n]
-        return n
-
-    bars = []
-    for m in sorted(pres.b_grading, key=pres.b_grading.__getitem__):
-        elder, younger = sorted((find(m - 1), find(m)), key=bottom.__getitem__)
-        root[younger] = elder
-        low, birth = bottom[younger], pres.b_grading[m] + 1
+    a = list(pres.a_grading.values())  # edge j joins vertices j and j + 1
+    born = [b + 1 for b in pres.b_grading.values()]
+    last = min(born, default=None)
+    right = born.index(last) if born else 0
+    left, run, bars = right - 1, a[right], []
+    while left >= 0 or right < len(born):
+        if right == len(born) or (left >= 0 and born[left] <= born[right]):
+            birth, low, left = born[left], a[left], left - 1
+        else:
+            birth, low, right = born[right], a[right + 1], right + 1
+        if birth < last:
+            raise AssertionError("B-tower bottoms not unimodal along the window")
+        last = birth
+        if low < run:
+            low, run = run, low
         if birth > low:
             bars.append((low, (birth - low) // 2))
-    low = min(bottom.values())
-    bars.append((low, (pres.ceiling - low) // 2 + 1))
-    return bars
+    return bars + [(run, (pres.ceiling - run) // 2 + 1)]
 
 
 def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tuple:
@@ -463,11 +470,6 @@ def _cone_result(pres: ConePresentation, tower: int, bars: list) -> ConeResult:
     red = tuple(Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars)
     d = Fraction(num + tower * den, den)
     return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red, depth=pres.depth)
-
-
-def _read_off(pres: ConePresentation, ker_bars: list, cok_bars: list) -> ConeResult:
-    """``_cone_result`` of the ``_offsets`` of int-graded Tau bars."""
-    return _cone_result(pres, *_offsets(pres, [], ker_bars, cok_bars))
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:

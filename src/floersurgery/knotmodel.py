@@ -138,6 +138,10 @@ class KnotModel:
         self.genus = genus
         self.V = V
         self._blocks = dict(blocks)
+        # kept apart: max_reduced_bar barcodes the stored blocks only
+        self._conjugates = {
+            -k: ReducedBlock(b.pres, b.h_cols, b.v_cols) for k, b in blocks.items() if k
+        }
         ident = tuple(gf2.identity(ambient.b_red.dim))
         self._identity = ReducedBlock(ambient.b_red, ident, ident)
         self._max_reduced_bar: int | None = None
@@ -153,13 +157,11 @@ class KnotModel:
         return self.v_at(k) + k
 
     def block(self, k: int) -> ReducedBlock:
-        """Reduced block for any k; derived outside the stored range."""
+        """Reduced block for any k, built with the model: stored for 0 <= k <
+        genus, -k's with v/h swapped for k < 0, identity for |k| >= genus."""
         if abs(k) >= self.genus:
             return self._identity
-        if k >= 0:
-            return self._blocks[k]
-        pos = self._blocks[-k]
-        return ReducedBlock(pos.pres, v_cols=pos.h_cols, h_cols=pos.v_cols)
+        return self._blocks[k] if k >= 0 else self._conjugates[k]
 
     def max_reduced_bar(self) -> int:
         """Longest bar of the ambient reduced part or of any stored block.

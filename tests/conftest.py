@@ -189,7 +189,38 @@ def truncated_cone_reference(model, spec, depth, whole=None):
     if whole is None:
         whole = whole_cone(pres)
     kernel, cokernel = cone._kernel_and_cokernel(whole)
-    return cone._read_off(pres, barcode(kernel), barcode(cokernel))
+    return read_off(pres, barcode(kernel), barcode(cokernel))
+
+
+def read_off(pres, ker_bars, cok_bars):
+    """The result of int-graded kernel and cokernel Tau bars of ``pres``,
+    read off by the library's own ``_offsets`` and ``_cone_result``."""
+    return cone._cone_result(pres, *cone._offsets(pres, [], ker_bars, cok_bars))
+
+
+def tower_bars_reference(pres) -> list[tuple[int, int]]:
+    """Kernel bars (bottom, length) of the tower summand by union-find
+    with the elder rule, over the edges sorted by birth: it assumes
+    nothing of the order of the B-bottoms along the window."""
+    bottom = dict(pres.a_grading)
+    root = {n: n for n in bottom}
+
+    def find(n: int) -> int:
+        while root[n] != n:
+            root[n] = root[root[n]]
+            n = root[n]
+        return n
+
+    bars = []
+    for m in sorted(pres.b_grading, key=pres.b_grading.__getitem__):
+        elder, younger = sorted((find(m - 1), find(m)), key=bottom.__getitem__)
+        root[younger] = elder
+        low, birth = bottom[younger], pres.b_grading[m] + 1
+        if birth > low:
+            bars.append((low, (birth - low) // 2))
+    low = min(bottom.values())
+    bars.append((low, (pres.ceiling - low) // 2 + 1))
+    return bars
 
 
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:

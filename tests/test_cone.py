@@ -34,6 +34,7 @@ from floersurgery.cli import main
 from conftest import (
     depth_floor_reference,
     staircase_doc,
+    tower_bars_reference,
     truncated_cone_reference,
     whole_cone,
 )
@@ -271,6 +272,71 @@ def test_edge_born_at_the_younger_bottom_gives_no_bar(trefoil):
     assert cone._tower_bars(pres) == [(-1, 1), (-1, length)]
 
 
+def staircase_v(genus: int) -> list[int]:
+    """V_k = ceil((g - k)/2): a staircase that drops at every other k."""
+    return [(genus - k + 1) // 2 for k in range(genus + 1)]
+
+
+def test_tower_sweep_matches_the_union_find_reference(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # the two-pointer sweep assumes unimodal B-bottoms; the reference
+    # union-find sorts the edges and assumes nothing.  Every block of
+    # every model at p <= 9, q <= 11, at depths N and N + 2
+    staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(13)]
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    slopes = [(p, q) for p in range(1, 10) for q in range(1, 12) if gcd(p, q) == 1]
+    cases = 0
+    for model in models + staircases:
+        for p, q in slopes:
+            for i in range(p):
+                spec = SurgerySpec(p, q, i)
+                n = default_depth(model, spec)
+                for depth in (n, n + 2):
+                    pres = build_cone(model, spec, depth)
+                    bars = sorted(cone._tower_bars(pres))
+                    assert bars == sorted(tower_bars_reference(pres)), (model.name, spec)
+                    cases += 1
+    assert cases == 2 * len(models + staircases) * sum(p for p, _ in slopes)
+    # the presentation that loses its first tower and the edge to it
+    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 10)
+    a_grading, b_grading = dict(pres.a_grading), dict(pres.b_grading)
+    del a_grading[min(a_grading)], b_grading[min(b_grading)]
+    lost = replace(pres, a_grading=a_grading, b_grading=b_grading)
+    assert sorted(cone._tower_bars(lost)) == sorted(tower_bars_reference(lost))
+
+
+def test_tower_sweep_refuses_b_bottoms_that_are_not_unimodal(figure8):
+    # B-bottoms 0, 4, 2, 6 rise, fall and rise again: the edges alive at
+    # grading 3 are not one interval, so the sweep must raise where the
+    # union-find reference still returns bars
+    pres = build_cone(figure8, SurgerySpec(1, 1, 0), 8)
+    hand_built = replace(
+        pres,
+        a_grading={0: -1, 1: -1, 2: -1, 3: -1, 4: -1},
+        b_grading={1: 0, 2: 4, 3: 2, 4: 6},
+    )
+    assert len(tower_bars_reference(hand_built)) == 5
+    with pytest.raises(AssertionError, match="not unimodal"):
+        cone._tower_bars(hand_built)
+
+
+def test_an_empty_target_tower_is_reported(monkeypatch):
+    # no depth above the floor empties a target tower; with the floor
+    # lifted, a negative depth puts the ceiling below B-bottoms, and the
+    # first such column along the window is named
+    model = load_model(staircase_doc([3, 2, 2, 1, 1, 0]))
+    monkeypatch.setattr(cone, "_shape_floor", lambda *args: -100)
+    spec = SurgerySpec(1, 1, 0)
+    pres = build_cone(model, spec, 8)
+    for depth, column in ((-1, 5), (-6, -3)):
+        ceiling = pres.ceiling - 2 * (8 - depth)
+        assert column == min(n for n, b in pres.b_grading.items() if b > ceiling - 1)
+        with pytest.raises(TruncationTooSmall) as raised:
+            build_cone(model, spec, depth)
+        assert str(raised.value) == f"empty target tower in column {column}"
+
+
 def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
     # cut the same cone at grading 1, where both edges are born: the bar
     # ended by edge 1 tops out two below the ceiling, next to the tower
@@ -374,6 +440,30 @@ def test_each_solve_is_read_off_once(trefoil, monkeypatch):
         solved = calls["solve"] - before["solve"]
         assert solved > 0
         assert calls["read off"] - before["read off"] == solved
+
+
+def test_each_pass_computes_the_shape_once(trefoil, genus2_stress, monkeypatch):
+    # default_depth computes the shape once and each build_cone once, on
+    # which it reads the depth floor and walks the window
+    calls = []
+    shape = cone._shape
+
+    def counted(*args):
+        calls.append(args)
+        return shape(*args)
+
+    monkeypatch.setattr(cone, "_shape", counted)
+    genus12 = load_model(staircase_doc(staircase_v(12)))
+    for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
+        for i in range(p):
+            spec = SurgerySpec(p, q, i)
+            calls.clear()
+            cone.cone_homology(model, spec)
+            assert calls == [(model, p, q, i)] * 3
+            depth = default_depth(model, spec) + 2
+            calls.clear()
+            cone.cone_homology(model, spec, depth)
+            assert calls == [(model, p, q, i)] * 2
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8):

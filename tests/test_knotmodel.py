@@ -17,7 +17,7 @@ from floersurgery import (
     load_model_or_ambient,
     torsion_coefficients,
 )
-from conftest import STRESS_MODEL, sigma237_synthetic_doc
+from conftest import STRESS_MODEL, sigma237_synthetic_doc, staircase_doc
 
 
 def base_doc() -> dict:
@@ -313,6 +313,35 @@ def test_derived_blocks(figure8, trefoil):
     blk = model.block(-1)
     assert blk.v_cols == model.block(1).h_cols
     assert blk.h_cols == model.block(1).v_cols
+
+
+def test_blocks_are_built_once_with_the_model(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # block(k) is a lookup for |k| < G: one object on every call, and for
+    # k < 0 the stored block's presentation with v_cols and h_cols swapped.
+    # The conjugates are kept apart, so the longest reduced bar and the
+    # torsion coefficients read the stored blocks as before
+    V = [6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 0]
+    expected = [
+        (unknot, 0, ()),
+        (trefoil, 0, (1,)),
+        (figure8, 1, (-1,)),
+        (genus2_stress, 2, (0, 0)),
+        (sigma237_synthetic, 1, (0,)),
+        (load_model(staircase_doc(V)), 0, tuple(V[:-1])),
+    ]
+    for model, longest, t in expected:
+        G = max(model.genus, 1)
+        for k in range(1 - G, G):
+            assert model.block(k) is model.block(k)
+        for k in range(1, model.genus):
+            stored, conjugate = model.block(k), model.block(-k)
+            assert conjugate.pres is stored.pres
+            assert conjugate.v_cols == stored.h_cols
+            assert conjugate.h_cols == stored.v_cols
+        assert model.max_reduced_bar() == longest
+        assert torsion_coefficients(model).t == t
 
 
 @pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])
