@@ -10,7 +10,6 @@ from .cone import (
     build_cone,
     cone_homology,
     default_depth,
-    reduced_cone,
     surgery,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     NumberTooLarge,
     TableTooLarge,
     TruncationTooSmall,
-    V0NonZero,
     V0Zero,
 )
 from .fmod import (

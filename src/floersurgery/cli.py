@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: surgery, lens, casson-walker, obstruct, validate.  Global
-flags ``--format {text,json}`` and ``--depth N`` (overrides the default
-truncation depth).
+flag ``--format {text,json}``.  The truncation depth of the mapping cone
+is internal to the library: no flag sets it and no output reports it.
 
 Exit codes: 0 the run completed (including reported obstruction
 failures), 2 input or validation error or a cone too large to build,
@@ -26,6 +26,7 @@ from .knotmodel import (
     torsion_coefficients,
 )
 from .numth import (
+    MAX_TABLE_P,
     CassonWalkerInput,
     casson_walker_surgery,
     lambda_from_hf,
@@ -67,16 +68,19 @@ def parse_slope(text: str) -> tuple[int, int, int]:
 
 
 def parse_q_values(values: list[str]) -> list[int]:
+    """The q of each value, a single q or a range LOW..HIGH; refused with
+    ValueError above MAX_TABLE_P values, counted before any is listed."""
     out: list[int] = []
     for v in values:
-        if ".." in v:
-            a_str, b_str = v.split("..", 1)
-            qs = range(int(a_str), int(b_str) + 1)
-            if not qs:
-                raise ValueError(f"empty range {v!r}; expected LOW..HIGH")
-            out.extend(qs)
-        else:
-            out.append(int(v))
+        low_str, dots, high_str = v.partition("..")
+        low = int(low_str)
+        high = int(high_str) if dots else low
+        if low > high:
+            raise ValueError(f"empty range {v!r}; expected LOW..HIGH")
+        count = len(out) + high - low + 1
+        if count > MAX_TABLE_P:
+            raise ValueError(f"{count} q values, more than the limit of {MAX_TABLE_P}")
+        out.extend(range(low, high + 1))
     return out
 
 
@@ -104,7 +108,6 @@ def _print_surgery(result, fmt: str) -> None:
                     "d": str(r.d),
                     "red": [_tau_json(b) for b in r.red],
                     "dims": {"even": r.dims[0], "odd": r.dims[1]},
-                    "depth": r.depth,
                 }
                 for r in result.results
             ],
@@ -114,10 +117,7 @@ def _print_surgery(result, fmt: str) -> None:
         }
         print(canonical_json(payload))
         return
-    print(
-        f"model: {result.model_name}  slope: {result.p}/{result.q}  "
-        f"depth: {result.results[0].depth}"
-    )
+    print(f"model: {result.model_name}  slope: {result.p}/{result.q}")
     for r in result.results:
         bars = " ".join(_tau_text(b) for b in r.red) or "-"
         even, odd = r.dims
@@ -131,7 +131,7 @@ def _print_surgery(result, fmt: str) -> None:
     )
 
 
-def cmd_surgery(args, depth: int | None) -> int:
+def cmd_surgery(args) -> int:
     sign, p, q = parse_slope(args.slope)
     if sign < 0:
         if not args.mirror:
@@ -141,7 +141,7 @@ def cmd_surgery(args, depth: int | None) -> int:
                 "orientation-reversed knot model",
             )
         model = load_model(resolve_model_path(args.mirror))
-        result = surgery(model, p, q, depth)
+        result = surgery(model, p, q)
         if args.format == "text":
             print(
                 f"note: output is the orientation reversal of the requested "
@@ -149,7 +149,7 @@ def cmd_surgery(args, depth: int | None) -> int:
             )
     else:
         model = load_model(resolve_model_path(args.model))
-        result = surgery(model, p, q, depth)
+        result = surgery(model, p, q)
     _print_surgery(result, args.format)
     return 0
 
@@ -175,7 +175,7 @@ def cmd_lens(args) -> int:
     return 0
 
 
-def cmd_casson_walker(args, depth: int | None) -> int:
+def cmd_casson_walker(args) -> int:
     sign, p, q = parse_slope(args.slope)
     if sign < 0:
         raise ModelError("Syntax", "casson-walker expects a positive slope")
@@ -185,7 +185,7 @@ def cmd_casson_walker(args, depth: int | None) -> int:
     formula = casson_walker_surgery(
         CassonWalkerInput(lambda_y=lam_y, h1_order=1, delta2=delta2, p=p, q=q)
     )
-    result = surgery(model, p, q, depth)
+    result = surgery(model, p, q)
     from_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
     agree = formula == from_cone
     if args.format == "json":
@@ -240,7 +240,7 @@ def _target_summary(args) -> TargetSummary:
     )
 
 
-def cmd_obstruct(args, depth: int | None) -> int:
+def cmd_obstruct(args) -> int:
     verdicts: list[Verdict | list[Verdict]] = []
     scans = []
 
@@ -297,14 +297,14 @@ def cmd_obstruct(args, depth: int | None) -> int:
             raise ModelError("Syntax", "--d-sandwich needs --p and --q")
         model = load_model(resolve_model_path(args.d_sandwich))
         for q in parse_q_values(args.q):
-            verdicts.append(obstruct.d_sandwich(model, args.p, q, depth))
+            verdicts.append(obstruct.d_sandwich(model, args.p, q))
 
     if args.cosmetic_scan:
         if args.p is None or not args.q:
             raise ModelError("Syntax", "--cosmetic-scan needs --p and --q")
         model = load_model(resolve_model_path(args.cosmetic_scan))
         qs = parse_q_values(args.q)
-        pairs = obstruct.cosmetic_pair_scan(model, args.p, qs, depth)
+        pairs = obstruct.cosmetic_pair_scan(model, args.p, qs)
         scans.append({"model": model.name, "p": args.p, "q_range": qs, "pairs": pairs})
 
     if not verdicts and not scans:
@@ -337,21 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heegaard Floer homology of p/q surgery and its obstructions",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--depth", type=int, default=None, help="truncation depth")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("surgery", help="compute HF+ of p/q surgery on a model")
     s.add_argument("model")
     s.add_argument("slope", help="p/q with p, q > 0; -p/q requires --mirror")
     s.add_argument("--mirror", help="orientation-reversed model for negative slopes")
+    s.set_defaults(func=cmd_surgery)
 
     l = sub.add_parser("lens", help="Dedekind sum, lambda, tau and d-table of L(p,q)")
     l.add_argument("p", type=int)
     l.add_argument("q", type=int)
+    l.set_defaults(func=cmd_lens)
 
     c = sub.add_parser("casson-walker", help="Casson-Walker invariant of a surgery")
     c.add_argument("model")
     c.add_argument("slope")
+    c.set_defaults(func=cmd_casson_walker)
 
     o = sub.add_parser("obstruct", help="run obstruction rules")
     o.add_argument("--lens-complement", nargs=3, type=int, metavar=("P", "Q", "W"))
@@ -369,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--chi", type=int)
     o.add_argument("--dim-red", type=int)
     o.add_argument("--d-excess", help="max grading excess D(Z), as a rational")
+    o.set_defaults(func=cmd_obstruct)
 
     v = sub.add_parser("validate", help="validate model files")
     v.add_argument("models", nargs="+")
+    v.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -379,15 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "surgery":
-            return cmd_surgery(args, args.depth)
-        if args.command == "lens":
-            return cmd_lens(args)
-        if args.command == "casson-walker":
-            return cmd_casson_walker(args, args.depth)
-        if args.command == "obstruct":
-            return cmd_obstruct(args, args.depth)
-        return cmd_validate(args)  # the subcommand is required
+        return args.func(args)
     except TruncationTooSmall as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -40,9 +40,11 @@ grading as it is placed; one ascending pass eliminates its d once per
 grading, which gives the kernel there and the image one grading down,
 hence the cokernel, both decomposed into bars.  The unique kernel bar
 reaching the ceiling is the tower of the surgered manifold and its bottom
-is the d-invariant; every other bar is reduced homology.  Each block is
-solved again two levels deeper, and the two solves must give the same
-int offsets, otherwise TruncationTooSmall is raised.
+is the d-invariant; every other bar is reduced homology.  The tower depth
+is internal to ``cone_homology``: each block is solved at the default
+depth and again two levels deeper, and the two solves must give the same
+int offsets, otherwise TruncationTooSmall is raised.  No result carries
+the depth.
 
 The shape fixes a block's cone up to a grading shift and does not
 depend on q: block i of p/q2 and block j of p/q1 of one shape are one
@@ -65,12 +67,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall, V0NonZero
+from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
 from .numth import lens_d_at, lens_d_numerators, require_slope
 
-# largest cone build_cone assembles; a hostile --depth stops here
+# largest cone build_cone assembles, towers counted
 MAX_GENERATORS = 1_000_000
 
 
@@ -147,7 +149,6 @@ class ConeResult:
     i: int
     d: Fraction
     red: tuple[Tau, ...]
-    depth: int
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -217,8 +218,10 @@ def _shifted(result: ConeResult, delta: Fraction) -> tuple[Fraction, tuple[Tau, 
     return result.d + delta, red
 
 
-def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
-    """max(V_k + H_k) over the window's maps plus the longest reduced bar.
+def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
+    """Stability-safe truncation depth for this model and slope: twice
+    the depth floor, max(V_k + H_k) over the window's maps plus the
+    longest reduced bar, plus 4.
 
     An A-column counts V_k only when its own B-column is retained and H_k
     only when the next one is: a column whose target is not retained
@@ -228,24 +231,20 @@ def _depth_floor(model: KnotModel, spec: SurgerySpec) -> int:
     their zero side, so the floor is bounded by the model alone: the max
     over |k| < G of V_k + H_k plus the longest reduced bar.
 
-    The one depth rule: build_cone refuses depths below floor + 2, and
-    default_depth is 2 floor + 4.  build_cone reads the floor off the
-    shape it walks (``_shape_floor``), so a pass computes one shape.
+    The one depth rule: build_cone refuses depths below floor + 2.
+    build_cone reads the floor off the shape it walks (``_shape_floor``),
+    so a pass computes one shape.
     """
-    return _shape_floor(model, _shape(model, spec.p, spec.q, spec.i))
+    return 2 * _shape_floor(model, _shape(model, spec.p, spec.q, spec.i)) + 4
 
 
 def _shape_floor(model: KnotModel, shape: tuple[int, ...]) -> int:
-    """``_depth_floor`` of this shape; an interior k counts 2 V_k + k once."""
+    """The depth floor of this shape (``default_depth``); an interior k
+    counts 2 V_k + k once."""
     last = len(shape) - 1
     ends = [model.h_at(shape[0]), model.v_at(shape[last])] if last else [0]
     vh = [2 * model.v_at(k) + k for k in set(shape[1:last])]
     return max(vh + ends) + model.max_reduced_bar()
-
-
-def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
-    """Stability-safe truncation depth for this model and slope."""
-    return 2 * _depth_floor(model, spec) + 4
 
 
 class _Row:
@@ -469,7 +468,7 @@ def _cone_result(pres: ConePresentation, tower: int, bars: list) -> ConeResult:
     spec, num, den = pres.spec, pres.anchor.numerator, pres.anchor.denominator
     red = tuple(Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars)
     d = Fraction(num + tower * den, den)
-    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red, depth=pres.depth)
+    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red)
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
@@ -483,12 +482,14 @@ def cone_homology(
 ) -> ConeResult:
     """Homology of the truncated cone, certified stable in the depth.
 
-    The cone is solved to ``_offsets`` at the requested (or default) depth
-    N and at N + 2; any disagreement raises TruncationTooSmall, and only
-    then is the depth-N result read off.  That is as strong as comparing
-    read-off results: the anchor depends on the spec, not on the depth,
-    so equal offsets give equal d and bars, whose parity is their
-    distance from the tower mod 2.
+    The cone is solved to ``_offsets`` at depth N, ``default_depth``
+    unless one is given, and at N + 2; any disagreement raises
+    TruncationTooSmall, and only then is the depth-N result read off.
+    That is as strong as comparing read-off results: the anchor depends
+    on the spec, not on the depth, so equal offsets give equal d and
+    bars, whose parity is their distance from the tower mod 2.  No
+    library caller passes a depth: it is there to test the certificate
+    at chosen depths.
     """
     n = depth if depth is not None else default_depth(model, spec)
     pres, first = _homology_once(model, spec, n)
@@ -504,7 +505,6 @@ def surgery(
     model: KnotModel,
     p: int,
     q: int,
-    depth: int | None = None,
     *,
     shapes: dict[tuple[int, ...], tuple[ConeResult, int, dict]] | None = None,
 ) -> SurgeryResult:
@@ -522,9 +522,9 @@ def surgery(
     ``shapes`` maps each shape to (first result, its N, {N: (d, bars)}),
     the last holding every N of that shape met so far.  It is read and
     extended; by default each call starts an empty one.  Surgeries of one
-    model at one p and one ``depth`` may share it, whatever their q, and
-    then solve each shape once between them.  A shape whose solve raises
-    is never stored, so a shared dict changes no result and no error.
+    model at one p may share it, whatever their q, and then solve each
+    shape once between them.  A shape whose solve raises is never
+    stored, so a shared dict changes no result and no error.
     """
     SurgerySpec(p, q)  # the slope's errors, before any block
     shapes = {} if shapes is None else shapes
@@ -532,7 +532,7 @@ def surgery(
     for i, lens in enumerate(lens_d_numerators(p, q)):
         shape = _shape(model, p, q, i)
         if shape not in shapes:
-            first = cone_homology(model, SurgerySpec(p, q, i), depth)
+            first = cone_homology(model, SurgerySpec(p, q, i))
             shapes[shape] = (first, lens, {lens: (first.d, first.red)})
             results.append(first)
             continue
@@ -540,21 +540,6 @@ def surgery(
         if lens not in by_lens:
             by_lens[lens] = _shifted(first, Fraction(lens - first_lens, 4 * p))
         d, red = by_lens[lens]
-        results.append(ConeResult(p, q, i, d, red, first.depth))
+        results.append(ConeResult(p, q, i, d, red))
     return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))
 
-
-def reduced_cone(model: KnotModel, spec: SurgerySpec) -> tuple[int, int]:
-    """(dim ker, dim coker) of the reduced-blocks-only cone map.
-
-    Only defined when V_0 = 0.  The map is d on the reduced summand, the
-    only part build_cone assembles, at the minimum depth; no tower depth
-    changes it.
-    """
-    if model.v_at(0) != 0:
-        raise V0NonZero(f"V_0 = {model.v_at(0)} for {model.name}")
-    pres = build_cone(model, spec, _depth_floor(model, spec) + 2)
-    dim_dom = sum(len(cols) for cols in pres.d_cols.values())
-    dim_cod = sum(len(cols) for cols in pres.u_cod.values())
-    r = sum(gf2.rank(cols) for cols in pres.d_cols.values())
-    return dim_dom - r, dim_cod - r

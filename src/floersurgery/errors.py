@@ -43,10 +43,6 @@ class ConeTooLarge(FloerError):
     """The truncated cone would have more generators than the size limit."""
 
 
-class V0NonZero(FloerError):
-    """Reduced-cone computation requires V_0 = 0."""
-
-
 class V0Zero(FloerError):
     """The V_0 slope bound only applies when V_0 > 0."""
 

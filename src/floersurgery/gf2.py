@@ -82,13 +82,6 @@ class Echelon:
         return True, res, combo
 
 
-def rank(vecs: Iterable[int]) -> int:
-    ech = Echelon()
-    for v in vecs:
-        ech.insert(v)
-    return len(ech)
-
-
 def nullspace(cols: list[int], ech: Echelon | None = None) -> list[int]:
     """Kernel basis of the map with the given columns.
 

@@ -24,10 +24,17 @@ from math import gcd
 from typing import Optional, Union
 
 from .cone import SurgerySpec, surgery
-from .errors import MissingGradings, NotCoprime, V0Zero
+from .errors import MissingGradings, NotCoprime, TableTooLarge, V0Zero
 from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
-from .numth import dedekind, lens_d_at, lens_d_numerators, require_slope, totient
+from .numth import (
+    MAX_TABLE_P,
+    dedekind,
+    lens_d_at,
+    lens_d_numerators,
+    require_slope,
+    totient,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -228,6 +235,8 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
 
     Also exposes the intermediate count: block i contributes at least
     n_i V_0 to the reduced part, n_i = #{0 <= j < q : j = i mod p} - 1.
+    That witness has p entries, so p above MAX_TABLE_P is refused
+    (TableTooLarge) before it is built.
     """
     v0 = model.v_at(0)
     if v0 == 0:
@@ -235,6 +244,10 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
     if q < 1:
         raise NotCoprime("the bound applies to positive slopes")
     require_slope(p, q)
+    if p > MAX_TABLE_P:
+        raise TableTooLarge(
+            f"the n_i witness has {p} entries, more than the limit of {MAX_TABLE_P}"
+        )
     n_i = [max(0, len(range(i, q, p)) - 1) for i in range(p)]
     bound = p + Fraction(z.dim_red, v0)
     witness = {
@@ -298,9 +311,7 @@ def _d_bounds(
     return upper - 2 * model.ambient.max_odd_bar(), upper
 
 
-def d_sandwich(
-    model: KnotModel, p: int, q: int, depth: Optional[int] = None
-) -> Verdict:
+def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
     """Computed d-invariants must lie between the two structural bounds.
 
     When the ambient reduced part has no odd bars the bounds coincide
@@ -310,7 +321,7 @@ def d_sandwich(
     equality_required = model.ambient.max_odd_bar() == 0
     rows = []
     ok = True
-    results = surgery(model, p, q, depth).results
+    results = surgery(model, p, q).results
     for result, lens in zip(results, lens_d_numerators(p, q)):
         lower, upper = _d_bounds(model, p, q, result.i, Fraction(lens, 4 * p))
         inside = lower <= result.d <= upper
@@ -379,10 +390,7 @@ def _matches(res1, res2, p: int) -> bool:
 
 
 def cosmetic_pair_scan(
-    model: KnotModel,
-    p: int,
-    q_range: list[int],
-    depth: Optional[int] = None,
+    model: KnotModel, p: int, q_range: list[int]
 ) -> list[tuple[int, int]]:
     """All pairs q1 < q2 whose surgeries have matching Floer data.
 
@@ -398,11 +406,13 @@ def cosmetic_pair_scan(
     require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     shapes: dict = {}
-    computed = {q: surgery(model, p, q, depth, shapes=shapes) for q in qs}
+    computed = {q: surgery(model, p, q, shapes=shapes) for q in qs}
     # a relabelling keeps the multiset of (d, bars), so surgeries whose
-    # multisets differ cannot match
+    # multisets differ cannot match; plain dicts compare on the hashes they
+    # stored, where Counter.__eq__ hashes every key again in Python
     multiset = {
-        q: Counter((r.d, r.red) for r in res.results) for q, res in computed.items()
+        q: dict(Counter((r.d, r.red) for r in res.results))
+        for q, res in computed.items()
     }
     hits = []
     for idx, q1 in enumerate(qs):

@@ -223,6 +223,18 @@ def tower_bars_reference(pres) -> list[tuple[int, int]]:
     return bars
 
 
+def reduced_cone(model, spec) -> tuple[int, int]:
+    """(dim ker, dim coker) of the reduced-blocks-only cone map, for a
+    model with V_0 = 0.  The map is d on the reduced summand, the only part
+    build_cone assembles; no tower depth changes it."""
+    assert model.v_at(0) == 0, f"V_0 = {model.v_at(0)} for {model.name}"
+    pres = cone.build_cone(model, spec, cone.default_depth(model, spec))
+    dim_dom = sum(len(cols) for cols in pres.d_cols.values())
+    dim_cod = sum(len(cols) for cols in pres.u_cod.values())
+    r = sum(rank(cols) for cols in pres.d_cols.values())
+    return dim_dom - r, dim_cod - r
+
+
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:
     """Random homogeneous nilpotent U-presentation.
 
@@ -239,12 +251,20 @@ def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresent
     return FiniteUPresentation(tuple(gradings), tuple(cols))
 
 
+def rank(vecs) -> int:
+    """Dimension of the GF(2) span of the bitmask vectors."""
+    ech = gf2.Echelon()
+    for v in vecs:
+        ech.insert(v)
+    return len(ech)
+
+
 def u_power_rank(pres: FiniteUPresentation, j: int) -> int:
     """rank of U^j, by direct matrix power."""
     cols = gf2.identity(pres.dim)
     for _ in range(j):
         cols = gf2.mat_mul(list(pres.u_cols), cols)
-    return gf2.rank(cols)
+    return rank(cols)
 
 
 def inverse(cols: list[int]) -> list[int]:

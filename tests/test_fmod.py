@@ -13,7 +13,7 @@ from floersurgery import (
     gf2,
     validate,
 )
-from conftest import inverse, random_presentation, rank_profile_matches
+from conftest import inverse, random_presentation, rank, rank_profile_matches
 
 
 def test_validate_zero_module():
@@ -61,7 +61,7 @@ def test_barcode_random_6dim_against_rank_oracle():
 def _random_invertible_block(rng: random.Random, n: int) -> list[int]:
     while True:
         cols = [rng.getrandbits(n) for _ in range(n)]
-        if gf2.rank(cols) == n:
+        if rank(cols) == n:
             return cols
 
 

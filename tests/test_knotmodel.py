@@ -17,7 +17,7 @@ from floersurgery import (
     load_model_or_ambient,
     torsion_coefficients,
 )
-from conftest import STRESS_MODEL, sigma237_synthetic_doc, staircase_doc
+from conftest import STRESS_MODEL, rank, sigma237_synthetic_doc, staircase_doc
 
 
 def base_doc() -> dict:
@@ -72,8 +72,8 @@ def _t0_oracle(model, depth: int = 9) -> int:
     cols = [
         (1 << (j - v0)) if j >= v0 else 0 for j in range(depth)
     ]  # columns of U^{v0} into tau(depth - v0)
-    ker = depth - gf2.rank(cols)
-    assert gf2.rank(cols) == depth - v0  # onto the truncated target
+    ker = depth - rank(cols)
+    assert rank(cols) == depth - v0  # onto the truncated target
     return ker + euler_z2(model.block(0).pres) - euler_z2(model.ambient.b_red)
 
 

@@ -380,19 +380,20 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     assert tuple(row["d"] for row in rows) == surgery(trefoil, 3000, 1).d_table
     # too small a depth raises at the block that raises when every block
     # is solved (block 4 of genus2_stress 9/5), with its message
+    monkeypatch.setattr(cone, "default_depth", lambda model, spec: 5)
     solved.clear()
     with pytest.raises(TruncationTooSmall) as sandwich:
-        d_sandwich(genus2_stress, 9, 5, 5)
+        d_sandwich(genus2_stress, 9, 5)
     assert solved[-1] == 4
     with pytest.raises(TruncationTooSmall) as every:
-        [cone_homology(genus2_stress, SurgerySpec(9, 5, i), 5) for i in range(9)]
+        [cone_homology(genus2_stress, SurgerySpec(9, 5, i)) for i in range(9)]
     assert str(sandwich.value) == str(every.value)
 
 
 def _synthetic_p5(blocks) -> SurgeryResult:
     """A p = 5 surgery result whose block j has the given (d, red)."""
     results = tuple(
-        ConeResult(p=5, q=1, i=j, d=d, red=red, depth=0)
+        ConeResult(p=5, q=1, i=j, d=d, red=red)
         for j, (d, red) in enumerate(blocks)
     )
     return SurgeryResult(model_name="synthetic", p=5, q=1, results=results)

@@ -133,15 +133,18 @@ def test_surgery_equals_every_block_solved(
             assert (r.d, r.red) == (twin.d, twin.red), (model.name, p, q, r.i)
 
 
-def test_surgery_raises_at_the_first_block_that_raises(trefoil, genus2_stress):
+def test_surgery_raises_at_the_first_block_that_raises(
+    trefoil, genus2_stress, monkeypatch
+):
     # too small a depth: the first block of each shape is solved, and it
     # is the lowest block index with that shape; genus2_stress 9/5 passes
     # blocks 0-3 at depth 5 and raises at block 4
     for model, p, q, depth in ((trefoil, 7, 2, 1), (genus2_stress, 9, 5, 5)):
+        monkeypatch.setattr(cone, "default_depth", lambda model, spec: depth)
         with pytest.raises(TruncationTooSmall) as shared:
-            surgery(model, p, q, depth)
+            surgery(model, p, q)
         with pytest.raises(TruncationTooSmall) as every:
-            [cone_homology(model, SurgerySpec(p, q, i), depth) for i in range(p)]
+            [cone_homology(model, SurgerySpec(p, q, i)) for i in range(p)]
         assert str(shared.value) == str(every.value)
 
 
@@ -152,9 +155,9 @@ SCAN_MODELS += [f"staircase{genus}" for genus in (3, 6, 9)]
 @pytest.mark.parametrize("name", SCAN_MODELS)
 def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
     # a scan shares one dict of block shapes across its q; every surgery
-    # it runs must equal a fresh one, q, i and depth included, its hits
-    # must be the fresh surgeries' matches, and at a depth too small it
-    # must raise where the fresh surgeries first raise, in q order
+    # it runs must equal a fresh one, q and i included, its hits must be
+    # the fresh surgeries' matches, and at a depth too small it must raise
+    # where the fresh surgeries first raise, in q order
     if name.startswith("staircase"):
         model = load_model(staircase_doc(staircases(int(name[9:]))[0]))
     else:
@@ -168,25 +171,28 @@ def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
         return recorded[-1]
 
     monkeypatch.setattr(obstruct, "surgery", record)
+    default = cone.default_depth
     raised = 0
     for p in (1, 2, 3, 5, 7, 11, 13, 23, 41):
         pairs = None
         for depth in (None, 12, 3):
+            forced = default if depth is None else lambda model, spec, n=depth: n
+            monkeypatch.setattr(cone, "default_depth", forced)
             fresh, error = {}, None
             try:
                 for q in (q for q in qs if gcd(p, q) == 1):
-                    fresh[q] = surgery(model, p, q, depth)
+                    fresh[q] = surgery(model, p, q)
             except FloerError as err:
                 error = err
             recorded.clear()
             if error is not None:
                 raised += 1
                 with pytest.raises(type(error)) as scan_error:
-                    cosmetic_pair_scan(model, p, qs, depth)
+                    cosmetic_pair_scan(model, p, qs)
                 assert str(scan_error.value) == str(error), (p, depth)
                 assert recorded == list(fresh.values()), (p, depth)
                 continue
-            hits = cosmetic_pair_scan(model, p, qs, depth)
+            hits = cosmetic_pair_scan(model, p, qs)
             assert recorded == list(fresh.values()), (p, depth)
             # matching ignores depth, so one depth's pairs serve all
             if pairs is None:
