@@ -28,7 +28,7 @@ The cone is the direct sum of its towers and its reduced part: tower
 entries of d hit only B-towers, reduced columns only reduced generators,
 and U never mixes the two.  A pass computes the shape once and walks it
 once, reading the model once per run of equal k, for the tower bottoms,
-the reduced blocks, the ceiling and the generator count.  A tower is its
+the reduced blocks and the ceiling.  A tower is its
 bottom plus the ceiling; its summand has kernel bars only, given by
 0-dimensional persistence of the window's path graph (A-columns are
 vertices, B-columns the edges joining their neighbours).  k(n) is
@@ -40,11 +40,16 @@ grading as it is placed; one ascending pass eliminates its d once per
 grading, which gives the kernel there and the image one grading down,
 hence the cokernel, both decomposed into bars.  The unique kernel bar
 reaching the ceiling is the tower of the surgered manifold and its bottom
-is the d-invariant; every other bar is reduced homology.  The tower depth
-is internal to ``cone_homology``: each block is solved at the default
-depth and again two levels deeper, and the two solves must give the same
-int offsets, otherwise TruncationTooSmall is raised.  No result carries
-the depth.
+is the d-invariant; every other bar is reduced homology.
+
+A pass lays out one tower bottom per retained A- and B-column plus every
+reduced generator; that is its size, bounded by MAX_GENERATORS (``_shape``
+checks the bottoms before walking the window, ``build_cone`` the whole
+count before assembly).  How high the towers reach, the truncation depth,
+costs nothing: it lives only in the certificate of ``cone_homology``,
+which solves each block at ``default_depth`` and two levels deeper and
+raises TruncationTooSmall unless both give the same int offsets.  No
+presentation, result or message carries the depth.
 
 The shape fixes a block's cone up to a grading shift and does not
 depend on q: block i of p/q2 and block j of p/q1 of one shape are one
@@ -72,8 +77,9 @@ from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
 from .numth import lens_d_at, lens_d_numerators, require_slope
 
-# largest cone build_cone assembles, towers counted
-MAX_GENERATORS = 1_000_000
+# most generators a pass lays out: a tower bottom per retained column
+# plus every reduced generator (trefoil 2/200001 lays out 200,003)
+MAX_GENERATORS = 250_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,6 @@ class ConePresentation:
 
     spec: SurgerySpec
     shape: tuple[int, ...]
-    depth: int
     anchor: Fraction
     ceiling: int
     a_grading: dict[int, int]
@@ -190,23 +195,22 @@ class SurgeryResult:
     def d_sum(self) -> Fraction:
         return sum((r.d for r in self.results), Fraction(0))
 
-    @property
-    def d_table(self) -> tuple[Fraction, ...]:
-        return tuple(r.d for r in self.results)
-
 
 def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     """The window's k-sequence, with the last k written as G; the module
     docstring states the window.  Raises ConeTooLarge, before the window
-    is walked, when it has more A-columns than MAX_GENERATORS."""
+    is walked, when its tower bottoms alone, one per A-column and one per
+    B-column, are more than MAX_GENERATORS."""
     G = max(model.genus, 1)
     n_plus = -((-(G * q - i)) // p)  # ceil((G q - i)/p)
     n_minus = ((1 - G) * q - 1 - i) // p
-    # each A-column carries at least its tower's bottom generator
-    if n_plus - n_minus > MAX_GENERATORS:
+    columns = n_plus - n_minus
+    bottoms = 2 * columns - 1  # one B-column fewer than A-columns
+    if bottoms > MAX_GENERATORS:
         raise ConeTooLarge(
-            f"window of {n_plus - n_minus} A-columns for {model.name} at "
-            f"{p}/{q} block {i}: more than {MAX_GENERATORS} generators"
+            f"window of {columns} A-columns for {model.name} at {p}/{q} "
+            f"block {i}: {bottoms} tower bottoms, more than {MAX_GENERATORS} "
+            "generators"
         )
     return (*[(i + p * n) // q for n in range(n_minus + 1, n_plus)], G)
 
@@ -285,22 +289,24 @@ class _Row:
 
 
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
-    """Assemble the truncated cone at the given tower depth: the towers
-    by their bottoms and the common ceiling, the reduced summand in full.
+    """Assemble the cone with its towers cut at the given depth: the
+    towers by their bottoms and the common ceiling, the reduced summand in
+    full.  Only ``cone_homology``'s certificate chooses the depth.
 
-    Raises ConeTooLarge, before assembly, when the truncated cone would
-    have more than MAX_GENERATORS generators, towers included.
+    Raises ConeTooLarge, before assembly, when the pass would lay out more
+    than MAX_GENERATORS generators: a tower bottom per retained A- and
+    B-column plus every reduced generator.
     """
-    shape = _shape(model, spec.p, spec.q, spec.i)
-    minimum = _shape_floor(model, shape) + 2
-    if depth < minimum:
+    p, q, i = spec.p, spec.q, spec.i
+    shape = _shape(model, p, q, i)
+    if depth < _shape_floor(model, shape) + 2:
         raise TruncationTooSmall(
-            f"depth {depth} below safe minimum {minimum} "
-            f"for {model.name} at {spec.p}/{spec.q}"
+            f"towers cut below the safe minimum for {model.name} at "
+            f"{p}/{q} block {i}"
         )
     negative = bisect_left(shape, 0)  # the shape is nondecreasing
     amb = model.ambient.b_red
-    anchor = model.ambient.d + lens_d_at(spec.p, spec.q, spec.i) - 1
+    anchor = model.ambient.d + lens_d_at(p, q, i) - 1
 
     # b(n + 1) = b(n) + 2 k(n) from b(0) = 0, the model read once per run
     # of k; a column with reduced generators adds its highest to ``tops``
@@ -318,6 +324,12 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
             a_red += dim
         b += 2 * k
     del b_grading[-negative]  # the first B-column is not retained
+    gens = len(a_grading) + a_red + len(b_grading) * (1 + amb.dim)
+    if gens > MAX_GENERATORS:
+        raise ConeTooLarge(
+            f"cone of {gens} generators for {model.name} at {p}/{q} "
+            f"block {i}: more than {MAX_GENERATORS}"
+        )
 
     # common ceiling, where all A-towers top out: the highest A-bottom or
     # reduced generator rounded up to odd (every A-bottom is), plus 2 depth
@@ -329,14 +341,6 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     if b_top is not None and b_top > ceiling - 1:
         n = next(n for n, b in b_grading.items() if b > ceiling - 1)
         raise TruncationTooSmall(f"empty target tower in column {n}")
-    n_b = len(b_grading)  # towers: odd A bottoms, even B bottoms, odd ceiling
-    gens = (len(a_grading) * (ceiling + 2) - sum(a_grading.values())) // 2 + a_red
-    gens += (n_b * (ceiling + 1) - sum(b_grading.values())) // 2 + n_b * amb.dim
-    if gens > MAX_GENERATORS:
-        raise ConeTooLarge(
-            f"cone of {gens} generators at depth {depth} for {model.name} at "
-            f"{spec.p}/{spec.q} block {spec.i} exceeds {MAX_GENERATORS}"
-        )
     dom = _Row(a_grading, {n: blk.pres for n, blk in blocks.items()})
     cod = _Row(b_grading, dict.fromkeys(b_grading, amb) if amb.dim else {})
 
@@ -357,7 +361,6 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     return ConePresentation(
         spec=spec,
         shape=shape,
-        depth=depth,
         anchor=anchor,
         ceiling=ceiling,
         a_grading=a_grading,
@@ -445,19 +448,17 @@ def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tupl
     """Int offsets from the anchor, from the tower bars (bottom, length) and
     the kernel and cokernel Tau bars of ``pres``: the bottom of the one kernel
     bar whose top reaches ceiling - 2 (the tower), the rest sorted as pairs."""
-    spec, depth, ceiling = pres.spec, pres.depth, pres.ceiling
+    spec, ceiling = pres.spec, pres.ceiling
+    where = f"{spec.p}/{spec.q} block {spec.i}"
     ker = towers + [(b.bottom, b.length) for b in ker]
     cok = [(b.bottom, b.length) for b in cok]
     if any(b + 2 * n >= ceiling for b, n in cok):
-        raise TruncationTooSmall(
-            f"cokernel reaches the ceiling at depth {depth} for "
-            f"{spec.p}/{spec.q} block {spec.i}"
-        )
+        raise TruncationTooSmall(f"cokernel reaches the ceiling for {where}")
     near = [bar for bar in ker if bar[0] + 2 * bar[1] >= ceiling]
     if len(near) != 1:
         raise TruncationTooSmall(
-            f"{len(near)} chains reach the ceiling at depth {depth} "
-            f"for {spec.p}/{spec.q} block {spec.i}; expected exactly one tower"
+            f"{len(near)} chains reach the ceiling for {where}; "
+            "expected exactly one tower"
         )
     return near[0][0], sorted(bar for bar in ker + cok if bar is not near[0])
 
@@ -477,26 +478,23 @@ def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
     return pres, _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
 
 
-def cone_homology(
-    model: KnotModel, spec: SurgerySpec, depth: int | None = None
-) -> ConeResult:
+def cone_homology(model: KnotModel, spec: SurgerySpec) -> ConeResult:
     """Homology of the truncated cone, certified stable in the depth.
 
-    The cone is solved to ``_offsets`` at depth N, ``default_depth``
-    unless one is given, and at N + 2; any disagreement raises
-    TruncationTooSmall, and only then is the depth-N result read off.
-    That is as strong as comparing read-off results: the anchor depends
-    on the spec, not on the depth, so equal offsets give equal d and
-    bars, whose parity is their distance from the tower mod 2.  No
-    library caller passes a depth: it is there to test the certificate
-    at chosen depths.
+    The certificate is the one place a depth is chosen: the cone is solved
+    to ``_offsets`` with its towers cut at N = ``default_depth`` and at
+    N + 2; any disagreement raises TruncationTooSmall, and only then is
+    the first result read off.  That is as strong as comparing read-off
+    results: the anchor depends on the spec, not on the depth, so equal
+    offsets give equal d and bars, whose parity is their distance from
+    the tower mod 2.
     """
-    n = depth if depth is not None else default_depth(model, spec)
+    n = default_depth(model, spec)
     pres, first = _homology_once(model, spec, n)
     if _homology_once(model, spec, n + 2)[1] != first:
         raise TruncationTooSmall(
-            f"results at depths {n} and {n + 2} disagree for "
-            f"{spec.p}/{spec.q} block {spec.i}"
+            f"results for {spec.p}/{spec.q} block {spec.i} change when the "
+            "towers are cut two levels higher"
         )
     return _cone_result(pres, *first)
 

@@ -36,11 +36,11 @@ class NotCoprime(FloerError):
 
 
 class TruncationTooSmall(FloerError):
-    """The truncated cone could not be certified stable at this depth."""
+    """The truncated cone could not be certified stable in its depth."""
 
 
 class ConeTooLarge(FloerError):
-    """The truncated cone would have more generators than the size limit."""
+    """A pass would lay out more generators than the size limit."""
 
 
 class V0Zero(FloerError):

@@ -52,9 +52,6 @@ class Echelon:
     def __init__(self) -> None:
         self.pivots: dict[int, tuple[int, int]] = {}
 
-    def __len__(self) -> int:
-        return len(self.pivots)
-
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
         """Reduce v modulo the span; return (residue, combination)."""
         out = 0

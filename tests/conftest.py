@@ -19,6 +19,19 @@ from floersurgery import (
 from floersurgery.cli import resolve_model_path
 
 
+@pytest.fixture
+def solve_at(monkeypatch):
+    """``cone_homology`` with the certificate's depth N forced to the
+    given one, through ``cone.default_depth``; N + 2 is checked as ever."""
+
+    def solve(model, spec, depth):
+        with monkeypatch.context() as forced:
+            forced.setattr(cone, "default_depth", lambda model, spec: depth)
+            return cone.cone_homology(model, spec)
+
+    return solve
+
+
 @pytest.fixture(scope="session")
 def unknot():
     return load_model(resolve_model_path("unknot_s3"))
@@ -256,7 +269,7 @@ def rank(vecs) -> int:
     ech = gf2.Echelon()
     for v in vecs:
         ech.insert(v)
-    return len(ech)
+    return len(ech.pivots)
 
 
 def u_power_rank(pres: FiniteUPresentation, j: int) -> int:

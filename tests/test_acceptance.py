@@ -68,7 +68,7 @@ def test_criterion_3_unknot_sanity(unknot):
         seen += 1
         result = surgery(unknot, p, q)
         ok = ok and result.total_dim_red == 0
-        ok = ok and list(result.d_table) == lens_d(p, q)
+        ok = ok and [r.d for r in result.results] == lens_d(p, q)
     _report("criterion 3: 20 random unknot surgeries match lens data exactly", ok)
 
 
@@ -127,7 +127,7 @@ def test_criterion_6_d_sandwich(unknot, trefoil, figure8):
     _report("criterion 6: d-invariants inside bounds, equality over S3", ok)
 
 
-def test_criterion_7_truncation_stability(trefoil, figure8):
+def test_criterion_7_truncation_stability(trefoil, figure8, solve_at):
     ok = True
     cases = [(trefoil, 2, m) for m in (3, 5, 7, 9)]
     cases += [(figure8, 2, n) for n in (1, 3, 5)]
@@ -135,9 +135,9 @@ def test_criterion_7_truncation_stability(trefoil, figure8):
         for i in range(p):
             spec = SurgerySpec(p, q, i)
             n0 = default_depth(model, spec)
-            base = cone_homology(model, spec, n0)
-            ok = ok and base.same_homology(cone_homology(model, spec, n0 + 2))
-            ok = ok and base.same_homology(cone_homology(model, spec, n0 + 4))
+            base = solve_at(model, spec, n0)
+            ok = ok and base.same_homology(solve_at(model, spec, n0 + 2))
+            ok = ok and base.same_homology(solve_at(model, spec, n0 + 4))
     _report("criterion 7: results identical at depths N, N+2, N+4", ok)
 
 

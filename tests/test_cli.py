@@ -175,7 +175,10 @@ def test_truncation_too_small_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cone, "default_depth", lambda model, spec: 1)
     code, _, err = run(capsys, "surgery", "trefoil_rh_s3", "2/3")
     assert code == 3
-    assert "depth" in err
+    assert err == (
+        "error: towers cut below the safe minimum for trefoil_rh_s3 at 2/3 block 0\n"
+    )
+    assert "depth" not in err
 
 
 def test_depth_flag_is_a_usage_error(capsys):
@@ -190,12 +193,13 @@ def test_depth_flag_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # too many generators at the default depth, refused before assembly
-        ("surgery", "trefoil_rh_s3", "2/200001"),
-        # a window of 10^8 columns, refused before it is walked
+        # the first trefoil 2/q whose tower bottoms are over the limit:
+        # 125,001 A-columns and 125,000 B-columns in block 0
+        ("surgery", "trefoil_rh_s3", "2/249999"),
+        # a window of 10^8 columns
         ("surgery", "trefoil_rh_s3", "2/100000001"),
     ],
-    ids=["depth", "window"],
+    ids=["first_over", "window"],
 )
 def test_oversized_cone_is_refused_quickly(capsys, argv):
     started = time.monotonic()
@@ -204,6 +208,7 @@ def test_oversized_cone_is_refused_quickly(capsys, argv):
     assert code == 2
     assert out == ""
     assert "generators" in err
+    assert "depth" not in err
     assert "Traceback" not in err
 
 

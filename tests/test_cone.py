@@ -116,7 +116,7 @@ def test_unknot_cone_is_lens_space(unknot):
     for p, q in ((2, 1), (3, 1), (1, 1), (1, 5), (5, 3), (7, 2)):
         result = surgery(unknot, p, q)
         assert result.total_dim_red == 0
-        assert list(result.d_table) == lens_d(p, q)
+        assert [r.d for r in result.results] == lens_d(p, q)
 
 
 def test_trefoil_2_3_frozen_values(trefoil):
@@ -247,7 +247,8 @@ def test_build_cone_lays_out_only_reduced_generators(
     # a deeper cone differs only in how far its towers reach
     spec = SurgerySpec(2, 1, 0)
     shallow, deep = build_cone(trefoil, spec, 8), build_cone(trefoil, spec, 40000)
-    assert replace(deep, depth=8, ceiling=shallow.ceiling) == shallow
+    assert deep.ceiling - shallow.ceiling == 2 * (40000 - 8)
+    assert replace(deep, ceiling=shallow.ceiling) == shallow
 
 
 def test_tower_bars_without_b_columns(figure8):
@@ -354,9 +355,11 @@ def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
         u_cod=cut(pres.u_cod),
     )
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
-    for solve in (cone_homology, truncated_cone_reference):
-        with pytest.raises(TruncationTooSmall, match="2 chains reach the ceiling"):
-            solve(trefoil, spec, 8)
+    message = "2 chains reach the ceiling for 2/3 block 0; expected exactly one tower"
+    for solve in (cone_homology, lambda *args: truncated_cone_reference(*args, 8)):
+        with pytest.raises(TruncationTooSmall) as raised:
+            solve(trefoil, spec)
+        assert str(raised.value) == message
 
 
 def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
@@ -380,7 +383,9 @@ def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
     assert len(cone._tower_bars(build(trefoil, spec, n + 2))) == 2
     assert len(cone._tower_bars(losing_a_tower(trefoil, spec, n + 2))) == 1
     monkeypatch.setattr(cone, "build_cone", losing_a_tower)
-    message = f"results at depths {n} and {n + 2} disagree for 2/3 block 0"
+    message = (
+        "results for 2/3 block 0 change when the towers are cut two levels higher"
+    )
     with pytest.raises(TruncationTooSmall) as raised:
         cone_homology(trefoil, spec)
     assert str(raised.value) == message
@@ -405,8 +410,7 @@ def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, monkeypatch
     with pytest.raises(TruncationTooSmall) as raised:
         cone_homology(trefoil, spec)
     assert str(raised.value) == (
-        f"2 chains reach the ceiling at depth {n} for 2/3 block 0; "
-        "expected exactly one tower"
+        "2 chains reach the ceiling for 2/3 block 0; expected exactly one tower"
     )
     assert built == [n]
 
@@ -443,7 +447,8 @@ def test_each_solve_is_read_off_once(trefoil, monkeypatch):
 
 def test_each_pass_computes_the_shape_once(trefoil, genus2_stress, monkeypatch):
     # default_depth computes the shape once and each build_cone once, on
-    # which it reads the depth floor and walks the window
+    # which it reads the depth floor and walks the window; with the depth
+    # forced, only the two builds compute it
     calls = []
     shape = cone._shape
 
@@ -461,28 +466,33 @@ def test_each_pass_computes_the_shape_once(trefoil, genus2_stress, monkeypatch):
             assert calls == [(model, p, q, i)] * 3
             depth = default_depth(model, spec) + 2
             calls.clear()
-            cone.cone_homology(model, spec, depth)
+            with monkeypatch.context() as forced:
+                forced.setattr(cone, "default_depth", lambda model, spec: depth)
+                cone.cone_homology(model, spec)
             assert calls == [(model, p, q, i)] * 2
 
 
-def test_truncation_stability_explicit_depths(trefoil, figure8):
+def test_truncation_stability_explicit_depths(trefoil, figure8, solve_at):
     for model, p, q in ((trefoil, 2, 5), (figure8, 2, 3)):
         for i in range(p):
             spec = SurgerySpec(p, q, i)
             n0 = default_depth(model, spec)
-            base = cone_homology(model, spec, n0)
-            deeper = cone_homology(model, spec, n0 + 2)
-            deepest = cone_homology(model, spec, n0 + 4)
+            base = solve_at(model, spec, n0)
+            deeper = solve_at(model, spec, n0 + 2)
+            deepest = solve_at(model, spec, n0 + 4)
             assert base.same_homology(deeper)
             assert base.same_homology(deepest)
 
 
-def test_depth_below_minimum_raises(trefoil):
-    with pytest.raises(TruncationTooSmall):
-        cone_homology(trefoil, SurgerySpec(2, 3, 0), 1)
+def test_depth_below_minimum_raises(trefoil, solve_at):
+    with pytest.raises(TruncationTooSmall) as raised:
+        solve_at(trefoil, SurgerySpec(2, 3, 0), 1)
+    assert str(raised.value) == (
+        "towers cut below the safe minimum for trefoil_rh_s3 at 2/3 block 0"
+    )
 
 
-def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot):
+def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot, solve_at):
     # the floor over every A-column, boundary columns included, is never
     # below the library's; both default depths give the same homology
     staircases = [
@@ -496,7 +506,7 @@ def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot):
                 old_depth = 2 * depth_floor_reference(model, spec) + 4
                 assert default_depth(model, spec) <= old_depth
                 new = cone_homology(model, spec)
-                assert new.same_homology(cone_homology(model, spec, old_depth))
+                assert new.same_homology(solve_at(model, spec, old_depth))
 
 
 @pytest.mark.parametrize(
@@ -540,9 +550,9 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
     solved = []
     solve = cone.cone_homology
 
-    def counted(model, spec, depth=None):
+    def counted(model, spec):
         solved.append(spec.i)
-        return solve(model, spec, depth)
+        return solve(model, spec)
 
     monkeypatch.setattr(cone, "cone_homology", counted)
     # at p/1 the window of every block i >= G is the one column n = 0,
@@ -569,7 +579,7 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
             100000001,
             ConeTooLarge,
             "window of 50000002 A-columns for trefoil_rh_s3 at 2/100000001 "
-            "block 0: more than 1000000 generators",
+            "block 0: 100000003 tower bottoms, more than 250000 generators",
         ),
     ],
 )
@@ -581,22 +591,68 @@ def test_surgery_checks_the_slope_before_any_block(trefoil, p, q, error, message
     assert str(raised.value) == message
 
 
-def test_size_guard_counts_every_generator(trefoil, genus2_stress, monkeypatch):
+def test_first_trefoil_window_over_the_limit(trefoil):
+    # block 0 of trefoil 2/q has (q + 3)/2 A-columns and one B-column
+    # fewer; 2/249997 lays out 249,999 tower bottoms, 2/249999 250,001
+    assert len(cone._shape(trefoil, 2, 249997, 0)) == 125000
+    with pytest.raises(ConeTooLarge, match="250001 tower bottoms"):
+        cone._shape(trefoil, 2, 249999, 0)
+
+
+def test_size_guard_counts_the_generators_a_pass_lays_out(
+    trefoil, genus2_stress, monkeypatch
+):
     spec = SurgerySpec(3, 2, 1)
     for model in (trefoil, genus2_stress):
         monkeypatch.undo()
         pres = build_cone(model, spec, 10)
-        gens = len(pres.dom_gradings) + len(pres.cod_gradings)
-        # the counting property and the reference's layout agree
+        # the counting properties and the reference's layout agree
         whole = whole_cone(pres)
-        assert whole.generators == gens
+        assert whole.generators == len(pres.dom_gradings) + len(pres.cod_gradings)
         assert pres.dom_gradings == tuple(g for g, c in whole.u_dom.items() for _ in c)
         assert pres.cod_gradings == tuple(g for g, c in whole.u_cod.items() for _ in c)
+        # a pass lays out one bottom per tower and every reduced generator,
+        # however high the towers reach
+        towers = len(pres.a_grading) + len(pres.b_grading)
+        reduced = sum(len(cols) for cols in [*pres.u_dom.values(), *pres.u_cod.values()])
+        gens = towers + reduced
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
         assert build_cone(model, spec, 10) == pres
+        assert build_cone(model, spec, 10**6).ceiling == pres.ceiling + 2 * (10**6 - 10)
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
-        with pytest.raises(ConeTooLarge, match=f"cone of {gens} generators"):
+        with pytest.raises(ConeTooLarge) as raised:
             build_cone(model, spec, 10)
+        where = f"{model.name} at 3/2 block 1"
+        if reduced:
+            # the window's bottoms fit, the whole pass does not
+            expected = f"cone of {gens} generators for {where}: more than {gens - 1}"
+        else:
+            # the bottoms alone are over, refused before the window is walked
+            expected = (
+                f"window of {len(pres.a_grading)} A-columns for {where}: "
+                f"{towers} tower bottoms, more than {gens - 1} generators"
+            )
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize(
+    "name, p, q, bars",
+    [("genus16", 5, 127, 3932), ("trefoil", 2, 200001, 199999)],
+)
+def test_large_q_surgery_runs(name, p, q, bars, request):
+    # refused while the guard counted tower generators up to the ceiling,
+    # which no pass lays out; checked against the L-space closed forms of
+    # test_oracles: (2g - 1) q - p bars, and Casson-Walker
+    if name == "genus16":
+        model = load_model(staircase_doc(staircase_v(16)))
+    else:
+        model = request.getfixturevalue(name)
+    g = model.genus
+    result = surgery(model, p, q)
+    assert sum(len(r.red) for r in result.results) == (2 * g - 1) * q - p == bars
+    delta2 = 2 * model.V[0] + 4 * sum(model.V[1:g])
+    via_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
+    assert via_cone == casson_walker_surgery(CassonWalkerInput(0, 1, delta2, p, q))
 
 
 def test_d_invariant_bounds_unknot(unknot):
@@ -682,20 +738,18 @@ def test_genus2_model_lambda_consistency_and_sandwich(genus2_stress):
     delta2 = torsion_coefficients(model).delta2
     lam_y = lambda_from_hf(model.ambient.chi_red, model.ambient.d, 1)
     assert lam_y == 1 and delta2 == 0
-    for p in range(1, 6):
-        for q in range(1, 8):
-            if gcd(p, q) != 1:
-                continue
-            result = surgery(model, p, q)
-            via_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
-            via_formula = casson_walker_surgery(
-                CassonWalkerInput(lam_y, 1, delta2, p, q)
-            )
-            assert via_cone == via_formula
-            for r in result.results:
-                lo, up = d_invariant_bounds(model, SurgerySpec(p, q, r.i))
-                assert lo <= r.d <= up
-                assert up - lo == 2  # one odd bar of length 1 upstairs
+    slopes = [(p, q) for p in range(1, 6) for q in range(1, 8) if gcd(p, q) == 1]
+    # at 7/3001 the largest pass lays out 9,871 generators; its towers
+    # counted up to the ceiling would be 782,905
+    for p, q in slopes + [(7, 3001)]:
+        result = surgery(model, p, q)
+        via_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
+        via_formula = casson_walker_surgery(CassonWalkerInput(lam_y, 1, delta2, p, q))
+        assert via_cone == via_formula
+        for r in result.results:
+            lo, up = d_invariant_bounds(model, SurgerySpec(p, q, r.i))
+            assert lo <= r.d <= up
+            assert up - lo == 2  # one odd bar of length 1 upstairs
 
 
 def test_genus2_model_frozen_block(genus2_stress):

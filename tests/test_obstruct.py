@@ -266,9 +266,9 @@ def test_cosmetic_scan_solves_each_block_shape_once(
     solved = []
     solve = cone.cone_homology
 
-    def counted(model, spec, depth=None):
+    def counted(model, spec):
         solved.append((spec.q, spec.i))
-        return solve(model, spec, depth)
+        return solve(model, spec)
 
     monkeypatch.setattr(cone, "cone_homology", counted)
     # the scan solves each shape once, at the first q and block that has
@@ -368,16 +368,17 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     solved = []
     solve = cone.cone_homology
 
-    def counted(model, spec, depth=None):
+    def counted(model, spec):
         solved.append(spec.i)
-        return solve(model, spec, depth)
+        return solve(model, spec)
 
     monkeypatch.setattr(cone, "cone_homology", counted)
     verdict = d_sandwich(trefoil, 3000, 1)
     assert 0 < len(solved) <= 2 * trefoil.genus + 2
     rows = verdict.witness["per_block"]
     assert [row["i"] for row in rows] == list(range(3000))
-    assert tuple(row["d"] for row in rows) == surgery(trefoil, 3000, 1).d_table
+    whole = surgery(trefoil, 3000, 1)
+    assert [row["d"] for row in rows] == [r.d for r in whole.results]
     # too small a depth raises at the block that raises when every block
     # is solved (block 4 of genus2_stress 9/5), with its message
     monkeypatch.setattr(cone, "default_depth", lambda model, spec: 5)
