@@ -170,9 +170,6 @@ class ConeResult:
         even, odd = self.dims
         return even - odd
 
-    def same_homology(self, other: "ConeResult") -> bool:
-        return self.d == other.d and self.red == other.red
-
 
 @dataclass(frozen=True)
 class SurgeryResult:
@@ -215,11 +212,21 @@ def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     return (*[(i + p * n) // q for n in range(n_minus + 1, n_plus)], G)
 
 
-def _shifted(result: ConeResult, delta: Fraction) -> tuple[Fraction, tuple[Tau, ...]]:
-    """d and reduced bars of ``result`` moved up in grading by delta;
-    parities, lengths and order are those of a complex shifted in grading."""
-    red = tuple(Tau(b.bottom + delta, b.length, b.parity) for b in result.red)
-    return result.d + delta, red
+def _shifted(
+    result: ConeResult, delta_n: int, p: int
+) -> tuple[Fraction, tuple[Tau, ...]]:
+    """d and reduced bars of ``result`` moved up in grading by delta_n/4p,
+    delta_n a difference of lens numerators N = 4p d(L(p,q), .); parities,
+    lengths and order are those of a complex shifted in grading.  Each
+    moved value is one Fraction built from integers."""
+    scale = 4 * p
+
+    def moved(x: Fraction) -> Fraction:
+        den = x.denominator
+        return Fraction(x.numerator * scale + delta_n * den, den * scale)
+
+    red = tuple(Tau(moved(b.bottom), b.length, b.parity) for b in result.red)
+    return moved(result.d), red
 
 
 def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
@@ -536,7 +543,7 @@ def surgery(
             continue
         first, first_lens, by_lens = shapes[shape]
         if lens not in by_lens:
-            by_lens[lens] = _shifted(first, Fraction(lens - first_lens, 4 * p))
+            by_lens[lens] = _shifted(first, lens - first_lens, p)
         d, red = by_lens[lens]
         results.append(ConeResult(p, q, i, d, red))
     return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))

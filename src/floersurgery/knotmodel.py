@@ -27,7 +27,9 @@ Model files are JSON documents::
       }
     }
 
-Rationals are strings "a/b" (or plain integers).  Ambient ``b_red``
+Rationals are JSON integers or strings "a/b" or "a", with a an optionally
+signed run of digits and b a run of digits; exponents, decimal points,
+spaces and underscores are refused.  Ambient ``b_red``
 gradings are absolute, anchored so the ambient tower generator sits at
 ``d``.  Generators of an ``a_red`` block are graded on a per-block scale
 whose tower generator sits at ``tower_offset``.  A loaded model keeps
@@ -53,6 +55,7 @@ Stored blocks in the derived range are checked against the derivation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -203,6 +206,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# an optional sign, digits and an optional /digits: no exponent, point,
+# space or underscore, which Fraction would also accept
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(x, what: str) -> Fraction:
     """An exact rational from an int, a Fraction or a string like '-3/4'."""
     if isinstance(x, float):
@@ -213,6 +221,10 @@ def parse_rational(x, what: str) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise ModelError("Syntax", f"{what}: not an exact grading: {x!r}")
+    if _RATIONAL.fullmatch(x) is None:
+        raise ModelError(
+            "Syntax", f"{what}: {x!r} is not a rational 'a/b' or an integer"
+        )
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -323,8 +335,11 @@ def _read_json(path: Union[str, Path]) -> dict:
         raise ModelError("Syntax", f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal over int's digit limit
         raise ModelError("Syntax", f"{path} is not valid JSON: {e}") from e
+    except RecursionError:
+        raise ModelError("Syntax", f"{path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelError("Syntax", f"{path}: top level must be an object")
     return doc

@@ -371,20 +371,31 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
     )
 
 
-def _matches(res1, res2, p: int) -> bool:
+def _block_key(r) -> tuple:
+    """The homology of one block, d and reduced bars, as integers: equal
+    keys mean equal (d, red), and the key hashes and compares in C."""
+    return (
+        r.d.numerator,
+        r.d.denominator,
+        tuple(
+            (b.bottom.numerator, b.bottom.denominator, b.length, b.parity)
+            for b in r.red
+        ),
+    )
+
+
+def _matches(keys1: list, keys2: list, p: int) -> bool:
     """Does a relabelling i -> a i + b mod p (a a unit) send every block of
-    res1 to one of res2 with the same homology?  Block 0 goes to block b,
-    so only the b whose block has block 0's homology are tried."""
-    first = res1.results[0]
-    offsets = [b for b, r in enumerate(res2.results) if r.same_homology(first)]
+    one surgery to one of the other with the same homology?  The surgeries
+    are given by their ``_block_key`` lists.  Block 0 goes to block b, so
+    only the b whose block has block 0's key are tried."""
+    first = keys1[0]
+    offsets = [b for b, k in enumerate(keys2) if k == first]
     for a in range(1, p + 1):
         if gcd(a, p) != 1:
             continue
         for b in offsets:
-            if all(
-                res1.results[i].same_homology(res2.results[(a * i + b) % p])
-                for i in range(p)
-            ):
+            if all(keys1[i] == keys2[(a * i + b) % p] for i in range(p)):
                 return True
     return False
 
@@ -402,27 +413,32 @@ def cosmetic_pair_scan(
 
     The surgeries share one dict of block shapes (see ``surgery``), so
     each shape is solved once over the whole scan, not once per q.
+    Blocks are compared on integer keys (``_block_key``), computed once
+    per surgery.  A relabelling keeps the multiset of keys, so only
+    surgeries with equal multisets are paired, in order of (q1, q2).
     """
     require_slope(p)
     qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
     shapes: dict = {}
     computed = {q: surgery(model, p, q, shapes=shapes) for q in qs}
-    # a relabelling keeps the multiset of (d, bars), so surgeries whose
-    # multisets differ cannot match; plain dicts compare on the hashes they
-    # stored, where Counter.__eq__ hashes every key again in Python
-    multiset = {
-        q: dict(Counter((r.d, r.red) for r in res.results))
-        for q, res in computed.items()
-    }
+    keys = {q: [_block_key(r) for r in res.results] for q, res in computed.items()}
+    groups: dict = {}
+    for q in qs:
+        groups.setdefault(frozenset(Counter(keys[q]).items()), []).append(q)
+    candidates = sorted(
+        (q1, q2)
+        for group in groups.values()
+        for idx, q1 in enumerate(group)
+        for q2 in group[idx + 1 :]
+    )
     hits = []
-    for idx, q1 in enumerate(qs):
-        for q2 in qs[idx + 1 :]:
-            if multiset[q1] == multiset[q2] and _matches(computed[q1], computed[q2], p):
-                if _straddles(p, q1, q2) and computed[q1].chi_red % p != 0:
-                    raise AssertionError(
-                        f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
-                    )
-                hits.append((q1, q2))
+    for q1, q2 in candidates:
+        if _matches(keys[q1], keys[q2], p):
+            if _straddles(p, q1, q2) and computed[q1].chi_red % p != 0:
+                raise AssertionError(
+                    f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
+                )
+            hits.append((q1, q2))
     return hits
 
 

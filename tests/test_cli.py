@@ -430,3 +430,46 @@ def test_validate_rejects_a_u_row_that_is_not_a_list(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", path)
     assert code == 2
     assert "Syntax: a_red[0].u_matrix must be 1x1" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "is nested too deeply"),
+        ('{"genus": ' + "1" * 5000 + "}", "is not valid JSON: Exceeds the limit"),
+    ],
+    ids=["nested", "long_integer"],
+)
+def test_unparsable_model_file_is_a_syntax_error(text, message, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run(capsys, "validate", str(path), "unknot_s3")
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert err == ""
+    first, second = out.splitlines()
+    assert first.startswith(f"{path}: Syntax: {path} ") and message in first
+    assert second == "unknot_s3: ok"
+
+
+def _exponent_d(doc):
+    doc["ambient"]["d"] = "1e99999999"
+
+
+@pytest.mark.parametrize("where", ["model", "d_excess"])
+def test_rational_with_an_exponent_is_refused_quickly(where, tmp_path, capsys):
+    # Fraction would expand the exponent; rationals are a/b or integers
+    if where == "model":
+        argv = ["validate", _edited_model(tmp_path, "figure8_s3", _exponent_d)]
+    else:
+        argv = [
+            "obstruct", "--genus-bound", "sigma237_ambient", "--p", "1",
+            "--q", "3", "--chi", "1", "--d-excess", "1e99999999",
+        ]
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert "Syntax" in out + err
+    assert "'1e99999999' is not a rational 'a/b' or an integer" in out + err

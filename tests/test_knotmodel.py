@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from floersurgery import (
     load_model_or_ambient,
     torsion_coefficients,
 )
+from floersurgery.knotmodel import parse_rational
+
 from conftest import STRESS_MODEL, rank, sigma237_synthetic_doc, staircase_doc
 
 
@@ -444,3 +447,11 @@ def test_any_single_field_mutation_loads_or_raises_model_error(
             code = cli.main(["validate", str(mutated_file)])
             capsys.readouterr()
             assert code in (0, 2), label
+
+
+@pytest.mark.parametrize("text", ["1.5", " 3", "1_000", "3/-4", "+", "1/"])
+def test_parse_rational_accepts_only_signed_digits_over_digits(text):
+    assert parse_rational("-3/4", "x") == Fraction(-3, 4)
+    assert parse_rational("+7", "x") == 7
+    with pytest.raises(ModelError, match="is not a rational"):
+        parse_rational(text, "x")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -39,6 +39,7 @@ from floersurgery.obstruct import (
     FAIL,
     INAPPLICABLE,
     PASS,
+    _block_key,
     _matches,
     assemble_report,
     canonical_json,
@@ -312,9 +313,8 @@ def test_cosmetic_scan_shifts_once_per_shape_and_lens_value(
         assert len(shifted) == expected, model.name
 
 
-def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
-    figure8, monkeypatch
-):
+def _recorded_scan(model, p: int, qs, monkeypatch) -> tuple[list, list]:
+    """The scan's hits and the surgeries it ran."""
     recorded = []
     scan_surgery = obstruct.surgery
 
@@ -322,8 +322,16 @@ def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
         recorded.append(scan_surgery(*args, **kwargs))
         return recorded[-1]
 
-    monkeypatch.setattr(obstruct, "surgery", record)
-    cosmetic_pair_scan(figure8, 43, range(1, 7))
+    with monkeypatch.context() as patched:
+        patched.setattr(obstruct, "surgery", record)
+        hits = cosmetic_pair_scan(model, p, qs)
+    return hits, recorded
+
+
+def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
+    figure8, monkeypatch
+):
+    _, recorded = _recorded_scan(figure8, 43, range(1, 7), monkeypatch)
     groups: dict = {}
     for res in recorded:
         lens = lens_d_numerators(43, res.q)
@@ -391,6 +399,10 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     assert str(sandwich.value) == str(every.value)
 
 
+def _keys(res: SurgeryResult) -> list:
+    return [_block_key(r) for r in res.results]
+
+
 def _synthetic_p5(blocks) -> SurgeryResult:
     """A p = 5 surgery result whose block j has the given (d, red)."""
     results = tuple(
@@ -406,24 +418,28 @@ def test_matches_is_affine_relabelling():
         (Fraction(j, 5), (Tau(Fraction(j, 5) - 1, 1 + j % 2, 1),) * (j % 3))
         for j in range(5)
     ]
-    base = _synthetic_p5(blocks)
+    base = _keys(_synthetic_p5(blocks))
     # i -> 2 i + 3 mod 5 is affine
     relabelled = [None] * 5
     for j in range(5):
         relabelled[(2 * j + 3) % 5] = blocks[j]
-    assert _matches(base, _synthetic_p5(relabelled), 5)
+    assert _matches(base, _keys(_synthetic_p5(relabelled)), 5)
     # swapping two blocks keeps the multiset but is no affine map mod 5
     swapped = [blocks[1], blocks[0]] + blocks[2:]
-    assert not _matches(base, _synthetic_p5(swapped), 5)
+    assert not _matches(base, _keys(_synthetic_p5(swapped)), 5)
     # one changed d-invariant
     changed = [(blocks[0][0] + 2, blocks[0][1])] + blocks[1:]
-    assert not _matches(base, _synthetic_p5(changed), 5)
+    assert not _matches(base, _keys(_synthetic_p5(changed)), 5)
+
+
+def _same_homology(r1: ConeResult, r2: ConeResult) -> bool:
+    return (r1.d, r1.red) == (r2.d, r2.red)
 
 
 def _matches_by_brute_force(res1, res2, p: int) -> bool:
     return any(
         all(
-            res1.results[i].same_homology(res2.results[(a * i + b) % p])
+            _same_homology(res1.results[i], res2.results[(a * i + b) % p])
             for i in range(p)
         )
         for a in range(1, p + 1)
@@ -449,9 +465,43 @@ def test_matches_equals_the_search_over_every_relabelling(
             ]
             for res1, res2 in product(results, repeat=2):
                 expected = _matches_by_brute_force(res1, res2, p)
-                assert _matches(res1, res2, p) == expected, (model.name, p)
+                matched = _matches(_keys(res1), _keys(res2), p)
+                assert matched == expected, (model.name, p)
                 outcomes.add((expected, res1.q == res2.q))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("name, p, n_hits", [("unknot", 5, 408), ("figure8", 7, 0)])
+def test_grouped_scan_equals_the_scan_over_all_pairs(
+    name, p, n_hits, request, monkeypatch
+):
+    # the scan pairs only surgeries with equal multisets of block keys;
+    # the search over every relabelling of every pair must find the same
+    model = request.getfixturevalue(name)
+    hits, recorded = _recorded_scan(model, p, range(1, 61), monkeypatch)
+    every_pair = [
+        (res1.q, res2.q)
+        for idx, res1 in enumerate(recorded)
+        for res2 in recorded[idx + 1 :]
+        if _matches_by_brute_force(res1, res2, p)
+    ]
+    assert hits == every_pair
+    assert len(hits) == n_hits
+
+
+def test_block_keys_are_equal_exactly_when_the_homology_is(
+    figure8, trefoil, genus2_stress, monkeypatch
+):
+    # every pair of blocks of the scans at the benchmark's primes
+    for model, p, qs in (
+        (figure8, 43, range(1, 7)),
+        (trefoil, 37, range(1, 6)),
+        (genus2_stress, 23, range(1, 9)),
+    ):
+        _, recorded = _recorded_scan(model, p, qs, monkeypatch)
+        blocks = [(r, _block_key(r)) for res in recorded for r in res.results]
+        for (r1, key1), (r2, key2) in combinations(blocks, 2):
+            assert (key1 == key2) == _same_homology(r1, r2), model.name
 
 
 def test_reports_are_reproducible(trefoil):

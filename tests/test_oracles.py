@@ -43,7 +43,7 @@ from floersurgery import (
     obstruct,
     surgery,
 )
-from floersurgery.obstruct import _matches
+from floersurgery.obstruct import _block_key, _matches
 
 from conftest import staircase_doc, truncated_cone_reference
 
@@ -196,10 +196,13 @@ def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
             assert recorded == list(fresh.values()), (p, depth)
             # matching ignores depth, so one depth's pairs serve all
             if pairs is None:
+                keys = {
+                    q: [_block_key(r) for r in res.results] for q, res in fresh.items()
+                }
                 pairs = [
                     (q1, q2)
                     for q1, q2 in combinations(fresh, 2)
-                    if _matches(fresh[q1], fresh[q2], p)
+                    if _matches(keys[q1], keys[q2], p)
                 ]
             assert hits == pairs, (p, depth)
     # depth 3 is below the minimum of every model but these two
