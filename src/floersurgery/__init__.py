@@ -50,7 +50,6 @@ from .numth import (
     totient,
 )
 from .obstruct import (
-    ObstructionReport,
     TargetSummary,
     Verdict,
     cosmetic_pair_scan,

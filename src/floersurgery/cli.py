@@ -4,6 +4,9 @@ Commands: surgery, lens, casson-walker, obstruct, validate.  Global
 flag ``--format {text,json}``.  The truncation depth of the mapping cone
 is internal to the library: no flag sets it and no output reports it.
 
+``obstruct`` builds one target (|H1(Z)| is ``--h1``, else p) and parses
+``--q`` once for all of its rules, which run in a fixed order.
+
 Exit codes: 0 the run completed (including reported obstruction
 failures), 2 input or validation error or a cone too large to build,
 3 truncation instability.
@@ -31,6 +34,7 @@ from .numth import (
     casson_walker_surgery,
     lambda_from_hf,
     lens_invariants,
+    require_slope,
 )
 from .obstruct import TargetSummary, Verdict, canonical_json
 
@@ -73,8 +77,11 @@ def parse_q_values(values: list[str]) -> list[int]:
     out: list[int] = []
     for v in values:
         low_str, dots, high_str = v.partition("..")
-        low = int(low_str)
-        high = int(high_str) if dots else low
+        try:
+            low = int(low_str)
+            high = int(high_str) if dots else low
+        except ValueError:
+            raise ValueError(f"bad --q value {v!r}; expected Q or LOW..HIGH") from None
         if low > high:
             raise ValueError(f"empty range {v!r}; expected LOW..HIGH")
         count = len(out) + high - low + 1
@@ -133,23 +140,21 @@ def _print_surgery(result, fmt: str) -> None:
 
 def cmd_surgery(args) -> int:
     sign, p, q = parse_slope(args.slope)
-    if sign < 0:
-        if not args.mirror:
-            raise ModelError(
-                "Syntax",
-                "negative slopes need --mirror MODEL with the "
-                "orientation-reversed knot model",
-            )
-        model = load_model(resolve_model_path(args.mirror))
-        result = surgery(model, p, q)
-        if args.format == "text":
-            print(
-                f"note: output is the orientation reversal of the requested "
-                f"-{p}/{q} surgery, computed as {p}/{q} on {model.name}"
-            )
-    else:
-        model = load_model(resolve_model_path(args.model))
-        result = surgery(model, p, q)
+    if sign < 0 and not args.mirror:
+        raise ModelError(
+            "Syntax",
+            "negative slopes need --mirror MODEL with the "
+            "orientation-reversed knot model",
+        )
+    if sign > 0 and args.mirror:
+        raise ModelError("Syntax", "--mirror applies only to a negative slope")
+    model = load_model(resolve_model_path(args.mirror if sign < 0 else args.model))
+    result = surgery(model, p, q)
+    if sign < 0 and args.format == "text":
+        print(
+            f"note: output is the orientation reversal of the requested "
+            f"-{p}/{q} surgery, computed as {p}/{q} on {model.name}"
+        )
     _print_surgery(result, args.format)
     return 0
 
@@ -225,109 +230,104 @@ def cmd_validate(args) -> int:
     return status
 
 
+def _check_flags(args) -> set[str]:
+    """The selected rules that read --p, each refused without --p, without
+    --q when it reads one, or without the number of the target it reads."""
+    selected = set()
+    for rule, on, reads in (
+        ("--z-special", args.z_special, "--chi"),
+        ("--chi-relation", args.chi_relation is not None, "--chi"),
+        ("--v0-bound", args.v0_bound, "--dim-red"),
+        ("--k-special", args.k_special, "--dim-red"),
+        ("--genus-bound", args.genus_bound, None),
+        ("--d-sandwich", args.d_sandwich, None),
+        ("--cosmetic-scan", args.cosmetic_scan, None),
+    ):
+        if not on:
+            continue
+        takes_q = rule != "--chi-relation"
+        if args.p is None or (takes_q and not args.q):
+            needs = "--p and --q" if takes_q else "--p"
+            raise ModelError("Syntax", f"{rule} needs {needs}")
+        if reads and getattr(args, reads[2:].replace("-", "_")) is None:
+            raise ModelError("Syntax", f"this rule needs {reads}")
+        selected.add(rule)
+    return selected
+
+
 def _target_summary(args) -> TargetSummary:
-    if args.chi is None:
-        raise ModelError("Syntax", "this rule needs --chi")
-    dim_red = args.dim_red if args.dim_red is not None else abs(args.chi)
+    """The target Z of p/q surgery.  |H1(Z)| is --h1, else p (a knot in an
+    integer homology sphere).  A rule gets the number it reads from its
+    flag; the other is filled only to agree with it (dim_red = |chi|,
+    chi = dim_red mod 2)."""
+    require_slope(args.p)
+    dim_red = args.dim_red if args.dim_red is not None else abs(args.chi or 0)
     excess = None
     if args.d_excess is not None:
         excess = parse_rational(args.d_excess, "--d-excess")
     return TargetSummary(
-        h1_order=args.h1 if args.h1 is not None else 1,
+        h1_order=args.h1 if args.h1 is not None else args.p,
         dim_red=dim_red,
-        chi_red=args.chi,
+        chi_red=args.chi if args.chi is not None else dim_red % 2,
         max_excess=excess,
     )
 
 
+def _load(name: str | None, loader=load_model):
+    return loader(resolve_model_path(name)) if name else None
+
+
 def cmd_obstruct(args) -> int:
-    verdicts: list[Verdict | list[Verdict]] = []
-    scans = []
+    # each rule reports a missing flag, then its model, then the target,
+    # then the --q list
+    rules = _check_flags(args)
+    v0_model = _load(args.v0_bound)
+    k_model, k_ambient = _load(args.k_special, load_model_or_ambient) or (None, None)
+    _, g_ambient = _load(args.genus_bound, load_model_or_ambient) or (None, None)
+    d_model = _load(args.d_sandwich)
+    scan_model = _load(args.cosmetic_scan)
+    z = _target_summary(args) if rules - {"--d-sandwich", "--cosmetic-scan"} else None
+    qs = parse_q_values(args.q) if rules - {"--chi-relation"} else []
 
+    verdicts: list[Verdict] = []
     if args.lens_complement:
-        p, q, w = args.lens_complement
-        verdicts.append(obstruct.lens_complement(p, q, w))
-
+        verdicts.append(obstruct.lens_complement(*args.lens_complement))
     if args.dedekind_necessary:
-        p, q1, q2 = args.dedekind_necessary
-        verdicts.append(obstruct.dedekind_necessary(p, q1, q2))
-
+        verdicts.append(obstruct.dedekind_necessary(*args.dedekind_necessary))
     if args.z_special:
-        if args.p is None or not args.q:
-            raise ModelError("Syntax", "--z-special needs --p and --q")
-        z = _target_summary(args)
-        verdicts.append(obstruct.z_special(z, args.p, parse_q_values(args.q)))
-
+        verdicts.append(obstruct.z_special(z, args.p, qs))
     if args.chi_relation is not None:
-        if args.p is None:
-            raise ModelError("Syntax", "--chi-relation needs --p")
-        z = _target_summary(args)
-        verdicts.append(obstruct.chi_relation(args.chi_relation, z, args.p))
-
+        verdicts += obstruct.chi_relation(args.chi_relation, z, args.p)
     if args.v0_bound:
-        if args.p is None or not args.q or args.dim_red is None:
-            raise ModelError("Syntax", "--v0-bound needs --p, --q and --dim-red")
-        model = load_model(resolve_model_path(args.v0_bound))
-        z = TargetSummary(
-            h1_order=args.h1 if args.h1 is not None else args.p,
-            dim_red=args.dim_red,
-            chi_red=args.chi if args.chi is not None else args.dim_red % 2,
-        )
-        for q in parse_q_values(args.q):
-            verdicts.append(obstruct.v0_bound(model, z, args.p, q))
-
+        verdicts += [obstruct.v0_bound(v0_model, z, args.p, q) for q in qs]
     if args.k_special:
-        if args.p is None or not args.q:
-            raise ModelError("Syntax", "--k-special needs --p and --q")
-        model, ambient = load_model_or_ambient(resolve_model_path(args.k_special))
-        z = _target_summary(args)
-        for q in parse_q_values(args.q):
-            verdicts.append(obstruct.k_special(ambient, z, args.p, q, model))
-
+        verdicts += [obstruct.k_special(k_ambient, z, args.p, q, k_model) for q in qs]
     if args.genus_bound:
-        if args.p is None or not args.q:
-            raise ModelError("Syntax", "--genus-bound needs --p and --q")
-        _, ambient = load_model_or_ambient(resolve_model_path(args.genus_bound))
-        z = _target_summary(args)
-        for q in parse_q_values(args.q):
-            verdicts.append(obstruct.genus_bound(ambient, z, args.p, q))
-
+        verdicts += [obstruct.genus_bound(g_ambient, z, args.p, q) for q in qs]
     if args.d_sandwich:
-        if args.p is None or not args.q:
-            raise ModelError("Syntax", "--d-sandwich needs --p and --q")
-        model = load_model(resolve_model_path(args.d_sandwich))
-        for q in parse_q_values(args.q):
-            verdicts.append(obstruct.d_sandwich(model, args.p, q))
-
-    if args.cosmetic_scan:
-        if args.p is None or not args.q:
-            raise ModelError("Syntax", "--cosmetic-scan needs --p and --q")
-        model = load_model(resolve_model_path(args.cosmetic_scan))
-        qs = parse_q_values(args.q)
-        pairs = obstruct.cosmetic_pair_scan(model, args.p, qs)
-        scans.append({"model": model.name, "p": args.p, "q_range": qs, "pairs": pairs})
-
-    if not verdicts and not scans:
+        verdicts += [obstruct.d_sandwich(d_model, args.p, q) for q in qs]
+    pairs = obstruct.cosmetic_pair_scan(scan_model, args.p, qs) if scan_model else None
+    if not verdicts and pairs is None:
         raise ModelError("Syntax", "no obstruction rule selected")
 
-    report = obstruct.assemble_report(verdicts)
     if args.format == "json":
-        payload = report.to_jsonable()
-        if scans:
-            payload["cosmetic_scans"] = scans
+        payload = {"verdicts": verdicts}
+        if pairs is not None:
+            payload["cosmetic_scans"] = [
+                {"model": scan_model.name, "p": args.p, "q_range": qs, "pairs": pairs}
+            ]
         print(canonical_json(payload))
         return 0
-    for v in report.verdicts:
+    for v in verdicts:
         print(f"{v.rule}: {v.status.upper()}  {canonical_json(v.witness)}")
-    for scan in scans:
-        if scan["pairs"]:
-            pairs = ", ".join(f"({a},{b})" for a, b in scan["pairs"])
-            print(f"COSMETIC_SCAN: pairs with matching Floer data: {pairs}")
-        else:
-            print(
-                f"COSMETIC_SCAN: no cosmetic pairs for {scan['model']} "
-                f"p={scan['p']} q in {scan['q_range']}"
-            )
+    if pairs:
+        listed = ", ".join(f"({a},{b})" for a, b in pairs)
+        print(f"COSMETIC_SCAN: pairs with matching Floer data: {listed}")
+    elif pairs is not None:
+        print(
+            f"COSMETIC_SCAN: no cosmetic pairs for {scan_model.name} "
+            f"p={args.p} q in {qs}"
+        )
     return 0
 
 

@@ -8,10 +8,8 @@ Every rule examines a hypothetical surgery scenario and returns a
 * ``inapplicable``  -- the rule's hypotheses are not met.
 
 Each verdict carries the exact inputs that produced it in ``witness``,
-so reports are reproducible: identical inputs give identical reports.
-A cosmetic scan runs its slopes in order and solves each block shape
-once across all of them; verdict assembly is a deterministic reduction
-independent of evaluation order.
+so identical inputs give identical verdicts.  A cosmetic scan runs its
+slopes in order and solves each block shape once across all of them.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional
 
 from .cone import SurgerySpec, surgery
 from .errors import MissingGradings, NotCoprime, TableTooLarge, V0Zero
@@ -68,25 +66,14 @@ class Verdict:
     witness: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    verdicts: tuple[Verdict, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "verdicts": [
-                {"rule": v.rule, "status": v.status, "witness": _jsonable(v.witness)}
-                for v in self.verdicts
-            ]
-        }
-
-
 def canonical_json(obj) -> str:
     """Canonical rendering: sorted keys, fixed separators, exact rationals."""
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable(x):
+    if isinstance(x, Verdict):
+        return {"rule": x.rule, "status": x.status, "witness": _jsonable(x.witness)}
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):
@@ -299,16 +286,18 @@ def d_invariant_bounds(
     lower subtracts twice the longest odd bar of the ambient reduced part.
     """
     p, q, i = spec.p, spec.q, spec.i
-    return _d_bounds(model, p, q, i, lens_d_at(p, q, i))
+    odd_bar = model.ambient.max_odd_bar()
+    return _d_bounds(model, p, q, i, lens_d_at(p, q, i), odd_bar)
 
 
 def _d_bounds(
-    model: KnotModel, p: int, q: int, i: int, lens: Fraction
+    model: KnotModel, p: int, q: int, i: int, lens: Fraction, odd_bar: int
 ) -> tuple[Fraction, Fraction]:
-    """d_invariant_bounds of block i of p/q, given lens = d(L(p,q), i)."""
+    """d_invariant_bounds of block i of p/q, given lens = d(L(p,q), i) and
+    the longest odd bar of the ambient reduced part."""
     v, h = model.v_at(i // q), model.h_at((i - p) // q)
     upper = model.ambient.d + lens - 2 * max(v, h)
-    return upper - 2 * model.ambient.max_odd_bar(), upper
+    return upper - 2 * odd_bar, upper
 
 
 def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
@@ -318,14 +307,14 @@ def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
     and equality is asserted.  The bounds read one lens table.
     """
     require_slope(p)
-    equality_required = model.ambient.max_odd_bar() == 0
+    odd_bar = model.ambient.max_odd_bar()
     rows = []
     ok = True
     results = surgery(model, p, q).results
     for result, lens in zip(results, lens_d_numerators(p, q)):
-        lower, upper = _d_bounds(model, p, q, result.i, Fraction(lens, 4 * p))
+        lower, upper = _d_bounds(model, p, q, result.i, Fraction(lens, 4 * p), odd_bar)
         inside = lower <= result.d <= upper
-        if equality_required:
+        if odd_bar == 0:
             inside = inside and result.d == upper
         ok = ok and inside
         rows.append(
@@ -335,7 +324,7 @@ def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
         "p": p,
         "q": q,
         "model": model.name,
-        "equality_required": equality_required,
+        "equality_required": odd_bar == 0,
         "per_block": rows,
     }
     return Verdict("D_SANDWICH", PASS if ok else FAIL, witness)
@@ -441,12 +430,3 @@ def cosmetic_pair_scan(
             hits.append((q1, q2))
     return hits
 
-
-def assemble_report(verdicts: list[Union[Verdict, list[Verdict]]]) -> ObstructionReport:
-    flat: list[Verdict] = []
-    for v in verdicts:
-        if isinstance(v, Verdict):
-            flat.append(v)
-        else:
-            flat.extend(v)
-    return ObstructionReport(tuple(flat))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,16 @@ def test_parse_slope():
 
 def test_parse_q_values():
     assert parse_q_values(["3", "5..8"]) == [3, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("value", ["1..x", "abc", "1...3", "..4"])
+def test_unparsable_q_value_is_an_input_error(value, capsys):
+    code, out, err = run(
+        capsys, "obstruct", "--cosmetic-scan", "trefoil_rh_s3", "--p", "2", "--q", value
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --q value {value!r}; expected Q or LOW..HIGH\n"
 
 
 def test_reversed_q_range_is_an_input_error(capsys):
@@ -115,6 +127,68 @@ def test_obstruct_z_special(capsys):
     )
     assert code == 0
     assert "Z_SPECIAL: FAIL" in out
+
+
+def test_k_special_takes_h1_from_p(capsys):
+    # N = 2 |H1(Z)| dim HF_red(Y) + dim HF_red(Z) = 2*5*1 + 1, so q = 4
+    # does not exceed it
+    code, out, _ = run(
+        capsys,
+        "--format", "json",
+        "obstruct", "--k-special", "sigma237_ambient", "--p", "5", "--q", "4",
+        "--dim-red", "1",
+    )
+    assert code == 0
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["status"] == "inapplicable"
+    assert verdict["witness"]["N"] == 11
+
+
+def test_z_special_takes_h1_from_p(capsys):
+    # |H1(Z)| = 3 does not divide chi = 1, and phi(3) = 2 < 4 slopes
+    code, out, _ = run(
+        capsys,
+        "--format", "json",
+        "obstruct", "--z-special", "--p", "3", "--q", "1..2", "--q", "4..5",
+        "--chi", "1",
+    )
+    assert code == 0
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["status"] == "fail"
+    assert verdict["witness"]["h1_order"] == 3
+    assert verdict["witness"]["slope_bound"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k-special", "sigma237_ambient", "--p", "5", "--q", "4", "--chi", "1"],
+         "this rule needs --dim-red"),
+        (["--v0-bound", "trefoil_rh_s3", "--p", "5", "--q", "4"],
+         "this rule needs --dim-red"),
+        (["--v0-bound", "trefoil_rh_s3", "--q", "4", "--dim-red", "1"],
+         "--v0-bound needs --p and --q"),
+        (["--z-special", "--p", "3", "--q", "1", "--dim-red", "1"],
+         "this rule needs --chi"),
+        (["--chi-relation", "1", "--chi", "2"], "--chi-relation needs --p"),
+    ],
+    ids=["k_special", "v0_bound", "v0_bound_p", "z_special", "chi_relation"],
+)
+def test_obstruct_rules_need_the_numbers_they_read(argv, message, capsys):
+    code, out, err = run(capsys, "obstruct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: Syntax: {message}\n"
+
+
+def test_genus_bound_runs_without_chi(capsys):
+    code, out, _ = run(
+        capsys,
+        "obstruct", "--genus-bound", "sigma237_ambient", "--p", "1", "--q", "3",
+        "--d-excess", "5/2",
+    )
+    assert code == 0
+    assert out.startswith("GENUS_BOUND: ")
 
 
 def test_obstruct_cosmetic_scan(capsys):
@@ -289,6 +363,32 @@ def test_negative_slope_with_mirror(capsys):
     assert "dim HF_red = 1" in out
 
 
+def test_mirror_with_a_positive_slope_is_refused(capsys):
+    code, out, err = run(
+        capsys, "surgery", "trefoil_rh_s3", "--mirror", "figure8_s3", "2/1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Syntax" in err and "--mirror" in err
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("floersurgery ")]
+
+
+def test_readme_lists_the_command_examples():
+    assert len(_readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_examples_run(line, capsys):
+    code, _, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+
+
 def _edited_model(tmp_path, name, edit):
     doc = json.loads(resolve_model_path(name).read_text(encoding="utf-8"))
     edit(doc)
@@ -314,7 +414,7 @@ def test_obstruct_reports_the_error_of_a_broken_model(rule, tmp_path, capsys):
     path = _edited_model(tmp_path, "trefoil_rh_s3", _increasing_v)
     code, out, err = run(
         capsys,
-        "obstruct", rule, path, "--p", "1", "--q", "9", "--chi", "1",
+        "obstruct", rule, path, "--p", "1", "--q", "9", "--dim-red", "1",
         "--d-excess", "3",
     )
     assert code == 2
@@ -410,7 +510,7 @@ def test_obstruct_rules_reject_nonpositive_p(argv, capsys):
             "--chi", "1", "--d-excess", "3",
         ],
         ["--v0-bound", "trefoil_rh_s3", "--p", "3", "--q", "6", "--dim-red", "1"],
-        ["--k-special", "sigma237_ambient", "--p", "0", "--q", "40", "--chi", "1"],
+        ["--k-special", "sigma237_ambient", "--p", "0", "--q", "40", "--dim-red", "1"],
     ],
     ids=["genus_bound_2_4", "v0_bound_3_6", "k_special_0_40"],
 )

@@ -41,7 +41,6 @@ from floersurgery.obstruct import (
     PASS,
     _block_key,
     _matches,
-    assemble_report,
     canonical_json,
 )
 from conftest import sigma237_synthetic_doc
@@ -399,6 +398,24 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     assert str(sandwich.value) == str(every.value)
 
 
+def test_d_sandwich_reads_the_odd_bar_once(sigma237_synthetic, monkeypatch):
+    # the lower bound of every block subtracts the ambient's longest odd
+    # bar, which takes a barcode of the ambient reduced part
+    calls = []
+    ambient_type = type(sigma237_synthetic.ambient)
+    max_odd_bar = ambient_type.max_odd_bar
+
+    def counted(self):
+        calls.append(self)
+        return max_odd_bar(self)
+
+    monkeypatch.setattr(ambient_type, "max_odd_bar", counted)
+    verdict = d_sandwich(sigma237_synthetic, 7, 1)
+    assert len(verdict.witness["per_block"]) == 7
+    assert not verdict.witness["equality_required"]
+    assert len(calls) == 1
+
+
 def _keys(res: SurgeryResult) -> list:
     return [_block_key(r) for r in res.results]
 
@@ -506,13 +523,13 @@ def test_block_keys_are_equal_exactly_when_the_homology_is(
 
 def test_reports_are_reproducible(trefoil):
     z = trefoil_2_3_summary(trefoil)
-    r1 = assemble_report([z_special(z, 2, [3, 7]), chi_relation(0, z, 2)])
-    r2 = assemble_report([z_special(z, 2, [3, 7]), chi_relation(0, z, 2)])
-    assert canonical_json(r1.to_jsonable()) == canonical_json(r2.to_jsonable())
+    r1 = canonical_json({"verdicts": [z_special(z, 2, [3, 7]), *chi_relation(0, z, 2)]})
+    r2 = canonical_json({"verdicts": [z_special(z, 2, [3, 7]), *chi_relation(0, z, 2)]})
+    assert r1 == r2
 
 
 def test_report_json_round_trip(trefoil):
     z = trefoil_2_3_summary(trefoil)
-    report = assemble_report([z_special(z, 2, [3, 7])])
-    text = canonical_json(report.to_jsonable())
+    text = canonical_json({"verdicts": [z_special(z, 2, [3, 7])]})
     assert canonical_json(json.loads(text)) == text
+    assert json.loads(text)["verdicts"][0]["rule"] == "Z_SPECIAL"
