@@ -320,13 +320,21 @@ def cmd_obstruct(args) -> int:
         return 0
     for v in verdicts:
         print(f"{v.rule}: {v.status.upper()}  {canonical_json(v.witness)}")
+    if pairs is None:
+        return 0
+    # the JSON q_range is the requested list; the text names what was scanned
+    skipped = obstruct.unscanned(args.p, qs)
+    note = "".join(
+        f"; skipped q={', '.join(map(str, s))} ({why})" for why, s in skipped.items()
+    )
     if pairs:
         listed = ", ".join(f"({a},{b})" for a, b in pairs)
-        print(f"COSMETIC_SCAN: pairs with matching Floer data: {listed}")
-    elif pairs is not None:
+        print(f"COSMETIC_SCAN: pairs with matching Floer data: {listed}{note}")
+    else:
+        scanned = sorted(set(qs).difference(*skipped.values()))
         print(
             f"COSMETIC_SCAN: no cosmetic pairs for {scan_model.name} "
-            f"p={args.p} q in {qs}"
+            f"p={args.p} q in {scanned}{note}"
         )
     return 0
 

@@ -59,6 +59,12 @@ lens tables N = 4p d(L(p,q), .) that ``surgery`` reads once per call.
 ``surgery`` solves each shape once, at its lowest block index, and moves
 d and every bar bottom of that result once per further value of N met
 with the shape; the blocks of one shape and one N share those d and bars.
+It computes the shape once per interval of blocks, not once per block.
+With t = (i + (G - 1) q) mod p, the first A-column of block i has
+i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
+and the window ends at the first j with t + j p >= (2G - 1) q.  So the
+shape changes with t only where t + j p = a q, 1 <= a <= 2G - 1, that is
+at the cuts t = a q mod p: at most 2G intervals of t, each of one shape.
 A scan of several q at one model and one p passes ``surgery`` one dict
 of shapes, so each shape is solved once across all of its q.
 ``cone_homology`` solves one block from immutable inputs, so callers may
@@ -524,6 +530,14 @@ def surgery(
     (``lens_d_numerators``).  Blocks of one shape with one N have the same
     d and bars, so those are shifted once per (shape, N) and shared.
 
+    The shape is computed once per interval of blocks: block i starts its
+    window at t = (i + (G - 1) q) mod p, and its k-sequence
+    1 - G + floor((t + j p)/q), cut at the first t + j p >= (2G - 1) q,
+    changes only at t = a q mod p for 1 <= a <= 2G - 1 (the module
+    docstring).  ``_shape`` runs at the first block of each of these at
+    most 2G intervals, in block order, so the solves, their order and the
+    block whose window is refused are those of one ``_shape`` per block.
+
     ``shapes`` maps each shape to (first result, its N, {N: (d, bars)}),
     the last holding every N of that shape met so far.  It is read and
     extended; by default each call starts an empty one.  Surgeries of one
@@ -533,15 +547,27 @@ def surgery(
     """
     SurgerySpec(p, q)  # the slope's errors, before any block
     shapes = {} if shapes is None else shapes
+    table = lens_d_numerators(p, q)  # refused above MAX_TABLE_P first
+    # the interval of t = (i + (G - 1) q) mod p between the cuts, per block
+    G = max(model.genus, 1)
+    cuts = sorted({a * q % p for a in range(1, 2 * G)} | {p})
+    by_t: list[int] = []
+    for j, (low, high) in enumerate(zip([0, *cuts], cuts)):
+        by_t += [j] * (high - low)
+    start = (G - 1) * q % p
+    entries: list = [None] * len(cuts)  # each interval's shapes entry
     results = []
-    for i, lens in enumerate(lens_d_numerators(p, q)):
-        shape = _shape(model, p, q, i)
-        if shape not in shapes:
+    for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
+        entry = entries[j]
+        if entry is None:
+            shape = _shape(model, p, q, i)
+            entry = entries[j] = shapes.get(shape)
+        if entry is None:
             first = cone_homology(model, SurgerySpec(p, q, i))
-            shapes[shape] = (first, lens, {lens: (first.d, first.red)})
+            entries[j] = shapes[shape] = (first, lens, {lens: (first.d, first.red)})
             results.append(first)
             continue
-        first, first_lens, by_lens = shapes[shape]
+        first, first_lens, by_lens = entry
         if lens not in by_lens:
             by_lens[lens] = _shifted(first, lens - first_lens, p)
         d, red = by_lens[lens]

@@ -389,6 +389,17 @@ def _matches(keys1: list, keys2: list, p: int) -> bool:
     return False
 
 
+def unscanned(p: int, q_range: list[int]) -> dict[str, list[int]]:
+    """The q of q_range that a cosmetic scan at p skips, ascending, by
+    reason: not positive, or not coprime to p."""
+    skipped: dict[str, list[int]] = {}
+    for q in sorted(set(q_range)):
+        if q < 1 or gcd(p, q) != 1:
+            why = "not positive" if q < 1 else f"not coprime to {p}"
+            skipped.setdefault(why, []).append(q)
+    return skipped
+
+
 def cosmetic_pair_scan(
     model: KnotModel, p: int, q_range: list[int]
 ) -> list[tuple[int, int]]:
@@ -407,7 +418,7 @@ def cosmetic_pair_scan(
     surgeries with equal multisets are paired, in order of (q1, q2).
     """
     require_slope(p)
-    qs = sorted(set(q for q in q_range if q >= 1 and gcd(p, q) == 1))
+    qs = sorted(set(q_range).difference(*unscanned(p, q_range).values()))
     shapes: dict = {}
     computed = {q: surgery(model, p, q, shapes=shapes) for q in qs}
     keys = {q: [_block_key(r) for r in res.results] for q, res in computed.items()}

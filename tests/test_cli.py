@@ -200,6 +200,34 @@ def test_obstruct_cosmetic_scan(capsys):
     assert "no cosmetic pairs" in out
 
 
+def test_obstruct_cosmetic_scan_names_only_the_scanned_q(capsys):
+    # q = 2 and 4 are not coprime to 4, so the scan never computes them
+    code, out, _ = run(
+        capsys, "obstruct", "--cosmetic-scan", "unknot_s3", "--p", "4", "--q", "1..4"
+    )
+    assert code == 0
+    assert out == (
+        "COSMETIC_SCAN: no cosmetic pairs for unknot_s3 p=4 q in [1, 3]; "
+        "skipped q=2, 4 (not coprime to 4)\n"
+    )
+    code, out, _ = run(
+        capsys, "obstruct", "--cosmetic-scan", "unknot_s3", "--p", "2", "--q=-1..3"
+    )
+    assert code == 0
+    assert out == (
+        "COSMETIC_SCAN: pairs with matching Floer data: (1,3); "
+        "skipped q=-1, 0 (not positive); skipped q=2 (not coprime to 2)\n"
+    )
+    # the JSON q_range is the requested list
+    code, out, _ = run(
+        capsys,
+        "--format", "json",
+        "obstruct", "--cosmetic-scan", "unknot_s3", "--p", "4", "--q", "1..4",
+    )
+    assert code == 0
+    assert json.loads(out)["cosmetic_scans"][0]["q_range"] == [1, 2, 3, 4]
+
+
 def test_obstruct_json_round_trip(capsys):
     code, out, _ = run(
         capsys,

@@ -28,6 +28,7 @@ from floersurgery import (
 )
 from floersurgery import cone, gf2
 from floersurgery.cli import main
+from floersurgery.numth import lens_d_numerators
 
 from conftest import (
     depth_floor_reference,
@@ -565,6 +566,82 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
     solved.clear()
     surgery(load_model(staircase_doc([1, 1, 0])), 3, 2)
     assert solved == [0, 1, 2]
+
+
+def _stub_solve(model, spec):
+    # a fresh d object per solve, so a block's entry shows in its d
+    return cone.ConeResult(spec.p, spec.q, spec.i, Fraction(spec.i), ())
+
+
+def test_interval_rule_gives_every_block_its_shape(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+):
+    # surgery computes the shape once per interval of blocks; every block
+    # must read the shapes entry of its own _shape, and its lens value's
+    # d there, as one _shape per block would give it
+    monkeypatch.setattr(cone, "cone_homology", _stub_solve)
+    staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 13)]
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
+    cases = [
+        (model, p, q)
+        for model in models
+        for p in range(1, 26)
+        for q in range(1, 26)
+        if gcd(p, q) == 1
+    ]
+    for model, p, q in cases + [(trefoil, 3000, 1), (figure8, 2, 20001)]:
+        shapes = {}
+        lens = lens_d_numerators(p, q)
+        for r in surgery(model, p, q, shapes=shapes).results:
+            entry = shapes[cone._shape(model, p, q, r.i)]
+            assert r.d is entry[2][lens[r.i]][0], (model.name, p, q, r.i)
+
+
+def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, monkeypatch):
+    # one _shape per interval of t = (i + (G - 1) q) mod p between the cuts
+    # a q mod p, 1 <= a <= 2G - 1, at the interval's first block
+    calls = []
+    shape = cone._shape
+
+    def counted(*args):
+        calls.append(args[3])
+        return shape(*args)
+
+    monkeypatch.setattr(cone, "_shape", counted)
+    monkeypatch.setattr(cone, "cone_homology", _stub_solve)
+    genus12 = load_model(staircase_doc(staircase_v(12)))
+    for model, p, q, blocks in (
+        (trefoil, 3000, 1, [0, 1]),
+        (genus2_stress, 41, 5, [0, 5, 10, 36]),
+        (genus12, 3, 2, [0, 1, 2]),
+    ):
+        calls.clear()
+        surgery(model, p, q)
+        assert calls == blocks
+        assert len(calls) <= 2 * max(model.genus, 1)
+
+
+def test_surgery_refuses_the_first_block_whose_window_is_too_large(
+    genus2_stress, monkeypatch
+):
+    # at 5/208332 blocks 0-2 lay out 249,999 tower bottoms and block 3
+    # 250,001: block 3, not the first block of the slope, is refused
+    for i in range(3):
+        assert len(cone._shape(genus2_stress, 5, 208332, i)) == 125000
+    solved = []
+
+    def counted(model, spec):
+        solved.append(spec.i)
+        return _stub_solve(model, spec)
+
+    monkeypatch.setattr(cone, "cone_homology", counted)
+    with pytest.raises(ConeTooLarge) as raised:
+        surgery(genus2_stress, 5, 208332)
+    assert str(raised.value) == (
+        "window of 125001 A-columns for genus2_stress at 5/208332 block 3: "
+        "250001 tower bottoms, more than 250000 generators"
+    )
+    assert solved == [0, 2]
 
 
 @pytest.mark.parametrize(

@@ -272,13 +272,20 @@ def test_cosmetic_scan_solves_each_block_shape_once(
 
     monkeypatch.setattr(cone, "cone_homology", counted)
     # the scan solves each shape once, at the first q and block that has
-    # it; surgeries run one by one solve each shape once per q
+    # it, as one _shape per block finds them (surgery computes the shape
+    # once per interval of blocks); surgeries run one by one solve each
+    # shape once per q
     stress_shapes = [(1, 0), (1, 1), (1, 2), (1, 22), (8, 15)]
     cases = (
         (figure8, 43, range(1, 7), [(1, 0), (1, 1)], 12),
         (genus2_stress, 23, range(1, 9), stress_shapes, 32),
     )
     for model, p, qs, shapes, per_surgery in cases:
+        first = {}
+        for q in qs:
+            for i in range(p):
+                first.setdefault(cone._shape(model, p, q, i), (q, i))
+        assert list(first.values()) == shapes
         solved.clear()
         cosmetic_pair_scan(model, p, qs)
         assert solved == shapes
