@@ -15,6 +15,7 @@ failures), 2 input or validation error or a cone too large to build,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -380,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--dim-red", type=int)
     o.add_argument("--d-excess", help="max grading excess D(Z), as a rational")
     o.set_defaults(func=cmd_obstruct)
+    for command in (s, c, o):  # so that argparse reads -5/2 as a value, not an option
+        command._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
     v = sub.add_parser("validate", help="validate model files")
     v.add_argument("models", nargs="+")

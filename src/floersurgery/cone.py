@@ -51,22 +51,24 @@ which solves each block at ``default_depth`` and two levels deeper and
 raises TruncationTooSmall unless both give the same int offsets.  No
 presentation, result or message carries the depth.
 
-The shape fixes a block's cone up to a grading shift and does not
-depend on q: block i of p/q2 and block j of p/q1 of one shape are one
-complex, shifted in grading by the difference of their anchors,
-d(L(p,q2), i) - d(L(p,q1), j) = (N2[i] - N1[j]) / 4p, in the integer
-lens tables N = 4p d(L(p,q), .) that ``surgery`` reads once per call.
-``surgery`` solves each shape once, at its lowest block index, and moves
-d and every bar bottom of that result once per further value of N met
-with the shape; the blocks of one shape and one N share those d and bars.
+The shape fixes a block's cone up to a grading shift and depends on
+neither p nor q: a block of the shape is that complex at its own anchor,
+d(Y) - 1 + N/4p, N its entry of the integer lens table N = 4p d(L(p,q), .)
+that ``surgery`` reads once per call.  ``surgery`` solves each shape once
+and keeps its int offsets, the tower's bottom from the anchor and each
+bar's from the tower's, so block (shape, N) has d(Y) - 1 + (N + 4p tower)/4p
+for d and its exact key is the ints (N + 4p tower, 4p, bars).  An interner
+maps each key to a small int id and one d and tuple of bars, built as
+Fractions only at the key's first appearance.
 It computes the shape once per interval of blocks, not once per block.
 With t = (i + (G - 1) q) mod p, the first A-column of block i has
 i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
 and the window ends at the first j with t + j p >= (2G - 1) q.  So the
 shape changes with t only where t + j p = a q, 1 <= a <= 2G - 1, that is
 at the cuts t = a q mod p: at most 2G intervals of t, each of one shape.
-A scan of several q at one model and one p passes ``surgery`` one dict
-of shapes, so each shape is solved once across all of its q.
+A cosmetic scan at one model and one p passes ``surgery`` one dict of
+shapes and one interner, so each shape is solved once across all of its
+q and blocks compare on their ids; surgeries at several p may share both.
 ``cone_homology`` solves one block from immutable inputs, so callers may
 evaluate different i concurrently.
 """
@@ -74,7 +76,7 @@ evaluate different i concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gf2
@@ -179,12 +181,14 @@ class ConeResult:
 
 @dataclass(frozen=True)
 class SurgeryResult:
-    """Per-block results for all i together with their aggregates."""
+    """Per-block results for all i together with their aggregates, and
+    each block's id in the interner of ``surgery`` (never compared)."""
 
     model_name: str
     p: int
     q: int
     results: tuple[ConeResult, ...]
+    ids: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def total_dim_red(self) -> int:
@@ -216,23 +220,6 @@ def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
             "generators"
         )
     return (*[(i + p * n) // q for n in range(n_minus + 1, n_plus)], G)
-
-
-def _shifted(
-    result: ConeResult, delta_n: int, p: int
-) -> tuple[Fraction, tuple[Tau, ...]]:
-    """d and reduced bars of ``result`` moved up in grading by delta_n/4p,
-    delta_n a difference of lens numerators N = 4p d(L(p,q), .); parities,
-    lengths and order are those of a complex shifted in grading.  Each
-    moved value is one Fraction built from integers."""
-    scale = 4 * p
-
-    def moved(x: Fraction) -> Fraction:
-        den = x.denominator
-        return Fraction(x.numerator * scale + delta_n * den, den * scale)
-
-    red = tuple(Tau(moved(b.bottom), b.length, b.parity) for b in result.red)
-    return moved(result.d), red
 
 
 def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
@@ -476,12 +463,20 @@ def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tupl
     return near[0][0], sorted(bar for bar in ker + cok if bar is not near[0])
 
 
+def _read_off(num: int, den: int, tower: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
+    """d at offset ``tower`` and bars (offset, length) from the grading
+    num/den: offset o is at (num + o den)/den, one Fraction from integers,
+    and a bar's parity is its distance from the tower mod 2."""
+    if not bars:
+        return Fraction(num + tower * den, den), ()
+    red = [Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars]
+    return Fraction(num + tower * den, den), tuple(red)
+
+
 def _cone_result(pres: ConePresentation, tower: int, bars: list) -> ConeResult:
-    """``_offsets``' result read off: offset k is at grading anchor + k
-    (which keeps the order), a bar's parity its distance from the tower."""
+    """``_offsets``' result read off at the block's anchor."""
     spec, num, den = pres.spec, pres.anchor.numerator, pres.anchor.denominator
-    red = tuple(Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars)
-    d = Fraction(num + tower * den, den)
+    d, red = _read_off(num, den, tower, bars)
     return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red)
 
 
@@ -517,36 +512,34 @@ def surgery(
     p: int,
     q: int,
     *,
-    shapes: dict[tuple[int, ...], tuple[ConeResult, int, dict]] | None = None,
+    shapes: dict[tuple[int, ...], tuple[int, tuple]] | None = None,
+    interner: dict[tuple, tuple[int, Fraction, tuple[Tau, ...]]] | None = None,
 ) -> SurgeryResult:
     """Full surgery computation: one ConeResult per block index.
 
-    The slope is checked before any block.  Each block shape (``_shape``)
-    is solved once, by ``cone_homology`` at its lowest block index, so the
-    first block to raise is the one that raises when every block is
-    solved.  A later block of that shape is the same complex shifted in
-    grading by the difference of the two blocks' lens-space d-invariants,
-    read from one integer table N = 4p d(L(p,q), .) per call
-    (``lens_d_numerators``).  Blocks of one shape with one N have the same
-    d and bars, so those are shifted once per (shape, N) and shared.
+    The slope is checked before any block.  Each block shape is solved
+    once, by ``cone_homology`` at its lowest block index, so the first
+    block to raise is the one that raises when every block is solved, and
+    kept in ``shapes`` as int offsets (tower, ((b, length), ...)): the
+    tower's bottom from that block's anchor, each bar's from the tower's
+    (its parity b mod 2).  ``_shape`` runs once per interval of blocks, at
+    most 2G times per slope, in block order (the module docstring), so
+    the solves, their order and the refused block are those of one
+    ``_shape`` per block.  ``interner`` maps each block's exact key
+    (N + 4p tower, 4p, bars) to (id, d, red), built at the key's first
+    appearance (from the solve, for the solved block); a key is built once
+    per (shape, N) in a call.  Blocks at one p share an id in
+    ``SurgeryResult.ids`` exactly when they share d and bars; blocks at
+    different p never do.
 
-    The shape is computed once per interval of blocks: block i starts its
-    window at t = (i + (G - 1) q) mod p, and its k-sequence
-    1 - G + floor((t + j p)/q), cut at the first t + j p >= (2G - 1) q,
-    changes only at t = a q mod p for 1 <= a <= 2G - 1 (the module
-    docstring).  ``_shape`` runs at the first block of each of these at
-    most 2G intervals, in block order, so the solves, their order and the
-    block whose window is refused are those of one ``_shape`` per block.
-
-    ``shapes`` maps each shape to (first result, its N, {N: (d, bars)}),
-    the last holding every N of that shape met so far.  It is read and
-    extended; by default each call starts an empty one.  Surgeries of one
-    model at one p may share it, whatever their q, and then solve each
-    shape once between them.  A shape whose solve raises is never
-    stored, so a shared dict changes no result and no error.
+    Both dicts are read and extended, new per call by default.  Surgeries
+    of one model may share them, whatever their p and q.  A shape whose
+    solve raises is never stored, so shared dicts change no result and no
+    error.
     """
     SurgerySpec(p, q)  # the slope's errors, before any block
     shapes = {} if shapes is None else shapes
+    interner = {} if interner is None else interner
     table = lens_d_numerators(p, q)  # refused above MAX_TABLE_P first
     # the interval of t = (i + (G - 1) q) mod p between the cuts, per block
     G = max(model.genus, 1)
@@ -555,22 +548,38 @@ def surgery(
     for j, (low, high) in enumerate(zip([0, *cuts], cuts)):
         by_t += [j] * (high - low)
     start = (G - 1) * q % p
-    entries: list = [None] * len(cuts)  # each interval's shapes entry
-    results = []
+    # offset o of block i is at d(Y) - 1 + T/4p = (num + den T)/4p den, T = N + 4p o
+    scale, ambient = 4 * p, model.ambient.d
+    num, den = (ambient.numerator - ambient.denominator) * scale, ambient.denominator
+    entries: list = [None] * len(cuts)  # per interval: 4p tower, bars, {N: block}
+    seen: dict = {}  # per shape: {N: (id, d, red)} in this call
+    results, ids, solved = [], [], None
     for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
         entry = entries[j]
         if entry is None:
             shape = _shape(model, p, q, i)
-            entry = entries[j] = shapes.get(shape)
-        if entry is None:
-            first = cone_homology(model, SurgerySpec(p, q, i))
-            entries[j] = shapes[shape] = (first, lens, {lens: (first.d, first.red)})
-            results.append(first)
-            continue
-        first, first_lens, by_lens = entry
-        if lens not in by_lens:
-            by_lens[lens] = _shifted(first, lens - first_lens, p)
-        d, red = by_lens[lens]
-        results.append(ConeResult(p, q, i, d, red))
-    return SurgeryResult(model_name=model.name, p=p, q=q, results=tuple(results))
-
+            if shape not in shapes:
+                solved = cone_homology(model, SurgerySpec(p, q, i))
+                # the block's gradings share d's denominator; total = N + 4p tower
+                top, step = solved.d.numerator, solved.d.denominator
+                bars = [((b.bottom.numerator - top) // step, b.length)
+                        for b in solved.red]
+                total = (top * den * scale - num * step) // (step * den)
+                shapes[shape] = ((total - lens) // scale, tuple(bars))
+            tower, bars = shapes[shape]
+            entry = entries[j] = (scale * tower, bars, seen.setdefault(shape, {}))
+        offset, bars, by_lens = entry
+        block = by_lens.get(lens)
+        if block is None:
+            key = (lens + offset, scale, bars)
+            block = interner.get(key)
+            if block is None:
+                if solved is not None and solved.i == i:
+                    d, red = solved.d, solved.red
+                else:
+                    d, red = _read_off(num + den * key[0], den * scale, 0, bars)
+                block = interner[key] = (len(interner), d, red)
+            by_lens[lens] = block
+        ids.append(block[0])
+        results.append(ConeResult(p, q, i, block[1], block[2]))
+    return SurgeryResult(model.name, p, q, tuple(results), tuple(ids))

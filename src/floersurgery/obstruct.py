@@ -360,31 +360,18 @@ def lens_complement(p: int, q: int, w: int) -> Verdict:
     )
 
 
-def _block_key(r) -> tuple:
-    """The homology of one block, d and reduced bars, as integers: equal
-    keys mean equal (d, red), and the key hashes and compares in C."""
-    return (
-        r.d.numerator,
-        r.d.denominator,
-        tuple(
-            (b.bottom.numerator, b.bottom.denominator, b.length, b.parity)
-            for b in r.red
-        ),
-    )
-
-
-def _matches(keys1: list, keys2: list, p: int) -> bool:
+def _matches(ids1: tuple, ids2: tuple, p: int) -> bool:
     """Does a relabelling i -> a i + b mod p (a a unit) send every block of
     one surgery to one of the other with the same homology?  The surgeries
-    are given by their ``_block_key`` lists.  Block 0 goes to block b, so
-    only the b whose block has block 0's key are tried."""
-    first = keys1[0]
-    offsets = [b for b, k in enumerate(keys2) if k == first]
+    are given by their block ids from one interner (``surgery``).  Block 0
+    goes to block b, so only the b whose block has block 0's id are tried."""
+    first = ids1[0]
+    offsets = [b for b, k in enumerate(ids2) if k == first]
     for a in range(1, p + 1):
         if gcd(a, p) != 1:
             continue
         for b in offsets:
-            if all(keys1[i] == keys2[(a * i + b) % p] for i in range(p)):
+            if all(ids1[i] == ids2[(a * i + b) % p] for i in range(p)):
                 return True
     return False
 
@@ -411,20 +398,20 @@ def cosmetic_pair_scan(
     Every reported pair straddling a multiple of p is asserted to have
     p | chi(HF_red), as the divisibility rule demands.
 
-    The surgeries share one dict of block shapes (see ``surgery``), so
-    each shape is solved once over the whole scan, not once per q.
-    Blocks are compared on integer keys (``_block_key``), computed once
-    per surgery.  A relabelling keeps the multiset of keys, so only
-    surgeries with equal multisets are paired, in order of (q1, q2).
+    The surgeries share one dict of block shapes and one interner (see
+    ``surgery``), so each shape is solved once over the whole scan, not
+    once per q, and each block carries an int id, equal for two blocks
+    exactly when their d and bars are.  Blocks are compared on these ids.
+    A relabelling keeps the multiset of ids, so only surgeries with equal
+    multisets are paired, in order of (q1, q2).
     """
     require_slope(p)
     qs = sorted(set(q_range).difference(*unscanned(p, q_range).values()))
-    shapes: dict = {}
-    computed = {q: surgery(model, p, q, shapes=shapes) for q in qs}
-    keys = {q: [_block_key(r) for r in res.results] for q, res in computed.items()}
+    shapes, interner = {}, {}
+    computed = {q: surgery(model, p, q, shapes=shapes, interner=interner) for q in qs}
     groups: dict = {}
     for q in qs:
-        groups.setdefault(frozenset(Counter(keys[q]).items()), []).append(q)
+        groups.setdefault(frozenset(Counter(computed[q].ids).items()), []).append(q)
     candidates = sorted(
         (q1, q2)
         for group in groups.values()
@@ -433,11 +420,10 @@ def cosmetic_pair_scan(
     )
     hits = []
     for q1, q2 in candidates:
-        if _matches(keys[q1], keys[q2], p):
+        if _matches(computed[q1].ids, computed[q2].ids, p):
             if _straddles(p, q1, q2) and computed[q1].chi_red % p != 0:
                 raise AssertionError(
                     f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
                 )
             hits.append((q1, q2))
     return hits
-

@@ -380,6 +380,40 @@ def test_negative_slope_requires_mirror(capsys):
     assert "--mirror" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("surgery", "negative slopes need --mirror MODEL"),
+        ("casson-walker", "casson-walker expects a positive slope"),
+    ],
+)
+def test_negative_slope_needs_no_double_dash(command, message, capsys):
+    # -5/2 is the slope, not an unknown option, with or without "--"
+    for dashes in ([], ["--"]):
+        argv = [command, "trefoil_rh_s3", *dashes, "-5/2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_negative_d_excess_is_a_value(capsys):
+    code, out, _ = run(
+        capsys, "obstruct", "--genus-bound", "sigma237_ambient",
+        "--p", "3", "--q", "2", "--d-excess", "-5/2",
+    )
+    assert code == 0
+    assert '"D_Z":"-5/2"' in out
+
+
+def test_negative_slope_before_mirror(capsys):
+    code, out, _ = run(
+        capsys, "surgery", "figure8_s3", "-2/1", "--mirror", "figure8_s3"
+    )
+    assert code == 0
+    assert "orientation reversal" in out
+
+
 def test_negative_slope_with_mirror(capsys):
     # the figure-eight is amphichiral, so it serves as its own mirror
     code, out, _ = run(

@@ -28,7 +28,7 @@ from floersurgery import (
 )
 from floersurgery import cone, gf2
 from floersurgery.cli import main
-from floersurgery.numth import lens_d_numerators
+from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
     depth_floor_reference,
@@ -569,16 +569,18 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
 
 
 def _stub_solve(model, spec):
-    # a fresh d object per solve, so a block's entry shows in its d
-    return cone.ConeResult(spec.p, spec.q, spec.i, Fraction(spec.i), ())
+    # the tower i above the block's anchor, so a solve's block index shows
+    # in the offsets of its shape and in the d of every block of the shape
+    anchor = model.ambient.d - 1 + lens_d_at(spec.p, spec.q, spec.i)
+    return cone.ConeResult(spec.p, spec.q, spec.i, anchor + spec.i, ())
 
 
 def test_interval_rule_gives_every_block_its_shape(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
 ):
     # surgery computes the shape once per interval of blocks; every block
-    # must read the shapes entry of its own _shape, and its lens value's
-    # d there, as one _shape per block would give it
+    # must read the shapes entry of its own _shape, its d that entry's
+    # tower above its own anchor, as one _shape per block would give it
     monkeypatch.setattr(cone, "cone_homology", _stub_solve)
     staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 13)]
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
@@ -592,9 +594,11 @@ def test_interval_rule_gives_every_block_its_shape(
     for model, p, q in cases + [(trefoil, 3000, 1), (figure8, 2, 20001)]:
         shapes = {}
         lens = lens_d_numerators(p, q)
+        base = model.ambient.d - 1
         for r in surgery(model, p, q, shapes=shapes).results:
-            entry = shapes[cone._shape(model, p, q, r.i)]
-            assert r.d is entry[2][lens[r.i]][0], (model.name, p, q, r.i)
+            tower, _ = shapes[cone._shape(model, p, q, r.i)]
+            anchor = base + Fraction(lens[r.i], 4 * p)
+            assert r.d == anchor + tower, (model.name, p, q, r.i)
 
 
 def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, monkeypatch):
@@ -642,6 +646,54 @@ def test_surgery_refuses_the_first_block_whose_window_is_too_large(
         "250001 tower bottoms, more than 250000 generators"
     )
     assert solved == [0, 2]
+
+
+def test_block_ids_are_equal_exactly_when_the_homology_is(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # one shapes dict and one interner per model over every coprime
+    # p, q <= 13: two blocks at one p share an id exactly when they share
+    # d and bars, and blocks at different p never share one
+    staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 9)]
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
+    for model in models:
+        shapes, interner = {}, {}
+        values_of_id, ids_of_value = {}, {}
+        for p in range(1, 14):
+            for q in range(1, 14):
+                if gcd(p, q) != 1:
+                    continue
+                res = surgery(model, p, q, shapes=shapes, interner=interner)
+                assert len(res.ids) == p
+                for r, block_id in zip(res.results, res.ids):
+                    value = (p, r.d, r.red)
+                    values_of_id.setdefault(block_id, set()).add(value)
+                    ids_of_value.setdefault(value, set()).add(block_id)
+        assert all(len(v) == 1 for v in values_of_id.values()), model.name
+        assert all(len(v) == 1 for v in ids_of_value.values()), model.name
+        assert sorted(values_of_id) == list(range(len(interner)))
+
+
+def test_one_cache_serves_every_p(trefoil, monkeypatch):
+    # a shape's offsets do not depend on p or q: one shapes dict (and one
+    # interner) over every coprime p, q < 30 solves each shape once, and
+    # every surgery equals the one computed with fresh dicts
+    solved = []
+    solve = cone.cone_homology
+
+    def counted(model, spec):
+        solved.append(spec)
+        return solve(model, spec)
+
+    slopes = [(p, q) for p in range(1, 30) for q in range(1, 30) if gcd(p, q) == 1]
+    shapes, interner = {}, {}
+    monkeypatch.setattr(cone, "cone_homology", counted)
+    shared = [
+        surgery(trefoil, p, q, shapes=shapes, interner=interner) for p, q in slopes
+    ]
+    assert len(solved) == len(shapes) <= 30
+    monkeypatch.setattr(cone, "cone_homology", solve)
+    assert shared == [surgery(trefoil, p, q) for p, q in slopes]
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,6 @@ from floersurgery.obstruct import (
     FAIL,
     INAPPLICABLE,
     PASS,
-    _block_key,
     _matches,
     canonical_json,
 )
@@ -295,28 +294,35 @@ def test_cosmetic_scan_solves_each_block_shape_once(
         assert len(solved) == per_surgery
 
 
-def test_cosmetic_scan_shifts_once_per_shape_and_lens_value(
+def test_cosmetic_scan_reads_off_each_distinct_block_once(
     figure8, trefoil, genus2_stress, monkeypatch
 ):
-    shifted = []
-    shift = cone._shifted
+    read = []
+    read_off = cone._read_off
 
     def counted(*args):
-        shifted.append(args)
-        return shift(*args)
+        read.append(args)
+        return read_off(*args)
 
-    monkeypatch.setattr(cone, "_shifted", counted)
-    # one shift per (shape, lens numerator) met after the shape's first
-    # block; a shift per repeated block would give 256, 203 and 179
+    monkeypatch.setattr(cone, "_read_off", counted)
+    # d and bars are built once per distinct block homology over the whole
+    # scan, and once per solve (cone_homology reads off its own result);
+    # the read-off of a solve serves its block.  genus2_stress solves one
+    # shape whose first block repeats a homology met before.  One read-off
+    # per (shape, lens numerator) would give 87 + 2, 69 + 2 and 75 + 5.
     cases = (
-        (figure8, 43, range(1, 7), 87),
-        (trefoil, 41, range(1, 6), 69),
-        (genus2_stress, 23, range(1, 9), 75),
+        (figure8, 43, range(1, 7), 89, 89),
+        (trefoil, 41, range(1, 6), 66, 66),
+        (genus2_stress, 23, range(1, 9), 45, 44),
     )
-    for model, p, qs, expected in cases:
-        shifted.clear()
-        cosmetic_pair_scan(model, p, qs)
-        assert len(shifted) == expected, model.name
+    for model, p, qs, n_read, n_distinct in cases:
+        read.clear()
+        _, recorded = _recorded_scan(model, p, qs, monkeypatch)
+        blocks = [r for res in recorded for r in res.results]
+        objects = {(r.d, r.red): (id(r.d), id(r.red)) for r in blocks}
+        assert (len(read), len(objects)) == (n_read, n_distinct), model.name
+        # blocks of one homology share its d and bars
+        assert all(objects[r.d, r.red] == (id(r.d), id(r.red)) for r in blocks)
 
 
 def _recorded_scan(model, p: int, qs, monkeypatch) -> tuple[list, list]:
@@ -423,8 +429,10 @@ def test_d_sandwich_reads_the_odd_bar_once(sigma237_synthetic, monkeypatch):
     assert len(calls) == 1
 
 
-def _keys(res: SurgeryResult) -> list:
-    return [_block_key(r) for r in res.results]
+def _ids(res: SurgeryResult, seen: dict) -> tuple:
+    """Block ids of a result built by hand: one per distinct (d, red) in
+    ``seen``."""
+    return tuple(seen.setdefault((r.d, r.red), len(seen)) for r in res.results)
 
 
 def _synthetic_p5(blocks) -> SurgeryResult:
@@ -442,18 +450,19 @@ def test_matches_is_affine_relabelling():
         (Fraction(j, 5), (Tau(Fraction(j, 5) - 1, 1 + j % 2, 1),) * (j % 3))
         for j in range(5)
     ]
-    base = _keys(_synthetic_p5(blocks))
+    seen: dict = {}
+    base = _ids(_synthetic_p5(blocks), seen)
     # i -> 2 i + 3 mod 5 is affine
     relabelled = [None] * 5
     for j in range(5):
         relabelled[(2 * j + 3) % 5] = blocks[j]
-    assert _matches(base, _keys(_synthetic_p5(relabelled)), 5)
+    assert _matches(base, _ids(_synthetic_p5(relabelled), seen), 5)
     # swapping two blocks keeps the multiset but is no affine map mod 5
     swapped = [blocks[1], blocks[0]] + blocks[2:]
-    assert not _matches(base, _keys(_synthetic_p5(swapped)), 5)
+    assert not _matches(base, _ids(_synthetic_p5(swapped), seen), 5)
     # one changed d-invariant
     changed = [(blocks[0][0] + 2, blocks[0][1])] + blocks[1:]
-    assert not _matches(base, _keys(_synthetic_p5(changed)), 5)
+    assert not _matches(base, _ids(_synthetic_p5(changed), seen), 5)
 
 
 def _same_homology(r1: ConeResult, r2: ConeResult) -> bool:
@@ -482,14 +491,15 @@ def test_matches_equals_the_search_over_every_relabelling(
     for model in (unknot, trefoil, figure8, genus2_stress):
         for p in range(1, 14):
             shapes: dict = {}
+            interner: dict = {}
             results = [
-                surgery(model, p, q, shapes=shapes)
+                surgery(model, p, q, shapes=shapes, interner=interner)
                 for q in range(1, 10)
                 if gcd(p, q) == 1
             ]
             for res1, res2 in product(results, repeat=2):
                 expected = _matches_by_brute_force(res1, res2, p)
-                matched = _matches(_keys(res1), _keys(res2), p)
+                matched = _matches(res1.ids, res2.ids, p)
                 assert matched == expected, (model.name, p)
                 outcomes.add((expected, res1.q == res2.q))
     assert outcomes == {(True, True), (True, False), (False, False)}
@@ -499,7 +509,7 @@ def test_matches_equals_the_search_over_every_relabelling(
 def test_grouped_scan_equals_the_scan_over_all_pairs(
     name, p, n_hits, request, monkeypatch
 ):
-    # the scan pairs only surgeries with equal multisets of block keys;
+    # the scan pairs only surgeries with equal multisets of block ids;
     # the search over every relabelling of every pair must find the same
     model = request.getfixturevalue(name)
     hits, recorded = _recorded_scan(model, p, range(1, 61), monkeypatch)
@@ -523,9 +533,9 @@ def test_block_keys_are_equal_exactly_when_the_homology_is(
         (genus2_stress, 23, range(1, 9)),
     ):
         _, recorded = _recorded_scan(model, p, qs, monkeypatch)
-        blocks = [(r, _block_key(r)) for res in recorded for r in res.results]
-        for (r1, key1), (r2, key2) in combinations(blocks, 2):
-            assert (key1 == key2) == _same_homology(r1, r2), model.name
+        blocks = [block for res in recorded for block in zip(res.results, res.ids)]
+        for (r1, id1), (r2, id2) in combinations(blocks, 2):
+            assert (id1 == id2) == _same_homology(r1, r2), model.name
 
 
 def test_reports_are_reproducible(trefoil):

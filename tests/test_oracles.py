@@ -33,6 +33,7 @@ from floersurgery import (
     FloerError,
     SurgerySpec,
     TruncationTooSmall,
+    barcode,
     casson_walker_surgery,
     cone,
     cone_homology,
@@ -43,7 +44,7 @@ from floersurgery import (
     obstruct,
     surgery,
 )
-from floersurgery.obstruct import _block_key, _matches
+from floersurgery.obstruct import _matches
 
 from conftest import staircase_doc, truncated_cone_reference
 
@@ -178,10 +179,11 @@ def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
         for depth in (None, 12, 3):
             forced = default if depth is None else lambda model, spec, n=depth: n
             monkeypatch.setattr(cone, "default_depth", forced)
-            fresh, error = {}, None
+            # fresh shapes per surgery; one interner gives comparable ids
+            fresh, error, interner = {}, None, {}
             try:
                 for q in (q for q in qs if gcd(p, q) == 1):
-                    fresh[q] = surgery(model, p, q)
+                    fresh[q] = surgery(model, p, q, interner=interner)
             except FloerError as err:
                 error = err
             recorded.clear()
@@ -196,14 +198,58 @@ def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
             assert recorded == list(fresh.values()), (p, depth)
             # matching ignores depth, so one depth's pairs serve all
             if pairs is None:
-                keys = {
-                    q: [_block_key(r) for r in res.results] for q, res in fresh.items()
-                }
                 pairs = [
                     (q1, q2)
                     for q1, q2 in combinations(fresh, 2)
-                    if _matches(keys[q1], keys[q2], p)
+                    if _matches(fresh[q1].ids, fresh[q2].ids, p)
                 ]
             assert hits == pairs, (p, depth)
     # depth 3 is below the minimum of every model but these two
     assert bool(raised) == (name not in ("unknot", "figure8"))
+
+
+def farey_triples(n_max: int) -> list:
+    """Every slope r3 = p3/q3 in lowest terms with 1 <= p3, q3 <= n_max and
+    its Farey parents r1 < r3 < r2, as (r1, r2, r3) of (p, q) pairs:
+    p1 q2 - p2 q1 = -1 and r3 = (p1 + p2)/(q1 + q2).  The parents of an
+    integer n are n - 1 and infinity, (1, 0); a triple with the parent 0
+    is left out, as the calculator does not compute slope 0."""
+    triples = []
+    for p3 in range(1, n_max + 1):
+        for q3 in range(1, n_max + 1):
+            if gcd(p3, q3) != 1:
+                continue
+            q1 = pow(p3, -1, q3) or q3  # p3 q1 = 1 mod q3, 0 < q1 <= q3
+            p1 = (p3 * q1 - 1) // q3
+            if p1:
+                triples.append(((p1, q1), (p3 - p1, q3 - q1), (p3, q3)))
+    return triples
+
+
+def test_exact_triangle_bounds_every_hat_rank(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # the surgery exact triangle (Ozsvath-Szabo, arXiv math/0105202) for
+    # slopes at distance one: each HF-hat rank is at most the sum of the
+    # other two.  A block's rank is 1 + 2 #bars, the ambient's (slope
+    # infinity) 1 + 2 #bars of its reduced part.  Over an L-space ambient
+    # the rank is p + 2 max(0, (2 nu - 1) q - p) + 2 q #bars(A^red)
+    # (arXiv math/0504404, Prop. 9.6), a linear form plus
+    # |p - (2 nu - 1) q|, and Farey neighbours never straddle an integer,
+    # so there the largest rank is the sum of the other two
+    triples = farey_triples(25)
+    assert ((24, 1), (1, 0), (25, 1)) in triples and len(triples) == 374
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    models += [load_model(staircase_doc(staircases(g)[0])) for g in (2, 4, 7)]
+    for model in models:
+        shapes, interner = {}, {}
+        ranks = {(1, 0): 1 + 2 * len(barcode(model.ambient.b_red))}
+        for triple in triples:
+            for p, q in triple:
+                if (p, q) not in ranks:
+                    res = surgery(model, p, q, shapes=shapes, interner=interner)
+                    ranks[p, q] = sum(1 + 2 * len(r.red) for r in res.results)
+            low, mid, high = sorted(ranks[slope] for slope in triple)
+            assert high <= low + mid, (model.name, triple)
+            if model.ambient.is_l_space:
+                assert high == low + mid, (model.name, triple)
