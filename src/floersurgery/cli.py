@@ -52,6 +52,15 @@ def resolve_model_path(name: str) -> Path:
     raise ModelError("Syntax", f"model file not found: {name}")
 
 
+def integer(text: str) -> int:
+    """Every integer on the command line: ASCII digits with an optional
+    sign, as in model files (``int`` also reads '1_0' and other scripts'
+    digits); argparse reports the ValueError as 'invalid integer value'."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"bad integer {text!r}; expected signed digits 0-9")
+    return int(text)
+
+
 def parse_slope(text: str) -> tuple[int, int, int]:
     """Parse 'p/q' or an integer 'n' (= n/1); returns (sign, p, q)."""
     sign = 1
@@ -62,9 +71,9 @@ def parse_slope(text: str) -> tuple[int, int, int]:
     try:
         if "/" in body:
             p_str, q_str = body.split("/", 1)
-            p, q = int(p_str), int(q_str)
+            p, q = integer(p_str), integer(q_str)
         else:
-            p, q = int(body), 1
+            p, q = integer(body), 1
     except ValueError:
         raise ModelError("Syntax", f"bad slope {text!r}; expected p/q") from None
     if p < 1 or q < 1:
@@ -79,8 +88,8 @@ def parse_q_values(values: list[str]) -> list[int]:
     for v in values:
         low_str, dots, high_str = v.partition("..")
         try:
-            low = int(low_str)
-            high = int(high_str) if dots else low
+            low = integer(low_str)
+            high = integer(high_str) if dots else low
         except ValueError:
             raise ValueError(f"bad --q value {v!r}; expected Q or LOW..HIGH") from None
         if low > high:
@@ -355,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_surgery)
 
     l = sub.add_parser("lens", help="Dedekind sum, lambda, tau and d-table of L(p,q)")
-    l.add_argument("p", type=int)
-    l.add_argument("q", type=int)
+    l.add_argument("p", type=integer)
+    l.add_argument("q", type=integer)
     l.set_defaults(func=cmd_lens)
 
     c = sub.add_parser("casson-walker", help="Casson-Walker invariant of a surgery")
@@ -365,20 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_casson_walker)
 
     o = sub.add_parser("obstruct", help="run obstruction rules")
-    o.add_argument("--lens-complement", nargs=3, type=int, metavar=("P", "Q", "W"))
-    o.add_argument("--dedekind-necessary", nargs=3, type=int, metavar=("P", "Q1", "Q2"))
+    o.add_argument("--lens-complement", nargs=3, type=integer, metavar=("P", "Q", "W"))
+    o.add_argument(
+        "--dedekind-necessary", nargs=3, type=integer, metavar=("P", "Q1", "Q2")
+    )
     o.add_argument("--z-special", action="store_true")
-    o.add_argument("--chi-relation", type=int, metavar="CHI_Y")
+    o.add_argument("--chi-relation", type=integer, metavar="CHI_Y")
     o.add_argument("--v0-bound", metavar="MODEL")
     o.add_argument("--k-special", metavar="MODEL_OR_AMBIENT")
     o.add_argument("--genus-bound", metavar="MODEL_OR_AMBIENT")
     o.add_argument("--d-sandwich", metavar="MODEL")
     o.add_argument("--cosmetic-scan", metavar="MODEL")
-    o.add_argument("--p", type=int)
+    o.add_argument("--p", type=integer)
     o.add_argument("--q", action="append", default=[], metavar="Q_OR_RANGE")
-    o.add_argument("--h1", type=int)
-    o.add_argument("--chi", type=int)
-    o.add_argument("--dim-red", type=int)
+    o.add_argument("--h1", type=integer)
+    o.add_argument("--chi", type=integer)
+    o.add_argument("--dim-red", type=integer)
     o.add_argument("--d-excess", help="max grading excess D(Z), as a rational")
     o.set_defaults(func=cmd_obstruct)
     for command in (s, c, o):  # so that argparse reads -5/2 as a value, not an option

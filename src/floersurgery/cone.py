@@ -16,13 +16,13 @@ retained, so nothing reads that k.  Column 0 is the first column with
 k >= 0 and the window always holds it, so the shape alone places the
 window: its first column is minus the number of negative k.
 
-Each block is relatively Z-graded, so one rational anchor fixes every
-absolute grading in it: the generator of the B-tower in column 0, at
-d(Y) + d(L(p,q), i) - 1.  Inside the cone every grading is an ``int``
-offset from that anchor, propagated along columns by
-b_{n+1} - b_n = 2 k(n); model presentations already hold ``int``
-offsets from their own towers, and ``Fraction`` comes back only when the
-result is read off.  Towers are cut at a common grading ceiling.
+Each block is relatively Z-graded: inside the cone every grading is an
+``int`` offset from the generator of the B-tower in column 0, propagated
+along columns by b_{n+1} - b_n = 2 k(n); model presentations already
+hold ``int`` offsets from their own towers.  That generator sits at the
+block's anchor d(Y) - 1 + d(L(p,q), i), which the cone never reads:
+``cone_homology`` returns int offsets, and ``surgery`` places them at the
+anchor.  Towers are cut at a common grading ceiling.
 
 The cone is the direct sum of its towers and its reduced part: tower
 entries of d hit only B-towers, reduced columns only reduced generators,
@@ -55,11 +55,12 @@ The shape fixes a block's cone up to a grading shift and depends on
 neither p nor q: a block of the shape is that complex at its own anchor,
 d(Y) - 1 + N/4p, N its entry of the integer lens table N = 4p d(L(p,q), .)
 that ``surgery`` reads once per call.  ``surgery`` solves each shape once
-and keeps its int offsets, the tower's bottom from the anchor and each
-bar's from the tower's, so block (shape, N) has d(Y) - 1 + (N + 4p tower)/4p
-for d and its exact key is the ints (N + 4p tower, 4p, bars).  An interner
-maps each key to a small int id and one d and tuple of bars, built as
-Fractions only at the key's first appearance.
+and keeps ``cone_homology``'s offsets, the tower's bottom from the anchor
+and each bar's from the tower's, so block (shape, N) has
+d(Y) - 1 + (N + 4p tower)/4p for d and its exact key is the ints
+(N + 4p tower, 4p, bars).  An interner maps each key to a small int id
+and one d and tuple of bars, built as Fractions by ``_read_off``, the one
+place this module builds them, only at the key's first appearance.
 It computes the shape once per interval of blocks, not once per block.
 With t = (i + (G - 1) q) mod p, the first A-column of block i has
 i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
@@ -83,7 +84,7 @@ from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
-from .numth import lens_d_at, lens_d_numerators, require_slope
+from .numth import lens_d_numerators, require_slope
 
 # most generators a pass lays out: a tower bottom per retained column
 # plus every reduced generator (trefoil 2/200001 lays out 200,003)
@@ -113,19 +114,19 @@ class ConePresentation:
 
     ``shape`` is the window's k-sequence (``_shape``); ``a_grading`` and
     ``b_grading`` are keyed by the retained A- and B-columns, ascending.
-    ``anchor`` is the absolute grading of the B-tower generator in column
-    0; ``ceiling``, the tower bottoms and the grading keys (ascending) are
-    ``int`` offsets from it.  The A-tower of column n runs from
-    ``a_grading[n]`` up to the ceiling in steps of 2, the B-tower from
-    ``b_grading[n]`` up to one below it.  ``d_cols[g]`` holds the columns
-    of the reduced A-generators at g over the reduced B-generators at
-    g - 1; ``u_dom[g]`` and ``u_cod[g]`` the U-columns over the same row
-    at g - 2.  Gradings without reduced generators have no entry.
+    ``ceiling``, the tower bottoms and the grading keys (ascending) are
+    ``int`` offsets from the B-tower generator in column 0, which sits at
+    the block's anchor d(Y) - 1 + d(L(p,q), i).  The A-tower of column n
+    runs from ``a_grading[n]`` up to the ceiling in steps of 2, the
+    B-tower from ``b_grading[n]`` up to one below it.  ``d_cols[g]`` holds
+    the columns of the reduced A-generators at g over the reduced
+    B-generators at g - 1; ``u_dom[g]`` and ``u_cod[g]`` the U-columns over
+    the same row at g - 2.  Gradings without reduced generators have no
+    entry.
     """
 
     spec: SurgerySpec
     shape: tuple[int, ...]
-    anchor: Fraction
     ceiling: int
     a_grading: dict[int, int]
     b_grading: dict[int, int]
@@ -200,7 +201,7 @@ class SurgeryResult:
 
     @property
     def d_sum(self) -> Fraction:
-        return sum((r.d for r in self.results), Fraction(0))
+        return sum(r.d for r in self.results)
 
 
 def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
@@ -306,7 +307,6 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
         )
     negative = bisect_left(shape, 0)  # the shape is nondecreasing
     amb = model.ambient.b_red
-    anchor = model.ambient.d + lens_d_at(p, q, i) - 1
 
     # b(n + 1) = b(n) + 2 k(n) from b(0) = 0, the model read once per run
     # of k; a column with reduced generators adds its highest to ``tops``
@@ -361,7 +361,6 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     return ConePresentation(
         spec=spec,
         shape=shape,
-        anchor=anchor,
         ceiling=ceiling,
         a_grading=a_grading,
         b_grading=b_grading,
@@ -445,9 +444,10 @@ def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
 
 
 def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tuple:
-    """Int offsets from the anchor, from the tower bars (bottom, length) and
-    the kernel and cokernel Tau bars of ``pres``: the bottom of the one kernel
-    bar whose top reaches ceiling - 2 (the tower), the rest sorted as pairs."""
+    """Int offsets from the tower bars (bottom, length) and the kernel and
+    cokernel Tau bars of ``pres``: the bottom of the one kernel bar whose
+    top reaches ceiling - 2 (the tower), from the B-tower generator in
+    column 0, and the other bars as (b, length), b from the tower, sorted."""
     spec, ceiling = pres.spec, pres.ceiling
     where = f"{spec.p}/{spec.q} block {spec.i}"
     ker = towers + [(b.bottom, b.length) for b in ker]
@@ -460,51 +460,46 @@ def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tupl
             f"{len(near)} chains reach the ceiling for {where}; "
             "expected exactly one tower"
         )
-    return near[0][0], sorted(bar for bar in ker + cok if bar is not near[0])
+    tower = near[0][0]
+    bars = sorted(bar for bar in ker + cok if bar is not near[0])
+    return tower, tuple((b - tower, n) for b, n in bars)
 
 
-def _read_off(num: int, den: int, tower: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
-    """d at offset ``tower`` and bars (offset, length) from the grading
-    num/den: offset o is at (num + o den)/den, one Fraction from integers,
-    and a bar's parity is its distance from the tower mod 2."""
+def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
+    """d at the grading num/den and the bars (b, length) above it: bar b
+    sits at (num + b den)/den, one Fraction from integers, and its parity,
+    its distance from the tower mod 2, is b mod 2."""
     if not bars:
-        return Fraction(num + tower * den, den), ()
-    red = [Tau(Fraction(num + b * den, den), n, (b - tower) % 2) for b, n in bars]
-    return Fraction(num + tower * den, den), tuple(red)
-
-
-def _cone_result(pres: ConePresentation, tower: int, bars: list) -> ConeResult:
-    """``_offsets``' result read off at the block's anchor."""
-    spec, num, den = pres.spec, pres.anchor.numerator, pres.anchor.denominator
-    d, red = _read_off(num, den, tower, bars)
-    return ConeResult(p=spec.p, q=spec.q, i=spec.i, d=d, red=red)
+        return Fraction(num, den), ()
+    red = [Tau(Fraction(num + b * den, den), n, b % 2) for b, n in bars]
+    return Fraction(num, den), tuple(red)
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
     pres = build_cone(model, spec, depth)
     kernel, cokernel = _kernel_and_cokernel(pres)
-    return pres, _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
+    return _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
 
 
-def cone_homology(model: KnotModel, spec: SurgerySpec) -> ConeResult:
-    """Homology of the truncated cone, certified stable in the depth.
+def cone_homology(model: KnotModel, spec: SurgerySpec) -> tuple[int, tuple]:
+    """Homology of the truncated cone as int offsets (tower, ((b, length),
+    ...)), certified stable in the depth: the d-invariant's offset from the
+    block's anchor d(Y) - 1 + d(L(p,q), i) and each reduced bar's bottom b
+    from the d-invariant, parity b mod 2, sorted.  They depend on the
+    block's shape alone; ``surgery(...).results[i]`` reads them off.
 
     The certificate is the one place a depth is chosen: the cone is solved
     to ``_offsets`` with its towers cut at N = ``default_depth`` and at
-    N + 2; any disagreement raises TruncationTooSmall, and only then is
-    the first result read off.  That is as strong as comparing read-off
-    results: the anchor depends on the spec, not on the depth, so equal
-    offsets give equal d and bars, whose parity is their distance from
-    the tower mod 2.
+    N + 2, and any disagreement raises TruncationTooSmall.
     """
     n = default_depth(model, spec)
-    pres, first = _homology_once(model, spec, n)
-    if _homology_once(model, spec, n + 2)[1] != first:
+    offsets = _homology_once(model, spec, n)
+    if _homology_once(model, spec, n + 2) != offsets:
         raise TruncationTooSmall(
             f"results for {spec.p}/{spec.q} block {spec.i} change when the "
             "towers are cut two levels higher"
         )
-    return _cone_result(pres, *first)
+    return offsets
 
 
 def surgery(
@@ -520,15 +515,14 @@ def surgery(
     The slope is checked before any block.  Each block shape is solved
     once, by ``cone_homology`` at its lowest block index, so the first
     block to raise is the one that raises when every block is solved, and
-    kept in ``shapes`` as int offsets (tower, ((b, length), ...)): the
-    tower's bottom from that block's anchor, each bar's from the tower's
-    (its parity b mod 2).  ``_shape`` runs once per interval of blocks, at
-    most 2G times per slope, in block order (the module docstring), so
-    the solves, their order and the refused block are those of one
-    ``_shape`` per block.  ``interner`` maps each block's exact key
-    (N + 4p tower, 4p, bars) to (id, d, red), built at the key's first
-    appearance (from the solve, for the solved block); a key is built once
-    per (shape, N) in a call.  Blocks at one p share an id in
+    its int offsets (tower, ((b, length), ...)) are kept in ``shapes`` as
+    ``cone_homology`` returns them.  ``_shape`` runs once per interval of
+    blocks, at most 2G times per slope, in block order (the module
+    docstring), so the solves, their order and the refused block are
+    those of one ``_shape`` per block.  ``interner`` maps each block's
+    exact key (N + 4p tower, 4p, bars) to (id, d, red), read off at the
+    key's first appearance, the only Fractions a call builds; a key is
+    built once per (shape, N) in a call.  Blocks at one p share an id in
     ``SurgeryResult.ids`` exactly when they share d and bars; blocks at
     different p never do.
 
@@ -553,19 +547,13 @@ def surgery(
     num, den = (ambient.numerator - ambient.denominator) * scale, ambient.denominator
     entries: list = [None] * len(cuts)  # per interval: 4p tower, bars, {N: block}
     seen: dict = {}  # per shape: {N: (id, d, red)} in this call
-    results, ids, solved = [], [], None
+    results, ids = [], []
     for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
         entry = entries[j]
         if entry is None:
             shape = _shape(model, p, q, i)
             if shape not in shapes:
-                solved = cone_homology(model, SurgerySpec(p, q, i))
-                # the block's gradings share d's denominator; total = N + 4p tower
-                top, step = solved.d.numerator, solved.d.denominator
-                bars = [((b.bottom.numerator - top) // step, b.length)
-                        for b in solved.red]
-                total = (top * den * scale - num * step) // (step * den)
-                shapes[shape] = ((total - lens) // scale, tuple(bars))
+                shapes[shape] = cone_homology(model, SurgerySpec(p, q, i))
             tower, bars = shapes[shape]
             entry = entries[j] = (scale * tower, bars, seen.setdefault(shape, {}))
         offset, bars, by_lens = entry
@@ -574,10 +562,7 @@ def surgery(
             key = (lens + offset, scale, bars)
             block = interner.get(key)
             if block is None:
-                if solved is not None and solved.i == i:
-                    d, red = solved.d, solved.red
-                else:
-                    d, red = _read_off(num + den * key[0], den * scale, 0, bars)
+                d, red = _read_off(num + den * key[0], den * scale, bars)
                 block = interner[key] = (len(interner), d, red)
             by_lens[lens] = block
         ids.append(block[0])

@@ -6,8 +6,8 @@ decomposed by :func:`barcode` into its bars tau_d(N): dimension N,
 bottom grading d, killed by U^N but not U^{N-1}.
 A presentation's gradings are ``int`` offsets from a tower generator:
 the module's own for a loaded model block or ambient reduced part, the
-block's anchor for a cone kernel or cokernel, which adds it back as a
-``Fraction`` when the result is read off.  The Z_2-parity of a generator
+block's anchor for a cone kernel or cokernel, where ``surgery`` reads
+the offsets off as ``Fraction``s.  The Z_2-parity of a generator
 is its grading mod 2.
 
 All values are immutable after construction and all operations are pure

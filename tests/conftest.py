@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from floersurgery import (
+    ConeResult,
     FiniteUPresentation,
+    Tau,
     barcode,
     cone,
     gf2,
@@ -17,12 +19,25 @@ from floersurgery import (
     load_model_or_ambient,
 )
 from floersurgery.cli import resolve_model_path
+from floersurgery.numth import lens_d_at
+
+
+def read_block(model, spec, offsets=None) -> ConeResult:
+    """Block ``spec`` as a ConeResult: ``cone_homology``'s offsets (tower,
+    ((b, length), ...)), or the given ones, read at the block's own anchor
+    d(Y) - 1 + d(L(p,q), i) from ``lens_d_at``, with neither the lens
+    table nor the interner of ``surgery``.  Looks up
+    ``cone.cone_homology`` at call time."""
+    tower, bars = cone.cone_homology(model, spec) if offsets is None else offsets
+    d = model.ambient.d - 1 + lens_d_at(spec.p, spec.q, spec.i) + tower
+    red = tuple(Tau(d + b, length, b % 2) for b, length in bars)
+    return ConeResult(spec.p, spec.q, spec.i, d, red)
 
 
 @pytest.fixture
 def solve_at(monkeypatch):
-    """``cone_homology`` with the certificate's depth N forced to the
-    given one, through ``cone.default_depth``; N + 2 is checked as ever."""
+    """``cone_homology``'s offsets with the certificate's depth N forced to
+    the given one, through ``cone.default_depth``; N + 2 is checked as ever."""
 
     def solve(model, spec, depth):
         with monkeypatch.context() as forced:
@@ -195,9 +210,10 @@ def whole_cone(pres) -> WholeCone:
 def truncated_cone_reference(model, spec, depth, whole=None):
     """The block's homology by eliminating the whole truncated cone, tower
     generators included: kernel and cokernel of every d_cols[g] of
-    ``whole_cone``, barcoded, then read off as the library does.  Looks
-    up ``cone.build_cone`` at call time, so a test may inject a
-    presentation, or pass the laid-out cone itself as ``whole``."""
+    ``whole_cone``, barcoded, then read off to offsets as the library
+    reads its own.  Looks up ``cone.build_cone`` at call time, so a test
+    may inject a presentation, or pass the laid-out cone itself as
+    ``whole``."""
     pres = cone.build_cone(model, spec, depth)
     if whole is None:
         whole = whole_cone(pres)
@@ -206,9 +222,10 @@ def truncated_cone_reference(model, spec, depth, whole=None):
 
 
 def read_off(pres, ker_bars, cok_bars):
-    """The result of int-graded kernel and cokernel Tau bars of ``pres``,
-    read off by the library's own ``_offsets`` and ``_cone_result``."""
-    return cone._cone_result(pres, *cone._offsets(pres, [], ker_bars, cok_bars))
+    """The offsets (tower, ((b, length), ...)) of int-graded kernel and
+    cokernel Tau bars of ``pres``, read off by the library's own
+    ``_offsets``."""
+    return cone._offsets(pres, [], ker_bars, cok_bars)
 
 
 def tower_bars_reference(pres) -> list[tuple[int, int]]:

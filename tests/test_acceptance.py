@@ -15,7 +15,6 @@ from floersurgery import (
     SurgerySpec,
     TargetSummary,
     barcode,
-    cone_homology,
     d_invariant_bounds,
     dedekind,
     default_depth,
@@ -28,7 +27,12 @@ from floersurgery import (
     z_special,
 )
 from floersurgery.obstruct import FAIL, INAPPLICABLE, PASS
-from conftest import random_presentation, rank_profile_matches, sigma237_synthetic_doc
+from conftest import (
+    random_presentation,
+    rank_profile_matches,
+    read_block,
+    sigma237_synthetic_doc,
+)
 
 
 def _report(name: str, ok: bool) -> None:
@@ -120,7 +124,7 @@ def test_criterion_6_d_sandwich(unknot, trefoil, figure8):
                 for i in range(p):
                     spec = SurgerySpec(p, q, i)
                     lo, up = d_invariant_bounds(model, spec)
-                    d = cone_homology(model, spec).d
+                    d = read_block(model, spec).d
                     ok = ok and lo <= d <= up
                     # ambient S^3 has no odd bars: equality branch
                     ok = ok and d == up
@@ -136,9 +140,8 @@ def test_criterion_7_truncation_stability(trefoil, figure8, solve_at):
             spec = SurgerySpec(p, q, i)
             n0 = default_depth(model, spec)
             base, deeper, deepest = (solve_at(model, spec, n0 + s) for s in (0, 2, 4))
-            ok = ok and (base.d, base.red) == (deeper.d, deeper.red)
-            ok = ok and (base.d, base.red) == (deepest.d, deepest.red)
-    _report("criterion 7: results identical at depths N, N+2, N+4", ok)
+            ok = ok and base == deeper == deepest
+    _report("criterion 7: int offsets identical at depths N, N+2, N+4", ok)
 
 
 def test_criterion_8_slope_count_gate(trefoil):

@@ -50,6 +50,31 @@ def test_reversed_q_range_is_an_input_error(capsys):
     assert "empty range '5..1'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() reads these as 10/3, 3/2 (an Arabic-Indic three), q = 10
+        # and L(10,3); model files refuse them
+        (["surgery", "trefoil_rh_s3", "1_0/3"], "error: Syntax: bad slope '1_0/3'"),
+        (["surgery", "trefoil_rh_s3", "٣/2"], "error: Syntax: bad slope '٣/2'"),
+        (
+            ["obstruct", "--cosmetic-scan", "trefoil_rh_s3", "--p", "2", "--q", "1_0"],
+            "error: bad --q value '1_0'",
+        ),
+        (["lens", "1_0", "3"], "argument p: invalid integer value: '1_0'"),
+    ],
+)
+def test_integers_are_ascii_digits(argv, message, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse's own usage errors
+        code = exit_.code
+    out = capsys.readouterr()
+    assert code == 2, argv
+    assert out.out == ""
+    assert message in out.err and "Traceback" not in out.err
+
+
 def test_shipped_models_resolve():
     for name in ("unknot_s3", "trefoil_rh_s3.json", "figure8_s3", "sigma237_ambient"):
         assert resolve_model_path(name).is_file()
@@ -449,6 +474,29 @@ def test_readme_lists_the_command_examples():
 def test_readme_command_examples_run(line, capsys):
     code, _, err = run(capsys, *shlex.split(line)[1:])
     assert code == 0, err
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # each commented value of the example is the repr of the expression
+    # on its line, or on the line above for a comment on a line of its own
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(Path(__file__).parents[1])
+    namespace: dict = {}
+    checked, value = 0, None
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            try:
+                value = eval(compile(code, "README", "eval"), namespace)
+            except SyntaxError:
+                exec(code, namespace)
+                value = None
+        if comment:
+            assert repr(value) == comment.strip(), line
+            checked += 1
+    assert checked == block.count("#") == 5
 
 
 def _edited_model(tmp_path, name, edit):

@@ -32,6 +32,7 @@ from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
     depth_floor_reference,
+    read_block,
     reduced_cone,
     staircase_doc,
     tower_bars_reference,
@@ -95,15 +96,15 @@ def test_grading_telescope(trefoil, figure8, unknot):
 
 
 def test_anchor_grading(unknot, trefoil):
-    # grading of the bottom tower element of target column 0 when retained
+    # the bottom tower element of target column 0, when retained, is the
+    # cone's offset 0, which a block reads at d(Y) + d(L(p,q), i) - 1
     for model in (unknot, trefoil):
-        pres = build_cone(model, SurgerySpec(2, 3, 0), 8)
+        spec = SurgerySpec(2, 3, 0)
+        pres = build_cone(model, spec, 8)
         k_of = dict(zip(pres.a_grading, pres.shape))
+        assert pres.b_grading[1] - 2 * k_of[0] == 0
         d_lens = lens_d(2, 3)[0]
-        assert (
-            pres.anchor + pres.b_grading[1] - 2 * k_of[0]
-            == model.ambient.d + d_lens - 1
-        )
+        assert read_block(model, spec, (0, ())).d == model.ambient.d + d_lens - 1
 
 
 def test_non_integral_block_grading_is_rejected():
@@ -121,12 +122,15 @@ def test_unknot_cone_is_lens_space(unknot):
 
 
 def test_trefoil_2_3_frozen_values(trefoil):
-    r0 = cone_homology(trefoil, SurgerySpec(2, 3, 0))
+    assert cone_homology(trefoil, SurgerySpec(2, 3, 0)) == (-1, ((0, 1),))
+    assert cone_homology(trefoil, SurgerySpec(2, 3, 1)) == (-1, ())
+    r0 = read_block(trefoil, SurgerySpec(2, 3, 0))
     assert r0.d == Fraction(-7, 4)
     assert r0.red == (Tau(Fraction(-7, 4), 1, 0),)
-    r1 = cone_homology(trefoil, SurgerySpec(2, 3, 1))
+    r1 = read_block(trefoil, SurgerySpec(2, 3, 1))
     assert r1.d == Fraction(-9, 4)
     assert r1.red == ()
+    assert surgery(trefoil, 2, 3).results == (r0, r1)
 
 
 def test_trefoil_dim_formula(trefoil):
@@ -151,7 +155,7 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
             for i in range(p):
                 a = cone_homology(model, SurgerySpec(p, q, i))
                 b = cone_homology(model, SurgerySpec(p, q, i))
-                assert (a.d, a.red) == (b.d, b.red)
+                assert a == b
 
 
 def test_misgraded_block_map_is_rejected(sigma237_synthetic):
@@ -416,34 +420,35 @@ def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, monkeypatch
     assert built == [n]
 
 
-def test_each_solve_is_read_off_once(trefoil, monkeypatch):
-    # both depths are solved to int offsets; Fractions and Taus are built
-    # once per cone_homology call, from the depth-N result
-    calls = {"solve": 0, "read off": 0}
-    solve, read_off = cone.cone_homology, cone._cone_result
+def test_only_read_off_builds_fractions(trefoil, genus2_stress, monkeypatch):
+    # cone_homology returns int offsets and builds no Fraction or Tau;
+    # surgery reads off each new interner key once, in _read_off: one
+    # Fraction for d, and a Fraction and a Tau per bar
+    built, reads, with_bars = [], [], []
+    read_off = cone._read_off
 
-    def counted_solve(*args):
-        calls["solve"] += 1
-        return solve(*args)
-
-    def counted_read_off(*args):
-        calls["read off"] += 1
+    def counted(*args):
+        reads.append(args)
         return read_off(*args)
 
-    monkeypatch.setattr(cone, "cone_homology", counted_solve)
-    monkeypatch.setattr(cone, "_cone_result", counted_read_off)
-    genus12 = load_model(staircase_doc([6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0]))
-    for model, p, q in ((trefoil, 3, 2), (genus12, 1, 2)):
+    monkeypatch.setattr(cone, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    monkeypatch.setattr(cone, "Tau", lambda *a: built.append(a) or Tau(*a))
+    monkeypatch.setattr(cone, "_read_off", counted)
+    genus12 = load_model(staircase_doc(staircase_v(12)))
+    for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
         for i in range(p):
-            before = dict(calls)
-            cone.cone_homology(model, SurgerySpec(p, q, i))
-            assert calls["solve"] == before["solve"] + 1
-            assert calls["read off"] == before["read off"] + 1
-        before = dict(calls)
-        surgery(model, p, q)
-        solved = calls["solve"] - before["solve"]
-        assert solved > 0
-        assert calls["read off"] - before["read off"] == solved
+            tower, bars = cone.cone_homology(model, SurgerySpec(p, q, i))
+            assert type(tower) is int
+            assert all(type(b) is type(n) is int for b, n in bars)
+        assert built == reads == []
+        interner = {}
+        surgery(model, p, q, interner=interner)
+        assert len(reads) == len(interner) > 0
+        assert len(built) == sum(1 + 2 * len(bars) for _, _, bars in reads)
+        with_bars += [bars for _, _, bars in reads if bars]
+        built.clear()
+        reads.clear()
+    assert with_bars
 
 
 def test_each_pass_computes_the_shape_once(trefoil, genus2_stress, monkeypatch):
@@ -481,8 +486,7 @@ def test_truncation_stability_explicit_depths(trefoil, figure8, solve_at):
             base = solve_at(model, spec, n0)
             deeper = solve_at(model, spec, n0 + 2)
             deepest = solve_at(model, spec, n0 + 4)
-            assert (base.d, base.red) == (deeper.d, deeper.red)
-            assert (base.d, base.red) == (deepest.d, deepest.red)
+            assert base == deeper == deepest
 
 
 def test_depth_below_minimum_raises(trefoil, solve_at):
@@ -508,7 +512,7 @@ def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot, sol
                 assert default_depth(model, spec) <= old_depth
                 new = cone_homology(model, spec)
                 old = solve_at(model, spec, old_depth)
-                assert (new.d, new.red) == (old.d, old.red)
+                assert new == old
 
 
 @pytest.mark.parametrize(
@@ -530,7 +534,7 @@ def test_blocks_of_one_shape_have_one_cone(
 ):
     # the shape is the key surgery shares results by: two blocks of one
     # shape, at one p and any q, must have one depth and one cone, up to
-    # the spec and the anchor
+    # the spec
     for model in (unknot, trefoil, figure8, genus2_stress, sigma237_synthetic):
         for p in range(1, 14):
             groups = {}
@@ -545,7 +549,7 @@ def test_blocks_of_one_shape_have_one_cone(
                 for spec in specs[1:]:
                     assert default_depth(model, spec) == depth
                     pres = build_cone(model, spec, depth)
-                    assert replace(pres, spec=ref.spec, anchor=ref.anchor) == ref
+                    assert replace(pres, spec=ref.spec) == ref
 
 
 def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
@@ -571,8 +575,7 @@ def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
 def _stub_solve(model, spec):
     # the tower i above the block's anchor, so a solve's block index shows
     # in the offsets of its shape and in the d of every block of the shape
-    anchor = model.ambient.d - 1 + lens_d_at(spec.p, spec.q, spec.i)
-    return cone.ConeResult(spec.p, spec.q, spec.i, anchor + spec.i, ())
+    return spec.i, ()
 
 
 def test_interval_rule_gives_every_block_its_shape(
@@ -646,6 +649,29 @@ def test_surgery_refuses_the_first_block_whose_window_is_too_large(
         "250001 tower bottoms, more than 250000 generators"
     )
     assert solved == [0, 2]
+
+
+def test_a_solve_is_its_shape_entry(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # cone_homology returns ints, and every block's solve is the entry
+    # that a fresh surgery keeps for the block's shape, solved at the
+    # shape's lowest block index
+    staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 9)]
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
+    for model in models:
+        for p in range(1, 14):
+            for q in range(1, 14):
+                if gcd(p, q) != 1:
+                    continue
+                shapes = {}
+                surgery(model, p, q, shapes=shapes)
+                for i in range(p):
+                    tower, bars = solved = cone_homology(model, SurgerySpec(p, q, i))
+                    assert type(tower) is int and type(bars) is tuple
+                    assert all(type(b) is type(n) is int for b, n in bars)
+                    entry = shapes[cone._shape(model, p, q, i)]
+                    assert solved == entry, (model.name, p, q, i)
 
 
 def test_block_ids_are_equal_exactly_when_the_homology_is(
@@ -803,13 +829,13 @@ def test_d_sandwich_s3_models(trefoil, figure8, unknot):
                     spec = SurgerySpec(p, q, i)
                     lo, up = d_invariant_bounds(model, spec)
                     assert lo == up
-                    assert cone_homology(model, spec).d == up
+                    assert read_block(model, spec).d == up
 
 
 def test_d_bounds_width_on_sigma237(sigma237_synthetic):
     lo, up = d_invariant_bounds(sigma237_synthetic, SurgerySpec(2, 1, 0))
     assert up - lo == 2
-    r = cone_homology(sigma237_synthetic, SurgerySpec(2, 1, 0))
+    r = read_block(sigma237_synthetic, SurgerySpec(2, 1, 0))
     assert lo <= r.d <= up
 
 
@@ -840,7 +866,7 @@ def test_kernel_cokernel_inequalities(sigma237_synthetic, figure8):
                 for i in range(p):
                     spec = SurgerySpec(p, q, i)
                     kd, cd = reduced_cone(model, spec)
-                    full = cone_homology(model, spec)
+                    full = read_block(model, spec)
                     assert kd <= full.dim_red
                     assert kd + cd <= full.dim_red + dim_y
 
@@ -883,7 +909,7 @@ def test_genus2_model_lambda_consistency_and_sandwich(genus2_stress):
 
 
 def test_genus2_model_frozen_block(genus2_stress):
-    r = cone_homology(genus2_stress, SurgerySpec(3, 5, 1))
+    r = read_block(genus2_stress, SurgerySpec(3, 5, 1))
     assert r.d == Fraction(-11, 6)
     assert [(b.bottom, b.length, b.parity) for b in r.red] == [
         (Fraction(-23, 6), 1, 0),
@@ -896,9 +922,10 @@ def test_genus2_model_frozen_block(genus2_stress):
 
 
 def test_parities_relative_to_tower(sigma237_synthetic):
+    # the library's own read-off, which gives a bar at offset b from the
+    # tower the parity b mod 2
     for p, q in ((2, 1), (3, 1)):
-        for i in range(p):
-            r = cone_homology(sigma237_synthetic, SurgerySpec(p, q, i))
+        for r in surgery(sigma237_synthetic, p, q).results:
             for bar in r.red:
                 assert (bar.bottom - r.d).denominator == 1
                 assert bar.parity == (bar.bottom - r.d).numerator % 2

@@ -306,21 +306,19 @@ def test_cosmetic_scan_reads_off_each_distinct_block_once(
 
     monkeypatch.setattr(cone, "_read_off", counted)
     # d and bars are built once per distinct block homology over the whole
-    # scan, and once per solve (cone_homology reads off its own result);
-    # the read-off of a solve serves its block.  genus2_stress solves one
-    # shape whose first block repeats a homology met before.  One read-off
-    # per (shape, lens numerator) would give 87 + 2, 69 + 2 and 75 + 5.
+    # scan; a solve returns int offsets and reads nothing off.  One
+    # read-off per (shape, lens numerator) would give 89, 71 and 80.
     cases = (
-        (figure8, 43, range(1, 7), 89, 89),
-        (trefoil, 41, range(1, 6), 66, 66),
-        (genus2_stress, 23, range(1, 9), 45, 44),
+        (figure8, 43, range(1, 7), 89),
+        (trefoil, 41, range(1, 6), 66),
+        (genus2_stress, 23, range(1, 9), 44),
     )
-    for model, p, qs, n_read, n_distinct in cases:
+    for model, p, qs, n_distinct in cases:
         read.clear()
         _, recorded = _recorded_scan(model, p, qs, monkeypatch)
         blocks = [r for res in recorded for r in res.results]
         objects = {(r.d, r.red): (id(r.d), id(r.red)) for r in blocks}
-        assert (len(read), len(objects)) == (n_read, n_distinct), model.name
+        assert len(read) == len(objects) == n_distinct, model.name
         # blocks of one homology share its d and bars
         assert all(objects[r.d, r.red] == (id(r.d), id(r.red)) for r in blocks)
 
@@ -357,31 +355,21 @@ def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
 
 
 def test_d_sandwich_reads_one_lens_table(trefoil, monkeypatch):
-    # build_cone reads each block's anchor from lens_d_at; the bounds
-    # read one integer table for the whole surgery
-    outside, inside = [], []
-    building = []
-    build = cone.build_cone
-
-    def counted_build(*args, **kwargs):
-        building.append(True)
-        try:
-            return build(*args, **kwargs)
-        finally:
-            building.pop()
+    # the bounds and the surgery read integer lens tables for the whole
+    # slope; no block reads its own d(L(p,q), i) from lens_d_at
+    calls = []
 
     def counted_lens(*args):
-        (inside if building else outside).append(args)
+        calls.append(args)
         return lens_d_at(*args)
 
-    monkeypatch.setattr(cone, "build_cone", counted_build)
     # every module binding of lens_d_at, as ``from .numth import`` makes them
     modules = [m for n, m in sys.modules.items() if n.startswith("floersurgery")]
     for module in modules:
         if vars(module).get("lens_d_at") is lens_d_at:
             monkeypatch.setattr(module, "lens_d_at", counted_lens)
     assert d_sandwich(trefoil, 3000, 1).status == PASS
-    assert inside and outside == []
+    assert calls == []
 
 
 def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):

@@ -16,7 +16,8 @@ values come from formulas, not from the cone code path:
   at k with its two maps swapped.
 
 Beyond staircases, ``surgery``, which solves each block shape once, is
-checked against ``cone_homology`` on every block, and a cosmetic scan,
+checked against ``cone_homology`` on every block, its offsets read at the
+block's own anchor, and a cosmetic scan,
 which solves each shape once across all of its q, against a fresh
 ``surgery`` for every q.
 """
@@ -46,7 +47,7 @@ from floersurgery import (
 )
 from floersurgery.obstruct import _matches
 
-from conftest import staircase_doc, truncated_cone_reference
+from conftest import read_block, staircase_doc, truncated_cone_reference
 
 SLOPES = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
 
@@ -88,8 +89,8 @@ def test_split_solve_matches_the_truncated_cone_reference(
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
     models += [load_model(staircase_doc(V)) for V in FAMILY]
     # build_cone is shared by both solvers, so one build per depth serves
-    # both; the library's result at each depth is recorded as it is
-    # solved, read off to a ConeResult
+    # both; the library's offsets at each depth are recorded as they are
+    # solved
     built, solved = {}, {}
     build, solve = cone.build_cone, cone._homology_once
 
@@ -99,9 +100,8 @@ def test_split_solve_matches_the_truncated_cone_reference(
         return built[depth]
 
     def record(model, spec, depth):
-        pres, offsets = solve(model, spec, depth)
-        solved[depth] = cone._cone_result(pres, *offsets)
-        return pres, offsets
+        solved[depth] = solve(model, spec, depth)
+        return solved[depth]
 
     monkeypatch.setattr(cone, "build_cone", build_once)
     monkeypatch.setattr(cone, "_homology_once", record)
@@ -127,7 +127,7 @@ def test_surgery_equals_every_block_solved(
     cases = [(model, p, q) for model in models for p, q in slopes if gcd(p, q) == 1]
     cases += [(trefoil, 301, 1), (figure8, 97, 5), (genus2_stress, 43, 3)]
     for model, p, q in cases:
-        blocks = tuple(cone_homology(model, SurgerySpec(p, q, i)) for i in range(p))
+        blocks = tuple(read_block(model, SurgerySpec(p, q, i)) for i in range(p))
         assert surgery(model, p, q).results == blocks, (model.name, p, q)
         for r in blocks:
             twin = blocks[(q - 1 - r.i) % p]
