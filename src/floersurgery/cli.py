@@ -62,23 +62,19 @@ def integer(text: str) -> int:
 
 
 def parse_slope(text: str) -> tuple[int, int, int]:
-    """Parse 'p/q' or an integer 'n' (= n/1); returns (sign, p, q)."""
-    sign = 1
-    body = text.strip()
-    if body.startswith("-"):
-        sign = -1
-        body = body[1:]
+    """Parse 'p/q' or an integer 'n' (= n/1), written as a model file's
+    rationals are: one optional sign in front, then ASCII digits, with no
+    space and no sign on p or q; returns (sign, p, q)."""
+    match = re.fullmatch(r"([+-]?)([0-9]+)(?:/([0-9]+))?", text)
     try:
-        if "/" in body:
-            p_str, q_str = body.split("/", 1)
-            p, q = integer(p_str), integer(q_str)
-        else:
-            p, q = integer(body), 1
-    except ValueError:
+        if match is None:
+            raise ValueError(text)
+        p, q = int(match[2]), int(match[3] or 1)
+    except ValueError:  # not that grammar, or over int's digit limit
         raise ModelError("Syntax", f"bad slope {text!r}; expected p/q") from None
     if p < 1 or q < 1:
         raise ModelError("Syntax", f"slope must have positive p and q: {text!r}")
-    return sign, p, q
+    return (-1 if match[1] == "-" else 1), p, q
 
 
 def parse_q_values(values: list[str]) -> list[int]:

@@ -27,20 +27,23 @@ anchor.  Towers are cut at a common grading ceiling.
 The cone is the direct sum of its towers and its reduced part: tower
 entries of d hit only B-towers, reduced columns only reduced generators,
 and U never mixes the two.  A pass computes the shape once and walks it
-once, reading the model once per run of equal k, for the tower bottoms,
-the reduced blocks and the ceiling.  A tower is its
-bottom plus the ceiling; its summand has kernel bars only, given by
-0-dimensional persistence of the window's path graph (A-columns are
-vertices, B-columns the edges joining their neighbours).  k(n) is
-nondecreasing, so the B-bottoms fall and then rise along the window: the
-edges alive at any grading are one interval around the lowest, and a
-sweep outward from it is exact.  Only the reduced summand is assembled,
-grading by grading, each reduced model map checked against its target
-grading as it is placed; one ascending pass eliminates its d once per
-grading, which gives the kernel there and the image one grading down,
-hence the cokernel, both decomposed into bars.  The unique kernel bar
-reaching the ceiling is the tower of the surgered manifold and its bottom
-is the d-invariant; every other bar is reduced homology.
+once, reading one of the model's column records (``KnotModel.columns``)
+per run of equal k, for the tower bottoms, the reduced blocks and the
+ceiling.  A tower is its bottom plus the ceiling; its summand has kernel
+bars only, given by 0-dimensional persistence of the window's path graph
+(A-columns are vertices, B-columns the edges joining their neighbours).
+k(n) is nondecreasing, so the B-bottoms fall and then rise along the
+window: the edges alive at any grading are one interval around the
+lowest, and a sweep outward from it is exact.  Only the reduced summand
+is assembled, grading by grading, each reduced model map checked against
+its target grading as it is placed; one ascending pass eliminates its d
+once per grading, which gives the kernel there and the image one grading
+down, hence the cokernel, both decomposed into bars.  A pass with no
+reduced generator, as is every pass of an L-space knot over S^3,
+assembles and eliminates nothing: its homology is the tower bars.  The
+unique kernel bar reaching the ceiling is the tower of the surgered
+manifold and its bottom is the d-invariant; every other bar is reduced
+homology.
 
 A pass lays out one tower bottom per retained A- and B-column plus every
 reduced generator; that is its size, bounded by MAX_GENERATORS (``_shape``
@@ -244,11 +247,11 @@ def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
 
 
 def _shape_floor(model: KnotModel, shape: tuple[int, ...]) -> int:
-    """The depth floor of this shape (``default_depth``); an interior k
-    counts 2 V_k + k once."""
-    last = len(shape) - 1
-    ends = [model.h_at(shape[0]), model.v_at(shape[last])] if last else [0]
-    vh = [2 * model.v_at(k) + k for k in set(shape[1:last])]
+    """The depth floor of this shape (``default_depth``), from the model's
+    column records; an interior k counts V_k + H_k once."""
+    columns, last = model.columns(), len(shape) - 1  # (block, V, H, dim, top)
+    ends = [columns[shape[0]][2], columns[shape[last]][1]] if last else [0]
+    vh = [columns[k][1] + columns[k][2] for k in set(shape[1:last])]
     return max(vh + ends) + model.max_reduced_bar()
 
 
@@ -292,7 +295,10 @@ class _Row:
 def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
     """Assemble the cone with its towers cut at the given depth: the
     towers by their bottoms and the common ceiling, the reduced summand in
-    full.  Only ``cone_homology``'s certificate chooses the depth.
+    full.  Only ``cone_homology``'s certificate chooses the depth.  The
+    walk reads one ``model.columns()`` record per run of equal k; a cone
+    with no reduced generator has empty ``d_cols``, ``u_dom`` and
+    ``u_cod`` and lays out no row.
 
     Raises ConeTooLarge, before assembly, when the pass would lay out more
     than MAX_GENERATORS generators: a tower bottom per retained A- and
@@ -308,14 +314,14 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     negative = bisect_left(shape, 0)  # the shape is nondecreasing
     amb = model.ambient.b_red
 
-    # b(n + 1) = b(n) + 2 k(n) from b(0) = 0, the model read once per run
-    # of k; a column with reduced generators adds its highest to ``tops``
+    # b(n + 1) = b(n) + 2 k(n) from b(0) = 0, one column record read per
+    # run of k; a column with reduced generators adds its highest to ``tops``
+    columns = model.columns()
     a_grading, b_grading, blocks, tops = {}, {}, {}, []
     a_red, b, run = 0, -2 * sum(shape[:negative]), None
     for n, k in enumerate(shape, -negative):
         if k != run:
-            run, blk, v = k, model.block(k), model.v_at(k)
-            dim, top = blk.pres.dim, max(blk.pres.gradings, default=0)
+            run, (blk, v, _, dim, top) = k, columns[k]
         a = b + 1 - 2 * v
         a_grading[n], b_grading[n] = a, b
         if dim:
@@ -341,6 +347,8 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     if b_top is not None and b_top > ceiling - 1:
         n = next(n for n, b in b_grading.items() if b > ceiling - 1)
         raise TruncationTooSmall(f"empty target tower in column {n}")
+    if not (blocks or amb.dim):  # no reduced generator: the towers alone
+        return ConePresentation(spec, shape, ceiling, a_grading, b_grading, {}, {}, {})
     dom = _Row(a_grading, {n: blk.pres for n, blk in blocks.items()})
     cod = _Row(b_grading, dict.fromkeys(b_grading, amb) if amb.dim else {})
 
@@ -476,7 +484,11 @@ def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
 
 
 def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
+    """``_offsets`` of the cone cut at this depth.  A cone with no reduced
+    generator is its towers alone, so nothing is eliminated."""
     pres = build_cone(model, spec, depth)
+    if not (pres.u_dom or pres.u_cod):
+        return _offsets(pres, _tower_bars(pres), [], [])
     kernel, cokernel = _kernel_and_cokernel(pres)
     return _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
 

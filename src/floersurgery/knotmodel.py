@@ -126,7 +126,11 @@ class TorsionProfile:
 
 
 class KnotModel:
-    """Validated, immutable knot model."""
+    """Validated, immutable knot model.
+
+    Two derived values are built on first use and kept, never at load:
+    ``max_reduced_bar`` and the ``columns`` records.
+    """
 
     def __init__(
         self,
@@ -148,6 +152,7 @@ class KnotModel:
         ident = tuple(gf2.identity(ambient.b_red.dim))
         self._identity = ReducedBlock(ambient.b_red, ident, ident)
         self._max_reduced_bar: int | None = None
+        self._columns: dict[int, tuple] | None = None
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
@@ -177,6 +182,29 @@ class KnotModel:
                 + [b.length for blk in self._blocks.values() for b in barcode(blk.pres)]
             )
         return self._max_reduced_bar
+
+    def columns(self) -> dict[int, tuple[ReducedBlock, int, int, int, int]]:
+        """The record (block, V_k, H_k, dim, top) of every k in (-G, G],
+        G = max(genus, 1), the k a cone window reads: ``block(k)``,
+        ``v_at(k)``, ``h_at(k)``, the block's reduced dimension and its
+        highest reduced grading (0 when it has none).
+
+        Computed on the first call and kept: the model is immutable.
+        """
+        if self._columns is None:
+            G = max(self.genus, 1)
+            self._columns = {
+                k: (
+                    blk,
+                    self.v_at(k),
+                    self.h_at(k),
+                    blk.pres.dim,
+                    max(blk.pres.gradings, default=0),
+                )
+                for k in range(1 - G, G + 1)
+                for blk in [self.block(k)]
+            }
+        return self._columns
 
 
 def torsion_coefficients(m: KnotModel) -> TorsionProfile:

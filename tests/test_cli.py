@@ -9,6 +9,7 @@ import pytest
 
 from floersurgery import cone
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
+from floersurgery.errors import ModelError
 from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N
 from floersurgery.obstruct import canonical_json
 
@@ -23,6 +24,19 @@ def test_parse_slope():
     assert parse_slope("2/5") == (1, 2, 5)
     assert parse_slope("7") == (1, 7, 1)
     assert parse_slope("-3/4") == (-1, 3, 4)
+    assert parse_slope("+3/4") == (1, 3, 4)
+    # one sign in front, then digits, as model rationals are written
+    for text in [" 3/2", "3/2 ", "3 /2", "3/+2", "3/-2", "+-3/2", "--3/2", "3/", "/2"]:
+        with pytest.raises(ModelError) as err:
+            parse_slope(text)
+        assert str(err.value) == f"Syntax: bad slope {text!r}; expected p/q"
+
+
+@pytest.mark.parametrize("slope", [" 3/2", "3/2 ", "3/+2"])
+def test_slope_with_space_or_inner_sign_exits_2(slope, capsys):
+    code, out, err = run(capsys, "surgery", "trefoil_rh_s3", slope)
+    assert (code, out) == (2, "")
+    assert err == f"error: Syntax: bad slope {slope!r}; expected p/q\n"
 
 
 def test_parse_q_values():

@@ -929,3 +929,77 @@ def test_parities_relative_to_tower(sigma237_synthetic):
             for bar in r.red:
                 assert (bar.bottom - r.d).denominator == 1
                 assert bar.parity == (bar.bottom - r.d).numerator % 2
+
+
+def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(unknot, trefoil):
+    # over S^3 an L-space knot's cone has no reduced generator, so its
+    # homology is the tower bars alone: the elimination the shortcut
+    # skips finds no bar, and the general path gives the same offsets
+    staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 9)]
+    for model in [unknot, trefoil, *staircases]:
+        for p in range(1, 14):
+            for q in range(1, 14):
+                if gcd(p, q) != 1:
+                    continue
+                for i in range(p):
+                    spec = SurgerySpec(p, q, i)
+                    n = default_depth(model, spec)
+                    for depth in (n, n + 2):
+                        pres = build_cone(model, spec, depth)
+                        assert not (pres.d_cols or pres.u_dom or pres.u_cod)
+                        kernel, cokernel = cone._kernel_and_cokernel(pres)
+                        ker, cok = cone.barcode(kernel), cone.barcode(cokernel)
+                        assert ker == cok == []
+                        towers = cone._tower_bars(pres)
+                        general = cone._offsets(pres, towers, ker, cok)
+                        assert cone._homology_once(model, spec, depth) == general
+
+
+def _count_eliminations(monkeypatch) -> tuple[list, list]:
+    """The specs that ``cone_homology`` and ``_kernel_and_cokernel`` are
+    called with from now on, in call order."""
+    solved, eliminated = [], []
+    solve, eliminate = cone.cone_homology, cone._kernel_and_cokernel
+
+    def counted_solve(model, spec):
+        solved.append(spec)
+        return solve(model, spec)
+
+    def counted_eliminate(pres):
+        eliminated.append(pres.spec)
+        return eliminate(pres)
+
+    monkeypatch.setattr(cone, "cone_homology", counted_solve)
+    monkeypatch.setattr(cone, "_kernel_and_cokernel", counted_eliminate)
+    return solved, eliminated
+
+
+def test_l_space_surgery_eliminates_nothing(monkeypatch):
+    model = load_model(staircase_doc(staircase_v(16)))
+    solved, eliminated = _count_eliminations(monkeypatch)
+    barcoded = []
+    monkeypatch.setattr(cone, "barcode", lambda m: barcoded.append(m) or [])
+    res = surgery(model, 3, 2)
+    assert len(res.results) == 3 and len(solved) == 3
+    assert eliminated == barcoded == []
+
+
+def test_reduced_generators_are_eliminated_once_per_pass(
+    monkeypatch, figure8, genus2_stress
+):
+    # two passes per solve, N and N + 2, each eliminating once: on every
+    # solve over an ambient with reduced homology, and on the figure-eight's
+    # solves whose window holds k = 0, its one nonempty block
+    solved, eliminated = _count_eliminations(monkeypatch)
+    for p, q in ((2, 5), (7, 3), (13, 1)):
+        del solved[:], eliminated[:]
+        surgery(genus2_stress, p, q)
+        assert solved and eliminated == [s for s in solved for _ in range(2)]
+    holding = []
+    for p, q in ((1, 2), (5, 1), (7, 3), (13, 2)):
+        del solved[:], eliminated[:]
+        surgery(figure8, p, q)
+        reduced = [s for s in solved if 0 in cone._shape(figure8, s.p, s.q, s.i)]
+        assert eliminated == [s for s in reduced for _ in range(2)]
+        holding.append(len(reduced) / len(solved))
+    assert min(holding) < 1 and max(holding) > 0  # both kinds of window occur

@@ -18,7 +18,7 @@ from floersurgery import (
     load_model_or_ambient,
     torsion_coefficients,
 )
-from floersurgery.knotmodel import parse_rational
+from floersurgery.knotmodel import KnotModel, parse_rational
 
 from conftest import STRESS_MODEL, rank, sigma237_synthetic_doc, staircase_doc
 
@@ -345,6 +345,32 @@ def test_blocks_are_built_once_with_the_model(
             assert conjugate.h_cols == stored.v_cols
         assert model.max_reduced_bar() == longest
         assert torsion_coefficients(model).t == t
+
+
+def test_column_records_are_the_model_read_per_k(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+):
+    # one record (block, V_k, H_k, dim, top) for each k in (-G, G],
+    # G = max(genus, 1) (so k = 0, 1 for the genus-0 unknot), equal to the
+    # model's own lookups, built on first use and kept; loading builds none
+    built, inner = [], KnotModel.columns
+    monkeypatch.setattr(KnotModel, "columns", lambda m: built.append(m) or inner(m))
+    staircases = [
+        load_model(staircase_doc([(g - k + 1) // 2 for k in range(g + 1)]))
+        for g in range(1, 13)
+    ]
+    assert built == []
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    for model in models + staircases:
+        G = max(model.genus, 1)
+        records = model.columns()
+        assert list(records) == list(range(1 - G, G + 1))
+        for k, (blk, v, h, dim, top) in records.items():
+            pres = model.block(k).pres
+            assert blk is model.block(k)
+            assert (v, h) == (model.v_at(k), model.h_at(k))
+            assert (dim, top) == (pres.dim, max(pres.gradings) if pres.dim else 0)
+        assert model.columns() is records
 
 
 @pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])
