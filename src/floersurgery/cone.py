@@ -36,23 +36,29 @@ k(n) is nondecreasing, so the B-bottoms fall and then rise along the
 window: the edges alive at any grading are one interval around the
 lowest, and a sweep outward from it is exact.  Only the reduced summand
 is assembled, grading by grading, each reduced model map checked against
-its target grading as it is placed; one ascending pass eliminates its d
-once per grading, which gives the kernel there and the image one grading
-down, hence the cokernel, both decomposed into bars.  A pass with no
-reduced generator, as is every pass of an L-space knot over S^3,
-assembles and eliminates nothing: its homology is the tower bars.  The
-unique kernel bar reaching the ceiling is the tower of the surgered
-manifold and its bottom is the d-invariant; every other bar is reduced
-homology.
+its target grading as it is placed; a pass with no reduced generator, as
+is every pass of an L-space knot over S^3, assembles none.  The reduced
+summand has no depth and is solved once per shape (``_reduced_bars``).
+Over an L-space ambient, such as S^3, the B-row has no reduced generator,
+so d is zero on the summand: its homology is the A-columns' own barcodes,
+stored in the model's column records, each moved to its column's
+A-bottom, and nothing is eliminated.  Over any other ambient one
+ascending pass eliminates d once per grading, which gives the kernel
+there and the image one grading down, hence the cokernel, both
+decomposed into bars.  The unique kernel bar reaching the ceiling is the
+tower of the surgered manifold and its bottom is the d-invariant; every
+other bar is reduced homology.
 
 A pass lays out one tower bottom per retained A- and B-column plus every
 reduced generator; that is its size, bounded by MAX_GENERATORS (``_shape``
 checks the bottoms before walking the window, ``build_cone`` the whole
 count before assembly).  How high the towers reach, the truncation depth,
 costs nothing: it lives only in the certificate of ``cone_homology``,
-which solves each block at ``default_depth`` and two levels deeper and
-raises TruncationTooSmall unless both give the same int offsets.  No
-presentation, result or message carries the depth.
+which builds each block at ``default_depth`` and two levels deeper,
+solves the towers and runs the ceiling checks at both, and raises
+TruncationTooSmall unless both give the same int offsets; the deeper pass
+reuses the reduced bars once it has checked that it laid out the same
+reduced rows.  No presentation, result or message carries the depth.
 
 The shape fixes a block's cone up to a grading shift and depends on
 neither p nor q: a block of the shape is that complex at its own anchor,
@@ -249,7 +255,7 @@ def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
 def _shape_floor(model: KnotModel, shape: tuple[int, ...]) -> int:
     """The depth floor of this shape (``default_depth``), from the model's
     column records; an interior k counts V_k + H_k once."""
-    columns, last = model.columns(), len(shape) - 1  # (block, V, H, dim, top)
+    columns, last = model.columns(), len(shape) - 1  # (block, V, H, ...)
     ends = [columns[shape[0]][2], columns[shape[last]][1]] if last else [0]
     vh = [columns[k][1] + columns[k][2] for k in set(shape[1:last])]
     return max(vh + ends) + model.max_reduced_bar()
@@ -321,7 +327,7 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     a_red, b, run = 0, -2 * sum(shape[:negative]), None
     for n, k in enumerate(shape, -negative):
         if k != run:
-            run, (blk, v, _, dim, top) = k, columns[k]
+            run, (blk, v, _, dim, top, _) = k, columns[k]
         a = b + 1 - 2 * v
         a_grading[n], b_grading[n] = a, b
         if dim:
@@ -451,22 +457,24 @@ def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
     return bars + [(run, (pres.ceiling - run) // 2 + 1)]
 
 
-def _offsets(pres: ConePresentation, towers: list, ker: list, cok: list) -> tuple:
-    """Int offsets from the tower bars (bottom, length) and the kernel and
-    cokernel Tau bars of ``pres``: the bottom of the one kernel bar whose
-    top reaches ceiling - 2 (the tower), from the B-tower generator in
-    column 0, and the other bars as (b, length), b from the tower, sorted."""
-    spec, ceiling = pres.spec, pres.ceiling
-    where = f"{spec.p}/{spec.q} block {spec.i}"
-    ker = towers + [(b.bottom, b.length) for b in ker]
-    cok = [(b.bottom, b.length) for b in cok]
+def _offsets(pres: ConePresentation, ker: list, cok: list) -> tuple:
+    """Int offsets from the kernel bars (bottom, length) of ``pres``, its
+    tower bars included, and its cokernel bars: the bottom of the one
+    kernel bar whose top reaches ceiling - 2 (the tower), from the B-tower
+    generator in column 0, and the other bars as (b, length), b from the
+    tower, sorted."""
+    ceiling = pres.ceiling
     if any(b + 2 * n >= ceiling for b, n in cok):
-        raise TruncationTooSmall(f"cokernel reaches the ceiling for {where}")
+        spec = pres.spec
+        raise TruncationTooSmall(
+            f"cokernel reaches the ceiling for {spec.p}/{spec.q} block {spec.i}"
+        )
     near = [bar for bar in ker if bar[0] + 2 * bar[1] >= ceiling]
     if len(near) != 1:
+        spec = pres.spec
         raise TruncationTooSmall(
-            f"{len(near)} chains reach the ceiling for {where}; "
-            "expected exactly one tower"
+            f"{len(near)} chains reach the ceiling for {spec.p}/{spec.q} block "
+            f"{spec.i}; expected exactly one tower"
         )
     tower = near[0][0]
     bars = sorted(bar for bar in ker + cok if bar is not near[0])
@@ -483,14 +491,25 @@ def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
     return Fraction(num, den), tuple(red)
 
 
-def _homology_once(model: KnotModel, spec: SurgerySpec, depth: int) -> tuple:
-    """``_offsets`` of the cone cut at this depth.  A cone with no reduced
-    generator is its towers alone, so nothing is eliminated."""
-    pres = build_cone(model, spec, depth)
-    if not (pres.u_dom or pres.u_cod):
-        return _offsets(pres, _tower_bars(pres), [], [])
-    kernel, cokernel = _kernel_and_cokernel(pres)
-    return _offsets(pres, _tower_bars(pres), barcode(kernel), barcode(cokernel))
+def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]:
+    """Kernel and cokernel bars (bottom, length) of the reduced summand.
+
+    Over an L-space ambient the B-row has no reduced generator, so d is
+    zero there: the kernel is the A-columns' own barcodes from the model's
+    column records, each moved to its column's A-bottom, and there is no
+    cokernel.  Otherwise d is eliminated once (``_kernel_and_cokernel``)."""
+    if not model.ambient.is_l_space:
+        kernel, cokernel = _kernel_and_cokernel(pres)
+        ker, cok = barcode(kernel), barcode(cokernel)
+        return [(b.bottom, b.length) for b in ker], [(b.bottom, b.length) for b in cok]
+    if not pres.u_dom:  # no reduced A-generator, as for an L-space knot
+        return [], []
+    columns = model.columns()
+    return [
+        (a + b, n)
+        for a, k in zip(pres.a_grading.values(), pres.shape)
+        for b, n in columns[k][5]
+    ], []
 
 
 def cone_homology(model: KnotModel, spec: SurgerySpec) -> tuple[int, tuple]:
@@ -500,13 +519,25 @@ def cone_homology(model: KnotModel, spec: SurgerySpec) -> tuple[int, tuple]:
     from the d-invariant, parity b mod 2, sorted.  They depend on the
     block's shape alone; ``surgery(...).results[i]`` reads them off.
 
-    The certificate is the one place a depth is chosen: the cone is solved
-    to ``_offsets`` with its towers cut at N = ``default_depth`` and at
-    N + 2, and any disagreement raises TruncationTooSmall.
+    The certificate is the one place a depth is chosen: the cone is built
+    with its towers cut at N = ``default_depth`` and at N + 2, and each
+    pass is read to ``_offsets``; any disagreement raises
+    TruncationTooSmall.  The reduced summand has no depth, so it is solved
+    once (``_reduced_bars``), from the depth-N pass; the N + 2 pass reuses
+    its bars only after checking that it laid out the same reduced rows,
+    and raises AssertionError otherwise.  The towers (``_tower_bars``) and
+    the ceiling checks of ``build_cone`` and ``_offsets`` run at both
+    depths.
     """
     n = default_depth(model, spec)
-    offsets = _homology_once(model, spec, n)
-    if _homology_once(model, spec, n + 2) != offsets:
+    pres = build_cone(model, spec, n)
+    ker, cok = _reduced_bars(model, pres)
+    offsets = _offsets(pres, _tower_bars(pres) + ker, cok)
+    deeper = build_cone(model, spec, n + 2)
+    reduced = (pres.d_cols, pres.u_dom, pres.u_cod)
+    if (deeper.d_cols, deeper.u_dom, deeper.u_cod) != reduced:
+        raise AssertionError("the reduced summand changes with the tower depth")
+    if _offsets(deeper, _tower_bars(deeper) + ker, cok) != offsets:
         raise TruncationTooSmall(
             f"results for {spec.p}/{spec.q} block {spec.i} change when the "
             "towers are cut two levels higher"

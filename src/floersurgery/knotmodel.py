@@ -94,9 +94,6 @@ class AmbientSummary:
         """Length of the longest odd-parity bar of the reduced part."""
         return max((b.length for b in barcode(self.b_red) if b.parity == 1), default=0)
 
-    def max_bar(self) -> int:
-        return max((b.length for b in barcode(self.b_red)), default=0)
-
     def min_excess(self) -> Fraction | None:
         """min over reduced generators of (grading - d); None if L-space."""
         if self.b_red.dim == 0:
@@ -125,11 +122,20 @@ class TorsionProfile:
     delta2: int
 
 
+def _v_at(V: tuple[int, ...] | list[int], k: int) -> int:
+    """V_k for any integer k from V_0..V_g: 0 above the genus, and
+    V_{-j} = V_j + j."""
+    if k >= 0:
+        return V[k] if k < len(V) else 0
+    return (V[-k] if -k < len(V) else 0) - k
+
+
 class KnotModel:
     """Validated, immutable knot model.
 
     Two derived values are built on first use and kept, never at load:
-    ``max_reduced_bar`` and the ``columns`` records.
+    the ``columns`` records, which hold each column's barcode, and
+    ``max_reduced_bar``, read from them.
     """
 
     def __init__(
@@ -145,7 +151,7 @@ class KnotModel:
         self.genus = genus
         self.V = V
         self._blocks = dict(blocks)
-        # kept apart: max_reduced_bar barcodes the stored blocks only
+        # kept apart: only the stored blocks are barcoded
         self._conjugates = {
             -k: ReducedBlock(b.pres, b.h_cols, b.v_cols) for k, b in blocks.items() if k
         }
@@ -156,9 +162,7 @@ class KnotModel:
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
-        if k >= 0:
-            return self.V[k] if k <= self.genus else 0
-        return (self.V[-k] if -k <= self.genus else 0) - k
+        return _v_at(self.V, k)
 
     def h_at(self, k: int) -> int:
         """H_k = V_k + k."""
@@ -172,39 +176,54 @@ class KnotModel:
         return self._blocks[k] if k >= 0 else self._conjugates[k]
 
     def max_reduced_bar(self) -> int:
-        """Longest bar of the ambient reduced part or of any stored block.
+        """Longest bar of the ambient reduced part or of any stored block,
+        read from the ``columns`` records, which hold them all.
 
         Computed on the first call and kept: the model is immutable.
         """
         if self._max_reduced_bar is None:
             self._max_reduced_bar = max(
-                [self.ambient.max_bar()]
-                + [b.length for blk in self._blocks.values() for b in barcode(blk.pres)]
+                (n for record in self.columns().values() for _, n in record[5]),
+                default=0,
             )
         return self._max_reduced_bar
 
-    def columns(self) -> dict[int, tuple[ReducedBlock, int, int, int, int]]:
-        """The record (block, V_k, H_k, dim, top) of every k in (-G, G],
-        G = max(genus, 1), the k a cone window reads: ``block(k)``,
-        ``v_at(k)``, ``h_at(k)``, the block's reduced dimension and its
-        highest reduced grading (0 when it has none).
+    def columns(self) -> dict[int, tuple[ReducedBlock, int, int, int, int, tuple]]:
+        """The record (block, V_k, H_k, dim, top, bars) of every k in
+        (-G, G], G = max(genus, 1), the k a cone window reads: ``block(k)``,
+        ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, its
+        highest reduced grading (0 when it has none) and its barcode as
+        int pairs (bottom, length).
 
-        Computed on the first call and kept: the model is immutable.
+        Computed on the first call and kept: the model is immutable.  One
+        pass over k builds them, with one ``barcode`` of the ambient's
+        reduced part and one of each distinct stored presentation that
+        has generators; a conjugate block shares its stored block's.
         """
         if self._columns is None:
-            G = max(self.genus, 1)
-            self._columns = {
-                k: (
-                    blk,
-                    self.v_at(k),
-                    self.h_at(k),
-                    blk.pres.dim,
-                    max(blk.pres.gradings, default=0),
-                )
-                for k in range(1 - G, G + 1)
-                for blk in [self.block(k)]
-            }
+            G, genus = max(self.genus, 1), self.genus
+            stored: dict[FiniteUPresentation, tuple] = {}
+            for blk in self._blocks.values():
+                if blk.pres.dim and blk.pres not in stored:
+                    stored[blk.pres] = _pairs(blk.pres)
+            ambient = _pairs(self.ambient.b_red)
+            records = {}
+            for k in range(1 - G, G + 1):
+                blk, v = self.block(k), _v_at(self.V, k)
+                pres = blk.pres
+                if abs(k) >= genus:
+                    bars = ambient
+                else:
+                    bars = stored[pres] if pres.dim else ()
+                top = max(pres.gradings, default=0)
+                records[k] = (blk, v, v + k, pres.dim, top, bars)
+            self._columns = records
         return self._columns
+
+
+def _pairs(pres: FiniteUPresentation) -> tuple[tuple[int, int], ...]:
+    """The barcode of ``pres`` as int pairs (bottom, length)."""
+    return tuple((b.bottom, b.length) for b in barcode(pres))
 
 
 def torsion_coefficients(m: KnotModel) -> TorsionProfile:
@@ -430,16 +449,11 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
         )
         parsed[k] = ReducedBlock(pres, v_cols, h_cols)
 
-    model = KnotModel(name, ambient, genus, tuple(V), {})
-
     # maps must be U-equivariant and homogeneous for the declared V_k/H_k
     for k, blk in parsed.items():
-        _check_map(
-            f"v_matrix[{k}]", blk.v_cols, blk.pres, ambient.b_red, -2 * model.v_at(k)
-        )
-        _check_map(
-            f"h_matrix[{k}]", blk.h_cols, blk.pres, ambient.b_red, -2 * model.h_at(k)
-        )
+        v = _v_at(V, k)
+        _check_map(f"v_matrix[{k}]", blk.v_cols, blk.pres, ambient.b_red, -2 * v)
+        _check_map(f"h_matrix[{k}]", blk.h_cols, blk.pres, ambient.b_red, -2 * (v + k))
 
     stored: dict[int, ReducedBlock] = {}
     for k in range(genus):

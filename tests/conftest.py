@@ -225,7 +225,8 @@ def read_off(pres, ker_bars, cok_bars):
     """The offsets (tower, ((b, length), ...)) of int-graded kernel and
     cokernel Tau bars of ``pres``, read off by the library's own
     ``_offsets``."""
-    return cone._offsets(pres, [], ker_bars, cok_bars)
+    ker = [(b.bottom, b.length) for b in ker_bars]
+    return cone._offsets(pres, ker, [(b.bottom, b.length) for b in cok_bars])
 
 
 def tower_bars_reference(pres) -> list[tuple[int, int]]:

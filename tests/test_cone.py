@@ -931,7 +931,9 @@ def test_parities_relative_to_tower(sigma237_synthetic):
                 assert bar.parity == (bar.bottom - r.d).numerator % 2
 
 
-def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(unknot, trefoil):
+def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
+    unknot, trefoil, solve_at
+):
     # over S^3 an L-space knot's cone has no reduced generator, so its
     # homology is the tower bars alone: the elimination the shortcut
     # skips finds no bar, and the general path gives the same offsets
@@ -950,9 +952,8 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(unknot, trefo
                         kernel, cokernel = cone._kernel_and_cokernel(pres)
                         ker, cok = cone.barcode(kernel), cone.barcode(cokernel)
                         assert ker == cok == []
-                        towers = cone._tower_bars(pres)
-                        general = cone._offsets(pres, towers, ker, cok)
-                        assert cone._homology_once(model, spec, depth) == general
+                        general = cone._offsets(pres, cone._tower_bars(pres), [])
+                        assert solve_at(model, spec, depth) == general
 
 
 def _count_eliminations(monkeypatch) -> tuple[list, list]:
@@ -985,21 +986,49 @@ def test_l_space_surgery_eliminates_nothing(monkeypatch):
 
 
 def test_reduced_generators_are_eliminated_once_per_pass(
-    monkeypatch, figure8, genus2_stress
+    monkeypatch, figure8, genus2_stress, sigma237_synthetic
 ):
-    # two passes per solve, N and N + 2, each eliminating once: on every
-    # solve over an ambient with reduced homology, and on the figure-eight's
-    # solves whose window holds k = 0, its one nonempty block
+    # the reduced summand has no depth, so it is solved once per solve,
+    # from the depth-N pass: by one elimination over an ambient with
+    # reduced homology, and over S^3 by the figure-eight's stored bars,
+    # with no elimination and no cone barcode, also where its window
+    # holds k = 0, its one nonempty block
     solved, eliminated = _count_eliminations(monkeypatch)
-    for p, q in ((2, 5), (7, 3), (13, 1)):
-        del solved[:], eliminated[:]
-        surgery(genus2_stress, p, q)
-        assert solved and eliminated == [s for s in solved for _ in range(2)]
+    for model in (genus2_stress, sigma237_synthetic):
+        for p, q in ((2, 5), (7, 3), (13, 1)):
+            del solved[:], eliminated[:]
+            surgery(model, p, q)
+            assert solved and eliminated == solved
+    barcoded = []
+    monkeypatch.setattr(cone, "barcode", lambda m: barcoded.append(m) or [])
     holding = []
     for p, q in ((1, 2), (5, 1), (7, 3), (13, 2)):
         del solved[:], eliminated[:]
         surgery(figure8, p, q)
+        assert solved and eliminated == barcoded == []
         reduced = [s for s in solved if 0 in cone._shape(figure8, s.p, s.q, s.i)]
-        assert eliminated == [s for s in reduced for _ in range(2)]
         holding.append(len(reduced) / len(solved))
     assert min(holding) < 1 and max(holding) > 0  # both kinds of window occur
+
+
+def test_the_deeper_pass_must_lay_out_the_same_reduced_summand(
+    genus2_stress, figure8, monkeypatch
+):
+    # the N + 2 pass reuses the depth-N pass's reduced bars, so a reduced
+    # row that differs there alone is a fault, not a truncation
+    build = cone.build_cone
+    cases = ((genus2_stress, SurgerySpec(3, 5, 1)), (figure8, SurgerySpec(1, 2)))
+    for model, spec in cases:
+        n = default_depth(model, spec)
+
+        def moved(model, spec, depth):
+            pres = build(model, spec, depth)
+            if depth == n:
+                return pres
+            top = max(pres.u_dom)
+            return replace(pres, u_dom={**pres.u_dom, top + 2: (0,)})
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cone, "build_cone", moved)
+            with pytest.raises(AssertionError, match="reduced summand changes"):
+                cone_homology(model, spec)

@@ -11,6 +11,7 @@ import floersurgery
 from floersurgery import (
     ModelError,
     alexander_trivial,
+    barcode,
     cli,
     euler_z2,
     gf2,
@@ -350,9 +351,10 @@ def test_blocks_are_built_once_with_the_model(
 def test_column_records_are_the_model_read_per_k(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
 ):
-    # one record (block, V_k, H_k, dim, top) for each k in (-G, G],
+    # one record (block, V_k, H_k, dim, top, bars) for each k in (-G, G],
     # G = max(genus, 1) (so k = 0, 1 for the genus-0 unknot), equal to the
-    # model's own lookups, built on first use and kept; loading builds none
+    # model's own lookups and barcode, built on first use and kept;
+    # loading builds none
     built, inner = [], KnotModel.columns
     monkeypatch.setattr(KnotModel, "columns", lambda m: built.append(m) or inner(m))
     staircases = [
@@ -365,12 +367,42 @@ def test_column_records_are_the_model_read_per_k(
         G = max(model.genus, 1)
         records = model.columns()
         assert list(records) == list(range(1 - G, G + 1))
-        for k, (blk, v, h, dim, top) in records.items():
+        for k, (blk, v, h, dim, top, bars) in records.items():
             pres = model.block(k).pres
             assert blk is model.block(k)
             assert (v, h) == (model.v_at(k), model.h_at(k))
             assert (dim, top) == (pres.dim, max(pres.gradings) if pres.dim else 0)
+            assert bars == tuple((b.bottom, b.length) for b in barcode(pres))
         assert model.columns() is records
+
+
+def test_a_load_builds_one_model(monkeypatch):
+    # the map checks read V_k and H_k from V and the genus, so a load
+    # constructs its KnotModel once, and only when every check before
+    # the symmetry check has passed
+    built, inner = [], KnotModel.__init__
+    monkeypatch.setattr(
+        KnotModel, "__init__", lambda m, *a: built.append(a[0]) or inner(m, *a)
+    )
+    redundant = base_doc()  # genus 1: k = 1 and -1 are the ambient block
+    block = redundant["a_red"]["0"]
+    redundant["a_red"]["1"] = dict(block, v_matrix=[[1]], h_matrix=[[0]])
+    redundant["a_red"]["-1"] = dict(block, v_matrix=[[0]], h_matrix=[[1]])
+    figure8 = cli.resolve_model_path("figure8_s3")
+    sources = [base_doc(), redundant, staircase_doc([2, 1, 0]), STRESS_MODEL, figure8]
+    for source in sources:
+        del built[:]
+        load_model(source)
+        assert len(built) == 1
+    # a map error (the identity v at V_0 = 1) is still reported before a
+    # missing block (k = 1), and no model is built
+    broken = staircase_doc([1, 1, 0])
+    broken["ambient"] = base_doc()["ambient"]
+    broken["a_red"] = {"0": base_doc()["a_red"]["0"]}
+    del built[:]
+    with pytest.raises(ModelError) as exc:
+        load_model(broken)
+    assert exc.value.code == "MapNotEquivariant" and built == []
 
 
 @pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])

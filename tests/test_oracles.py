@@ -81,39 +81,46 @@ def test_lspace_staircases_against_closed_forms(V):
 
 
 def test_split_solve_matches_the_truncated_cone_reference(
-    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, solve_at
 ):
-    # the tower summand by persistence plus the reduced summand by
-    # elimination against the elimination of the whole truncated cone, at
-    # the default depth and at the certificate's depth two levels up
+    # the tower summand by persistence plus the reduced summand, solved
+    # once, against the elimination of the whole truncated cone, at the
+    # default depth N and at N + 2: a solve forced to depth N + 2 returns
+    # the offsets of its first pass, cut at N + 2
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
     models += [load_model(staircase_doc(V)) for V in FAMILY]
-    # build_cone is shared by both solvers, so one build per depth serves
-    # both; the library's offsets at each depth are recorded as they are
-    # solved
-    built, solved = {}, {}
-    build, solve = cone.build_cone, cone._homology_once
-
-    def build_once(model, spec, depth):
-        if depth not in built:
-            built[depth] = build(model, spec, depth)
-        return built[depth]
-
-    def record(model, spec, depth):
-        solved[depth] = solve(model, spec, depth)
-        return solved[depth]
-
-    monkeypatch.setattr(cone, "build_cone", build_once)
-    monkeypatch.setattr(cone, "_homology_once", record)
     for model in models:
         for p, q in SLOPES:
             for i in range(p):
                 spec = SurgerySpec(p, q, i)
-                built.clear()
                 n = default_depth(model, spec)
-                result = cone_homology(model, spec)
-                assert result == solved[n] == truncated_cone_reference(model, spec, n)
-                assert solved[n + 2] == truncated_cone_reference(model, spec, n + 2)
+                for depth in (n, n + 2):
+                    expected = truncated_cone_reference(model, spec, depth)
+                    assert solve_at(model, spec, depth) == expected
+
+
+def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
+    # over an L-space ambient the reduced summand's bars are the model's
+    # per-k barcodes, each at its column's A-bottom: eliminating the same
+    # laid-out presentation finds those kernel bars and no cokernel
+    staircases = [load_model(staircase_doc(V)) for V in FAMILY]
+    cases = [(figure8, 60)] + [(model, 14) for model in [unknot, trefoil, *staircases]]
+    nonempty = 0
+    for model, q_end in cases:
+        for p in range(1, 8):
+            for q in range(1, q_end):
+                if gcd(p, q) != 1:
+                    continue
+                for i in range(p):
+                    spec = SurgerySpec(p, q, i)
+                    pres = cone.build_cone(model, spec, default_depth(model, spec))
+                    kernel, cokernel = cone._kernel_and_cokernel(pres)
+                    ker = [(b.bottom, b.length) for b in barcode(kernel)]
+                    cok = [(b.bottom, b.length) for b in barcode(cokernel)]
+                    read, none = cone._reduced_bars(model, pres)
+                    assert (sorted(read), none) == (ker, cok), (model.name, spec)
+                    nonempty += bool(ker)
+    assert nonempty
 
 
 def test_surgery_equals_every_block_solved(
