@@ -32,7 +32,7 @@ class ModelError(FloerError):
 
 
 class NotCoprime(FloerError):
-    """p and q are not coprime, or p < 1."""
+    """p and q are not coprime, p < 1, or q < 1 where only positive slopes apply."""
 
 
 class TruncationTooSmall(FloerError):

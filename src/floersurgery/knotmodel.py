@@ -59,7 +59,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import gf2
 from .errors import ModelError
@@ -122,6 +122,17 @@ class TorsionProfile:
     delta2: int
 
 
+class Column(NamedTuple):
+    """The record of one k in ``KnotModel.columns``."""
+
+    block: ReducedBlock
+    v: int
+    h: int
+    dim: int
+    top: int
+    bars: tuple[tuple[int, int], ...]
+
+
 def _v_at(V: tuple[int, ...] | list[int], k: int) -> int:
     """V_k for any integer k from V_0..V_g: 0 above the genus, and
     V_{-j} = V_j + j."""
@@ -158,7 +169,7 @@ class KnotModel:
         ident = tuple(gf2.identity(ambient.b_red.dim))
         self._identity = ReducedBlock(ambient.b_red, ident, ident)
         self._max_reduced_bar: int | None = None
-        self._columns: dict[int, tuple] | None = None
+        self._columns: dict[int, Column] | None = None
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
@@ -183,13 +194,13 @@ class KnotModel:
         """
         if self._max_reduced_bar is None:
             self._max_reduced_bar = max(
-                (n for record in self.columns().values() for _, n in record[5]),
+                (n for column in self.columns().values() for _, n in column.bars),
                 default=0,
             )
         return self._max_reduced_bar
 
-    def columns(self) -> dict[int, tuple[ReducedBlock, int, int, int, int, tuple]]:
-        """The record (block, V_k, H_k, dim, top, bars) of every k in
+    def columns(self) -> dict[int, Column]:
+        """The record (block, v, h, dim, top, bars) of every k in
         (-G, G], G = max(genus, 1), the k a cone window reads: ``block(k)``,
         ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, its
         highest reduced grading (0 when it has none) and its barcode as
@@ -216,7 +227,7 @@ class KnotModel:
                 else:
                     bars = stored[pres] if pres.dim else ()
                 top = max(pres.gradings, default=0)
-                records[k] = (blk, v, v + k, pres.dim, top, bars)
+                records[k] = Column(blk, v, v + k, pres.dim, top, bars)
             self._columns = records
         return self._columns
 

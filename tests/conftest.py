@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -138,27 +137,21 @@ def depth_floor_reference(model, spec) -> int:
     return max(model.v_at(k) + model.h_at(k) for k in ks) + model.max_reduced_bar()
 
 
-@dataclass(frozen=True)
-class WholeCone:
+def generators(laid_out) -> int:
+    """The number of generators of a ``cone.RowComplex``, both rows."""
+    rows = (laid_out.u_dom, laid_out.u_cod)
+    return sum(len(cols) for row in rows for cols in row.values())
+
+
+def whole_cone(model, pres):
     """The truncated cone with every generator laid out, grading by
-    grading (ascending): at each grading the towers present come first,
-    sorted by bottom, so they are a prefix of that order and keep their
-    index at every grading; the reduced generators follow."""
-
-    d_cols: dict[int, tuple[int, ...]]
-    u_dom: dict[int, tuple[int, ...]]
-    u_cod: dict[int, tuple[int, ...]]
-
-    @property
-    def generators(self) -> int:
-        rows = (self.u_dom, self.u_cod)
-        return sum(len(cols) for row in rows for cols in row.values())
-
-
-def whole_cone(pres) -> WholeCone:
-    """``pres`` with its tower prefix put back: tower columns of d and U
-    from the bottoms and the ceiling, reduced columns shifted past the
-    towers at their target grading."""
+    grading (ascending), as a ``cone.RowComplex``: the towers of ``pres``
+    from their bottoms and the ceiling, then the reduced summand of
+    ``cone._reduced_summand``, on every ambient, L-space ambients
+    included.  At each grading the towers present come first, sorted by
+    bottom, so they are a prefix of that order and keep their index at
+    every grading; the reduced columns follow, shifted past the towers at
+    their target grading."""
 
     def towers(bottom, top):
         order = sorted(bottom, key=bottom.__getitem__)
@@ -200,10 +193,11 @@ def whole_cone(pres) -> WholeCone:
         ]
         for g, ns in a_at.items()
     }
-    return WholeCone(
-        d_cols=lay_out(d_towers, pres.d_cols, b_at, 1),
-        u_dom=lay_out(tower_u(a_at), pres.u_dom, a_at, 2),
-        u_cod=lay_out(tower_u(b_at), pres.u_cod, b_at, 2),
+    red = cone._reduced_summand(model, pres)
+    return cone.RowComplex(
+        d_cols=lay_out(d_towers, red.d_cols, b_at, 1),
+        u_dom=lay_out(tower_u(a_at), red.u_dom, a_at, 2),
+        u_cod=lay_out(tower_u(b_at), red.u_cod, b_at, 2),
     )
 
 
@@ -216,7 +210,7 @@ def truncated_cone_reference(model, spec, depth, whole=None):
     ``whole``."""
     pres = cone.build_cone(model, spec, depth)
     if whole is None:
-        whole = whole_cone(pres)
+        whole = whole_cone(model, pres)
     kernel, cokernel = cone._kernel_and_cokernel(whole)
     return read_off(pres, barcode(kernel), barcode(cokernel))
 
@@ -256,13 +250,15 @@ def tower_bars_reference(pres) -> list[tuple[int, int]]:
 
 def reduced_cone(model, spec) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map, for a
-    model with V_0 = 0.  The map is d on the reduced summand, the only part
-    build_cone assembles; no tower depth changes it."""
+    model with V_0 = 0.  The map is d on the reduced summand as
+    ``cone._reduced_summand`` lays it out, on every ambient; no tower
+    depth changes it."""
     assert model.v_at(0) == 0, f"V_0 = {model.v_at(0)} for {model.name}"
     pres = cone.build_cone(model, spec, cone.default_depth(model, spec))
-    dim_dom = sum(len(cols) for cols in pres.d_cols.values())
-    dim_cod = sum(len(cols) for cols in pres.u_cod.values())
-    r = sum(rank(cols) for cols in pres.d_cols.values())
+    red = cone._reduced_summand(model, pres)
+    dim_dom = sum(len(cols) for cols in red.d_cols.values())
+    dim_cod = sum(len(cols) for cols in red.u_cod.values())
+    r = sum(rank(cols) for cols in red.d_cols.values())
     return dim_dom - r, dim_cod - r
 
 

@@ -32,6 +32,7 @@ from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
     depth_floor_reference,
+    generators,
     read_block,
     reduced_cone,
     staircase_doc,
@@ -161,7 +162,7 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
 def test_misgraded_block_map_is_rejected(sigma237_synthetic):
     # a hand-built model whose block-0 generator sits two steps too high,
     # with the identity v/h maps left in place: the cone map would not
-    # have degree -1, and building the cone must say so
+    # have degree -1, and laying out the reduced summand must say so
     blk = sigma237_synthetic.block(0)
     shifted = replace(blk.pres, gradings=tuple(g + 2 for g in blk.pres.gradings))
     model = KnotModel(
@@ -172,8 +173,11 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
         {0: replace(blk, pres=shifted)},
     )
     for spec in (SurgerySpec(1, 1, 0), SurgerySpec(3, 2, 1)):
-        with pytest.raises(AssertionError, match="not of degree -1"):
-            build_cone(model, spec, 12)
+        with pytest.raises(AssertionError) as raised:
+            cone_homology(model, spec)
+        assert str(raised.value) == (
+            "cone map not of degree -1 at reduced generator (0, 0)"
+        )
 
 
 def test_kernel_not_u_stable_is_reported(trefoil):
@@ -183,7 +187,7 @@ def test_kernel_not_u_stable_is_reported(trefoil):
     # whole-cone reference lays out and eliminates.
     spec = SurgerySpec(2, 5, 0)
     depth = default_depth(trefoil, spec)
-    whole = whole_cone(build_cone(trefoil, spec, depth))
+    whole = whole_cone(trefoil, build_cone(trefoil, spec, depth))
     u_dom = dict(whole.u_dom)
     for g, cols in whole.d_cols.items():
         below = whole.d_cols.get(g - 2, ())
@@ -197,7 +201,7 @@ def test_kernel_not_u_stable_is_reported(trefoil):
             break
     else:
         pytest.fail("no grading with a kernel vector above a non-cycle")
-    broken = replace(whole, u_dom=u_dom)
+    broken = whole._replace(u_dom=u_dom)
     with pytest.raises(AssertionError, match="kernel not U-stable"):
         truncated_cone_reference(trefoil, spec, depth, whole=broken)
 
@@ -210,9 +214,10 @@ def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
     # generator at g - 2 that d does not kill
     spec = SurgerySpec(2, 3, 0)
     pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
-    u_dom = dict(pres.u_dom)
-    for g, cols in pres.d_cols.items():
-        below = pres.d_cols.get(g - 2, ())
+    red = cone._reduced_summand(genus2_stress, pres)
+    u_dom = dict(red.u_dom)
+    for g, cols in red.d_cols.items():
+        below = red.d_cols.get(g - 2, ())
         live = [j for j, col in enumerate(below) if col]
         kernel = gf2.nullspace(list(cols))
         if live and kernel:
@@ -223,8 +228,8 @@ def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
             break
     else:
         pytest.fail("no grading with a reduced kernel vector above a non-cycle")
-    broken = replace(pres, u_dom=u_dom)
-    monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
+    broken = red._replace(u_dom=u_dom)
+    monkeypatch.setattr(cone, "_reduced_summand", lambda *args: broken)
     with pytest.raises(AssertionError, match="kernel not U-stable"):
         cone_homology(genus2_stress, spec)
 
@@ -232,23 +237,28 @@ def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
 def test_build_cone_lays_out_only_reduced_generators(
     trefoil, genus2_stress, sigma237_synthetic
 ):
-    # the towers are their bottoms and the ceiling, nothing else: a
-    # staircase has no reduced generator, so nothing is laid out
+    # the towers are their bottoms and the ceiling, nothing else, and the
+    # reduced summand lays out only reduced generators: a staircase has
+    # none, so nothing is laid out
     slopes = [(1, 1), (2, 3), (5, 2), (7, 4)]
     for model in [load_model(staircase_doc(V)) for V in ([1, 0], [3, 2, 2, 1, 1, 0])]:
         for p, q in slopes:
             pres = build_cone(model, SurgerySpec(p, q, p - 1), 8)
-            assert pres.d_cols == pres.u_dom == pres.u_cod == {}
+            red = cone._reduced_summand(model, pres)
+            assert red.d_cols == red.u_dom == red.u_cod == {}
+            assert pres.reduced == 0
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in slopes:
             for i in range(p):
                 spec = SurgerySpec(p, q, i)
                 pres = build_cone(model, spec, default_depth(model, spec))
+                red = cone._reduced_summand(model, pres)
                 a_red = sum(model.block(k).pres.dim for k in pres.shape)
                 b_red = model.ambient.dim_red * len(pres.b_grading)
-                assert sum(map(len, pres.u_dom.values())) == a_red
-                assert sum(map(len, pres.d_cols.values())) == a_red
-                assert sum(map(len, pres.u_cod.values())) == b_red
+                assert sum(map(len, red.u_dom.values())) == a_red
+                assert sum(map(len, red.d_cols.values())) == a_red
+                assert sum(map(len, red.u_cod.values())) == b_red
+                assert pres.reduced == a_red + b_red
     # a deeper cone differs only in how far its towers reach
     spec = SurgerySpec(2, 1, 0)
     shallow, deep = build_cone(trefoil, spec, 8), build_cone(trefoil, spec, 40000)
@@ -344,21 +354,11 @@ def test_an_empty_target_tower_is_reported(monkeypatch):
 
 def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
     # cut the same cone at grading 1, where both edges are born: the bar
-    # ended by edge 1 tops out two below the ceiling, next to the tower
+    # ended by edge 1 tops out two below the ceiling, next to the tower;
+    # trefoil has no reduced generator, so the towers are all there is
     spec = SurgerySpec(2, 3, 0)
     pres = build_cone(trefoil, spec, 8)
-    ceiling = max(pres.b_grading.values()) + 1
-
-    def cut(by_grading):
-        return {g: cols for g, cols in by_grading.items() if g <= ceiling}
-
-    broken = replace(
-        pres,
-        ceiling=ceiling,
-        d_cols=cut(pres.d_cols),
-        u_dom=cut(pres.u_dom),
-        u_cod=cut(pres.u_cod),
-    )
+    broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
     message = "2 chains reach the ceiling for 2/3 block 0; expected exactly one tower"
     for solve in (cone_homology, lambda *args: truncated_cone_reference(*args, 8)):
@@ -762,15 +762,25 @@ def test_size_guard_counts_the_generators_a_pass_lays_out(
     for model in (trefoil, genus2_stress):
         monkeypatch.undo()
         pres = build_cone(model, spec, 10)
-        # the counting properties and the reference's layout agree
-        whole = whole_cone(pres)
-        assert whole.generators == len(pres.dom_gradings) + len(pres.cod_gradings)
-        assert pres.dom_gradings == tuple(g for g, c in whole.u_dom.items() for _ in c)
-        assert pres.cod_gradings == tuple(g for g, c in whole.u_cod.items() for _ in c)
-        # a pass lays out one bottom per tower and every reduced generator,
+        # the counting properties, which count towers, and the reduced
+        # summand make up the reference's layout
+        whole, red = whole_cone(model, pres), cone._reduced_summand(model, pres)
+        reduced = generators(red)
+        assert pres.reduced == reduced
+        assert generators(whole) == (
+            len(pres.dom_gradings) + len(pres.cod_gradings) + reduced
+        )
+        for towers, row, laid_out in (
+            (pres.dom_gradings, red.u_dom, whole.u_dom),
+            (pres.cod_gradings, red.u_cod, whole.u_cod),
+        ):
+            at = [g for g, cols in row.items() for _ in cols]
+            assert tuple(sorted([*towers, *at])) == tuple(
+                g for g, c in laid_out.items() for _ in c
+            )
+        # a cone has one bottom per tower and every reduced generator,
         # however high the towers reach
         towers = len(pres.a_grading) + len(pres.b_grading)
-        reduced = sum(len(cols) for cols in [*pres.u_dom.values(), *pres.u_cod.values()])
         gens = towers + reduced
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
         assert build_cone(model, spec, 10) == pres
@@ -948,8 +958,9 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
                     n = default_depth(model, spec)
                     for depth in (n, n + 2):
                         pres = build_cone(model, spec, depth)
-                        assert not (pres.d_cols or pres.u_dom or pres.u_cod)
-                        kernel, cokernel = cone._kernel_and_cokernel(pres)
+                        red = cone._reduced_summand(model, pres)
+                        assert not (red.d_cols or red.u_dom or red.u_cod)
+                        kernel, cokernel = cone._kernel_and_cokernel(red)
                         ker, cok = cone.barcode(kernel), cone.barcode(cokernel)
                         assert ker == cok == []
                         general = cone._offsets(pres, cone._tower_bars(pres), [])
@@ -957,8 +968,9 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
 
 
 def _count_eliminations(monkeypatch) -> tuple[list, list]:
-    """The specs that ``cone_homology`` and ``_kernel_and_cokernel`` are
-    called with from now on, in call order."""
+    """The specs that ``cone_homology`` is called with from now on, in
+    call order, and for each ``_kernel_and_cokernel`` call the spec of the
+    solve it runs in."""
     solved, eliminated = [], []
     solve, eliminate = cone.cone_homology, cone._kernel_and_cokernel
 
@@ -966,9 +978,9 @@ def _count_eliminations(monkeypatch) -> tuple[list, list]:
         solved.append(spec)
         return solve(model, spec)
 
-    def counted_eliminate(pres):
-        eliminated.append(pres.spec)
-        return eliminate(pres)
+    def counted_eliminate(reduced):
+        eliminated.append(solved[-1])
+        return eliminate(reduced)
 
     monkeypatch.setattr(cone, "cone_homology", counted_solve)
     monkeypatch.setattr(cone, "_kernel_and_cokernel", counted_eliminate)
@@ -1011,24 +1023,33 @@ def test_reduced_generators_are_eliminated_once_per_pass(
     assert min(holding) < 1 and max(holding) > 0  # both kinds of window occur
 
 
-def test_the_deeper_pass_must_lay_out_the_same_reduced_summand(
-    genus2_stress, figure8, monkeypatch
+def test_the_reduced_summand_is_laid_out_once_per_solve_over_reduced_ambients(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
 ):
-    # the N + 2 pass reuses the depth-N pass's reduced bars, so a reduced
-    # row that differs there alone is a fault, not a truncation
-    build = cone.build_cone
-    cases = ((genus2_stress, SurgerySpec(3, 5, 1)), (figure8, SurgerySpec(1, 2)))
-    for model, spec in cases:
-        n = default_depth(model, spec)
+    # one layout per solve where d needs elimination; over S^3 the stored
+    # bars are read and nothing is laid out, figure-eight's reduced
+    # generators included
+    laid_out = []
+    lay_out = cone._reduced_summand
 
-        def moved(model, spec, depth):
-            pres = build(model, spec, depth)
-            if depth == n:
-                return pres
-            top = max(pres.u_dom)
-            return replace(pres, u_dom={**pres.u_dom, top + 2: (0,)})
+    def counted(model, pres):
+        laid_out.append(pres.spec)
+        return lay_out(model, pres)
 
-        with monkeypatch.context() as patched:
-            patched.setattr(cone, "build_cone", moved)
-            with pytest.raises(AssertionError, match="reduced summand changes"):
+    monkeypatch.setattr(cone, "_reduced_summand", counted)
+    staircase = load_model(staircase_doc(staircase_v(4)))
+    slopes = [(1, 1), (2, 5), (7, 3), (13, 1)]
+    for model in (genus2_stress, sigma237_synthetic):
+        for p, q in slopes:
+            for i in range(p):
+                spec = SurgerySpec(p, q, i)
+                del laid_out[:]
                 cone_homology(model, spec)
+                assert laid_out == [spec], (model.name, spec)
+    del laid_out[:]
+    for model in (unknot, trefoil, figure8, staircase):
+        for p, q in slopes:
+            for i in range(p):
+                cone_homology(model, SurgerySpec(p, q, i))
+        surgery(model, 5, 2)
+    assert laid_out == []

@@ -351,7 +351,7 @@ def test_blocks_are_built_once_with_the_model(
 def test_column_records_are_the_model_read_per_k(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
 ):
-    # one record (block, V_k, H_k, dim, top, bars) for each k in (-G, G],
+    # one record (block, v, h, dim, top, bars) for each k in (-G, G],
     # G = max(genus, 1) (so k = 0, 1 for the genus-0 unknot), equal to the
     # model's own lookups and barcode, built on first use and kept;
     # loading builds none
@@ -367,6 +367,8 @@ def test_column_records_are_the_model_read_per_k(
         G = max(model.genus, 1)
         records = model.columns()
         assert list(records) == list(range(1 - G, G + 1))
+        fields = ("block", "v", "h", "dim", "top", "bars")
+        assert {record._fields for record in records.values()} == {fields}
         for k, (blk, v, h, dim, top, bars) in records.items():
             pres = model.block(k).pres
             assert blk is model.block(k)

@@ -114,7 +114,8 @@ def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
                 for i in range(p):
                     spec = SurgerySpec(p, q, i)
                     pres = cone.build_cone(model, spec, default_depth(model, spec))
-                    kernel, cokernel = cone._kernel_and_cokernel(pres)
+                    red = cone._reduced_summand(model, pres)
+                    kernel, cokernel = cone._kernel_and_cokernel(red)
                     ker = [(b.bottom, b.length) for b in barcode(kernel)]
                     cok = [(b.bottom, b.length) for b in barcode(cokernel)]
                     read, none = cone._reduced_bars(model, pres)
