@@ -121,12 +121,14 @@ def validate(m: FiniteUPresentation) -> list[str]:
 def barcode(m: FiniteUPresentation) -> list[Tau]:
     """Decompose a valid presentation into its unique multiset of bars.
 
-    Grading-ordered column reduction: sweep each grading line top-down,
-    carrying one vector per live bar.  When the U-images of live vectors
-    become dependent the youngest bar dies (elder rule); basis vectors not
-    spanned by surviving images are born as new bars.  The surviving
-    images are the stored vectors of their echelon, so that echelon spans
-    the live vectors two gradings down and is carried there, not rebuilt.
+    Grading-ordered column reduction: sweep each grading line top-down
+    over its occupied gradings, carrying one vector per live bar (U is
+    zero into an empty grading, so no bar lives across one).  When the
+    U-images of live vectors become dependent the youngest bar dies
+    (elder rule); basis vectors not spanned by surviving images are born
+    as new bars.  The surviving images are the stored vectors of their
+    echelon, so that echelon spans the live vectors two gradings down and
+    is carried there, not rebuilt.
     """
     errs = validate(m)
     if errs:
@@ -142,12 +144,10 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     u = list(m.u_cols)
     bars: list[Tau] = []
     for gradings in lines.values():
-        top, bottom = max(gradings), min(gradings)
         active: list[tuple[int, int]] = []  # (vector, birth), elder first
         live = gf2.Echelon()  # spanned by the live vectors, which it stores
-        g = top
-        while g >= bottom:
-            for b in by_grading.get(g, []):
+        for g in sorted(gradings, reverse=True):
+            for b in by_grading[g]:
                 added, res, _ = live.insert(1 << b)
                 if added:
                     active.append((res, g))
@@ -161,7 +161,6 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                     length = (birth - g) // 2 + 1
                     bars.append(Tau(g, length, g % 2))
             active = survivors
-            g -= 2
         if active:
             raise AssertionError("bars still live below the lowest grading")
     return sorted(bars)

@@ -142,11 +142,16 @@ def _v_at(V: tuple[int, ...] | list[int], k: int) -> int:
 
 
 class KnotModel:
-    """Validated, immutable knot model.
+    """Valid, immutable knot model, checked and built at construction.
 
-    Two derived values are built on first use and kept, never at load:
-    the ``columns`` records, which hold each column's barcode, and
-    ``max_reduced_bar``, read from them.
+    ``blocks`` holds every block the source gives, keyed by k.  Each
+    given block's two maps must be U-equivariant and homogeneous of
+    degree -2 V_k and -2 H_k (``_check_map``), every 0 <= k < genus needs
+    a block, and a block given outside that range must agree with the one
+    the symmetry derives.  The ``columns`` records and ``max_reduced_bar``
+    are built at once, barcoding every stored presentation and the
+    ambient's reduced part, so a U not of degree -2 raises
+    InvalidPresentation here.
     """
 
     def __init__(
@@ -161,15 +166,55 @@ class KnotModel:
         self.ambient = ambient
         self.genus = genus
         self.V = V
-        self._blocks = dict(blocks)
-        # kept apart: only the stored blocks are barcoded
-        self._conjugates = {
-            -k: ReducedBlock(b.pres, b.h_cols, b.v_cols) for k, b in blocks.items() if k
-        }
-        ident = tuple(gf2.identity(ambient.b_red.dim))
-        self._identity = ReducedBlock(ambient.b_red, ident, ident)
-        self._max_reduced_bar: int | None = None
-        self._columns: dict[int, Column] | None = None
+        amb = ambient.b_red
+        for k, blk in blocks.items():
+            v = _v_at(V, k)
+            _check_map(f"v_matrix[{k}]", blk.v_cols, blk.pres, amb, -2 * v)
+            _check_map(f"h_matrix[{k}]", blk.h_cols, blk.pres, amb, -2 * (v + k))
+        for k in range(genus):
+            if k not in blocks:
+                raise ModelError("Syntax", f"a_red is missing the block for k={k}")
+
+        # one barcode of the ambient's reduced part and of each distinct
+        # stored presentation; a conjugate block shares its stored block's
+        bars = {amb: _pairs(amb)}
+        for k in range(genus):
+            if blocks[k].pres not in bars:
+                bars[blocks[k].pres] = _pairs(blocks[k].pres)
+        ident = tuple(gf2.identity(amb.dim))
+        identity = ReducedBlock(amb, ident, ident)
+        G = max(genus, 1)
+        self._columns = {}
+        for k in range(1 - G, G + 1):
+            if abs(k) >= genus:
+                blk = identity
+            elif k >= 0:
+                blk = blocks[k]
+            else:
+                stored = blocks[-k]
+                blk = ReducedBlock(stored.pres, stored.h_cols, stored.v_cols)
+            v, pres = _v_at(V, k), blk.pres
+            top = max(pres.gradings, default=0)
+            self._columns[k] = Column(blk, v, v + k, pres.dim, top, bars[pres])
+        self._max_reduced_bar = max(
+            (n for pairs in bars.values() for _, n in pairs), default=0
+        )
+
+        # redundant blocks must agree with what the symmetry derives
+        for k, blk in blocks.items():
+            if 0 <= k < genus:
+                continue
+            derived = self.block(k)
+            # only the isomorphism direction is pinned for |k| >= genus
+            if k >= genus:
+                derived = ReducedBlock(derived.pres, derived.v_cols, blk.h_cols)
+            elif k <= -genus:
+                derived = ReducedBlock(derived.pres, blk.v_cols, derived.h_cols)
+            if blk != derived:
+                raise ModelError(
+                    "SymmetryViolation",
+                    f"a_red[{k}] disagrees with the block derived from k={abs(k)}",
+                )
 
     def v_at(self, k: int) -> int:
         """V_k for any integer k, extended by V_{-j} = V_j + j."""
@@ -182,21 +227,12 @@ class KnotModel:
     def block(self, k: int) -> ReducedBlock:
         """Reduced block for any k, built with the model: stored for 0 <= k <
         genus, -k's with v/h swapped for k < 0, identity for |k| >= genus."""
-        if abs(k) >= self.genus:
-            return self._identity
-        return self._blocks[k] if k >= 0 else self._conjugates[k]
+        return self._columns[k if abs(k) < self.genus else max(self.genus, 1)].block
 
     def max_reduced_bar(self) -> int:
         """Longest bar of the ambient reduced part or of any stored block,
-        read from the ``columns`` records, which hold them all.
-
-        Computed on the first call and kept: the model is immutable.
-        """
-        if self._max_reduced_bar is None:
-            self._max_reduced_bar = max(
-                (n for column in self.columns().values() for _, n in column.bars),
-                default=0,
-            )
+        checked and built at construction from the barcodes the
+        ``columns`` records hold."""
         return self._max_reduced_bar
 
     def columns(self) -> dict[int, Column]:
@@ -204,31 +240,7 @@ class KnotModel:
         (-G, G], G = max(genus, 1), the k a cone window reads: ``block(k)``,
         ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, its
         highest reduced grading (0 when it has none) and its barcode as
-        int pairs (bottom, length).
-
-        Computed on the first call and kept: the model is immutable.  One
-        pass over k builds them, with one ``barcode`` of the ambient's
-        reduced part and one of each distinct stored presentation that
-        has generators; a conjugate block shares its stored block's.
-        """
-        if self._columns is None:
-            G, genus = max(self.genus, 1), self.genus
-            stored: dict[FiniteUPresentation, tuple] = {}
-            for blk in self._blocks.values():
-                if blk.pres.dim and blk.pres not in stored:
-                    stored[blk.pres] = _pairs(blk.pres)
-            ambient = _pairs(self.ambient.b_red)
-            records = {}
-            for k in range(1 - G, G + 1):
-                blk, v = self.block(k), _v_at(self.V, k)
-                pres = blk.pres
-                if abs(k) >= genus:
-                    bars = ambient
-                else:
-                    bars = stored[pres] if pres.dim else ()
-                top = max(pres.gradings, default=0)
-                records[k] = Column(blk, v, v + k, pres.dim, top, bars)
-            self._columns = records
+        int pairs (bottom, length).  Checked and built at construction."""
         return self._columns
 
 
@@ -404,7 +416,8 @@ def _read_json(path: Union[str, Path]) -> dict:
 
 
 def load_model(source: Union[str, Path, dict]) -> KnotModel:
-    """Load and fully validate a knot model from a file path or a dict."""
+    """Load and fully validate a knot model from a file path or a dict:
+    the document is parsed here, and ``KnotModel`` checks what it holds."""
     doc = source if isinstance(source, dict) else _read_json(source)
 
     for key in ("name", "ambient", "genus", "V", "a_red"):
@@ -459,42 +472,7 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
             raw["h_matrix"], ambient.b_red.dim, pres.dim, f"a_red[{k}].h_matrix"
         )
         parsed[k] = ReducedBlock(pres, v_cols, h_cols)
-
-    # maps must be U-equivariant and homogeneous for the declared V_k/H_k
-    for k, blk in parsed.items():
-        v = _v_at(V, k)
-        _check_map(f"v_matrix[{k}]", blk.v_cols, blk.pres, ambient.b_red, -2 * v)
-        _check_map(f"h_matrix[{k}]", blk.h_cols, blk.pres, ambient.b_red, -2 * (v + k))
-
-    stored: dict[int, ReducedBlock] = {}
-    for k in range(genus):
-        if k not in parsed:
-            raise ModelError("Syntax", f"a_red is missing the block for k={k}")
-        stored[k] = parsed[k]
-    model = KnotModel(name, ambient, genus, tuple(V), stored)
-
-    # redundant blocks must agree with what the symmetry derives
-    for k, blk in parsed.items():
-        if 0 <= k < genus:
-            continue
-        derived = model.block(k)
-        same = blk.pres == derived.pres
-        if abs(k) >= genus:
-            # only the isomorphism direction is pinned out there
-            same = same and (
-                blk.v_cols == derived.v_cols
-                if k >= 0
-                else blk.h_cols == derived.h_cols
-            )
-        else:
-            same = same and blk.v_cols == derived.v_cols
-            same = same and blk.h_cols == derived.h_cols
-        if not same:
-            raise ModelError(
-                "SymmetryViolation",
-                f"a_red[{k}] disagrees with the block derived from k={abs(k)}",
-            )
-    return model
+    return KnotModel(name, ambient, genus, tuple(V), parsed)
 
 
 def load_model_or_ambient(

@@ -697,3 +697,31 @@ def test_rational_with_an_exponent_is_refused_quickly(where, tmp_path, capsys):
     assert code == 2
     assert "Syntax" in out + err
     assert "'1e99999999' is not a rational 'a/b' or an integer" in out + err
+
+
+def test_far_apart_ambient_gradings_are_solved_quickly(tmp_path, capsys):
+    # two reduced generators 2 * 10^9 apart: the barcode visits the two
+    # occupied gradings, not the empty ones between them
+    far = {
+        "name": "unknot_far",
+        "ambient": {
+            "name": "far",
+            "d": "0",
+            "b_red": [
+                {"grading": "1", "parity": 1},
+                {"grading": "2000000001", "parity": 1},
+            ],
+            "u_matrix": [[0, 0], [0, 0]],
+        },
+        "genus": 0,
+        "V": [0],
+        "a_red": {},
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far), encoding="utf-8")
+    started = time.monotonic()
+    assert run(capsys, "validate", str(path)) == (0, "unknot_far: ok\n", "")
+    code, out, err = run(capsys, "surgery", str(path), "1/1")
+    assert time.monotonic() - started < 1
+    assert (code, err) == (0, "")
+    assert "red: tau(1;1;p1) tau(2000000001;1;p1)" in out

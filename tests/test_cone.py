@@ -10,7 +10,9 @@ from floersurgery import (
     CassonWalkerInput,
     ConeTooLarge,
     FiniteUPresentation,
+    InvalidPresentation,
     KnotModel,
+    ModelError,
     NotCoprime,
     SurgerySpec,
     Tau,
@@ -26,8 +28,9 @@ from floersurgery import (
     surgery,
     torsion_coefficients,
 )
-from floersurgery import cone, gf2
+from floersurgery import cone
 from floersurgery.cli import main
+from floersurgery.knotmodel import ReducedBlock
 from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
@@ -161,77 +164,38 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
 
 def test_misgraded_block_map_is_rejected(sigma237_synthetic):
     # a hand-built model whose block-0 generator sits two steps too high,
-    # with the identity v/h maps left in place: the cone map would not
-    # have degree -1, and laying out the reduced summand must say so
+    # with the identity v/h maps left in place: the maps are not of the
+    # degree V_0 and H_0 ask, and the constructor says so
     blk = sigma237_synthetic.block(0)
     shifted = replace(blk.pres, gradings=tuple(g + 2 for g in blk.pres.gradings))
-    model = KnotModel(
-        "sigma237_shifted",
-        sigma237_synthetic.ambient,
-        sigma237_synthetic.genus,
-        sigma237_synthetic.V,
-        {0: replace(blk, pres=shifted)},
-    )
-    for spec in (SurgerySpec(1, 1, 0), SurgerySpec(3, 2, 1)):
-        with pytest.raises(AssertionError) as raised:
-            cone_homology(model, spec)
-        assert str(raised.value) == (
-            "cone map not of degree -1 at reduced generator (0, 0)"
+    with pytest.raises(ModelError) as raised:
+        KnotModel(
+            "sigma237_shifted",
+            sigma237_synthetic.ambient,
+            sigma237_synthetic.genus,
+            sigma237_synthetic.V,
+            {0: replace(blk, pres=shifted)},
         )
+    assert raised.value.code == "MapNotEquivariant"
+    assert str(raised.value) == (
+        "MapNotEquivariant: v_matrix[0] is not homogeneous of degree 0 at column 0"
+    )
 
 
-def test_kernel_not_u_stable_is_reported(trefoil):
-    # corrupt U on the A-row so that it sends a kernel vector at g to a
-    # generator at g - 2 that d does not kill; the kernel pass must stop.
-    # The corrupted columns are trefoil's towers, which only the
-    # whole-cone reference lays out and eliminates.
-    spec = SurgerySpec(2, 5, 0)
-    depth = default_depth(trefoil, spec)
-    whole = whole_cone(trefoil, build_cone(trefoil, spec, depth))
-    u_dom = dict(whole.u_dom)
-    for g, cols in whole.d_cols.items():
-        below = whole.d_cols.get(g - 2, ())
-        live = [j for j, col in enumerate(below) if col]
-        kernel = gf2.nullspace(list(cols))
-        if live and kernel:
-            t = next(gf2.bits(kernel[0]))
-            u = list(u_dom[g])
-            u[t] ^= 1 << live[0]
-            u_dom[g] = tuple(u)
-            break
-    else:
-        pytest.fail("no grading with a kernel vector above a non-cycle")
-    broken = whole._replace(u_dom=u_dom)
-    with pytest.raises(AssertionError, match="kernel not U-stable"):
-        truncated_cone_reference(trefoil, spec, depth, whole=broken)
-
-
-def test_kernel_not_u_stable_on_a_reduced_generator_is_reported(
-    genus2_stress, monkeypatch
-):
-    # the same corruption on the reduced summand, which the library
-    # eliminates: a reduced kernel vector at g sent by U to a reduced
-    # generator at g - 2 that d does not kill
-    spec = SurgerySpec(2, 3, 0)
-    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
-    red = cone._reduced_summand(genus2_stress, pres)
-    u_dom = dict(red.u_dom)
-    for g, cols in red.d_cols.items():
-        below = red.d_cols.get(g - 2, ())
-        live = [j for j, col in enumerate(below) if col]
-        kernel = gf2.nullspace(list(cols))
-        if live and kernel:
-            t = next(gf2.bits(kernel[0]))
-            u = list(u_dom[g])
-            u[t] ^= 1 << live[0]
-            u_dom[g] = tuple(u)
-            break
-    else:
-        pytest.fail("no grading with a reduced kernel vector above a non-cycle")
-    broken = red._replace(u_dom=u_dom)
-    monkeypatch.setattr(cone, "_reduced_summand", lambda *args: broken)
-    with pytest.raises(AssertionError, match="kernel not U-stable"):
-        cone_homology(genus2_stress, spec)
+def test_a_block_whose_u_is_not_of_degree_minus_2_is_rejected(sigma237_synthetic):
+    # two generators at one grading, U sending one to the other, and zero
+    # maps, which commute with any U: only the barcode the constructor
+    # builds for the columns records can see that U keeps the grading
+    g = sigma237_synthetic.block(0).pres.gradings[0]
+    bad = FiniteUPresentation((g, g), (0b10, 0))
+    with pytest.raises(InvalidPresentation, match="NonHomogeneousU"):
+        KnotModel(
+            "sigma237_flat_u",
+            sigma237_synthetic.ambient,
+            sigma237_synthetic.genus,
+            sigma237_synthetic.V,
+            {0: ReducedBlock(bad, (0, 0), (0, 0))},
+        )
 
 
 def test_build_cone_lays_out_only_reduced_generators(

@@ -324,8 +324,8 @@ def test_blocks_are_built_once_with_the_model(
 ):
     # block(k) is a lookup for |k| < G: one object on every call, and for
     # k < 0 the stored block's presentation with v_cols and h_cols swapped.
-    # The conjugates are kept apart, so the longest reduced bar and the
-    # torsion coefficients read the stored blocks as before
+    # The conjugates share the stored presentations, so the longest reduced
+    # bar and the torsion coefficients read the stored blocks as before
     V = [6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 0]
     expected = [
         (unknot, 0, ()),
@@ -353,8 +353,8 @@ def test_column_records_are_the_model_read_per_k(
 ):
     # one record (block, v, h, dim, top, bars) for each k in (-G, G],
     # G = max(genus, 1) (so k = 0, 1 for the genus-0 unknot), equal to the
-    # model's own lookups and barcode, built on first use and kept;
-    # loading builds none
+    # model's own lookups and barcode, built at construction and kept: a
+    # load calls no columns(), and every call returns the one dict
     built, inner = [], KnotModel.columns
     monkeypatch.setattr(KnotModel, "columns", lambda m: built.append(m) or inner(m))
     staircases = [
@@ -379,12 +379,11 @@ def test_column_records_are_the_model_read_per_k(
 
 
 def test_a_load_builds_one_model(monkeypatch):
-    # the map checks read V_k and H_k from V and the genus, so a load
-    # constructs its KnotModel once, and only when every check before
-    # the symmetry check has passed
+    # a load parses the document and constructs its KnotModel once; the
+    # constructor checks the maps, the blocks and the symmetry
     built, inner = [], KnotModel.__init__
     monkeypatch.setattr(
-        KnotModel, "__init__", lambda m, *a: built.append(a[0]) or inner(m, *a)
+        KnotModel, "__init__", lambda m, *a: built.append(a) or inner(m, *a)
     )
     redundant = base_doc()  # genus 1: k = 1 and -1 are the ambient block
     block = redundant["a_red"]["0"]
@@ -397,14 +396,18 @@ def test_a_load_builds_one_model(monkeypatch):
         load_model(source)
         assert len(built) == 1
     # a map error (the identity v at V_0 = 1) is still reported before a
-    # missing block (k = 1), and no model is built
+    # missing block (k = 1), and the constructor raises it: a load does
+    # nothing after constructing its one model
     broken = staircase_doc([1, 1, 0])
     broken["ambient"] = base_doc()["ambient"]
     broken["a_red"] = {"0": base_doc()["a_red"]["0"]}
     del built[:]
     with pytest.raises(ModelError) as exc:
         load_model(broken)
-    assert exc.value.code == "MapNotEquivariant" and built == []
+    assert exc.value.code == "MapNotEquivariant" and len(built) == 1
+    with pytest.raises(ModelError) as direct:
+        KnotModel(*built[0])
+    assert str(direct.value) == str(exc.value)
 
 
 @pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])

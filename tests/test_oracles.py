@@ -19,11 +19,15 @@ Beyond staircases, ``surgery``, which solves each block shape once, is
 checked against ``cone_homology`` on every block, its offsets read at the
 block's own anchor, and a cosmetic scan,
 which solves each shape once across all of its q, against a fresh
-``surgery`` for every q.
+``surgery`` for every q.  Conjugation is checked on the shipped models
+too, and knots of S^3 moved to an L-space ambient at d = -2 against
+their S^3 blocks, each shifted by -2.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from itertools import combinations
 from math import ceil, gcd
 
@@ -45,6 +49,7 @@ from floersurgery import (
     obstruct,
     surgery,
 )
+from floersurgery.cli import resolve_model_path
 from floersurgery.obstruct import _matches
 
 from conftest import read_block, staircase_doc, truncated_cone_reference
@@ -140,6 +145,57 @@ def test_surgery_equals_every_block_solved(
         for r in blocks:
             twin = blocks[(q - 1 - r.i) % p]
             assert (r.d, r.red) == (twin.d, twin.red), (model.name, p, q, r.i)
+
+
+def test_spin_c_conjugation_pairs_block_i_with_q_minus_1_minus_i(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
+):
+    # conjugation sends block i to j = (q - 1 - i) mod p: k_j(n) = -k_i(-n),
+    # so j's window is i's read backwards and negated, and the block at -k
+    # is the one at k with its maps swapped, so j has i's d and bars
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
+    models += [
+        load_model(staircase_doc(V)) for genus in range(1, 9) for V in staircases(genus)
+    ]
+    for model in models:
+        G = max(model.genus, 1)
+        for p in range(1, 12):
+            for q in range(1, 14):
+                if gcd(p, q) != 1:
+                    continue
+                blocks = surgery(model, p, q).results
+                for i, r in enumerate(blocks):
+                    j = (q - 1 - i) % p
+                    case = (model.name, p, q, i)
+                    assert (blocks[j].d, blocks[j].red) == (r.d, r.red), case
+                    shape = cone._shape(model, p, q, i)
+                    conjugate = (*(-k for k in reversed(shape[:-1])), G)
+                    assert cone._shape(model, p, q, j) == conjugate, case
+
+
+def test_an_l_space_ambient_with_nonzero_d_shifts_every_block():
+    # the same knots over an L-space ambient at d = -2, such as the
+    # Poincare sphere: every block keeps its bars relative to its d, and
+    # d and every bar bottom move by -2
+    poincare = {"name": "P", "d": "-2", "b_red": [], "u_matrix": []}
+    docs = [
+        json.loads(resolve_model_path(name).read_text(encoding="utf-8"))
+        for name in ("trefoil_rh_s3", "figure8_s3")
+    ]
+    docs.append(staircase_doc([2, 1, 1, 0]))
+    blocks = 0
+    for doc in docs:
+        s3, moved = load_model(doc), load_model(dict(doc, ambient=poincare))
+        for p in range(1, 12):
+            for q in range(1, 14):
+                if gcd(p, q) != 1:
+                    continue
+                there = surgery(moved, p, q).results
+                for r, m in zip(surgery(s3, p, q).results, there, strict=True):
+                    shifted = tuple(replace(b, bottom=b.bottom - 2) for b in r.red)
+                    assert (m.d, m.red) == (r.d - 2, shifted), (doc["name"], p, q, r.i)
+                    blocks += 1
+    assert blocks == 3 * 580  # the blocks of the coprime p <= 11, q <= 13
 
 
 def test_surgery_raises_at_the_first_block_that_raises(
