@@ -484,8 +484,7 @@ def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]
         return [], []
     if not model.ambient.is_l_space:
         kernel, cokernel = _kernel_and_cokernel(_reduced_summand(model, pres))
-        ker, cok = barcode(kernel), barcode(cokernel)
-        return [(b.bottom, b.length) for b in ker], [(b.bottom, b.length) for b in cok]
+        return barcode(kernel), barcode(cokernel)
     columns = model.columns()
     return [
         (a + b, n)

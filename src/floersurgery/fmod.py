@@ -1,14 +1,14 @@
 """Absolutely Q-graded, relatively Z-graded finite F_2[U]-modules.
 
 A finite module is carried concretely by :class:`FiniteUPresentation`
-(a graded basis and the U matrix, U lowering grading by 2) and
-decomposed by :func:`barcode` into its bars tau_d(N): dimension N,
-bottom grading d, killed by U^N but not U^{N-1}.
-A presentation's gradings are ``int`` offsets from a tower generator:
-the module's own for a loaded model block or ambient reduced part, the
-block's anchor for a cone kernel or cokernel, where ``surgery`` reads
-the offsets off as ``Fraction``s.  The Z_2-parity of a generator
-is its grading mod 2.
+(a graded basis and the U matrix, U lowering grading by 2), valid by
+construction, and decomposed by :func:`barcode` into its bars tau_d(N),
+dimension N, bottom grading d, killed by U^N but not U^{N-1}, as ``int``
+pairs (d, N).  A presentation's gradings are ``int`` offsets from a
+tower generator: the module's own for a loaded model block or ambient
+reduced part, the block's anchor for a cone kernel or cokernel, where
+``surgery`` reads the offsets off as :class:`Tau` bars at ``Fraction``
+gradings.  The Z_2-parity of a generator or a bar is its grading mod 2.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent evaluation needs no coordination.
@@ -26,13 +26,11 @@ from .errors import InvalidPresentation
 
 @dataclass(frozen=True, order=True)
 class Tau:
-    """Length-N truncated tower: bottom grading, dimension N, Z_2-parity.
-
-    :func:`barcode` gives ``int`` bottoms (offsets); cone results give
-    absolute ``Fraction`` bottoms.
+    """A reduced bar of a surgery result: the length-N truncated tower at
+    the absolute grading ``bottom``, its dimension N and its Z_2-parity.
     """
 
-    bottom: Fraction | int
+    bottom: Fraction
     length: int
     parity: int = 0
 
@@ -48,7 +46,8 @@ class FiniteUPresentation:
     """Concrete finite F_2[U]-module: graded basis plus the U matrix.
 
     ``gradings[j]`` is the ``int`` offset of e_j from the module's tower
-    and ``u_cols[j]`` the bitmask of U(e_j) over basis indices.
+    and ``u_cols[j]`` the bitmask of U(e_j) over basis indices.  A bad
+    field raises ValueError and a bad U InvalidPresentation (``validate``).
     """
 
     gradings: tuple[int, ...]
@@ -64,6 +63,9 @@ class FiniteUPresentation:
         for c in self.u_cols:
             if c < 0 or c >> n:
                 raise ValueError("U column has bits outside the basis")
+        errs = validate(self)
+        if errs:
+            raise InvalidPresentation(errs)
 
     @property
     def dim(self) -> int:
@@ -118,8 +120,9 @@ def validate(m: FiniteUPresentation) -> list[str]:
     return errs
 
 
-def barcode(m: FiniteUPresentation) -> list[Tau]:
-    """Decompose a valid presentation into its unique multiset of bars.
+def barcode(m: FiniteUPresentation) -> list[tuple[int, int]]:
+    """The unique multiset of bars of a presentation, as sorted ``int``
+    pairs (bottom, length); a bar's parity is bottom mod 2.
 
     Grading-ordered column reduction: sweep each grading line top-down
     over its occupied gradings, carrying one vector per live bar (U is
@@ -130,9 +133,6 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
     echelon, so that echelon spans the live vectors two gradings down and
     is carried there, not rebuilt.
     """
-    errs = validate(m)
-    if errs:
-        raise InvalidPresentation(errs)
     by_grading: dict = {}
     for i, g in enumerate(m.gradings):
         by_grading.setdefault(g, []).append(i)
@@ -142,7 +142,7 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
         lines.setdefault(g % 2, []).append(g)
 
     u = list(m.u_cols)
-    bars: list[Tau] = []
+    bars: list[tuple[int, int]] = []
     for gradings in lines.values():
         active: list[tuple[int, int]] = []  # (vector, birth), elder first
         live = gf2.Echelon()  # spanned by the live vectors, which it stores
@@ -158,8 +158,7 @@ def barcode(m: FiniteUPresentation) -> list[Tau]:
                 if added:
                     survivors.append((res, birth))
                 else:
-                    length = (birth - g) // 2 + 1
-                    bars.append(Tau(g, length, g % 2))
+                    bars.append((g, (birth - g) // 2 + 1))
             active = survivors
         if active:
             raise AssertionError("bars still live below the lowest grading")

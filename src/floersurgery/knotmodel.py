@@ -50,6 +50,10 @@ negative k is derived by the symmetry that swaps the two maps.  Blocks
 with |k| >= genus are the ambient reduced part with the appropriate
 identity map and may be omitted.
 Stored blocks in the derived range are checked against the derivation.
+
+``load_model`` parses (JSON types, rationals, matrices, parities); each
+presentation validates itself as it is built, and the ``KnotModel``
+constructor, which a hand-built model goes through too, checks the rest.
 """
 
 from __future__ import annotations
@@ -59,11 +63,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Union
 
 from . import gf2
-from .errors import ModelError
-from .fmod import FiniteUPresentation, barcode, degree_violations, euler_z2, validate
+from .errors import InvalidPresentation, ModelError
+from .fmod import FiniteUPresentation, barcode, degree_violations, euler_z2
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class AmbientSummary:
 
     def max_odd_bar(self) -> int:
         """Length of the longest odd-parity bar of the reduced part."""
-        return max((b.length for b in barcode(self.b_red) if b.parity == 1), default=0)
+        return max((n for b, n in barcode(self.b_red) if b % 2), default=0)
 
     def min_excess(self) -> Fraction | None:
         """min over reduced generators of (grading - d); None if L-space."""
@@ -122,7 +126,8 @@ class TorsionProfile:
     delta2: int
 
 
-class Column(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Column:
     """The record of one k in ``KnotModel.columns``."""
 
     block: ReducedBlock
@@ -133,25 +138,18 @@ class Column(NamedTuple):
     bars: tuple[tuple[int, int], ...]
 
 
-def _v_at(V: tuple[int, ...] | list[int], k: int) -> int:
-    """V_k for any integer k from V_0..V_g: 0 above the genus, and
-    V_{-j} = V_j + j."""
-    if k >= 0:
-        return V[k] if k < len(V) else 0
-    return (V[-k] if -k < len(V) else 0) - k
-
-
 class KnotModel:
     """Valid, immutable knot model, checked and built at construction.
 
-    ``blocks`` holds every block the source gives, keyed by k.  Each
-    given block's two maps must be U-equivariant and homogeneous of
-    degree -2 V_k and -2 H_k (``_check_map``), every 0 <= k < genus needs
-    a block, and a block given outside that range must agree with the one
-    the symmetry derives.  The ``columns`` records and ``max_reduced_bar``
-    are built at once, barcoding every stored presentation and the
-    ambient's reduced part, so a U not of degree -2 raises
-    InvalidPresentation here.
+    The genus must be non-negative and ``V`` list V_0..V_g, non-negative,
+    non-increasing and with V_g = 0.  ``blocks`` holds every block the
+    source gives, keyed by k.  Each given block's two maps must be
+    U-equivariant and homogeneous of degree -2 V_k and -2 H_k
+    (``_check_map``), every 0 <= k < genus needs a block, and a block
+    given outside that range must agree with the one the symmetry
+    derives; a failure is the ModelError a model file gets.  The
+    ``columns`` records and ``max_reduced_bar`` are built at once, from
+    one barcode of every stored presentation and of the ambient's.
     """
 
     def __init__(
@@ -159,16 +157,30 @@ class KnotModel:
         name: str,
         ambient: AmbientSummary,
         genus: int,
-        V: tuple[int, ...],
+        V: list[int] | tuple[int, ...],
         blocks: dict[int, ReducedBlock],
     ):
         self.name = name
         self.ambient = ambient
         self.genus = genus
-        self.V = V
+        self.V = tuple(V)
+        if genus < 0:
+            raise ModelError("Syntax", "genus must be a non-negative integer")
+        if len(V) != genus + 1:
+            raise ModelError("Syntax", f"V must list the {genus + 1} integers V_0..V_g")
+        if any(v < 0 for v in V):
+            raise ModelError("Syntax", "V entries must be non-negative")
+        if any(a < b for a, b in zip(V, V[1:])):
+            raise ModelError(
+                "MonotonicityViolation", f"V is not non-increasing: {list(V)}"
+            )
+        if V[genus]:
+            raise ModelError(
+                "GenusViolation", f"V_g must vanish at the genus, got V={list(V)}"
+            )
         amb = ambient.b_red
         for k, blk in blocks.items():
-            v = _v_at(V, k)
+            v = self.v_at(k)
             _check_map(f"v_matrix[{k}]", blk.v_cols, blk.pres, amb, -2 * v)
             _check_map(f"h_matrix[{k}]", blk.h_cols, blk.pres, amb, -2 * (v + k))
         for k in range(genus):
@@ -177,10 +189,10 @@ class KnotModel:
 
         # one barcode of the ambient's reduced part and of each distinct
         # stored presentation; a conjugate block shares its stored block's
-        bars = {amb: _pairs(amb)}
+        bars = {amb: tuple(barcode(amb))}
         for k in range(genus):
             if blocks[k].pres not in bars:
-                bars[blocks[k].pres] = _pairs(blocks[k].pres)
+                bars[blocks[k].pres] = tuple(barcode(blocks[k].pres))
         ident = tuple(gf2.identity(amb.dim))
         identity = ReducedBlock(amb, ident, ident)
         G = max(genus, 1)
@@ -193,7 +205,7 @@ class KnotModel:
             else:
                 stored = blocks[-k]
                 blk = ReducedBlock(stored.pres, stored.h_cols, stored.v_cols)
-            v, pres = _v_at(V, k), blk.pres
+            v, pres = self.v_at(k), blk.pres
             top = max(pres.gradings, default=0)
             self._columns[k] = Column(blk, v, v + k, pres.dim, top, bars[pres])
         self._max_reduced_bar = max(
@@ -217,8 +229,11 @@ class KnotModel:
                 )
 
     def v_at(self, k: int) -> int:
-        """V_k for any integer k, extended by V_{-j} = V_j + j."""
-        return _v_at(self.V, k)
+        """V_k for any integer k: 0 above the genus, and V_{-j} = V_j + j."""
+        V = self.V
+        if k >= 0:
+            return V[k] if k < len(V) else 0
+        return (V[-k] if -k < len(V) else 0) - k
 
     def h_at(self, k: int) -> int:
         """H_k = V_k + k."""
@@ -239,14 +254,9 @@ class KnotModel:
         """The record (block, v, h, dim, top, bars) of every k in
         (-G, G], G = max(genus, 1), the k a cone window reads: ``block(k)``,
         ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, its
-        highest reduced grading (0 when it has none) and its barcode as
-        int pairs (bottom, length).  Checked and built at construction."""
+        highest reduced grading (0 when it has none) and its barcode.
+        Checked and built at construction."""
         return self._columns
-
-
-def _pairs(pres: FiniteUPresentation) -> tuple[tuple[int, int], ...]:
-    """The barcode of ``pres`` as int pairs (bottom, length)."""
-    return tuple((b.bottom, b.length) for b in barcode(pres))
 
 
 def torsion_coefficients(m: KnotModel) -> TorsionProfile:
@@ -356,12 +366,11 @@ def _parse_presentation(
         gradings.append(off.numerator)
     n = len(gradings)
     u_cols = _parse_matrix(u_matrix, n, n, f"{what}.u_matrix")
-    pres = FiniteUPresentation(tuple(gradings), u_cols)
-    errs = validate(pres)
-    if errs:
-        code, text = errs[0].split(": ", 1)
-        raise ModelError(code, f"{what}: {text}")
-    return pres
+    try:
+        return FiniteUPresentation(tuple(gradings), u_cols)
+    except InvalidPresentation as e:
+        code, text = e.errors[0].split(": ", 1)
+        raise ModelError(code, f"{what}: {text}") from None
 
 
 def _check_map(
@@ -426,24 +435,11 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
     name = str(doc["name"])
     ambient = load_ambient(doc["ambient"])
 
-    genus = doc["genus"]
-    if not _is_int(genus) or genus < 0:
+    genus, V = doc["genus"], doc["V"]
+    if not _is_int(genus):
         raise ModelError("Syntax", "genus must be a non-negative integer")
-
-    V = doc["V"]
-    if (
-        not isinstance(V, list)
-        or len(V) != genus + 1
-        or not all(_is_int(v) for v in V)
-    ):
+    if not isinstance(V, list) or not all(_is_int(v) for v in V):
         raise ModelError("Syntax", f"V must list the {genus + 1} integers V_0..V_g")
-    if any(v < 0 for v in V):
-        raise ModelError("Syntax", "V entries must be non-negative")
-    for a, b in zip(V, V[1:]):
-        if a < b:
-            raise ModelError("MonotonicityViolation", f"V is not non-increasing: {V}")
-    if V[genus] != 0:
-        raise ModelError("GenusViolation", f"V_g must vanish at the genus, got V={V}")
 
     a_red = doc["a_red"]
     if not isinstance(a_red, dict):
@@ -472,7 +468,7 @@ def load_model(source: Union[str, Path, dict]) -> KnotModel:
             raw["h_matrix"], ambient.b_red.dim, pres.dim, f"a_red[{k}].h_matrix"
         )
         parsed[k] = ReducedBlock(pres, v_cols, h_cols)
-    return KnotModel(name, ambient, genus, tuple(V), parsed)
+    return KnotModel(name, ambient, genus, V, parsed)
 
 
 def load_model_or_ambient(

@@ -46,6 +46,38 @@ def solve_at(monkeypatch):
     return solve
 
 
+class Calls(list):
+    """What a call to a spied attribute records as it starts, in call
+    order; ``results`` holds what each call returned, as it returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` wraps the attribute ``name`` of ``owner`` (or
+    puts ``fn`` in its place) for the rest of the test and returns its
+    Calls: the tuple of each call's positional arguments, or
+    ``record(*args)`` when given.  A method's first argument is self."""
+
+    def install(owner, name, fn=None, *, record=None):
+        inner = getattr(owner, name) if fn is None else fn
+        calls = Calls()
+
+        def wrapper(*args, **kwargs):
+            calls.append(args if record is None else record(*args))
+            result = inner(*args, **kwargs)
+            calls.results.append(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def unknot():
     return load_model(resolve_model_path("unknot_s3"))
@@ -204,23 +236,15 @@ def whole_cone(model, pres):
 def truncated_cone_reference(model, spec, depth, whole=None):
     """The block's homology by eliminating the whole truncated cone, tower
     generators included: kernel and cokernel of every d_cols[g] of
-    ``whole_cone``, barcoded, then read off to offsets as the library
-    reads its own.  Looks up ``cone.build_cone`` at call time, so a test
+    ``whole_cone``, barcoded, then read off to offsets by the library's
+    own ``_offsets``.  Looks up ``cone.build_cone`` at call time, so a test
     may inject a presentation, or pass the laid-out cone itself as
     ``whole``."""
     pres = cone.build_cone(model, spec, depth)
     if whole is None:
         whole = whole_cone(model, pres)
     kernel, cokernel = cone._kernel_and_cokernel(whole)
-    return read_off(pres, barcode(kernel), barcode(cokernel))
-
-
-def read_off(pres, ker_bars, cok_bars):
-    """The offsets (tower, ((b, length), ...)) of int-graded kernel and
-    cokernel Tau bars of ``pres``, read off by the library's own
-    ``_offsets``."""
-    ker = [(b.bottom, b.length) for b in ker_bars]
-    return cone._offsets(pres, ker, [(b.bottom, b.length) for b in cok_bars])
+    return cone._offsets(pres, barcode(kernel), barcode(cokernel))
 
 
 def tower_bars_reference(pres) -> list[tuple[int, int]]:
@@ -308,16 +332,16 @@ def rank_profile_matches(pres: FiniteUPresentation, bars) -> bool:
     """Brute-force oracle: rank(U^j) must equal sum_i max(N_i - j, 0),
     and each grading level must carry as many bar slots as basis vectors."""
     for j in range(pres.dim + 1):
-        expected = sum(max(b.length - j, 0) for b in bars)
+        expected = sum(max(n - j, 0) for _, n in bars)
         if u_power_rank(pres, j) != expected:
             return False
     levels: dict = {}
     for g in pres.gradings:
         levels[g] = levels.get(g, 0) + 1
     covered: dict = {}
-    for b in bars:
-        for step in range(b.length):
-            g = b.bottom + 2 * step
+    for bottom, n in bars:
+        for step in range(n):
+            g = bottom + 2 * step
             covered[g] = covered.get(g, 0) + 1
     return covered == levels
 

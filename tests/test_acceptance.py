@@ -232,6 +232,6 @@ def test_criterion_11_barcode_rank_profiles():
     for _ in range(1000):
         pres = random_presentation(rng, max_dim=12)
         bars = barcode(pres)
-        ok = ok and sum(b.length for b in bars) == pres.dim
+        ok = ok and sum(n for _, n in bars) == pres.dim
         ok = ok and rank_profile_matches(pres, bars)
     _report("criterion 11: 1000 random barcodes match rank(U^j) profiles", ok)

@@ -30,6 +30,10 @@ def test_parse_slope():
         with pytest.raises(ModelError) as err:
             parse_slope(text)
         assert str(err.value) == f"Syntax: bad slope {text!r}; expected p/q"
+    for text in ["0/1", "0", "2/0", "-0/3"]:
+        with pytest.raises(ModelError) as err:
+            parse_slope(text)
+        assert str(err.value) == f"Syntax: slope must have positive p and q: {text!r}"
 
 
 @pytest.mark.parametrize("slope", [" 3/2", "3/2 ", "3/+2"])
@@ -218,6 +222,34 @@ def test_obstruct_rules_need_the_numbers_they_read(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: Syntax: {message}\n"
+
+
+def test_obstruct_chi_relation(capsys):
+    # chi(HF_red(Z)) = p chi(HF_red(Y)) and p | chi(HF_red(Z)), read with
+    # --p alone: chi 3 at p = 3 over chi(Y) = 1 passes both, chi 2 fails both
+    argv = ["obstruct", "--chi-relation", "1", "--p", "3", "--chi"]
+    assert run(capsys, *argv, "3") == (
+        0,
+        'CHI_EQ: PASS  {"chi_red_y":1,"chi_red_z":3,"expected":3,"p":3}\n'
+        'CHI_DIVIS: PASS  {"chi_red_y":1,"chi_red_z":3,"p":3}\n',
+        "",
+    )
+    code, out, _ = run(capsys, "--format", "json", *argv, "2")
+    verdicts = json.loads(out)["verdicts"]
+    assert code == 0
+    assert [(v["rule"], v["status"]) for v in verdicts] == [
+        ("CHI_EQ", "fail"),
+        ("CHI_DIVIS", "fail"),
+    ]
+
+
+@pytest.mark.parametrize("argv", [[], ["--p", "3", "--q", "1"]], ids=["bare", "numbers"])
+def test_obstruct_without_a_rule_exits_2(argv, capsys):
+    assert run(capsys, "obstruct", *argv) == (
+        2,
+        "",
+        "error: Syntax: no obstruction rule selected\n",
+    )
 
 
 def test_genus_bound_runs_without_chi(capsys):

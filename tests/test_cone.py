@@ -30,7 +30,6 @@ from floersurgery import (
 )
 from floersurgery import cone
 from floersurgery.cli import main
-from floersurgery.knotmodel import ReducedBlock
 from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
@@ -183,19 +182,15 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
 
 
 def test_a_block_whose_u_is_not_of_degree_minus_2_is_rejected(sigma237_synthetic):
-    # two generators at one grading, U sending one to the other, and zero
-    # maps, which commute with any U: only the barcode the constructor
-    # builds for the columns records can see that U keeps the grading
+    # two generators at one grading, U sending one to the other: zero maps
+    # would commute with this U, but the presentation refuses itself where
+    # it is built, so no block and no model can hold it
     g = sigma237_synthetic.block(0).pres.gradings[0]
-    bad = FiniteUPresentation((g, g), (0b10, 0))
-    with pytest.raises(InvalidPresentation, match="NonHomogeneousU"):
-        KnotModel(
-            "sigma237_flat_u",
-            sigma237_synthetic.ambient,
-            sigma237_synthetic.genus,
-            sigma237_synthetic.V,
-            {0: ReducedBlock(bad, (0, 0), (0, 0))},
-        )
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation((g, g), (0b10, 0))
+    assert exc.value.errors == [
+        f"NonHomogeneousU: U sends e0 (grading {g}) to e1 (grading {g})"
+    ]
 
 
 def test_build_cone_lays_out_only_reduced_generators(
@@ -331,6 +326,23 @@ def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
         assert str(raised.value) == message
 
 
+def test_a_cokernel_bar_at_the_ceiling_is_reported(genus2_stress, monkeypatch):
+    # genus2_stress 1/2 block 0 has cokernel bars (-3, 1) and (4, 1), and
+    # the reduced summand has no depth: cut at 6, the bar at 4 tops out at
+    # the ceiling and the solve is refused; cut at 7, it ends two below,
+    # and the solve is the true one
+    spec = SurgerySpec(1, 2, 0)
+    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
+    assert cone._reduced_bars(genus2_stress, pres)[1] == [(-3, 1), (4, 1)]
+    solved = cone_homology(genus2_stress, spec)
+    monkeypatch.setattr(cone, "build_cone", lambda *args: replace(pres, ceiling=6))
+    with pytest.raises(TruncationTooSmall) as raised:
+        cone_homology(genus2_stress, spec)
+    assert str(raised.value) == "cokernel reaches the ceiling for 1/2 block 0"
+    monkeypatch.setattr(cone, "build_cone", lambda *args: replace(pres, ceiling=7))
+    assert cone_homology(genus2_stress, spec) == solved
+
+
 def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
     trefoil, capsys, monkeypatch
 ):
@@ -362,20 +374,16 @@ def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, monkeypatch):
+def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, spy):
     # the depth-N cone is cut so that two chains reach its ceiling: that
     # error comes from the first pass, and no cone at N + 2 is built
     spec = SurgerySpec(2, 3, 0)
     n = default_depth(trefoil, spec)
     pres = build_cone(trefoil, spec, n)
     broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
-    built = []
-
-    def recorded(model, spec, depth):
-        built.append(depth)
-        return broken
-
-    monkeypatch.setattr(cone, "build_cone", recorded)
+    built = spy(
+        cone, "build_cone", lambda *args: broken, record=lambda m, s, depth: depth
+    )
     with pytest.raises(TruncationTooSmall) as raised:
         cone_homology(trefoil, spec)
     assert str(raised.value) == (
@@ -384,49 +392,39 @@ def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, monkeypatch
     assert built == [n]
 
 
-def test_only_read_off_builds_fractions(trefoil, genus2_stress, monkeypatch):
+def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
     # cone_homology returns int offsets and builds no Fraction or Tau;
     # surgery reads off each new interner key once, in _read_off: one
-    # Fraction for d, and a Fraction and a Tau per bar
-    built, reads, with_bars = [], [], []
-    read_off = cone._read_off
-
-    def counted(*args):
-        reads.append(args)
-        return read_off(*args)
-
-    monkeypatch.setattr(cone, "Fraction", lambda *a: built.append(a) or Fraction(*a))
-    monkeypatch.setattr(cone, "Tau", lambda *a: built.append(a) or Tau(*a))
-    monkeypatch.setattr(cone, "_read_off", counted)
+    # Fraction for d, and a Fraction and a Tau per bar, whose bottom is
+    # that Fraction
+    fractions, taus = spy(cone, "Fraction"), spy(cone, "Tau")
+    reads, with_bars = spy(cone, "_read_off"), []
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
         for i in range(p):
             tower, bars = cone.cone_homology(model, SurgerySpec(p, q, i))
             assert type(tower) is int
             assert all(type(b) is type(n) is int for b, n in bars)
-        assert built == reads == []
+        assert fractions == taus == reads == []
         interner = {}
         surgery(model, p, q, interner=interner)
         assert len(reads) == len(interner) > 0
-        assert len(built) == sum(1 + 2 * len(bars) for _, _, bars in reads)
+        assert len(fractions) == sum(1 + len(bars) for _, _, bars in reads)
+        assert len(taus) == sum(len(bars) for _, _, bars in reads)
+        assert all(type(bottom) is Fraction for bottom, _, _ in taus)
         with_bars += [bars for _, _, bars in reads if bars]
-        built.clear()
-        reads.clear()
+        for calls in (fractions, taus, reads):
+            calls.clear()
     assert with_bars
 
 
-def test_each_pass_computes_the_shape_once(trefoil, genus2_stress, monkeypatch):
+def test_each_pass_computes_the_shape_once(
+    trefoil, genus2_stress, spy, monkeypatch
+):
     # default_depth computes the shape once and each build_cone once, on
     # which it reads the depth floor and walks the window; with the depth
     # forced, only the two builds compute it
-    calls = []
-    shape = cone._shape
-
-    def counted(*args):
-        calls.append(args)
-        return shape(*args)
-
-    monkeypatch.setattr(cone, "_shape", counted)
+    calls = spy(cone, "_shape")
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
         for i in range(p):
@@ -516,15 +514,8 @@ def test_blocks_of_one_shape_have_one_cone(
                     assert replace(pres, spec=ref.spec) == ref
 
 
-def test_surgery_solves_each_block_shape_once(trefoil, monkeypatch):
-    solved = []
-    solve = cone.cone_homology
-
-    def counted(model, spec):
-        solved.append(spec.i)
-        return solve(model, spec)
-
-    monkeypatch.setattr(cone, "cone_homology", counted)
+def test_surgery_solves_each_block_shape_once(trefoil, spy):
+    solved = spy(cone, "cone_homology", record=lambda model, spec: spec.i)
     # at p/1 the window of every block i >= G is the one column n = 0,
     # of k = i >= G: one shape
     result = surgery(trefoil, 3000, 1)
@@ -568,17 +559,10 @@ def test_interval_rule_gives_every_block_its_shape(
             assert r.d == anchor + tower, (model.name, p, q, r.i)
 
 
-def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, monkeypatch):
+def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, spy, monkeypatch):
     # one _shape per interval of t = (i + (G - 1) q) mod p between the cuts
     # a q mod p, 1 <= a <= 2G - 1, at the interval's first block
-    calls = []
-    shape = cone._shape
-
-    def counted(*args):
-        calls.append(args[3])
-        return shape(*args)
-
-    monkeypatch.setattr(cone, "_shape", counted)
+    calls = spy(cone, "_shape", record=lambda model, p, q, i: i)
     monkeypatch.setattr(cone, "cone_homology", _stub_solve)
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q, blocks in (
@@ -593,19 +577,15 @@ def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, monkeypatch)
 
 
 def test_surgery_refuses_the_first_block_whose_window_is_too_large(
-    genus2_stress, monkeypatch
+    genus2_stress, spy
 ):
     # at 5/208332 blocks 0-2 lay out 249,999 tower bottoms and block 3
     # 250,001: block 3, not the first block of the slope, is refused
     for i in range(3):
         assert len(cone._shape(genus2_stress, 5, 208332, i)) == 125000
-    solved = []
-
-    def counted(model, spec):
-        solved.append(spec.i)
-        return _stub_solve(model, spec)
-
-    monkeypatch.setattr(cone, "cone_homology", counted)
+    solved = spy(
+        cone, "cone_homology", _stub_solve, record=lambda model, spec: spec.i
+    )
     with pytest.raises(ConeTooLarge) as raised:
         surgery(genus2_stress, 5, 208332)
     assert str(raised.value) == (
@@ -664,25 +644,17 @@ def test_block_ids_are_equal_exactly_when_the_homology_is(
         assert sorted(values_of_id) == list(range(len(interner)))
 
 
-def test_one_cache_serves_every_p(trefoil, monkeypatch):
+def test_one_cache_serves_every_p(trefoil, spy):
     # a shape's offsets do not depend on p or q: one shapes dict (and one
     # interner) over every coprime p, q < 30 solves each shape once, and
     # every surgery equals the one computed with fresh dicts
-    solved = []
-    solve = cone.cone_homology
-
-    def counted(model, spec):
-        solved.append(spec)
-        return solve(model, spec)
-
     slopes = [(p, q) for p in range(1, 30) for q in range(1, 30) if gcd(p, q) == 1]
     shapes, interner = {}, {}
-    monkeypatch.setattr(cone, "cone_homology", counted)
+    solved = spy(cone, "cone_homology")
     shared = [
         surgery(trefoil, p, q, shapes=shapes, interner=interner) for p, q in slopes
     ]
     assert len(solved) == len(shapes) <= 30
-    monkeypatch.setattr(cone, "cone_homology", solve)
     assert shared == [surgery(trefoil, p, q) for p, q in slopes]
 
 
@@ -931,52 +903,39 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
                         assert solve_at(model, spec, depth) == general
 
 
-def _count_eliminations(monkeypatch) -> tuple[list, list]:
+def _count_eliminations(spy) -> tuple[list, list]:
     """The specs that ``cone_homology`` is called with from now on, in
     call order, and for each ``_kernel_and_cokernel`` call the spec of the
     solve it runs in."""
-    solved, eliminated = [], []
-    solve, eliminate = cone.cone_homology, cone._kernel_and_cokernel
-
-    def counted_solve(model, spec):
-        solved.append(spec)
-        return solve(model, spec)
-
-    def counted_eliminate(reduced):
-        eliminated.append(solved[-1])
-        return eliminate(reduced)
-
-    monkeypatch.setattr(cone, "cone_homology", counted_solve)
-    monkeypatch.setattr(cone, "_kernel_and_cokernel", counted_eliminate)
+    solved = spy(cone, "cone_homology", record=lambda model, spec: spec)
+    eliminated = spy(cone, "_kernel_and_cokernel", record=lambda _: solved[-1])
     return solved, eliminated
 
 
-def test_l_space_surgery_eliminates_nothing(monkeypatch):
+def test_l_space_surgery_eliminates_nothing(spy):
     model = load_model(staircase_doc(staircase_v(16)))
-    solved, eliminated = _count_eliminations(monkeypatch)
-    barcoded = []
-    monkeypatch.setattr(cone, "barcode", lambda m: barcoded.append(m) or [])
+    solved, eliminated = _count_eliminations(spy)
+    barcoded = spy(cone, "barcode", lambda m: [])
     res = surgery(model, 3, 2)
     assert len(res.results) == 3 and len(solved) == 3
     assert eliminated == barcoded == []
 
 
 def test_reduced_generators_are_eliminated_once_per_pass(
-    monkeypatch, figure8, genus2_stress, sigma237_synthetic
+    spy, figure8, genus2_stress, sigma237_synthetic
 ):
     # the reduced summand has no depth, so it is solved once per solve,
     # from the depth-N pass: by one elimination over an ambient with
     # reduced homology, and over S^3 by the figure-eight's stored bars,
     # with no elimination and no cone barcode, also where its window
     # holds k = 0, its one nonempty block
-    solved, eliminated = _count_eliminations(monkeypatch)
+    solved, eliminated = _count_eliminations(spy)
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in ((2, 5), (7, 3), (13, 1)):
             del solved[:], eliminated[:]
             surgery(model, p, q)
             assert solved and eliminated == solved
-    barcoded = []
-    monkeypatch.setattr(cone, "barcode", lambda m: barcoded.append(m) or [])
+    barcoded = spy(cone, "barcode", lambda m: [])
     holding = []
     for p, q in ((1, 2), (5, 1), (7, 3), (13, 2)):
         del solved[:], eliminated[:]
@@ -988,19 +947,12 @@ def test_reduced_generators_are_eliminated_once_per_pass(
 
 
 def test_the_reduced_summand_is_laid_out_once_per_solve_over_reduced_ambients(
-    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, spy
 ):
     # one layout per solve where d needs elimination; over S^3 the stored
     # bars are read and nothing is laid out, figure-eight's reduced
     # generators included
-    laid_out = []
-    lay_out = cone._reduced_summand
-
-    def counted(model, pres):
-        laid_out.append(pres.spec)
-        return lay_out(model, pres)
-
-    monkeypatch.setattr(cone, "_reduced_summand", counted)
+    laid_out = spy(cone, "_reduced_summand", record=lambda model, pres: pres.spec)
     staircase = load_model(staircase_doc(staircase_v(4)))
     slopes = [(1, 1), (2, 5), (7, 3), (13, 1)]
     for model in (genus2_stress, sigma237_synthetic):

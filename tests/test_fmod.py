@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floersurgery import (
     FiniteUPresentation,
-    Tau,
+    InvalidPresentation,
     barcode,
     euler_z2,
     gf2,
@@ -27,26 +28,26 @@ def test_validate_one_dim():
 
 def test_validate_non_homogeneous_u():
     # U maps a degree-0 vector onto a degree -1 vector: degree -2 fails
-    m = FiniteUPresentation((-1, 0), (0, 0b01))
-    errs = validate(m)
-    assert any(e.startswith("NonHomogeneousU") for e in errs)
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation((-1, 0), (0, 0b01))
+    assert any(e.startswith("NonHomogeneousU") for e in exc.value.errors)
 
 
 def test_validate_not_nilpotent():
-    m = FiniteUPresentation((0,), (1,))
-    errs = validate(m)
-    assert any(e.startswith("NotNilpotent") for e in errs)
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation((0,), (1,))
+    assert any(e.startswith("NotNilpotent") for e in exc.value.errors)
 
 
 def test_barcode_single_jordan_block():
     # one U-chain of size 3 with top grading 4
     m = FiniteUPresentation((0, 2, 4), (0, 0b001, 0b010))
-    assert barcode(m) == [Tau(0, 3, 0)]
+    assert barcode(m) == [(0, 3)]
 
 
 def test_barcode_u_zero_splits():
     m = FiniteUPresentation((0, 5), (0, 0))
-    assert barcode(m) == [Tau(0, 1, 0), Tau(5, 1, 1)]
+    assert barcode(m) == [(0, 1), (5, 1)]
 
 
 def test_barcode_random_6dim_against_rank_oracle():
@@ -54,7 +55,7 @@ def test_barcode_random_6dim_against_rank_oracle():
     for _ in range(100):
         m = random_presentation(rng, max_dim=6)
         bars = barcode(m)
-        assert sum(b.length for b in bars) == m.dim
+        assert sum(n for _, n in bars) == m.dim
         assert rank_profile_matches(m, bars)
 
 
@@ -105,7 +106,7 @@ def test_euler_examples():
     assert euler_z2(FiniteUPresentation((), ())) == 0
     # tau(3) has uniform parity since U preserves parity
     tau3 = FiniteUPresentation((0, 2, 4), (0, 0b001, 0b010))
-    assert barcode(tau3) == [Tau(0, 3, 0)]
+    assert barcode(tau3) == [(0, 3)]
     assert euler_z2(tau3) == 3
     # figure-eight hook reduced part: one generator at parity 1
     fig8_a0 = FiniteUPresentation((-1,), (0,))
@@ -122,22 +123,23 @@ def test_u_decreases_grading_by_two_enforced():
                 assert m.gradings[i] == m.gradings[j] - 2
 
 
-def reference_validate(m: FiniteUPresentation) -> list[str]:
+def reference_validate(gradings: list[int], u_cols: list[int]) -> list[str]:
     """Brute-force validation: homogeneity per entry and the U^n power
     test, each run unconditionally."""
     errs = []
-    for j, col in enumerate(m.u_cols):
+    for j, col in enumerate(u_cols):
         for i in gf2.bits(col):
-            if m.gradings[i] != m.gradings[j] - 2:
+            if gradings[i] != gradings[j] - 2:
                 errs.append(
-                    f"NonHomogeneousU: U sends e{j} (grading {m.gradings[j]}) "
-                    f"to e{i} (grading {m.gradings[i]})"
+                    f"NonHomogeneousU: U sends e{j} (grading {gradings[j]}) "
+                    f"to e{i} (grading {gradings[i]})"
                 )
-    cols = gf2.identity(m.dim)
-    for _ in range(m.dim):
-        cols = gf2.mat_mul(list(m.u_cols), cols)
+    n = len(gradings)
+    cols = gf2.identity(n)
+    for _ in range(n):
+        cols = gf2.mat_mul(list(u_cols), cols)
     if not gf2.is_zero(cols):
-        errs.append(f"NotNilpotent: U^{m.dim} is nonzero")
+        errs.append(f"NotNilpotent: U^{n} is nonzero")
     return errs
 
 
@@ -145,17 +147,15 @@ def _codes(errs: list[str]) -> list[str]:
     return [e.split(":", 1)[0] for e in errs]
 
 
-def _break(m: FiniteUPresentation, rng: random.Random, kind: str):
-    """One defect of the given kind, placed at random."""
-    gradings, cols = list(m.gradings), list(m.u_cols)
-    j, i = rng.randrange(m.dim), rng.randrange(m.dim)
+def _break(gradings: list[int], cols: list[int], rng: random.Random, kind: str):
+    """One defect of the given kind, placed at random, in place."""
+    j, i = rng.randrange(len(cols)), rng.randrange(len(cols))
     if kind == "odd_shift":
         gradings[j] += rng.choice([-3, -1, 1, 3])
     elif kind == "random_bit":
         cols[j] ^= 1 << i
     elif kind == "self_loop":
         cols[j] |= 1 << j
-    return FiniteUPresentation(tuple(gradings), tuple(cols))
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,28 +167,31 @@ def _break(m: FiniteUPresentation, rng: random.Random, kind: str):
     ),
 )
 def test_validate_matches_reference(seed, defects):
+    # a valid presentation constructs and validates clean; a broken one is
+    # refused at construction with the reference's errors
     rng = random.Random(seed)
     m = random_presentation(rng, max_dim=8)
+    gradings, cols = list(m.gradings), list(m.u_cols)
     if m.dim:
         for kind in defects:
-            m = _break(m, rng, kind)
-    assert validate(m) == reference_validate(m)
+            _break(gradings, cols, rng, kind)
+    expected = reference_validate(gradings, cols)
+    if not expected:
+        assert validate(FiniteUPresentation(tuple(gradings), tuple(cols))) == []
+        return
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation(tuple(gradings), tuple(cols))
+    assert exc.value.errors == expected
 
 
-def test_validate_homogeneous_runs_no_matrix_products(monkeypatch):
-    calls = []
-    real = gf2.mat_mul
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(gf2, "mat_mul", counting)
+def test_validate_homogeneous_runs_no_matrix_products(spy):
+    calls = spy(gf2, "mat_mul")
     rng = random.Random(7)
     for _ in range(50):
         assert validate(random_presentation(rng, max_dim=12)) == []
     assert calls == []
-    # a non-homogeneous U still gets the power test
-    loop = FiniteUPresentation((0,), (1,))
-    assert _codes(validate(loop)) == ["NonHomogeneousU", "NotNilpotent"]
+    # a non-homogeneous U still gets the power test, at construction
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation((0,), (1,))
+    assert _codes(exc.value.errors) == ["NonHomogeneousU", "NotNilpotent"]
     assert calls

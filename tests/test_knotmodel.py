@@ -14,6 +14,7 @@ from floersurgery import (
     barcode,
     cli,
     euler_z2,
+    fmod,
     gf2,
     load_model,
     load_model_or_ambient,
@@ -156,6 +157,24 @@ def test_genus_violation():
     with pytest.raises(ModelError) as exc:
         load_model(doc)
     assert exc.value.code == "GenusViolation"
+
+
+@pytest.mark.parametrize(
+    "genus, V, code",
+    [(1, (0, 1), "MonotonicityViolation"), (-1, (0,), "Syntax"), (1, (1,), "Syntax")],
+    ids=["V_increasing", "negative_genus", "V_too_short"],
+)
+def test_hand_built_models_are_refused(trefoil, genus, V, code):
+    # the constructor checks the genus and V, so a model built by hand is
+    # refused with the error that a file with that genus and V gets
+    with pytest.raises(ModelError) as built:
+        KnotModel("bad", trefoil.ambient, genus, V, {0: trefoil.block(0)})
+    doc = json.loads(cli.resolve_model_path("trefoil_rh_s3").read_text("utf-8"))
+    doc["genus"], doc["V"] = genus, list(V)
+    with pytest.raises(ModelError) as loaded:
+        load_model(doc)
+    assert built.value.code == loaded.value.code == code
+    assert str(built.value) == str(loaded.value)
 
 
 def test_map_not_equivariant_wrong_degree():
@@ -349,14 +368,13 @@ def test_blocks_are_built_once_with_the_model(
 
 
 def test_column_records_are_the_model_read_per_k(
-    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, spy
 ):
     # one record (block, v, h, dim, top, bars) for each k in (-G, G],
     # G = max(genus, 1) (so k = 0, 1 for the genus-0 unknot), equal to the
     # model's own lookups and barcode, built at construction and kept: a
     # load calls no columns(), and every call returns the one dict
-    built, inner = [], KnotModel.columns
-    monkeypatch.setattr(KnotModel, "columns", lambda m: built.append(m) or inner(m))
+    built = spy(KnotModel, "columns")
     staircases = [
         load_model(staircase_doc([(g - k + 1) // 2 for k in range(g + 1)]))
         for g in range(1, 13)
@@ -367,24 +385,20 @@ def test_column_records_are_the_model_read_per_k(
         G = max(model.genus, 1)
         records = model.columns()
         assert list(records) == list(range(1 - G, G + 1))
-        fields = ("block", "v", "h", "dim", "top", "bars")
-        assert {record._fields for record in records.values()} == {fields}
-        for k, (blk, v, h, dim, top, bars) in records.items():
+        for k, record in records.items():
             pres = model.block(k).pres
-            assert blk is model.block(k)
-            assert (v, h) == (model.v_at(k), model.h_at(k))
-            assert (dim, top) == (pres.dim, max(pres.gradings) if pres.dim else 0)
-            assert bars == tuple((b.bottom, b.length) for b in barcode(pres))
+            assert record.block is model.block(k)
+            assert (record.v, record.h) == (model.v_at(k), model.h_at(k))
+            top = max(pres.gradings) if pres.dim else 0
+            assert (record.dim, record.top) == (pres.dim, top)
+            assert record.bars == tuple(barcode(pres))
         assert model.columns() is records
 
 
-def test_a_load_builds_one_model(monkeypatch):
+def test_a_load_builds_one_model(spy):
     # a load parses the document and constructs its KnotModel once; the
-    # constructor checks the maps, the blocks and the symmetry
-    built, inner = [], KnotModel.__init__
-    monkeypatch.setattr(
-        KnotModel, "__init__", lambda m, *a: built.append(a) or inner(m, *a)
-    )
+    # constructor checks V, the maps, the blocks and the symmetry
+    built = spy(KnotModel, "__init__", record=lambda model, *args: args)
     redundant = base_doc()  # genus 1: k = 1 and -1 are the ambient block
     block = redundant["a_red"]["0"]
     redundant["a_red"]["1"] = dict(block, v_matrix=[[1]], h_matrix=[[0]])
@@ -408,6 +422,21 @@ def test_a_load_builds_one_model(monkeypatch):
     with pytest.raises(ModelError) as direct:
         KnotModel(*built[0])
     assert str(direct.value) == str(exc.value)
+
+
+def test_each_presentation_is_validated_once(spy):
+    # a presentation validates itself where it is built: a load validates
+    # the ambient's and each stored block's once, and neither the loader
+    # nor a barcode validates again
+    calls = spy(fmod, "validate")
+    figure8 = cli.resolve_model_path("figure8_s3")
+    for source, presentations in ((STRESS_MODEL, 3), (figure8, 2)):
+        calls.clear()
+        model = load_model(source)
+        assert len(calls) == presentations
+        calls.clear()
+        barcode(model.ambient.b_red), barcode(model.block(0).pres)
+        assert calls == []
 
 
 @pytest.mark.parametrize("u_matrix", [[1], []], ids=["row_not_a_list", "empty"])

@@ -204,7 +204,7 @@ def test_v0_bound_needs_positive_v0(figure8):
         v0_bound(figure8, z, 2, 7)
 
 
-def test_genus_bound(sigma237):
+def test_genus_bound(sigma237, trefoil):
     z = TargetSummary(h1_order=1, dim_red=4, chi_red=0, max_excess=Fraction(4))
     v = genus_bound(sigma237, z, 1, 3)
     assert v.status == FAIL
@@ -214,6 +214,11 @@ def test_genus_bound(sigma237):
     assert v.status == PASS
     v = genus_bound(sigma237, z, 1, 1)
     assert v.status == PASS
+    # an L-space ambient has no reduced generator, hence no excess D(Y)
+    assert trefoil.ambient.min_excess() is None
+    v = genus_bound(trefoil.ambient, z, 1, 3)
+    assert v.status == INAPPLICABLE
+    assert v.witness == {"note": "ambient is an L-space; no reduced gradings"}
 
 
 def test_genus_bound_equal_excess(sigma237):
@@ -259,17 +264,8 @@ def test_cosmetic_scan_unknot_finds_the_classical_pair(unknot):
     assert cosmetic_pair_scan(unknot, 2, [1, 3]) == [(1, 3)]
 
 
-def test_cosmetic_scan_solves_each_block_shape_once(
-    figure8, genus2_stress, monkeypatch
-):
-    solved = []
-    solve = cone.cone_homology
-
-    def counted(model, spec):
-        solved.append((spec.q, spec.i))
-        return solve(model, spec)
-
-    monkeypatch.setattr(cone, "cone_homology", counted)
+def test_cosmetic_scan_solves_each_block_shape_once(figure8, genus2_stress, spy):
+    solved = spy(cone, "cone_homology", record=lambda model, s: (s.q, s.i))
     # the scan solves each shape once, at the first q and block that has
     # it, as one _shape per block finds them (surgery computes the shape
     # once per interval of blocks); surgeries run one by one solve each
@@ -295,16 +291,9 @@ def test_cosmetic_scan_solves_each_block_shape_once(
 
 
 def test_cosmetic_scan_reads_off_each_distinct_block_once(
-    figure8, trefoil, genus2_stress, monkeypatch
+    figure8, trefoil, genus2_stress, spy
 ):
-    read = []
-    read_off = cone._read_off
-
-    def counted(*args):
-        read.append(args)
-        return read_off(*args)
-
-    monkeypatch.setattr(cone, "_read_off", counted)
+    read, recorded = spy(cone, "_read_off"), spy(obstruct, "surgery").results
     # d and bars are built once per distinct block homology over the whole
     # scan; a solve returns int offsets and reads nothing off.  One
     # read-off per (shape, lens numerator) would give 89, 71 and 80.
@@ -315,7 +304,8 @@ def test_cosmetic_scan_reads_off_each_distinct_block_once(
     )
     for model, p, qs, n_distinct in cases:
         read.clear()
-        _, recorded = _recorded_scan(model, p, qs, monkeypatch)
+        recorded.clear()
+        cosmetic_pair_scan(model, p, qs)
         blocks = [r for res in recorded for r in res.results]
         objects = {(r.d, r.red): (id(r.d), id(r.red)) for r in blocks}
         assert len(read) == len(objects) == n_distinct, model.name
@@ -323,25 +313,9 @@ def test_cosmetic_scan_reads_off_each_distinct_block_once(
         assert all(objects[r.d, r.red] == (id(r.d), id(r.red)) for r in blocks)
 
 
-def _recorded_scan(model, p: int, qs, monkeypatch) -> tuple[list, list]:
-    """The scan's hits and the surgeries it ran."""
-    recorded = []
-    scan_surgery = obstruct.surgery
-
-    def record(*args, **kwargs):
-        recorded.append(scan_surgery(*args, **kwargs))
-        return recorded[-1]
-
-    with monkeypatch.context() as patched:
-        patched.setattr(obstruct, "surgery", record)
-        hits = cosmetic_pair_scan(model, p, qs)
-    return hits, recorded
-
-
-def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
-    figure8, monkeypatch
-):
-    _, recorded = _recorded_scan(figure8, 43, range(1, 7), monkeypatch)
+def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(figure8, spy):
+    recorded = spy(obstruct, "surgery").results
+    cosmetic_pair_scan(figure8, 43, range(1, 7))
     groups: dict = {}
     for res in recorded:
         lens = lens_d_numerators(43, res.q)
@@ -354,33 +328,23 @@ def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(
     assert any(len({r.q for r in blocks}) > 1 for blocks in groups.values())
 
 
-def test_d_sandwich_reads_one_lens_table(trefoil, monkeypatch):
+def test_d_sandwich_reads_one_lens_table(trefoil, spy):
     # the bounds and the surgery read integer lens tables for the whole
-    # slope; no block reads its own d(L(p,q), i) from lens_d_at
-    calls = []
-
-    def counted_lens(*args):
-        calls.append(args)
-        return lens_d_at(*args)
-
-    # every module binding of lens_d_at, as ``from .numth import`` makes them
+    # slope; no block reads its own d(L(p,q), i) from lens_d_at, through
+    # any module binding of it, as ``from .numth import`` makes them
     modules = [m for n, m in sys.modules.items() if n.startswith("floersurgery")]
-    for module in modules:
-        if vars(module).get("lens_d_at") is lens_d_at:
-            monkeypatch.setattr(module, "lens_d_at", counted_lens)
+    calls = [
+        spy(module, "lens_d_at")
+        for module in modules
+        if vars(module).get("lens_d_at") is lens_d_at
+    ]
+    assert calls
     assert d_sandwich(trefoil, 3000, 1).status == PASS
-    assert calls == []
+    assert all(c == [] for c in calls)
 
 
-def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
-    solved = []
-    solve = cone.cone_homology
-
-    def counted(model, spec):
-        solved.append(spec.i)
-        return solve(model, spec)
-
-    monkeypatch.setattr(cone, "cone_homology", counted)
+def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, spy, monkeypatch):
+    solved = spy(cone, "cone_homology", record=lambda model, spec: spec.i)
     verdict = d_sandwich(trefoil, 3000, 1)
     assert 0 < len(solved) <= 2 * trefoil.genus + 2
     rows = verdict.witness["per_block"]
@@ -399,18 +363,10 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, monkeypatch):
     assert str(sandwich.value) == str(every.value)
 
 
-def test_d_sandwich_reads_the_odd_bar_once(sigma237_synthetic, monkeypatch):
+def test_d_sandwich_reads_the_odd_bar_once(sigma237_synthetic, spy):
     # the lower bound of every block subtracts the ambient's longest odd
     # bar, which takes a barcode of the ambient reduced part
-    calls = []
-    ambient_type = type(sigma237_synthetic.ambient)
-    max_odd_bar = ambient_type.max_odd_bar
-
-    def counted(self):
-        calls.append(self)
-        return max_odd_bar(self)
-
-    monkeypatch.setattr(ambient_type, "max_odd_bar", counted)
+    calls = spy(type(sigma237_synthetic.ambient), "max_odd_bar")
     verdict = d_sandwich(sigma237_synthetic, 7, 1)
     assert len(verdict.witness["per_block"]) == 7
     assert not verdict.witness["equality_required"]
@@ -495,12 +451,13 @@ def test_matches_equals_the_search_over_every_relabelling(
 
 @pytest.mark.parametrize("name, p, n_hits", [("unknot", 5, 408), ("figure8", 7, 0)])
 def test_grouped_scan_equals_the_scan_over_all_pairs(
-    name, p, n_hits, request, monkeypatch
+    name, p, n_hits, request, spy
 ):
     # the scan pairs only surgeries with equal multisets of block ids;
     # the search over every relabelling of every pair must find the same
     model = request.getfixturevalue(name)
-    hits, recorded = _recorded_scan(model, p, range(1, 61), monkeypatch)
+    recorded = spy(obstruct, "surgery").results
+    hits = cosmetic_pair_scan(model, p, range(1, 61))
     every_pair = [
         (res1.q, res2.q)
         for idx, res1 in enumerate(recorded)
@@ -512,15 +469,17 @@ def test_grouped_scan_equals_the_scan_over_all_pairs(
 
 
 def test_block_keys_are_equal_exactly_when_the_homology_is(
-    figure8, trefoil, genus2_stress, monkeypatch
+    figure8, trefoil, genus2_stress, spy
 ):
     # every pair of blocks of the scans at the benchmark's primes
+    recorded = spy(obstruct, "surgery").results
     for model, p, qs in (
         (figure8, 43, range(1, 7)),
         (trefoil, 37, range(1, 6)),
         (genus2_stress, 23, range(1, 9)),
     ):
-        _, recorded = _recorded_scan(model, p, qs, monkeypatch)
+        recorded.clear()
+        cosmetic_pair_scan(model, p, qs)
         blocks = [block for res in recorded for block in zip(res.results, res.ids)]
         for (r1, id1), (r2, id2) in combinations(blocks, 2):
             assert (id1 == id2) == _same_homology(r1, r2), model.name

@@ -121,8 +121,7 @@ def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
                     pres = cone.build_cone(model, spec, default_depth(model, spec))
                     red = cone._reduced_summand(model, pres)
                     kernel, cokernel = cone._kernel_and_cokernel(red)
-                    ker = [(b.bottom, b.length) for b in barcode(kernel)]
-                    cok = [(b.bottom, b.length) for b in barcode(cokernel)]
+                    ker, cok = barcode(kernel), barcode(cokernel)
                     read, none = cone._reduced_bars(model, pres)
                     assert (sorted(read), none) == (ker, cok), (model.name, spec)
                     nonempty += bool(ker)
@@ -218,7 +217,7 @@ SCAN_MODELS += [f"staircase{genus}" for genus in (3, 6, 9)]
 
 
 @pytest.mark.parametrize("name", SCAN_MODELS)
-def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
+def test_scan_surgeries_equal_fresh_surgeries(name, request, spy, monkeypatch):
     # a scan shares one dict of block shapes across its q; every surgery
     # it runs must equal a fresh one, q and i included, its hits must be
     # the fresh surgeries' matches, and at a depth too small it must raise
@@ -228,14 +227,7 @@ def test_scan_surgeries_equal_fresh_surgeries(name, request, monkeypatch):
     else:
         model = request.getfixturevalue(name)
     qs = range(1, 10)
-    recorded = []
-    scan_surgery = obstruct.surgery
-
-    def record(*args, **kwargs):
-        recorded.append(scan_surgery(*args, **kwargs))
-        return recorded[-1]
-
-    monkeypatch.setattr(obstruct, "surgery", record)
+    recorded = spy(obstruct, "surgery").results
     default = cone.default_depth
     raised = 0
     for p in (1, 2, 3, 5, 7, 11, 13, 23, 41):
