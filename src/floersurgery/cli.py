@@ -117,12 +117,12 @@ def _print_surgery(result, fmt: str) -> None:
             "q": result.q,
             "spin_c": [
                 {
-                    "i": r.i,
+                    "i": i,
                     "d": str(r.d),
                     "red": [_tau_json(b) for b in r.red],
                     "dims": {"even": r.dims[0], "odd": r.dims[1]},
                 }
-                for r in result.results
+                for i, r in enumerate(result.results)
             ],
             "total_dim_red": result.total_dim_red,
             "chi_red": result.chi_red,
@@ -131,11 +131,11 @@ def _print_surgery(result, fmt: str) -> None:
         print(canonical_json(payload))
         return
     print(f"model: {result.model_name}  slope: {result.p}/{result.q}")
-    for r in result.results:
+    for i, r in enumerate(result.results):
         bars = " ".join(_tau_text(b) for b in r.red) or "-"
         even, odd = r.dims
         print(
-            f"  i={r.i}  d = {r.d}  red: {bars}  "
+            f"  i={i}  d = {r.d}  red: {bars}  "
             f"dims: even {even}, odd {odd}"
         )
     print(

@@ -161,10 +161,11 @@ class RowComplex(NamedTuple):
 
 @dataclass(frozen=True)
 class ConeResult:
-    """Homology of one block: d-invariant, reduced bars, graded dimensions."""
+    """Homology of one block: d-invariant, reduced bars, graded dimensions.
+    The slope is on ``SurgeryResult`` and the library reads the block index
+    from its position there; ``i`` stays while perfbench's SlopeScan.check
+    reads it (ROADMAP item 1)."""
 
-    p: int
-    q: int
     i: int
     d: Fraction
     red: tuple[Tau, ...]
@@ -187,8 +188,8 @@ class ConeResult:
 
 @dataclass(frozen=True)
 class SurgeryResult:
-    """Per-block results for all i together with their aggregates, and
-    each block's id in the interner of ``surgery`` (never compared)."""
+    """The slope's block results, block i at position i, their aggregates,
+    and each block's id in the interner of ``surgery`` (never compared)."""
 
     model_name: str
     p: int
@@ -466,10 +467,8 @@ def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
     """d at the grading num/den and the bars (b, length) above it: bar b
     sits at (num + b den)/den, one Fraction from integers, and its parity,
     its distance from the tower mod 2, is b mod 2."""
-    if not bars:
-        return Fraction(num, den), ()
-    red = [Tau(Fraction(num + b * den, den), n, b % 2) for b, n in bars]
-    return Fraction(num, den), tuple(red)
+    red = tuple(Tau(Fraction(num + b * den, den), n, b % 2) for b, n in bars)
+    return Fraction(num, den), red
 
 
 def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]:
@@ -541,7 +540,7 @@ def surgery(
     those of one ``_shape`` per block.  ``interner`` maps each block's
     exact key (N + 4p tower, 4p, bars) to (id, d, red), read off at the
     key's first appearance, the only Fractions a call builds; a key is
-    built once per (shape, N) in a call.  Blocks at one p share an id in
+    built once per (interval, N) in a call.  Blocks at one p share an id in
     ``SurgeryResult.ids`` exactly when they share d and bars; blocks at
     different p never do.
 
@@ -565,7 +564,6 @@ def surgery(
     scale, ambient = 4 * p, model.ambient.d
     num, den = (ambient.numerator - ambient.denominator) * scale, ambient.denominator
     entries: list = [None] * len(cuts)  # per interval: 4p tower, bars, {N: block}
-    seen: dict = {}  # per shape: {N: (id, d, red)} in this call
     results, ids = [], []
     for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
         entry = entries[j]
@@ -574,7 +572,7 @@ def surgery(
             if shape not in shapes:
                 shapes[shape] = cone_homology(model, SurgerySpec(p, q, i))
             tower, bars = shapes[shape]
-            entry = entries[j] = (scale * tower, bars, seen.setdefault(shape, {}))
+            entry = entries[j] = (scale * tower, bars, {})
         offset, bars, by_lens = entry
         block = by_lens.get(lens)
         if block is None:
@@ -585,5 +583,5 @@ def surgery(
                 block = interner[key] = (len(interner), d, red)
             by_lens[lens] = block
         ids.append(block[0])
-        results.append(ConeResult(p, q, i, block[1], block[2]))
+        results.append(ConeResult(i, block[1], block[2]))
     return SurgeryResult(model.name, p, q, tuple(results), tuple(ids))

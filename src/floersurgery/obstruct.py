@@ -204,8 +204,8 @@ def k_special(
         witness["note"] = "no model supplied; conclusions are forced constraints"
         return Verdict("K_SPECIAL", PASS, witness)
     even_y, odd_y = parity_dims(y.b_red)
-    ks = range(-(model.genus - 1), model.genus) if model.genus > 0 else range(0, 1)
-    dims = [parity_dims(model.block(k).pres) for k in ks]
+    G = max(model.genus, 1)
+    dims = [parity_dims(model.block(k).pres) for k in range(1 - G, G)]
     conclusions = {
         "v0_zero": model.v_at(0) == 0,
         "alexander_trivial": alexander_trivial(model),
@@ -311,14 +311,14 @@ def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
     rows = []
     ok = True
     results = surgery(model, p, q).results
-    for result, lens in zip(results, lens_d_numerators(p, q)):
-        lower, upper = _d_bounds(model, p, q, result.i, Fraction(lens, 4 * p), odd_bar)
+    for i, (result, lens) in enumerate(zip(results, lens_d_numerators(p, q))):
+        lower, upper = _d_bounds(model, p, q, i, Fraction(lens, 4 * p), odd_bar)
         inside = lower <= result.d <= upper
         if odd_bar == 0:
             inside = inside and result.d == upper
         ok = ok and inside
         rows.append(
-            {"i": result.i, "lower": lower, "d": result.d, "upper": upper, "ok": inside}
+            {"i": i, "lower": lower, "d": result.d, "upper": upper, "ok": inside}
         )
     witness = {
         "p": p,

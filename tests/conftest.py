@@ -30,7 +30,7 @@ def read_block(model, spec, offsets=None) -> ConeResult:
     tower, bars = cone.cone_homology(model, spec) if offsets is None else offsets
     d = model.ambient.d - 1 + lens_d_at(spec.p, spec.q, spec.i) + tower
     red = tuple(Tau(d + b, length, b % 2) for b, length in bars)
-    return ConeResult(spec.p, spec.q, spec.i, d, red)
+    return ConeResult(spec.i, d, red)
 
 
 @pytest.fixture

@@ -134,6 +134,20 @@ def test_k_special_conclusions(sigma237_synthetic):
     assert all(v.witness["conclusions"].values())
 
 
+def test_k_special_reads_the_one_hook_of_a_genus_0_model(sigma237_synthetic, spy):
+    # a genus-0 model has the hooks of G = 1: k = 0 alone, the ambient copy
+    doc = sigma237_synthetic_doc()
+    doc["genus"], doc["V"], doc["a_red"] = 0, [0], {}
+    model = load_model(doc)
+    read = spy(type(model), "block", record=lambda self, k: k)
+    z = TargetSummary(h1_order=2, dim_red=1, chi_red=-1)
+    v = k_special(sigma237_synthetic.ambient, z, 2, 9, model)
+    assert read == [0]
+    assert v.status == PASS
+    assert v.witness["N"] == 5
+    assert list(v.witness["conclusions"].values()) == [True] * 4
+
+
 def test_k_special_perturbations_flip_targeted_conclusion(sigma237_synthetic):
     z = TargetSummary(h1_order=2, dim_red=3, chi_red=3)
 
@@ -319,13 +333,14 @@ def test_scan_blocks_of_one_shape_and_lens_value_share_d_and_bars(figure8, spy):
     groups: dict = {}
     for res in recorded:
         lens = lens_d_numerators(43, res.q)
-        for r in res.results:
-            key = (cone._shape(figure8, 43, res.q, r.i), lens[r.i])
-            groups.setdefault(key, []).append(r)
+        for i, r in enumerate(res.results):
+            key = (cone._shape(figure8, 43, res.q, i), lens[i])
+            groups.setdefault(key, []).append((res.q, r))
     for blocks in groups.values():
-        assert all(r.d is blocks[0].d and r.red is blocks[0].red for r in blocks)
+        d, red = blocks[0][1].d, blocks[0][1].red
+        assert all(r.d is d and r.red is red for _, r in blocks)
     # sharing reaches across the scan's q
-    assert any(len({r.q for r in blocks}) > 1 for blocks in groups.values())
+    assert any(len({q for q, _ in blocks}) > 1 for blocks in groups.values())
 
 
 def test_d_sandwich_reads_one_lens_table(trefoil, spy):
@@ -382,7 +397,7 @@ def _ids(res: SurgeryResult, seen: dict) -> tuple:
 def _synthetic_p5(blocks) -> SurgeryResult:
     """A p = 5 surgery result whose block j has the given (d, red)."""
     results = tuple(
-        ConeResult(p=5, q=1, i=j, d=d, red=red)
+        ConeResult(i=j, d=d, red=red)
         for j, (d, red) in enumerate(blocks)
     )
     return SurgeryResult(model_name="synthetic", p=5, q=1, results=results)
