@@ -120,7 +120,7 @@ def _print_surgery(result, fmt: str) -> None:
                     "i": i,
                     "d": str(r.d),
                     "red": [_tau_json(b) for b in r.red],
-                    "dims": {"even": r.dims[0], "odd": r.dims[1]},
+                    "dims": dict(zip(("even", "odd"), r.dims)),
                 }
                 for i, r in enumerate(result.results)
             ],

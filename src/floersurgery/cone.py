@@ -50,11 +50,12 @@ reduced homology.
 A cone's size is one tower bottom per retained A- and B-column plus every
 reduced generator, bounded by MAX_GENERATORS (``_shape`` checks the
 bottoms before walking the window, ``build_cone`` the whole count).  How
-high the towers reach, the truncation depth, costs nothing: it lives only
-in the certificate of ``cone_homology``, which cuts the towers at
-``default_depth`` and two levels deeper, reads each with the one solve's
-reduced bars, and raises TruncationTooSmall unless both give the same int
-offsets.  No presentation, result or message carries the depth.
+high the towers reach, the truncation depth, is one value per model
+(``_depth_floor``) and costs nothing: it lives only in the certificate
+of ``cone_homology``, which cuts the towers at ``default_depth`` and two
+levels deeper, reads each with the solve's reduced bars, and raises
+TruncationTooSmall unless both give the same int offsets.  No
+presentation, result or message carries it.
 
 The shape fixes a block's cone up to a grading shift and depends on
 neither p nor q: a block of the shape is that complex at its own anchor,
@@ -230,32 +231,26 @@ def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
 
 
 def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
-    """Stability-safe truncation depth for this model and slope: twice
-    the depth floor, max(V_k + H_k) over the window's maps plus the
-    longest reduced bar, plus 4.
-
-    An A-column counts V_k only when its own B-column is retained and H_k
-    only when the next one is: a column whose target is not retained
-    contributes no map, so its U^{V_k} or U^{H_k} cannot need tower depth.
-    So the first column counts no V and the last no H.  These two boundary
-    columns, where V_k = -k or H_k = k >= G, both about p/q, count only
-    their zero side, so the floor is bounded by the model alone: the max
-    over |k| < G of V_k + H_k plus the longest reduced bar.
+    """Stability-safe truncation depth: twice the model's depth floor
+    (``_depth_floor``) plus 4, one value for every block of every slope.
+    ``spec`` is not read; it stays while ``floersurgery.default_depth`` is
+    public and perfbench's tests pass one (ROADMAP item 2).
 
     The one depth rule: build_cone refuses depths below floor + 2.
-    build_cone reads the floor off the shape it walks (``_shape_floor``),
-    so a pass computes one shape.
     """
-    return 2 * _shape_floor(model, _shape(model, spec.p, spec.q, spec.i)) + 4
+    return 2 * _depth_floor(model) + 4
 
 
-def _shape_floor(model: KnotModel, shape: tuple[int, ...]) -> int:
-    """The depth floor of this shape (``default_depth``), from the model's
-    column records; an interior k counts V_k + H_k once."""
-    columns, last = model.columns(), len(shape) - 1
-    ends = [columns[shape[0]].h, columns[shape[last]].v] if last else [0]
-    vh = [columns[k].v + columns[k].h for k in set(shape[1:last])]
-    return max(vh + ends) + model.max_reduced_bar()
+def _depth_floor(model: KnotModel) -> int:
+    """The model's depth floor: the max over |k| < G of V_k + H_k plus the
+    longest reduced bar, from the column records.  V_{-k} + H_{-k} =
+    V_k + H_k, so 0 <= k < G suffice.  A window's column k counts V_k only
+    when its own B-column is retained and H_k only when the next one is,
+    so no window's maps need more; at slope 1/2 every |k| < G is an
+    interior column, so some window needs all of it."""
+    columns = model.columns()
+    vh = max(columns[k].v + columns[k].h for k in range(max(model.genus, 1)))
+    return vh + model.max_reduced_bar()
 
 
 class _Row:
@@ -300,7 +295,7 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     walk reads one ``model.columns()`` record per run of equal k."""
     p, q, i = spec.p, spec.q, spec.i
     shape = _shape(model, p, q, i)
-    if depth < _shape_floor(model, shape) + 2:
+    if depth < _depth_floor(model) + 2:
         raise TruncationTooSmall(
             f"towers cut below the safe minimum for {model.name} at "
             f"{p}/{q} block {i}"

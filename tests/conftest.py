@@ -169,6 +169,16 @@ def depth_floor_reference(model, spec) -> int:
     return max(model.v_at(k) + model.h_at(k) for k in ks) + model.max_reduced_bar()
 
 
+def window_floor_reference(model, shape) -> int:
+    """The depth floor of one window, counting only the maps into retained
+    B-columns: V_k + H_k on interior columns, H_k alone on the first and
+    V_k alone on the last, plus the longest reduced bar."""
+    columns, last = model.columns(), len(shape) - 1
+    ends = [columns[shape[0]].h, columns[shape[last]].v] if last else [0]
+    vh = [columns[k].v + columns[k].h for k in set(shape[1:last])]
+    return max(vh + ends) + model.max_reduced_bar()
+
+
 def generators(laid_out) -> int:
     """The number of generators of a ``cone.RowComplex``, both rows."""
     rows = (laid_out.u_dom, laid_out.u_cod)

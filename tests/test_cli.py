@@ -598,6 +598,60 @@ def test_validate_rejects_half_step_grading(name, edit, tmp_path, capsys):
     assert "is not an integer" in out
 
 
+def _list_document(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    return path
+
+
+def _a_red_key_x(doc):
+    doc["a_red"] = {"x": doc["a_red"]["0"]}
+
+
+def _huge_ambient_d(doc):
+    doc["ambient"]["d"] = "1" * 5000  # over int's digit limit
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_list_document, "top level must be an object"),
+        (lambda tmp: tmp, "cannot read"),
+        (lambda tmp: _edited_model(tmp, "figure8_s3", _a_red_key_x),
+         "a_red key 'x' is not an integer"),
+        (lambda tmp: _edited_model(tmp, "figure8_s3", _huge_ambient_d),
+         "ambient.d: "),
+    ],
+    ids=["list", "directory", "a_red_key", "huge_rational"],
+)
+def test_validate_refuses_a_hostile_document(write, message, tmp_path, capsys):
+    path = write(tmp_path)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out.startswith(f"{path}: Syntax: ")
+    assert message in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--v0-bound", "trefoil_rh_s3", "--p", "3", "--q", "0", "--dim-red", "1"],
+         "the bound applies to positive slopes"),
+        (["--lens-complement", "4", "1", "-2"],
+         "winding number must be non-negative"),
+        (["--z-special", "--h1", "0", "--chi", "1", "--p", "2", "--q", "3"],
+         "h1_order must be positive"),
+        (["--k-special", "sigma237_ambient", "--dim-red", "-1", "--p", "2",
+          "--q", "9"],
+         "dim_red must be non-negative"),
+    ],
+    ids=["v0_bound_q", "winding", "h1", "dim_red"],
+)
+def test_obstruct_refuses_out_of_range_numbers(argv, message, capsys):
+    code, out, err = run(capsys, "obstruct", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _zero_d(doc):
     doc["ambient"]["d"] = "1/0"
 

@@ -41,6 +41,7 @@ from conftest import (
     tower_bars_reference,
     truncated_cone_reference,
     whole_cone,
+    window_floor_reference,
 )
 
 
@@ -300,7 +301,7 @@ def test_an_empty_target_tower_is_reported(monkeypatch):
     # lifted, a negative depth puts the ceiling below B-bottoms, and the
     # first such column along the window is named
     model = load_model(staircase_doc([3, 2, 2, 1, 1, 0]))
-    monkeypatch.setattr(cone, "_shape_floor", lambda *args: -100)
+    monkeypatch.setattr(cone, "_depth_floor", lambda model: -100)
     spec = SurgerySpec(1, 1, 0)
     pres = build_cone(model, spec, 8)
     for depth, column in ((-1, 5), (-6, -3)):
@@ -421,9 +422,8 @@ def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
 def test_each_pass_computes_the_shape_once(
     trefoil, genus2_stress, spy, monkeypatch
 ):
-    # default_depth computes the shape once and each build_cone once, on
-    # which it reads the depth floor and walks the window; with the depth
-    # forced, only the two builds compute it
+    # each build_cone computes the shape once and walks its window;
+    # default_depth reads the model alone, so forcing it changes nothing
     calls = spy(cone, "_shape")
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
@@ -431,7 +431,7 @@ def test_each_pass_computes_the_shape_once(
             spec = SurgerySpec(p, q, i)
             calls.clear()
             cone.cone_homology(model, spec)
-            assert calls == [(model, p, q, i)] * 3
+            assert calls == [(model, p, q, i)] * 2
             depth = default_depth(model, spec) + 2
             calls.clear()
             with monkeypatch.context() as forced:
@@ -459,36 +459,44 @@ def test_depth_below_minimum_raises(trefoil, solve_at):
     )
 
 
-def test_floor_on_retained_maps_keeps_the_homology(trefoil, figure8, unknot, solve_at):
-    # the floor over every A-column, boundary columns included, is never
-    # below the library's; both default depths give the same homology
-    staircases = [
-        load_model(staircase_doc(V)) for V in ([2, 1, 1, 0], [3, 2, 2, 1, 1, 0])
+def test_floor_on_retained_maps_keeps_the_homology(
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, solve_at
+):
+    # no window's floor over its retained maps exceeds the model's, and
+    # the window of 1/2, where every |k| < G is interior, reaches it; the
+    # floor over every A-column, boundary columns included, gives the
+    # library's homology
+    models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic] + [
+        load_model(staircase_doc(V))
+        for V in ([2, 1, 1, 0], [3, 2, 2, 1, 1, 0], staircase_v(12))
     ]
     slopes = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
-    for model in [unknot, trefoil, figure8] + staircases:
+    for model in models:
+        floor = cone._depth_floor(model)
+        half = cone._shape(model, 1, 2, 0)
+        assert window_floor_reference(model, half) == floor, model.name
         for p, q in slopes:
             for i in range(p):
                 spec = SurgerySpec(p, q, i)
+                shape = cone._shape(model, p, q, i)
+                assert window_floor_reference(model, shape) <= floor, (p, q, i)
                 old_depth = 2 * depth_floor_reference(model, spec) + 4
-                assert default_depth(model, spec) <= old_depth
-                new = cone_homology(model, spec)
-                old = solve_at(model, spec, old_depth)
-                assert new == old
+                assert solve_at(model, spec, old_depth) == cone_homology(model, spec)
 
 
 @pytest.mark.parametrize(
-    "name, expected", [("unknot", 4), ("trefoil", 6), ("figure8", 6)]
+    "name, expected", [("unknot", 4), ("trefoil", 8), ("figure8", 6)]
 )
 def test_default_depth_does_not_grow_with_p(name, expected, request):
     model = request.getfixturevalue(name)
-    for p in (101, 1009):
-        deepest = max(
-            default_depth(model, SurgerySpec(p, q, i))
-            for q in (1, 2, 3, 5)
-            for i in range(p)
-        )
-        assert deepest == expected, p
+    depths = {
+        default_depth(model, SurgerySpec(p, q, i))
+        for p in (1, 2, 101, 1009)
+        for q in (1, 2, 3, 5)
+        if gcd(p, q) == 1
+        for i in range(p)
+    }
+    assert depths == {expected}
 
 
 def test_blocks_of_one_shape_have_one_cone(

@@ -297,6 +297,8 @@ def test_totient():
     for n in range(1, 200):
         brute = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
         assert totient(n) == brute
+    with pytest.raises(ValueError):
+        totient(0)
 
 
 def test_totient_is_refused_above_the_limit():

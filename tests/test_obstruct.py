@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 
 from floersurgery import (
+    ConeTooLarge,
     MissingGradings,
     NotCoprime,
     SurgerySpec,
     TargetSummary,
-    TruncationTooSmall,
     V0Zero,
     chi_relation,
     cone,
@@ -366,16 +366,19 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, spy, monkeypatch):
     assert [row["i"] for row in rows] == list(range(3000))
     whole = surgery(trefoil, 3000, 1)
     assert [row["d"] for row in rows] == [r.d for r in whole.results]
-    # too small a depth raises at the block that raises when every block
-    # is solved (block 4 of genus2_stress 9/5), with its message
-    monkeypatch.setattr(cone, "default_depth", lambda model, spec: 5)
+    # too large a cone raises at the block that raises when every block
+    # is solved (block 5 of genus2_stress 9/5, at most 19 generators),
+    # with its message
+    monkeypatch.setattr(cone, "MAX_GENERATORS", 19)
     solved.clear()
-    with pytest.raises(TruncationTooSmall) as sandwich:
+    with pytest.raises(ConeTooLarge) as sandwich:
         d_sandwich(genus2_stress, 9, 5)
-    assert solved[-1] == 4
-    with pytest.raises(TruncationTooSmall) as every:
+    assert solved[-1] == 5
+    with pytest.raises(ConeTooLarge) as every:
         [cone_homology(genus2_stress, SurgerySpec(9, 5, i)) for i in range(9)]
-    assert str(sandwich.value) == str(every.value)
+    assert str(sandwich.value) == str(every.value) == (
+        "cone of 20 generators for genus2_stress at 9/5 block 5: more than 19"
+    )
 
 
 def test_d_sandwich_reads_the_odd_bar_once(sigma237_synthetic, spy):

@@ -35,9 +35,9 @@ import pytest
 
 from floersurgery import (
     CassonWalkerInput,
+    ConeTooLarge,
     FloerError,
     SurgerySpec,
-    TruncationTooSmall,
     barcode,
     casson_walker_surgery,
     cone,
@@ -197,19 +197,18 @@ def test_an_l_space_ambient_with_nonzero_d_shifts_every_block():
     assert blocks == 3 * 580  # the blocks of the coprime p <= 11, q <= 13
 
 
-def test_surgery_raises_at_the_first_block_that_raises(
-    trefoil, genus2_stress, monkeypatch
-):
-    # too small a depth: the first block of each shape is solved, and it
-    # is the lowest block index with that shape; genus2_stress 9/5 passes
-    # blocks 0-3 at depth 5 and raises at block 4
-    for model, p, q, depth in ((trefoil, 7, 2, 1), (genus2_stress, 9, 5, 5)):
-        monkeypatch.setattr(cone, "default_depth", lambda model, spec: depth)
-        with pytest.raises(TruncationTooSmall) as shared:
-            surgery(model, p, q)
-        with pytest.raises(TruncationTooSmall) as every:
-            [cone_homology(model, SurgerySpec(p, q, i)) for i in range(p)]
-        assert str(shared.value) == str(every.value)
+def test_surgery_raises_at_the_first_block_that_raises(genus2_stress, monkeypatch):
+    # the first block of each shape is solved, and it is the lowest block
+    # index with that shape: with at most 19 generators genus2_stress 9/5
+    # passes blocks 0-4 and raises at block 5, whose cone has 20
+    monkeypatch.setattr(cone, "MAX_GENERATORS", 19)
+    with pytest.raises(ConeTooLarge) as shared:
+        surgery(genus2_stress, 9, 5)
+    with pytest.raises(ConeTooLarge) as every:
+        [cone_homology(genus2_stress, SurgerySpec(9, 5, i)) for i in range(9)]
+    assert str(shared.value) == str(every.value) == (
+        "cone of 20 generators for genus2_stress at 9/5 block 5: more than 19"
+    )
 
 
 SCAN_MODELS = ["unknot", "trefoil", "figure8", "genus2_stress"]
