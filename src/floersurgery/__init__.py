@@ -7,8 +7,6 @@ from .cone import (
     ConeResult,
     SurgeryResult,
     SurgerySpec,
-    build_cone,
-    cone_homology,
     default_depth,
     surgery,
 )

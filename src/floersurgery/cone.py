@@ -76,8 +76,8 @@ at the cuts t = a q mod p: at most 2G intervals of t, each of one shape.
 A cosmetic scan at one model and one p passes ``surgery`` one dict of
 shapes and one interner, so each shape is solved once across all of its
 q and blocks compare on their ids; surgeries at several p may share both.
-``cone_homology`` solves one block from immutable inputs, so callers may
-evaluate different i concurrently.
+``cone_homology`` reads only the model and a shape, so callers may solve
+shapes concurrently.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class ConePresentation:
     ``reduced`` counts the reduced generators of both rows.
     """
 
-    spec: SurgerySpec
     shape: tuple[int, ...]
     ceiling: int
     a_grading: dict[int, int]
@@ -223,18 +222,17 @@ def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     bottoms = 2 * columns - 1  # one B-column fewer than A-columns
     if bottoms > MAX_GENERATORS:
         raise ConeTooLarge(
-            f"window of {columns} A-columns for {model.name} at {p}/{q} "
-            f"block {i}: {bottoms} tower bottoms, more than {MAX_GENERATORS} "
-            "generators"
+            f"window of {columns} A-columns: {bottoms} tower bottoms, "
+            f"more than {MAX_GENERATORS} generators"
         )
     return (*[(i + p * n) // q for n in range(n_minus + 1, n_plus)], G)
 
 
-def default_depth(model: KnotModel, spec: SurgerySpec) -> int:
+def default_depth(model: KnotModel, block) -> int:
     """Stability-safe truncation depth: twice the model's depth floor
     (``_depth_floor``) plus 4, one value for every block of every slope.
-    ``spec`` is not read; it stays while ``floersurgery.default_depth`` is
-    public and perfbench's tests pass one (ROADMAP item 2).
+    ``block`` is not read; it stays while ``floersurgery.default_depth``
+    is public and perfbench's tests pass a spec (ROADMAP item 2).
 
     The one depth rule: build_cone refuses depths below floor + 2.
     """
@@ -288,18 +286,14 @@ class _Row:
         return out
 
 
-def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentation:
-    """The cone's towers cut at the given depth (only ``cone_homology``'s
-    certificate chooses it), and its reduced generators counted, not laid
-    out: ConeTooLarge when the cone has more than MAX_GENERATORS.  The
-    walk reads one ``model.columns()`` record per run of equal k."""
-    p, q, i = spec.p, spec.q, spec.i
-    shape = _shape(model, p, q, i)
+def build_cone(model: KnotModel, shape: tuple, depth: int) -> ConePresentation:
+    """The cone of the shape (``_shape``), its towers cut at the given
+    depth (only ``cone_homology``'s certificate chooses it) and its
+    reduced generators counted, not laid out: ConeTooLarge when the cone
+    has more than MAX_GENERATORS.  The walk reads one ``model.columns()``
+    record per run of equal k."""
     if depth < _depth_floor(model) + 2:
-        raise TruncationTooSmall(
-            f"towers cut below the safe minimum for {model.name} at "
-            f"{p}/{q} block {i}"
-        )
+        raise TruncationTooSmall("towers cut below the safe minimum")
     negative = bisect_left(shape, 0)  # the shape is nondecreasing
     amb = model.ambient.b_red
 
@@ -322,10 +316,7 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     reduced = a_red + len(b_grading) * amb.dim
     gens = len(a_grading) + len(b_grading) + reduced
     if gens > MAX_GENERATORS:
-        raise ConeTooLarge(
-            f"cone of {gens} generators for {model.name} at {p}/{q} "
-            f"block {i}: more than {MAX_GENERATORS}"
-        )
+        raise ConeTooLarge(f"cone of {gens} generators, more than {MAX_GENERATORS}")
 
     # common ceiling, where all A-towers top out: the highest A-bottom or
     # reduced generator rounded up to odd (every A-bottom is), plus 2 depth
@@ -337,7 +328,7 @@ def build_cone(model: KnotModel, spec: SurgerySpec, depth: int) -> ConePresentat
     if b_top is not None and b_top > ceiling - 1:
         n = next(n for n, b in b_grading.items() if b > ceiling - 1)
         raise TruncationTooSmall(f"empty target tower in column {n}")
-    return ConePresentation(spec, shape, ceiling, a_grading, b_grading, reduced)
+    return ConePresentation(shape, ceiling, a_grading, b_grading, reduced)
 
 
 def _reduced_summand(model: KnotModel, pres: ConePresentation) -> RowComplex:
@@ -442,16 +433,11 @@ def _offsets(pres: ConePresentation, ker: list, cok: list) -> tuple:
     tower, sorted."""
     ceiling = pres.ceiling
     if any(b + 2 * n >= ceiling for b, n in cok):
-        spec = pres.spec
-        raise TruncationTooSmall(
-            f"cokernel reaches the ceiling for {spec.p}/{spec.q} block {spec.i}"
-        )
+        raise TruncationTooSmall("cokernel reaches the ceiling")
     near = [bar for bar in ker if bar[0] + 2 * bar[1] >= ceiling]
     if len(near) != 1:
-        spec = pres.spec
         raise TruncationTooSmall(
-            f"{len(near)} chains reach the ceiling for {spec.p}/{spec.q} block "
-            f"{spec.i}; expected exactly one tower"
+            f"{len(near)} chains reach the ceiling; expected exactly one tower"
         )
     tower = near[0][0]
     bars = sorted(bar for bar in ker + cok if bar is not near[0])
@@ -487,12 +473,12 @@ def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]
     ], []
 
 
-def cone_homology(model: KnotModel, spec: SurgerySpec) -> tuple[int, tuple]:
-    """Homology of the truncated cone as int offsets (tower, ((b, length),
-    ...)), certified stable in the depth: the d-invariant's offset from the
-    block's anchor d(Y) - 1 + d(L(p,q), i) and each reduced bar's bottom b
-    from the d-invariant, parity b mod 2, sorted.  They depend on the
-    block's shape alone; ``surgery(...).results[i]`` reads them off.
+def cone_homology(model: KnotModel, shape: tuple) -> tuple[int, tuple]:
+    """Homology of the shape's truncated cone as int offsets (tower,
+    ((b, length), ...)), certified stable in the depth: the d-invariant's
+    offset from a block's anchor d(Y) - 1 + d(L(p,q), i) and each reduced
+    bar's bottom b from the d-invariant, parity b mod 2, sorted.  Every
+    block of the shape has them; ``surgery(...).results[i]`` reads them off.
 
     The certificate is the one place a depth is chosen: the towers are
     built cut at N = ``default_depth`` and at N + 2, and each pass is read
@@ -502,15 +488,14 @@ def cone_homology(model: KnotModel, spec: SurgerySpec) -> tuple[int, tuple]:
     depths.  The towers (``_tower_bars``) and the ceiling checks of
     ``build_cone`` and ``_offsets`` run at both depths.
     """
-    n = default_depth(model, spec)
-    pres = build_cone(model, spec, n)
+    n = default_depth(model, shape)
+    pres = build_cone(model, shape, n)
     ker, cok = _reduced_bars(model, pres)
     offsets = _offsets(pres, _tower_bars(pres) + ker, cok)
-    deeper = build_cone(model, spec, n + 2)
+    deeper = build_cone(model, shape, n + 2)
     if _offsets(deeper, _tower_bars(deeper) + ker, cok) != offsets:
         raise TruncationTooSmall(
-            f"results for {spec.p}/{spec.q} block {spec.i} change when the "
-            "towers are cut two levels higher"
+            "results change when the towers are cut two levels higher"
         )
     return offsets
 
@@ -526,18 +511,18 @@ def surgery(
     """Full surgery computation: one ConeResult per block index.
 
     The slope is checked before any block.  Each block shape is solved
-    once, by ``cone_homology`` at its lowest block index, so the first
-    block to raise is the one that raises when every block is solved, and
-    its int offsets (tower, ((b, length), ...)) are kept in ``shapes`` as
-    ``cone_homology`` returns them.  ``_shape`` runs once per interval of
-    blocks, at most 2G times per slope, in block order (the module
-    docstring), so the solves, their order and the refused block are
-    those of one ``_shape`` per block.  ``interner`` maps each block's
-    exact key (N + 4p tower, 4p, bars) to (id, d, red), read off at the
-    key's first appearance, the only Fractions a call builds; a key is
-    built once per (interval, N) in a call.  Blocks at one p share an id in
-    ``SurgeryResult.ids`` exactly when they share d and bars; blocks at
-    different p never do.
+    once, by ``cone_homology`` at its lowest block index, and its int
+    offsets (tower, ((b, length), ...)) are kept in ``shapes``.  ``_shape``
+    runs once per interval of blocks, at most 2G times per slope, in block
+    order (the module docstring), so the solves, their order and the
+    refused block are those of one ``_shape`` per block.  An error of
+    either is raised again, of its type, as "<model> at <p>/<q> block <i>:
+    <error>", the one place a cone error names its block.  ``interner``
+    maps each block's exact key (N + 4p tower, 4p, bars) to (id, d, red),
+    read off at the key's first appearance, the only Fractions a call
+    builds; a key is built once per (interval, N) in a call.  Blocks at
+    one p share an id in ``SurgeryResult.ids`` exactly when they share d
+    and bars; blocks at different p never do.
 
     Both dicts are read and extended, new per call by default.  Surgeries
     of one model may share them, whatever their p and q.  A shape whose
@@ -563,9 +548,12 @@ def surgery(
     for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
         entry = entries[j]
         if entry is None:
-            shape = _shape(model, p, q, i)
-            if shape not in shapes:
-                shapes[shape] = cone_homology(model, SurgerySpec(p, q, i))
+            try:
+                shape = _shape(model, p, q, i)
+                if shape not in shapes:
+                    shapes[shape] = cone_homology(model, shape)
+            except (ConeTooLarge, TruncationTooSmall) as e:
+                raise type(e)(f"{model.name} at {p}/{q} block {i}: {e}") from e
             tower, bars = shapes[shape]
             entry = entries[j] = (scale * tower, bars, {})
         offset, bars, by_lens = entry

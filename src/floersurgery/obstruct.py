@@ -68,19 +68,16 @@ class Verdict:
 
 def canonical_json(obj) -> str:
     """Canonical rendering: sorted keys, fixed separators, exact rationals."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_jsonable)
 
 
 def _jsonable(x):
+    """The JSON form of the two types ``json`` cannot hold."""
     if isinstance(x, Verdict):
-        return {"rule": x.rule, "status": x.status, "witness": _jsonable(x.witness)}
+        return {"rule": x.rule, "status": x.status, "witness": x.witness}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _straddles(p: int, q_low: int, q_high: int) -> bool:

@@ -23,14 +23,17 @@ from floersurgery.numth import lens_d_at
 
 def read_block(model, spec, offsets=None) -> ConeResult:
     """Block ``spec`` as a ConeResult: ``cone_homology``'s offsets (tower,
-    ((b, length), ...)), or the given ones, read at the block's own anchor
-    d(Y) - 1 + d(L(p,q), i) from ``lens_d_at``, with neither the lens
-    table nor the interner of ``surgery``.  Looks up
-    ``cone.cone_homology`` at call time."""
-    tower, bars = cone.cone_homology(model, spec) if offsets is None else offsets
-    d = model.ambient.d - 1 + lens_d_at(spec.p, spec.q, spec.i) + tower
+    ((b, length), ...)) for the block's shape, or the given ones, read at
+    the block's own anchor d(Y) - 1 + d(L(p,q), i) from ``lens_d_at``,
+    with neither the lens table nor the interner of ``surgery``.  Looks
+    up ``cone.cone_homology`` at call time."""
+    p, q, i = spec.p, spec.q, spec.i
+    if offsets is None:
+        offsets = cone.cone_homology(model, cone._shape(model, p, q, i))
+    tower, bars = offsets
+    d = model.ambient.d - 1 + lens_d_at(p, q, i) + tower
     red = tuple(Tau(d + b, length, b % 2) for b, length in bars)
-    return ConeResult(spec.i, d, red)
+    return ConeResult(i, d, red)
 
 
 @pytest.fixture
@@ -38,12 +41,23 @@ def solve_at(monkeypatch):
     """``cone_homology``'s offsets with the certificate's depth N forced to
     the given one, through ``cone.default_depth``; N + 2 is checked as ever."""
 
-    def solve(model, spec, depth):
+    def solve(model, shape, depth):
         with monkeypatch.context() as forced:
-            forced.setattr(cone, "default_depth", lambda model, spec: depth)
-            return cone.cone_homology(model, spec)
+            forced.setattr(cone, "default_depth", lambda model, shape: depth)
+            return cone.cone_homology(model, shape)
 
     return solve
+
+
+def solved_blocks(spy, stub=False):
+    """The block index of each ``cone_homology`` call from now on, in call
+    order: that of the last ``_shape`` call, which ``surgery`` makes for
+    the block it solves.  With ``stub`` a solve returns no bars and the
+    tower i above the block's anchor, so a solve's block index shows in the
+    offsets of its shape and in the d of every block of the shape."""
+    shaped = spy(cone, "_shape", record=lambda model, p, q, i: i)
+    solve = (lambda model, shape: (shaped[-1], ())) if stub else None
+    return spy(cone, "cone_homology", solve, record=lambda model, shape: shaped[-1])
 
 
 class Calls(list):
@@ -243,14 +257,14 @@ def whole_cone(model, pres):
     )
 
 
-def truncated_cone_reference(model, spec, depth, whole=None):
+def truncated_cone_reference(model, shape, depth, whole=None):
     """The block's homology by eliminating the whole truncated cone, tower
     generators included: kernel and cokernel of every d_cols[g] of
     ``whole_cone``, barcoded, then read off to offsets by the library's
     own ``_offsets``.  Looks up ``cone.build_cone`` at call time, so a test
     may inject a presentation, or pass the laid-out cone itself as
     ``whole``."""
-    pres = cone.build_cone(model, spec, depth)
+    pres = cone.build_cone(model, shape, depth)
     if whole is None:
         whole = whole_cone(model, pres)
     kernel, cokernel = cone._kernel_and_cokernel(whole)
@@ -282,13 +296,13 @@ def tower_bars_reference(pres) -> list[tuple[int, int]]:
     return bars
 
 
-def reduced_cone(model, spec) -> tuple[int, int]:
+def reduced_cone(model, shape) -> tuple[int, int]:
     """(dim ker, dim coker) of the reduced-blocks-only cone map, for a
     model with V_0 = 0.  The map is d on the reduced summand as
     ``cone._reduced_summand`` lays it out, on every ambient; no tower
     depth changes it."""
     assert model.v_at(0) == 0, f"V_0 = {model.v_at(0)} for {model.name}"
-    pres = cone.build_cone(model, spec, cone.default_depth(model, spec))
+    pres = cone.build_cone(model, shape, cone.default_depth(model, shape))
     red = cone._reduced_summand(model, pres)
     dim_dom = sum(len(cols) for cols in red.d_cols.values())
     dim_cod = sum(len(cols) for cols in red.u_cod.values())

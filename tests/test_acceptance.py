@@ -15,6 +15,7 @@ from floersurgery import (
     SurgerySpec,
     TargetSummary,
     barcode,
+    cone,
     d_invariant_bounds,
     dedekind,
     default_depth,
@@ -137,9 +138,9 @@ def test_criterion_7_truncation_stability(trefoil, figure8, solve_at):
     cases += [(figure8, 2, n) for n in (1, 3, 5)]
     for model, p, q in cases:
         for i in range(p):
-            spec = SurgerySpec(p, q, i)
-            n0 = default_depth(model, spec)
-            base, deeper, deepest = (solve_at(model, spec, n0 + s) for s in (0, 2, 4))
+            shape = cone._shape(model, p, q, i)
+            n0 = default_depth(model, shape)
+            base, deeper, deepest = (solve_at(model, shape, n0 + s) for s in (0, 2, 4))
             ok = ok and base == deeper == deepest
     _report("criterion 7: int offsets identical at depths N, N+2, N+4", ok)
 

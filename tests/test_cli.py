@@ -345,11 +345,11 @@ def test_missing_model_is_input_error(capsys):
 
 
 def test_truncation_too_small_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cone, "default_depth", lambda model, spec: 1)
+    monkeypatch.setattr(cone, "default_depth", lambda model, shape: 1)
     code, _, err = run(capsys, "surgery", "trefoil_rh_s3", "2/3")
     assert code == 3
     assert err == (
-        "error: towers cut below the safe minimum for trefoil_rh_s3 at 2/3 block 0\n"
+        "error: trefoil_rh_s3 at 2/3 block 0: towers cut below the safe minimum\n"
     )
     assert "depth" not in err
 

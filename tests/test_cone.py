@@ -17,9 +17,7 @@ from floersurgery import (
     SurgerySpec,
     Tau,
     TruncationTooSmall,
-    build_cone,
     casson_walker_surgery,
-    cone_homology,
     d_invariant_bounds,
     default_depth,
     lambda_from_hf,
@@ -30,6 +28,7 @@ from floersurgery import (
 )
 from floersurgery import cone
 from floersurgery.cli import main
+from floersurgery.cone import _shape, build_cone, cone_homology
 from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     generators,
     read_block,
     reduced_cone,
+    solved_blocks,
     staircase_doc,
     tower_bars_reference,
     truncated_cone_reference,
@@ -60,8 +60,8 @@ def test_window_enumeration_oracle(trefoil, figure8, unknot):
         G = max(model.genus, 1)
         for p, q in ((2, 3), (2, 1), (3, 5), (5, 2), (12, 1)):
             for i in range(p):
-                spec = SurgerySpec(p, q, i)
-                pres = build_cone(model, spec, default_depth(model, spec))
+                shape = _shape(model, p, q, i)
+                pres = build_cone(model, shape, default_depth(model, shape))
                 ks = [(i + p * n) // q for n in range(-50, 50)]
                 n_plus = min(n for n in range(-50, 50) if ks[n + 50] >= G)
                 n_minus = max(n for n in range(-50, 50) if ks[n + 50] <= -G)
@@ -74,14 +74,14 @@ def test_window_enumeration_oracle(trefoil, figure8, unknot):
 
 def test_window_figure8_2_1_block1(figure8):
     # single hook column with k = 1, no target columns
-    pres = build_cone(figure8, SurgerySpec(2, 1, 1), 8)
+    pres = build_cone(figure8, _shape(figure8, 2, 1, 1), 8)
     assert list(pres.a_grading) == [0]
     assert list(pres.b_grading) == []
     assert pres.shape == (1,)
 
 
 def test_window_trefoil_2_3_block0(trefoil):
-    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
+    pres = build_cone(trefoil, _shape(trefoil, 2, 3, 0), 8)
     assert list(pres.a_grading) == [0, 1, 2]
     assert pres.shape == (0, 0, 1)
 
@@ -91,7 +91,7 @@ def test_grading_telescope(trefoil, figure8, unknot):
     for model in (unknot, trefoil, figure8):
         for p, q in ((2, 3), (3, 4), (5, 3)):
             for i in range(p):
-                pres = build_cone(model, SurgerySpec(p, q, i), 8)
+                pres = build_cone(model, _shape(model, p, q, i), 8)
                 k_of = dict(zip(pres.a_grading, pres.shape))
                 cols = sorted(pres.b_grading)
                 for a, b in zip(cols, cols[1:]):
@@ -104,7 +104,7 @@ def test_anchor_grading(unknot, trefoil):
     # cone's offset 0, which a block reads at d(Y) + d(L(p,q), i) - 1
     for model in (unknot, trefoil):
         spec = SurgerySpec(2, 3, 0)
-        pres = build_cone(model, spec, 8)
+        pres = build_cone(model, _shape(model, 2, 3, 0), 8)
         k_of = dict(zip(pres.a_grading, pres.shape))
         assert pres.b_grading[1] - 2 * k_of[0] == 0
         d_lens = lens_d(2, 3)[0]
@@ -126,8 +126,8 @@ def test_unknot_cone_is_lens_space(unknot):
 
 
 def test_trefoil_2_3_frozen_values(trefoil):
-    assert cone_homology(trefoil, SurgerySpec(2, 3, 0)) == (-1, ((0, 1),))
-    assert cone_homology(trefoil, SurgerySpec(2, 3, 1)) == (-1, ())
+    assert cone_homology(trefoil, _shape(trefoil, 2, 3, 0)) == (-1, ((0, 1),))
+    assert cone_homology(trefoil, _shape(trefoil, 2, 3, 1)) == (-1, ())
     r0 = read_block(trefoil, SurgerySpec(2, 3, 0))
     assert r0.d == Fraction(-7, 4)
     assert r0.red == (Tau(Fraction(-7, 4), 1, 0),)
@@ -157,8 +157,8 @@ def test_exactly_one_tower_per_block(trefoil, figure8):
     for model in (trefoil, figure8):
         for p, q in ((2, 3), (3, 2), (4, 3)):
             for i in range(p):
-                a = cone_homology(model, SurgerySpec(p, q, i))
-                b = cone_homology(model, SurgerySpec(p, q, i))
+                a = cone_homology(model, _shape(model, p, q, i))
+                b = cone_homology(model, _shape(model, p, q, i))
                 assert a == b
 
 
@@ -203,15 +203,15 @@ def test_build_cone_lays_out_only_reduced_generators(
     slopes = [(1, 1), (2, 3), (5, 2), (7, 4)]
     for model in [load_model(staircase_doc(V)) for V in ([1, 0], [3, 2, 2, 1, 1, 0])]:
         for p, q in slopes:
-            pres = build_cone(model, SurgerySpec(p, q, p - 1), 8)
+            pres = build_cone(model, _shape(model, p, q, p - 1), 8)
             red = cone._reduced_summand(model, pres)
             assert red.d_cols == red.u_dom == red.u_cod == {}
             assert pres.reduced == 0
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in slopes:
             for i in range(p):
-                spec = SurgerySpec(p, q, i)
-                pres = build_cone(model, spec, default_depth(model, spec))
+                shape = _shape(model, p, q, i)
+                pres = build_cone(model, shape, default_depth(model, shape))
                 red = cone._reduced_summand(model, pres)
                 a_red = sum(model.block(k).pres.dim for k in pres.shape)
                 b_red = model.ambient.dim_red * len(pres.b_grading)
@@ -220,8 +220,8 @@ def test_build_cone_lays_out_only_reduced_generators(
                 assert sum(map(len, red.u_cod.values())) == b_red
                 assert pres.reduced == a_red + b_red
     # a deeper cone differs only in how far its towers reach
-    spec = SurgerySpec(2, 1, 0)
-    shallow, deep = build_cone(trefoil, spec, 8), build_cone(trefoil, spec, 40000)
+    shape = _shape(trefoil, 2, 1, 0)
+    shallow, deep = build_cone(trefoil, shape, 8), build_cone(trefoil, shape, 40000)
     assert deep.ceiling - shallow.ceiling == 2 * (40000 - 8)
     assert replace(deep, ceiling=shallow.ceiling) == shallow
 
@@ -229,7 +229,7 @@ def test_build_cone_lays_out_only_reduced_generators(
 def test_tower_bars_without_b_columns(figure8):
     # one hook column and no edge: the only bar is the surviving tower,
     # as a (bottom, length) offset pair
-    pres = build_cone(figure8, SurgerySpec(2, 1, 1), 8)
+    pres = build_cone(figure8, _shape(figure8, 2, 1, 1), 8)
     assert pres.b_grading == {}
     bottom = pres.a_grading[0]
     length = (pres.ceiling - bottom) // 2 + 1
@@ -240,7 +240,7 @@ def test_edge_born_at_the_younger_bottom_gives_no_bar(trefoil):
     # trefoil 2/3 block 0: A-columns 0, 1 at -1 and 2 at 1 with V_1 = 0,
     # so edge 2 is born at column 2's bottom and ends that run at once;
     # edge 1 joins two runs at -1 one step above them and ends one
-    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 8)
+    pres = build_cone(trefoil, _shape(trefoil, 2, 3, 0), 8)
     assert pres.a_grading == {0: -1, 1: -1, 2: 1}
     assert pres.b_grading == {1: 0, 2: 0}
     length = (pres.ceiling + 1) // 2 + 1
@@ -265,16 +265,17 @@ def test_tower_sweep_matches_the_union_find_reference(
     for model in models + staircases:
         for p, q in slopes:
             for i in range(p):
-                spec = SurgerySpec(p, q, i)
-                n = default_depth(model, spec)
+                shape = _shape(model, p, q, i)
+                n = default_depth(model, shape)
                 for depth in (n, n + 2):
-                    pres = build_cone(model, spec, depth)
+                    pres = build_cone(model, shape, depth)
                     bars = sorted(cone._tower_bars(pres))
-                    assert bars == sorted(tower_bars_reference(pres)), (model.name, spec)
+                    case = (model.name, p, q, i)
+                    assert bars == sorted(tower_bars_reference(pres)), case
                     cases += 1
     assert cases == 2 * len(models + staircases) * sum(p for p, _ in slopes)
     # the presentation that loses its first tower and the edge to it
-    pres = build_cone(trefoil, SurgerySpec(2, 3, 0), 10)
+    pres = build_cone(trefoil, _shape(trefoil, 2, 3, 0), 10)
     a_grading, b_grading = dict(pres.a_grading), dict(pres.b_grading)
     del a_grading[min(a_grading)], b_grading[min(b_grading)]
     lost = replace(pres, a_grading=a_grading, b_grading=b_grading)
@@ -285,7 +286,7 @@ def test_tower_sweep_refuses_b_bottoms_that_are_not_unimodal(figure8):
     # B-bottoms 0, 4, 2, 6 rise, fall and rise again: the edges alive at
     # grading 3 are not one interval, so the sweep must raise where the
     # union-find reference still returns bars
-    pres = build_cone(figure8, SurgerySpec(1, 1, 0), 8)
+    pres = build_cone(figure8, _shape(figure8, 1, 1, 0), 8)
     hand_built = replace(
         pres,
         a_grading={0: -1, 1: -1, 2: -1, 3: -1, 4: -1},
@@ -302,13 +303,13 @@ def test_an_empty_target_tower_is_reported(monkeypatch):
     # first such column along the window is named
     model = load_model(staircase_doc([3, 2, 2, 1, 1, 0]))
     monkeypatch.setattr(cone, "_depth_floor", lambda model: -100)
-    spec = SurgerySpec(1, 1, 0)
-    pres = build_cone(model, spec, 8)
+    shape = _shape(model, 1, 1, 0)
+    pres = build_cone(model, shape, 8)
     for depth, column in ((-1, 5), (-6, -3)):
         ceiling = pres.ceiling - 2 * (8 - depth)
         assert column == min(n for n, b in pres.b_grading.items() if b > ceiling - 1)
         with pytest.raises(TruncationTooSmall) as raised:
-            build_cone(model, spec, depth)
+            build_cone(model, shape, depth)
         assert str(raised.value) == f"empty target tower in column {column}"
 
 
@@ -316,14 +317,14 @@ def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
     # cut the same cone at grading 1, where both edges are born: the bar
     # ended by edge 1 tops out two below the ceiling, next to the tower;
     # trefoil has no reduced generator, so the towers are all there is
-    spec = SurgerySpec(2, 3, 0)
-    pres = build_cone(trefoil, spec, 8)
+    shape = _shape(trefoil, 2, 3, 0)
+    pres = build_cone(trefoil, shape, 8)
     broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
-    message = "2 chains reach the ceiling for 2/3 block 0; expected exactly one tower"
+    message = "2 chains reach the ceiling; expected exactly one tower"
     for solve in (cone_homology, lambda *args: truncated_cone_reference(*args, 8)):
         with pytest.raises(TruncationTooSmall) as raised:
-            solve(trefoil, spec)
+            solve(trefoil, shape)
         assert str(raised.value) == message
 
 
@@ -332,16 +333,27 @@ def test_a_cokernel_bar_at_the_ceiling_is_reported(genus2_stress, monkeypatch):
     # the reduced summand has no depth: cut at 6, the bar at 4 tops out at
     # the ceiling and the solve is refused; cut at 7, it ends two below,
     # and the solve is the true one
-    spec = SurgerySpec(1, 2, 0)
-    pres = build_cone(genus2_stress, spec, default_depth(genus2_stress, spec))
+    shape = _shape(genus2_stress, 1, 2, 0)
+    pres = build_cone(genus2_stress, shape, default_depth(genus2_stress, shape))
     assert cone._reduced_bars(genus2_stress, pres)[1] == [(-3, 1), (4, 1)]
-    solved = cone_homology(genus2_stress, spec)
+    solved = cone_homology(genus2_stress, shape)
     monkeypatch.setattr(cone, "build_cone", lambda *args: replace(pres, ceiling=6))
     with pytest.raises(TruncationTooSmall) as raised:
-        cone_homology(genus2_stress, spec)
-    assert str(raised.value) == "cokernel reaches the ceiling for 1/2 block 0"
+        cone_homology(genus2_stress, shape)
+    assert str(raised.value) == "cokernel reaches the ceiling"
     monkeypatch.setattr(cone, "build_cone", lambda *args: replace(pres, ceiling=7))
-    assert cone_homology(genus2_stress, spec) == solved
+    assert cone_homology(genus2_stress, shape) == solved
+
+
+def losing_a_tower(model, shape, depth):
+    """``build_cone``, whose deeper presentation loses its first tower and
+    the edge to it."""
+    pres = build_cone(model, shape, depth)
+    if depth != default_depth(model, shape) + 2:
+        return pres
+    a_grading, b_grading = dict(pres.a_grading), dict(pres.b_grading)
+    del a_grading[min(a_grading)], b_grading[min(b_grading)]
+    return replace(pres, a_grading=a_grading, b_grading=b_grading)
 
 
 def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
@@ -350,46 +362,33 @@ def test_a_disagreement_at_the_deeper_depth_trips_the_certificate(
     # the deeper presentation loses its first tower and the edge to it, so
     # the bar that edge ended is gone at N + 2 alone; each depth is valid
     # on its own, and only the comparison of the two can see it
-    build = cone.build_cone
-
-    def losing_a_tower(model, spec, depth):
-        pres = build(model, spec, depth)
-        if depth != default_depth(model, spec) + 2:
-            return pres
-        a_grading, b_grading = dict(pres.a_grading), dict(pres.b_grading)
-        del a_grading[min(a_grading)], b_grading[min(b_grading)]
-        return replace(pres, a_grading=a_grading, b_grading=b_grading)
-
-    spec = SurgerySpec(2, 3, 0)
-    n = default_depth(trefoil, spec)
-    assert len(cone._tower_bars(build(trefoil, spec, n + 2))) == 2
-    assert len(cone._tower_bars(losing_a_tower(trefoil, spec, n + 2))) == 1
+    shape = _shape(trefoil, 2, 3, 0)
+    n = default_depth(trefoil, shape)
+    assert len(cone._tower_bars(build_cone(trefoil, shape, n + 2))) == 2
+    assert len(cone._tower_bars(losing_a_tower(trefoil, shape, n + 2))) == 1
     monkeypatch.setattr(cone, "build_cone", losing_a_tower)
-    message = (
-        "results for 2/3 block 0 change when the towers are cut two levels higher"
-    )
+    message = "results change when the towers are cut two levels higher"
     with pytest.raises(TruncationTooSmall) as raised:
-        cone_homology(trefoil, spec)
+        cone_homology(trefoil, shape)
     assert str(raised.value) == message
     assert main(["surgery", "trefoil_rh_s3", "2/3"]) == 3
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    error = f"error: trefoil_rh_s3 at 2/3 block 0: {message}\n"
+    assert capsys.readouterr() == ("", error)
 
 
 def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, spy):
     # the depth-N cone is cut so that two chains reach its ceiling: that
     # error comes from the first pass, and no cone at N + 2 is built
-    spec = SurgerySpec(2, 3, 0)
-    n = default_depth(trefoil, spec)
-    pres = build_cone(trefoil, spec, n)
+    shape = _shape(trefoil, 2, 3, 0)
+    n = default_depth(trefoil, shape)
+    pres = build_cone(trefoil, shape, n)
     broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
     built = spy(
         cone, "build_cone", lambda *args: broken, record=lambda m, s, depth: depth
     )
     with pytest.raises(TruncationTooSmall) as raised:
-        cone_homology(trefoil, spec)
-    assert str(raised.value) == (
-        "2 chains reach the ceiling for 2/3 block 0; expected exactly one tower"
-    )
+        cone_homology(trefoil, shape)
+    assert str(raised.value) == "2 chains reach the ceiling; expected exactly one tower"
     assert built == [n]
 
 
@@ -403,7 +402,7 @@ def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
         for i in range(p):
-            tower, bars = cone.cone_homology(model, SurgerySpec(p, q, i))
+            tower, bars = cone.cone_homology(model, _shape(model, p, q, i))
             assert type(tower) is int
             assert all(type(b) is type(n) is int for b, n in bars)
         assert fractions == taus == reads == []
@@ -419,44 +418,39 @@ def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
     assert with_bars
 
 
-def test_each_pass_computes_the_shape_once(
-    trefoil, genus2_stress, spy, monkeypatch
-):
-    # each build_cone computes the shape once and walks its window;
-    # default_depth reads the model alone, so forcing it changes nothing
+def test_a_solve_computes_no_shape(trefoil, genus2_stress, spy, monkeypatch):
+    # a solve reads the shape it is given and computes none; default_depth
+    # reads the model alone, so forcing it changes nothing
     calls = spy(cone, "_shape")
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q in ((trefoil, 3, 2), (genus2_stress, 2, 5), (genus12, 1, 2)):
         for i in range(p):
-            spec = SurgerySpec(p, q, i)
+            shape = cone._shape(model, p, q, i)
             calls.clear()
-            cone.cone_homology(model, spec)
-            assert calls == [(model, p, q, i)] * 2
-            depth = default_depth(model, spec) + 2
-            calls.clear()
+            cone.cone_homology(model, shape)
+            assert calls == []
+            depth = default_depth(model, shape) + 2
             with monkeypatch.context() as forced:
-                forced.setattr(cone, "default_depth", lambda model, spec: depth)
-                cone.cone_homology(model, spec)
-            assert calls == [(model, p, q, i)] * 2
+                forced.setattr(cone, "default_depth", lambda model, shape: depth)
+                cone.cone_homology(model, shape)
+            assert calls == []
 
 
 def test_truncation_stability_explicit_depths(trefoil, figure8, solve_at):
     for model, p, q in ((trefoil, 2, 5), (figure8, 2, 3)):
         for i in range(p):
-            spec = SurgerySpec(p, q, i)
-            n0 = default_depth(model, spec)
-            base = solve_at(model, spec, n0)
-            deeper = solve_at(model, spec, n0 + 2)
-            deepest = solve_at(model, spec, n0 + 4)
+            shape = _shape(model, p, q, i)
+            n0 = default_depth(model, shape)
+            base = solve_at(model, shape, n0)
+            deeper = solve_at(model, shape, n0 + 2)
+            deepest = solve_at(model, shape, n0 + 4)
             assert base == deeper == deepest
 
 
 def test_depth_below_minimum_raises(trefoil, solve_at):
     with pytest.raises(TruncationTooSmall) as raised:
-        solve_at(trefoil, SurgerySpec(2, 3, 0), 1)
-    assert str(raised.value) == (
-        "towers cut below the safe minimum for trefoil_rh_s3 at 2/3 block 0"
-    )
+        solve_at(trefoil, _shape(trefoil, 2, 3, 0), 1)
+    assert str(raised.value) == "towers cut below the safe minimum"
 
 
 def test_floor_on_retained_maps_keeps_the_homology(
@@ -481,7 +475,7 @@ def test_floor_on_retained_maps_keeps_the_homology(
                 shape = cone._shape(model, p, q, i)
                 assert window_floor_reference(model, shape) <= floor, (p, q, i)
                 old_depth = 2 * depth_floor_reference(model, spec) + 4
-                assert solve_at(model, spec, old_depth) == cone_homology(model, spec)
+                assert solve_at(model, shape, old_depth) == cone_homology(model, shape)
 
 
 @pytest.mark.parametrize(
@@ -503,8 +497,7 @@ def test_blocks_of_one_shape_have_one_cone(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
 ):
     # the shape is the key surgery shares results by: two blocks of one
-    # shape, at one p and any q, must have one depth and one cone, up to
-    # the spec
+    # shape, at one p and any q, must have one depth and one cone
     for model in (unknot, trefoil, figure8, genus2_stress, sigma237_synthetic):
         for p in range(1, 14):
             groups = {}
@@ -513,17 +506,18 @@ def test_blocks_of_one_shape_have_one_cone(
                     for i in range(p):
                         shape = cone._shape(model, p, q, i)
                         groups.setdefault(shape, []).append(SurgerySpec(p, q, i))
-            for specs in groups.values():
+            for shape, specs in groups.items():
                 depth = default_depth(model, specs[0])
-                ref = build_cone(model, specs[0], depth)
+                ref = build_cone(model, shape, depth)
+                assert ref.shape == shape
                 for spec in specs[1:]:
                     assert default_depth(model, spec) == depth
-                    pres = build_cone(model, spec, depth)
-                    assert replace(pres, spec=ref.spec) == ref
+                    own = _shape(model, spec.p, spec.q, spec.i)
+                    assert build_cone(model, own, depth) == ref
 
 
 def test_surgery_solves_each_block_shape_once(trefoil, spy):
-    solved = spy(cone, "cone_homology", record=lambda model, spec: spec.i)
+    solved = solved_blocks(spy)
     # at p/1 the window of every block i >= G is the one column n = 0,
     # of k = i >= G: one shape
     result = surgery(trefoil, 3000, 1)
@@ -535,19 +529,13 @@ def test_surgery_solves_each_block_shape_once(trefoil, spy):
     assert solved == [0, 1, 2]
 
 
-def _stub_solve(model, spec):
-    # the tower i above the block's anchor, so a solve's block index shows
-    # in the offsets of its shape and in the d of every block of the shape
-    return spec.i, ()
-
-
 def test_interval_rule_gives_every_block_its_shape(
-    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, monkeypatch
+    unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, spy
 ):
     # surgery computes the shape once per interval of blocks; every block
     # must read the shapes entry of its own _shape, its d that entry's
     # tower above its own anchor, as one _shape per block would give it
-    monkeypatch.setattr(cone, "cone_homology", _stub_solve)
+    solved_blocks(spy, stub=True)
     staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 13)]
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
     cases = [
@@ -567,11 +555,11 @@ def test_interval_rule_gives_every_block_its_shape(
             assert r.d == anchor + tower, (model.name, p, q, r.i)
 
 
-def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, spy, monkeypatch):
+def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, spy):
     # one _shape per interval of t = (i + (G - 1) q) mod p between the cuts
     # a q mod p, 1 <= a <= 2G - 1, at the interval's first block
+    solved_blocks(spy, stub=True)
     calls = spy(cone, "_shape", record=lambda model, p, q, i: i)
-    monkeypatch.setattr(cone, "cone_homology", _stub_solve)
     genus12 = load_model(staircase_doc(staircase_v(12)))
     for model, p, q, blocks in (
         (trefoil, 3000, 1, [0, 1]),
@@ -591,13 +579,11 @@ def test_surgery_refuses_the_first_block_whose_window_is_too_large(
     # 250,001: block 3, not the first block of the slope, is refused
     for i in range(3):
         assert len(cone._shape(genus2_stress, 5, 208332, i)) == 125000
-    solved = spy(
-        cone, "cone_homology", _stub_solve, record=lambda model, spec: spec.i
-    )
+    solved = solved_blocks(spy, stub=True)
     with pytest.raises(ConeTooLarge) as raised:
         surgery(genus2_stress, 5, 208332)
     assert str(raised.value) == (
-        "window of 125001 A-columns for genus2_stress at 5/208332 block 3: "
+        "genus2_stress at 5/208332 block 3: window of 125001 A-columns: "
         "250001 tower bottoms, more than 250000 generators"
     )
     assert solved == [0, 2]
@@ -619,10 +605,11 @@ def test_a_solve_is_its_shape_entry(
                 shapes = {}
                 surgery(model, p, q, shapes=shapes)
                 for i in range(p):
-                    tower, bars = solved = cone_homology(model, SurgerySpec(p, q, i))
+                    shape = _shape(model, p, q, i)
+                    tower, bars = solved = cone_homology(model, shape)
                     assert type(tower) is int and type(bars) is tuple
                     assert all(type(b) is type(n) is int for b, n in bars)
-                    entry = shapes[cone._shape(model, p, q, i)]
+                    entry = shapes[shape]
                     assert solved == entry, (model.name, p, q, i)
 
 
@@ -678,17 +665,96 @@ def test_one_cache_serves_every_p(trefoil, spy):
             2,
             100000001,
             ConeTooLarge,
-            "window of 50000002 A-columns for trefoil_rh_s3 at 2/100000001 "
-            "block 0: 100000003 tower bottoms, more than 250000 generators",
+            "window of 50000002 A-columns: 100000003 tower bottoms, more than "
+            "250000 generators",
         ),
     ],
 )
 def test_surgery_checks_the_slope_before_any_block(trefoil, p, q, error, message):
     # the slope is checked once, before the lens table and the first
-    # window; the window guard still refuses block 0 of 2/100000001
+    # window; the window guard still refuses block 0 of 2/100000001, and
+    # surgery names the block
     with pytest.raises(error) as raised:
         surgery(trefoil, p, q)
-    assert str(raised.value) == message
+    block = "" if error is NotCoprime else f"trefoil_rh_s3 at {p}/{q} block 0: "
+    assert str(raised.value) == block + message
+
+
+def _ceiling_at(ceiling):
+    """A patch making every cone's ceiling ``ceiling(pres)``."""
+
+    def cut(model, shape, depth):
+        pres = build_cone(model, shape, depth)
+        return replace(pres, ceiling=ceiling(pres))
+
+    return lambda monkeypatch: monkeypatch.setattr(cone, "build_cone", cut)
+
+
+def _no_depth_floor(monkeypatch):
+    # with the floor lifted, depth -1 puts the ceiling below B-bottoms
+    monkeypatch.setattr(cone, "_depth_floor", lambda model: -100)
+    monkeypatch.setattr(cone, "default_depth", lambda model, shape: -1)
+
+
+@pytest.mark.parametrize(
+    "patch, name, p, q, i, error, what",
+    [
+        pytest.param(
+            lambda monkeypatch: monkeypatch.setattr(cone, "MAX_GENERATORS", 19),
+            "genus2_stress", 9, 5, 5, ConeTooLarge,
+            "cone of 20 generators, more than 19",
+            id="cone_size",
+        ),
+        pytest.param(
+            lambda monkeypatch: monkeypatch.setattr(
+                cone, "default_depth", lambda model, shape: 1
+            ),
+            "trefoil", 2, 3, 0, TruncationTooSmall,
+            "towers cut below the safe minimum",
+            id="depth_floor",
+        ),
+        pytest.param(
+            _no_depth_floor, "staircase", 1, 1, 0, TruncationTooSmall,
+            "empty target tower in column 5",
+            id="empty_target_tower",
+        ),
+        pytest.param(
+            _ceiling_at(lambda pres: 6), "genus2_stress", 1, 2, 0,
+            TruncationTooSmall, "cokernel reaches the ceiling",
+            id="cokernel_ceiling",
+        ),
+        pytest.param(
+            _ceiling_at(lambda pres: max(pres.b_grading.values()) + 1),
+            "trefoil", 2, 3, 0, TruncationTooSmall,
+            "2 chains reach the ceiling; expected exactly one tower",
+            id="tower_ceiling",
+        ),
+        pytest.param(
+            lambda monkeypatch: monkeypatch.setattr(
+                cone, "build_cone", losing_a_tower
+            ),
+            "trefoil", 2, 3, 0, TruncationTooSmall,
+            "results change when the towers are cut two levels higher",
+            id="certificate",
+        ),
+    ],
+)
+def test_surgery_names_the_block_of_a_cone_error_once(
+    patch, name, p, q, i, error, what, request, monkeypatch
+):
+    # each error a solve can raise, through surgery: the message names no
+    # block, and surgery puts the block in front of it (the window guard's
+    # is test_surgery_checks_the_slope_before_any_block's last case)
+    if name == "staircase":
+        model = load_model(staircase_doc([3, 2, 2, 1, 1, 0]))
+    else:
+        model = request.getfixturevalue(name)
+    patch(monkeypatch)
+    with pytest.raises(error) as raised:
+        surgery(model, p, q)
+    block = f"{model.name} at {p}/{q} block {i}: "
+    assert str(raised.value) == block + what
+    assert str(raised.value).count(block) == 1
 
 
 def test_first_trefoil_window_over_the_limit(trefoil):
@@ -702,10 +768,10 @@ def test_first_trefoil_window_over_the_limit(trefoil):
 def test_size_guard_counts_the_generators_a_pass_lays_out(
     trefoil, genus2_stress, monkeypatch
 ):
-    spec = SurgerySpec(3, 2, 1)
     for model in (trefoil, genus2_stress):
         monkeypatch.undo()
-        pres = build_cone(model, spec, 10)
+        shape = _shape(model, 3, 2, 1)
+        pres = build_cone(model, shape, 10)
         # the counting properties, which count towers, and the reduced
         # summand make up the reference's layout
         whole, red = whole_cone(model, pres), cone._reduced_summand(model, pres)
@@ -727,22 +793,23 @@ def test_size_guard_counts_the_generators_a_pass_lays_out(
         towers = len(pres.a_grading) + len(pres.b_grading)
         gens = towers + reduced
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens)
-        assert build_cone(model, spec, 10) == pres
-        assert build_cone(model, spec, 10**6).ceiling == pres.ceiling + 2 * (10**6 - 10)
+        assert build_cone(model, shape, 10) == pres
+        assert build_cone(model, shape, 10**6).ceiling == pres.ceiling + 2 * (10**6 - 10)
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
         with pytest.raises(ConeTooLarge) as raised:
-            build_cone(model, spec, 10)
-        where = f"{model.name} at 3/2 block 1"
+            build_cone(model, shape, 10)
+        assert str(raised.value) == f"cone of {gens} generators, more than {gens - 1}"
         if reduced:
             # the window's bottoms fit, the whole pass does not
-            expected = f"cone of {gens} generators for {where}: more than {gens - 1}"
+            assert cone._shape(model, 3, 2, 1) == shape
         else:
             # the bottoms alone are over, refused before the window is walked
-            expected = (
-                f"window of {len(pres.a_grading)} A-columns for {where}: "
+            with pytest.raises(ConeTooLarge) as raised:
+                cone._shape(model, 3, 2, 1)
+            assert str(raised.value) == (
+                f"window of {len(pres.a_grading)} A-columns: "
                 f"{towers} tower bottoms, more than {gens - 1} generators"
             )
-        assert str(raised.value) == expected
 
 
 @pytest.mark.parametrize(
@@ -795,14 +862,14 @@ def test_d_bounds_width_on_sigma237(sigma237_synthetic):
 
 def test_reduced_cone_examples(figure8, unknot, sigma237_synthetic):
     # both maps vanish on the figure-eight hook generator
-    assert reduced_cone(figure8, SurgerySpec(2, 1, 0)) == (1, 0)
-    assert reduced_cone(unknot, SurgerySpec(2, 1, 0)) == (0, 0)
+    assert reduced_cone(figure8, _shape(figure8, 2, 1, 0)) == (1, 0)
+    assert reduced_cone(unknot, _shape(unknot, 2, 1, 0)) == (0, 0)
     # rank-nullity on a model with identity blocks
     for p, q in ((2, 1), (3, 2), (2, 5)):
         for i in range(p):
-            spec = SurgerySpec(p, q, i)
-            kd, cd = reduced_cone(sigma237_synthetic, spec)
-            pres = build_cone(sigma237_synthetic, spec, 8)
+            shape = _shape(sigma237_synthetic, p, q, i)
+            kd, cd = reduced_cone(sigma237_synthetic, shape)
+            pres = build_cone(sigma237_synthetic, shape, 8)
             dim_a = len(pres.a_grading)
             dim_b = len(pres.b_grading)
             dim_red = sigma237_synthetic.ambient.dim_red
@@ -818,11 +885,59 @@ def test_kernel_cokernel_inequalities(sigma237_synthetic, figure8):
                 if gcd(p, q) != 1:
                     continue
                 for i in range(p):
-                    spec = SurgerySpec(p, q, i)
-                    kd, cd = reduced_cone(model, spec)
-                    full = read_block(model, spec)
+                    kd, cd = reduced_cone(model, _shape(model, p, q, i))
+                    full = read_block(model, SurgerySpec(p, q, i))
                     assert kd <= full.dim_red
                     assert kd + cd <= full.dim_red + dim_y
+
+
+def test_the_cokernel_u_action_is_read_modulo_the_image():
+    # Genus 1, V = (0, 0), over an ambient at d = 0 whose reduced e0, e1,
+    # e2 sit at 0, 2, 0 with U e1 = e2; block 0 has a0, a1 at 0, -2 with
+    # U a0 = a1, v = 0 and h a0 = e0 + e2.  By hand at 1/2: the window
+    # has k = 0, 0, 1 in A-columns 0, 1, 2 (a and a' the block's copies
+    # in columns 0 and 1, f the ambient's in column 2, where v is the
+    # identity) and B-columns 1, 2 (e^1, e^2).  Every A-bottom is 1 and
+    # every B-bottom 0, so the tower's bottom is 1 and d = -1 + 1 = 0.
+    # The kernel is a0' + f0 + f2, with U-image a1', plus a1: bars at -1
+    # of lengths 2 and 1.  The cokernel class of e1^1 at 2 has U-image e2^1;
+    # modulo the image <e0^1 + e2^1, e0^2, e2^2> at 0 that is e0^1 != 0,
+    # so its bar has length 2.  Read unreduced, e2^1 is not on the
+    # cokernel's basis, and that bar splits into two of length 1.
+    model = load_model(
+        {
+            "name": "cokernel_u",
+            "ambient": {
+                "name": "Y",
+                "d": "0",
+                "b_red": [{"grading": g, "parity": 0} for g in ("0", "2", "0")],
+                "u_matrix": [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+            },
+            "genus": 1,
+            "V": [0, 0],
+            "a_red": {
+                "0": {
+                    "generators": [
+                        {"grading": "0", "parity": 0},
+                        {"grading": "-2", "parity": 0},
+                    ],
+                    "u_matrix": [[0, 0], [1, 0]],
+                    "v_matrix": [[0, 0], [0, 0], [0, 0]],
+                    "h_matrix": [[1, 0], [0, 0], [1, 0]],
+                    "tower_offset": "0",
+                }
+            },
+        }
+    )
+    (half,) = surgery(model, 1, 2).results
+    assert half.d == 0
+    assert half.red == (Tau(-2, 1, 0), Tau(-2, 2, 0), Tau(-1, 2, 1))
+    first, second = surgery(model, 2, 3).results
+    F = Fraction
+    assert first.d == F(1, 4)
+    assert first.red == (Tau(F(-7, 4), 1, 0), Tau(F(-7, 4), 2, 0), Tau(F(-3, 4), 2, 1))
+    assert second.d == F(-1, 4)
+    assert second.red == (Tau(F(-9, 4), 2, 0),)
 
 
 def test_lambda_consistency_through_cone(trefoil, figure8, unknot):
@@ -898,24 +1013,24 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
                 if gcd(p, q) != 1:
                     continue
                 for i in range(p):
-                    spec = SurgerySpec(p, q, i)
-                    n = default_depth(model, spec)
+                    shape = _shape(model, p, q, i)
+                    n = default_depth(model, shape)
                     for depth in (n, n + 2):
-                        pres = build_cone(model, spec, depth)
+                        pres = build_cone(model, shape, depth)
                         red = cone._reduced_summand(model, pres)
                         assert not (red.d_cols or red.u_dom or red.u_cod)
                         kernel, cokernel = cone._kernel_and_cokernel(red)
                         ker, cok = cone.barcode(kernel), cone.barcode(cokernel)
                         assert ker == cok == []
                         general = cone._offsets(pres, cone._tower_bars(pres), [])
-                        assert solve_at(model, spec, depth) == general
+                        assert solve_at(model, shape, depth) == general
 
 
 def _count_eliminations(spy) -> tuple[list, list]:
-    """The specs that ``cone_homology`` is called with from now on, in
-    call order, and for each ``_kernel_and_cokernel`` call the spec of the
-    solve it runs in."""
-    solved = spy(cone, "cone_homology", record=lambda model, spec: spec)
+    """The shapes that ``cone_homology`` is called with from now on, in
+    call order, and for each ``_kernel_and_cokernel`` call the shape of
+    the solve it runs in."""
+    solved = spy(cone, "cone_homology", record=lambda model, shape: shape)
     eliminated = spy(cone, "_kernel_and_cokernel", record=lambda _: solved[-1])
     return solved, eliminated
 
@@ -949,7 +1064,7 @@ def test_reduced_generators_are_eliminated_once_per_pass(
         del solved[:], eliminated[:]
         surgery(figure8, p, q)
         assert solved and eliminated == barcoded == []
-        reduced = [s for s in solved if 0 in cone._shape(figure8, s.p, s.q, s.i)]
+        reduced = [shape for shape in solved if 0 in shape]
         holding.append(len(reduced) / len(solved))
     assert min(holding) < 1 and max(holding) > 0  # both kinds of window occur
 
@@ -960,20 +1075,20 @@ def test_the_reduced_summand_is_laid_out_once_per_solve_over_reduced_ambients(
     # one layout per solve where d needs elimination; over S^3 the stored
     # bars are read and nothing is laid out, figure-eight's reduced
     # generators included
-    laid_out = spy(cone, "_reduced_summand", record=lambda model, pres: pres.spec)
+    laid_out = spy(cone, "_reduced_summand", record=lambda model, pres: pres.shape)
     staircase = load_model(staircase_doc(staircase_v(4)))
     slopes = [(1, 1), (2, 5), (7, 3), (13, 1)]
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in slopes:
             for i in range(p):
-                spec = SurgerySpec(p, q, i)
+                shape = _shape(model, p, q, i)
                 del laid_out[:]
-                cone_homology(model, spec)
-                assert laid_out == [spec], (model.name, spec)
+                cone_homology(model, shape)
+                assert laid_out == [shape], (model.name, p, q, i)
     del laid_out[:]
     for model in (unknot, trefoil, figure8, staircase):
         for p, q in slopes:
             for i in range(p):
-                cone_homology(model, SurgerySpec(p, q, i))
+                cone_homology(model, _shape(model, p, q, i))
         surgery(model, 5, 2)
     assert laid_out == []

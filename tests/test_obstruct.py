@@ -12,12 +12,10 @@ from floersurgery import (
     ConeTooLarge,
     MissingGradings,
     NotCoprime,
-    SurgerySpec,
     TargetSummary,
     V0Zero,
     chi_relation,
     cone,
-    cone_homology,
     cosmetic_pair_scan,
     d_sandwich,
     dedekind,
@@ -42,7 +40,7 @@ from floersurgery.obstruct import (
     _matches,
     canonical_json,
 )
-from conftest import sigma237_synthetic_doc
+from conftest import sigma237_synthetic_doc, solved_blocks
 
 
 def trefoil_2_3_summary(trefoil) -> TargetSummary:
@@ -279,7 +277,8 @@ def test_cosmetic_scan_unknot_finds_the_classical_pair(unknot):
 
 
 def test_cosmetic_scan_solves_each_block_shape_once(figure8, genus2_stress, spy):
-    solved = spy(cone, "cone_homology", record=lambda model, s: (s.q, s.i))
+    shaped = spy(cone, "_shape", record=lambda model, p, q, i: (q, i))
+    solved = spy(cone, "cone_homology", record=lambda model, shape: shaped[-1])
     # the scan solves each shape once, at the first q and block that has
     # it, as one _shape per block finds them (surgery computes the shape
     # once per interval of blocks); surgeries run one by one solve each
@@ -359,7 +358,7 @@ def test_d_sandwich_reads_one_lens_table(trefoil, spy):
 
 
 def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, spy, monkeypatch):
-    solved = spy(cone, "cone_homology", record=lambda model, spec: spec.i)
+    solved = solved_blocks(spy)
     verdict = d_sandwich(trefoil, 3000, 1)
     assert 0 < len(solved) <= 2 * trefoil.genus + 2
     rows = verdict.witness["per_block"]
@@ -375,9 +374,10 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, spy, monkeypatch):
         d_sandwich(genus2_stress, 9, 5)
     assert solved[-1] == 5
     with pytest.raises(ConeTooLarge) as every:
-        [cone_homology(genus2_stress, SurgerySpec(9, 5, i)) for i in range(9)]
-    assert str(sandwich.value) == str(every.value) == (
-        "cone of 20 generators for genus2_stress at 9/5 block 5: more than 19"
+        for i in range(9):
+            cone.cone_homology(genus2_stress, cone._shape(genus2_stress, 9, 5, i))
+    assert str(sandwich.value) == f"genus2_stress at 9/5 block {i}: {every.value}" == (
+        "genus2_stress at 9/5 block 5: cone of 20 generators, more than 19"
     )
 
 

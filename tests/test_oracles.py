@@ -41,7 +41,6 @@ from floersurgery import (
     barcode,
     casson_walker_surgery,
     cone,
-    cone_homology,
     cosmetic_pair_scan,
     default_depth,
     lambda_from_hf,
@@ -97,11 +96,11 @@ def test_split_solve_matches_the_truncated_cone_reference(
     for model in models:
         for p, q in SLOPES:
             for i in range(p):
-                spec = SurgerySpec(p, q, i)
-                n = default_depth(model, spec)
+                shape = cone._shape(model, p, q, i)
+                n = default_depth(model, shape)
                 for depth in (n, n + 2):
-                    expected = truncated_cone_reference(model, spec, depth)
-                    assert solve_at(model, spec, depth) == expected
+                    expected = truncated_cone_reference(model, shape, depth)
+                    assert solve_at(model, shape, depth) == expected
 
 
 def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
@@ -117,13 +116,13 @@ def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
                 if gcd(p, q) != 1:
                     continue
                 for i in range(p):
-                    spec = SurgerySpec(p, q, i)
-                    pres = cone.build_cone(model, spec, default_depth(model, spec))
+                    shape = cone._shape(model, p, q, i)
+                    pres = cone.build_cone(model, shape, default_depth(model, shape))
                     red = cone._reduced_summand(model, pres)
                     kernel, cokernel = cone._kernel_and_cokernel(red)
                     ker, cok = barcode(kernel), barcode(cokernel)
                     read, none = cone._reduced_bars(model, pres)
-                    assert (sorted(read), none) == (ker, cok), (model.name, spec)
+                    assert (sorted(read), none) == (ker, cok), (model.name, p, q, i)
                     nonempty += bool(ker)
     assert nonempty
 
@@ -205,9 +204,10 @@ def test_surgery_raises_at_the_first_block_that_raises(genus2_stress, monkeypatc
     with pytest.raises(ConeTooLarge) as shared:
         surgery(genus2_stress, 9, 5)
     with pytest.raises(ConeTooLarge) as every:
-        [cone_homology(genus2_stress, SurgerySpec(9, 5, i)) for i in range(9)]
-    assert str(shared.value) == str(every.value) == (
-        "cone of 20 generators for genus2_stress at 9/5 block 5: more than 19"
+        for i in range(9):
+            cone.cone_homology(genus2_stress, cone._shape(genus2_stress, 9, 5, i))
+    assert str(shared.value) == f"genus2_stress at 9/5 block {i}: {every.value}" == (
+        "genus2_stress at 9/5 block 5: cone of 20 generators, more than 19"
     )
 
 
