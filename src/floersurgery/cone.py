@@ -66,7 +66,8 @@ and each bar's from the tower's, so block (shape, N) has
 d(Y) - 1 + (N + 4p tower)/4p for d and its exact key is the ints
 (N + 4p tower, 4p, bars).  An interner maps each key to a small int id
 and one d and tuple of bars, built as Fractions by ``_read_off``, the one
-place this module builds them, only at the key's first appearance.
+place this module builds them, only at the key's first appearance: one
+Tau per distinct bar, which equal bars share.
 It computes the shape once per interval of blocks, not once per block.
 With t = (i + (G - 1) q) mod p, the first A-column of block i has
 i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
@@ -240,15 +241,13 @@ def default_depth(model: KnotModel, block) -> int:
 
 
 def _depth_floor(model: KnotModel) -> int:
-    """The model's depth floor: the max over |k| < G of V_k + H_k plus the
-    longest reduced bar, from the column records.  V_{-k} + H_{-k} =
-    V_k + H_k, so 0 <= k < G suffice.  A window's column k counts V_k only
-    when its own B-column is retained and H_k only when the next one is,
-    so no window's maps need more; at slope 1/2 every |k| < G is an
-    interior column, so some window needs all of it."""
-    columns = model.columns()
-    vh = max(columns[k].v + columns[k].h for k in range(max(model.genus, 1)))
-    return vh + model.max_reduced_bar()
+    """The model's depth floor: the max over |k| < G of V_k + H_k, which
+    the model builds with its column records, plus the longest reduced
+    bar.  A window's column k counts V_k only when its own B-column is
+    retained and H_k only when the next one is, so no window's maps need
+    more; at slope 1/2 every |k| < G is an interior column, so some
+    window needs all of it."""
+    return model.max_v_plus_h() + model.max_reduced_bar()
 
 
 class _Row:
@@ -407,11 +406,11 @@ def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
     """
     a = list(pres.a_grading.values())  # edge j joins vertices j and j + 1
     born = [b + 1 for b in pres.b_grading.values()]
-    last = min(born, default=None)
+    last, end = min(born, default=None), len(born)
     right = born.index(last) if born else 0
     left, run, bars = right - 1, a[right], []
-    while left >= 0 or right < len(born):
-        if right == len(born) or (left >= 0 and born[left] <= born[right]):
+    while left >= 0 or right < end:
+        if right == end or (left >= 0 and born[left] <= born[right]):
             birth, low, left = born[left], a[left], left - 1
         else:
             birth, low, right = born[right], a[right + 1], right + 1
@@ -439,17 +438,24 @@ def _offsets(pres: ConePresentation, ker: list, cok: list) -> tuple:
         raise TruncationTooSmall(
             f"{len(near)} chains reach the ceiling; expected exactly one tower"
         )
+    bars = sorted(ker + cok)
+    del bars[bisect_left(bars, near[0])]
     tower = near[0][0]
-    bars = sorted(bar for bar in ker + cok if bar is not near[0])
     return tower, tuple((b - tower, n) for b, n in bars)
 
 
 def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
     """d at the grading num/den and the bars (b, length) above it: bar b
     sits at (num + b den)/den, one Fraction from integers, and its parity,
-    its distance from the tower mod 2, is b mod 2."""
-    red = tuple(Tau(Fraction(num + b * den, den), n, b % 2) for b, n in bars)
-    return Fraction(num, den), red
+    its distance from the tower mod 2, is b mod 2.  The bars are sorted,
+    so equal bars are adjacent and share one Tau, built at the first."""
+    red, last = [], None
+    for bar in bars:
+        if bar != last:
+            b, n = last = bar
+            tau = Tau(Fraction(num + b * den, den), n, b % 2)
+        red.append(tau)
+    return Fraction(num, den), tuple(red)
 
 
 def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]:

@@ -149,7 +149,8 @@ class KnotModel:
     given outside that range must agree with the one the symmetry
     derives; a failure is the ModelError a model file gets.  The
     ``columns`` records and ``max_reduced_bar`` are built at once, from
-    one barcode of every stored presentation and of the ambient's.
+    one barcode of every stored presentation and of the ambient's, and
+    ``max_v_plus_h`` from the records.
     """
 
     def __init__(
@@ -208,6 +209,10 @@ class KnotModel:
             v, pres = self.v_at(k), blk.pres
             top = max(pres.gradings, default=0)
             self._columns[k] = Column(blk, v, v + k, pres.dim, top, bars[pres])
+        # V_{-k} + H_{-k} = V_k + H_k, so 0 <= k < G suffice
+        self._max_v_plus_h = max(
+            self._columns[k].v + self._columns[k].h for k in range(G)
+        )
         self._max_reduced_bar = max(
             (n for pairs in bars.values() for _, n in pairs), default=0
         )
@@ -241,8 +246,19 @@ class KnotModel:
 
     def block(self, k: int) -> ReducedBlock:
         """Reduced block for any k, built with the model: stored for 0 <= k <
-        genus, -k's with v/h swapped for k < 0, identity for |k| >= genus."""
+        genus, -k's with v/h swapped for k < 0, identity for |k| >= genus.
+
+        For |k| >= genus it is k = G's identity block, G = max(genus, 1),
+        unswapped for k < 0: v is not of degree -2 V_k for k <= -G, nor h
+        of degree -2 H_k for k >= G.  No cone window reads those maps (its
+        k lie in (-G, G], and the last column's h is not retained), so a
+        window widened past that range must not build them from ``block``."""
         return self._columns[k if abs(k) < self.genus else max(self.genus, 1)].block
+
+    def max_v_plus_h(self) -> int:
+        """Max over |k| < G, G = max(genus, 1), of V_k + H_k, built at
+        construction from the ``columns`` records."""
+        return self._max_v_plus_h
 
     def max_reduced_bar(self) -> int:
         """Longest bar of the ambient reduced part or of any stored block,

@@ -395,8 +395,9 @@ def test_a_per_depth_error_is_raised_before_the_deeper_pass(trefoil, spy):
 def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
     # cone_homology returns int offsets and builds no Fraction or Tau;
     # surgery reads off each new interner key once, in _read_off: one
-    # Fraction for d, and a Fraction and a Tau per bar, whose bottom is
-    # that Fraction
+    # Fraction for d, and a Fraction and a Tau per distinct bar, whose
+    # bottom is that Fraction; equal bars, adjacent in the sorted bars,
+    # are one Tau
     fractions, taus = spy(cone, "Fraction"), spy(cone, "Tau")
     reads, with_bars = spy(cone, "_read_off"), []
     genus12 = load_model(staircase_doc(staircase_v(12)))
@@ -409,13 +410,35 @@ def test_only_read_off_builds_fractions(trefoil, genus2_stress, spy):
         interner = {}
         surgery(model, p, q, interner=interner)
         assert len(reads) == len(interner) > 0
-        assert len(fractions) == sum(1 + len(bars) for _, _, bars in reads)
-        assert len(taus) == sum(len(bars) for _, _, bars in reads)
+        assert len(fractions) == sum(1 + len(set(bars)) for _, _, bars in reads)
+        assert len(taus) == sum(len(set(bars)) for _, _, bars in reads)
         assert all(type(bottom) is Fraction for bottom, _, _ in taus)
+        for (_, _, bars), (_, red) in zip(reads, reads.results):
+            pairs = list(zip(red, red[1:]))
+            assert [s is t for s, t in pairs] == [s == t for s, t in pairs]
         with_bars += [bars for _, _, bars in reads if bars]
         for calls in (fractions, taus, reads):
             calls.clear()
+        reads.results.clear()
     assert with_bars
+
+
+def test_equal_bars_share_one_tau_at_large_q(figure8):
+    # at large q nearly every bar of a block is equal: the read-off equals
+    # the per-bar one, one Tau per bar, from the solve's offsets, and holds
+    # one Tau per distinct bar (2,001 bars in 2 Taus at figure-eight 2/2001)
+    staircase = load_model(staircase_doc(staircase_v(5)))
+    held = {}
+    for model, p, q in ((figure8, 2, 2001), (staircase, 3, 401)):
+        shapes = {}
+        results = surgery(model, p, q, shapes=shapes).results
+        for i, r in enumerate(results):
+            tower, bars = shapes[_shape(model, p, q, i)]
+            assert r.d == model.ambient.d - 1 + lens_d_at(p, q, i) + tower
+            assert r.red == tuple(Tau(r.d + b, n, b % 2) for b, n in bars)
+            assert len({id(t) for t in r.red}) == len(set(r.red))
+        held[model.name] = {id(t) for r in results for t in r.red}
+    assert len(held[figure8.name]) == 2
 
 
 def test_a_solve_computes_no_shape(trefoil, genus2_stress, spy, monkeypatch):
