@@ -22,8 +22,7 @@ class ModelError(FloerError):
     """A knot-model document failed validation.
 
     ``code`` is one of: Syntax, MonotonicityViolation, GenusViolation,
-    MapNotEquivariant, SymmetryViolation, ParityMismatch, NonHomogeneousU,
-    NotNilpotent.
+    MapNotEquivariant, SymmetryViolation, ParityMismatch, NonHomogeneousU.
     """
 
     def __init__(self, code: str, message: str):

@@ -89,34 +89,24 @@ def degree_violations(
 
 
 def validate(m: FiniteUPresentation) -> list[str]:
-    """Check degree -2 homogeneity of U and nilpotency.
+    """Check that U is homogeneous of degree -2, which is all validity is.
 
-    Returns a list of messages, each prefixed with one of the codes
-    NonHomogeneousU, NotNilpotent; empty means valid.
-    Runs in time linear in the basis size plus the nonzero entries of U.
+    Returns one message per offending entry, each prefixed with the code
+    NonHomogeneousU; empty means valid.  Runs in time linear in the basis
+    size plus the nonzero entries of U (:func:`degree_violations` with
+    shift -2: e_i may occur in U(e_j) only if g_i = g_j - 2).
 
-    * Homogeneity: e_i may occur in U(e_j) only if g_i = g_j - 2
-      (:func:`degree_violations` with shift -2).
-    * Nilpotency follows from homogeneity, so U^n is only computed when
-      homogeneity has failed: if U has degree -2, U^n(e_j) != 0 needs basis
-      vectors at the n + 1 distinct gradings g_j, g_j - 2, ..., g_j - 2n,
-      but there are only n basis vectors.
+    Nilpotency needs no test of its own: if U has degree -2, U^n(e_j) != 0
+    needs basis vectors at the n + 1 distinct gradings g_j, g_j - 2, ...,
+    g_j - 2n, but there are only n basis vectors, so U^n = 0.
     """
     errs: list[str] = []
-    n = m.dim
     gs = m.gradings
     for j, i in degree_violations(m.u_cols, gs, gs, -2):
         errs.append(
             f"NonHomogeneousU: U sends e{j} (grading {gs[j]}) "
             f"to e{i} (grading {gs[i]})"
         )
-    if errs:
-        cols = list(gf2.identity(n))
-        u = list(m.u_cols)
-        for _ in range(n):
-            cols = gf2.mat_mul(u, cols)
-        if not gf2.is_zero(cols):
-            errs.append(f"NotNilpotent: U^{n} is nonzero")
     return errs
 
 

@@ -8,7 +8,7 @@ vector is eliminated once and never reduced again (:class:`Echelon`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 def bits(x: int) -> Iterator[int]:
@@ -36,35 +36,31 @@ def identity(n: int) -> list[int]:
     return [1 << i for i in range(n)]
 
 
-def is_zero(cols: Iterable[int]) -> bool:
-    return all(c == 0 for c in cols)
-
-
 class Echelon:
     """Semi-echelon basis with combination tracking.
 
-    ``pivots[b]`` is the stored vector whose highest set bit is b.
-    :meth:`reduce` clears each leading pivot bit with that vector, so
-    residues contain no pivot bit; every nonzero vector of the span leads
-    with a pivot bit, so residues are canonical coset representatives.
+    ``pivots[b]`` is the stored vector whose highest set bit is b, and
+    ``mask`` has exactly the pivot bits set.  :meth:`reduce` clears each
+    leading pivot bit with that vector, so residues contain no pivot bit;
+    every nonzero vector of the span leads with a pivot bit, so residues
+    are canonical coset representatives.
     """
 
     def __init__(self) -> None:
         self.pivots: dict[int, tuple[int, int]] = {}
+        self.mask = 0
 
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
-        """Reduce v modulo the span; return (residue, combination)."""
-        out = 0
-        while v:
-            b = v.bit_length() - 1
-            if b in self.pivots:
-                pv, pc = self.pivots[b]
-                v ^= pv
-                combo ^= pc
-            else:
-                out |= 1 << b
-                v ^= 1 << b
-        return out, combo
+        """Reduce v modulo the span; return (residue, combination).
+
+        A stored vector touches no bit above its lead, so clearing the
+        highest pivot bit left in v never sets a higher one back.
+        """
+        while hit := v & self.mask:
+            pv, pc = self.pivots[hit.bit_length() - 1]
+            v ^= pv
+            combo ^= pc
+        return v, combo
 
     def insert(self, v: int, combo: int = 0) -> tuple[bool, int, int]:
         """Insert v; return (added, residue, combination).
@@ -75,7 +71,9 @@ class Echelon:
         res, combo = self.reduce(v, combo)
         if res == 0:
             return False, 0, combo
-        self.pivots[res.bit_length() - 1] = (res, combo)
+        lead = res.bit_length() - 1
+        self.pivots[lead] = (res, combo)
+        self.mask |= 1 << lead
         return True, res, combo
 
 

@@ -79,13 +79,13 @@ def dedekind(q: int, p: int) -> Fraction:
 
 def _table_chain(p: int, q: int) -> list[tuple[int, int]]:
     """_euclid_chain of a whole table, refused above MAX_TABLE_P entries."""
-    require_slope(p, q)
+    chain = _euclid_chain(p, q)
     if p > MAX_TABLE_P:
         raise TableTooLarge(
             f"the lens table of L({p},{q}) has {p} entries, "
             f"more than the limit of {MAX_TABLE_P}"
         )
-    return _euclid_chain(p, q)
+    return chain
 
 
 def _d_halves(chain: list[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from floersurgery import (
     FiniteUPresentation,
     InvalidPresentation,
+    Tau,
     barcode,
     euler_z2,
     gf2,
     validate,
 )
-from conftest import inverse, random_presentation, rank, rank_profile_matches
+from conftest import (
+    inverse,
+    random_presentation,
+    rank,
+    rank_profile_matches,
+    u_power_rank,
+)
 
 
 def test_validate_zero_module():
@@ -34,9 +41,27 @@ def test_validate_non_homogeneous_u():
 
 
 def test_validate_not_nilpotent():
+    # a self-loop is not nilpotent, and homogeneity alone refuses it
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((0,), (1,))
-    assert any(e.startswith("NotNilpotent") for e in exc.value.errors)
+    assert exc.value.errors == [
+        "NonHomogeneousU: U sends e0 (grading 0) to e0 (grading 0)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Tau(0, 0), "tau length must be positive"),
+        (lambda: Tau(0, 1, 2), "parity must be 0 or 1"),
+        (lambda: FiniteUPresentation((0, 2), (0,)), "equal lengths"),
+        (lambda: FiniteUPresentation((0,), (0b10,)), "bits outside the basis"),
+    ],
+    ids=["tau_length", "tau_parity", "field_lengths", "u_outside_basis"],
+)
+def test_bad_fields_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_barcode_single_jordan_block():
@@ -123,9 +148,11 @@ def test_u_decreases_grading_by_two_enforced():
                 assert m.gradings[i] == m.gradings[j] - 2
 
 
-def reference_validate(gradings: list[int], u_cols: list[int]) -> list[str]:
-    """Brute-force validation: homogeneity per entry and the U^n power
-    test, each run unconditionally."""
+def reference_validate(
+    gradings: list[int], u_cols: list[int]
+) -> tuple[list[str], bool]:
+    """Brute force: the homogeneity message of every entry, and whether
+    U^n = 0 by n matrix products, each run unconditionally."""
     errs = []
     for j, col in enumerate(u_cols):
         for i in gf2.bits(col):
@@ -138,9 +165,7 @@ def reference_validate(gradings: list[int], u_cols: list[int]) -> list[str]:
     cols = gf2.identity(n)
     for _ in range(n):
         cols = gf2.mat_mul(list(u_cols), cols)
-    if not gf2.is_zero(cols):
-        errs.append(f"NotNilpotent: U^{n} is nonzero")
-    return errs
+    return errs, not any(cols)
 
 
 def _codes(errs: list[str]) -> list[str]:
@@ -175,7 +200,10 @@ def test_validate_matches_reference(seed, defects):
     if m.dim:
         for kind in defects:
             _break(gradings, cols, rng, kind)
-    expected = reference_validate(gradings, cols)
+    expected, nilpotent = reference_validate(gradings, cols)
+    # a U that is not nilpotent is never homogeneous, so the verdict is
+    # the one of homogeneity and nilpotency checked together
+    assert nilpotent or expected
     if not expected:
         assert validate(FiniteUPresentation(tuple(gradings), tuple(cols))) == []
         return
@@ -184,14 +212,37 @@ def test_validate_matches_reference(seed, defects):
     assert exc.value.errors == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_valid_presentations_are_nilpotent(seed):
+    # every grading of a run of `span` steps is occupied, so a U-chain can
+    # be as long as the basis and U^(n-1) may be nonzero, but U^n never is
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    span, density = rng.randint(1, max(n, 1)), rng.random()
+    gradings = [2 * (i % span) for i in range(n)]
+    rng.shuffle(gradings)
+    cols = [0] * n
+    for j in range(n):
+        for i in range(n):
+            if gradings[i] == gradings[j] - 2 and rng.random() < density:
+                cols[j] |= 1 << i
+    m = FiniteUPresentation(tuple(gradings), tuple(cols))
+    assert validate(m) == []
+    assert u_power_rank(m, m.dim) == 0
+
+
 def test_validate_homogeneous_runs_no_matrix_products(spy):
+    # validating a homogeneous U multiplies no matrices
     calls = spy(gf2, "mat_mul")
     rng = random.Random(7)
     for _ in range(50):
         assert validate(random_presentation(rng, max_dim=12)) == []
-    assert calls == []
-    # a non-homogeneous U still gets the power test, at construction
+    # nor does refusing a non-homogeneous U, not even a dense one
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((0,), (1,))
-    assert _codes(exc.value.errors) == ["NonHomogeneousU", "NotNilpotent"]
-    assert calls
+    assert _codes(exc.value.errors) == ["NonHomogeneousU"]
+    with pytest.raises(InvalidPresentation) as exc:
+        FiniteUPresentation((0,) * 40, (2**40 - 1,) * 40)
+    assert _codes(exc.value.errors) == ["NonHomogeneousU"] * 40 * 40
+    assert calls == []

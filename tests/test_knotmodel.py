@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,6 +462,30 @@ def test_validate_error_code_appears_once():
     assert exc.value.code == "NonHomogeneousU"
     assert str(exc.value).count("NonHomogeneousU") == 1
     assert str(exc.value).startswith("NonHomogeneousU: a_red[0]: U sends e1")
+
+
+def test_dense_non_homogeneous_block_is_refused_without_matrix_products(
+    spy, tmp_path
+):
+    # hostile input: 300 generators at one grading under a dense random U,
+    # so about half of the 90,000 entries break homogeneity; the refusal
+    # reads each entry once and multiplies no matrices
+    n = 300
+    rng = random.Random(n)
+    doc = base_doc()
+    block = doc["a_red"]["0"]
+    block["generators"] = [{"grading": "-1", "parity": 1}] * n
+    block["u_matrix"] = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
+    block["v_matrix"] = block["h_matrix"] = [[0] * n]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    products = spy(gf2, "mat_mul")
+    validated = spy(fmod, "validate")
+    with pytest.raises(ModelError) as exc:
+        load_model(path)
+    assert exc.value.code == "NonHomogeneousU"
+    assert len(validated) == 2  # the ambient's b_red, then block 0
+    assert products == []
 
 
 def _bool_parity(doc):

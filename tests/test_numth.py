@@ -145,6 +145,10 @@ def test_whole_tables_are_refused_above_the_limit():
         with pytest.raises(TableTooLarge, match=f"{p} entries.*limit of {MAX_TABLE_P}"):
             table(p, 1)
     assert len(lens_d_numerators(MAX_TABLE_P, 1)) == MAX_TABLE_P
+    # a slope that is no slope is refused as such, at any size
+    for table in (lens_d_numerators, lens_d, lens_invariants):
+        with pytest.raises(NotCoprime):
+            table(MAX_TABLE_P + 2, 2)
     # single entries and Dedekind sums stay O(log p) at any p
     p = 10**20 - 1
     assert lens_d_at(p, 1, 0) == Fraction(p - 1, 4)
@@ -263,6 +267,8 @@ def test_casson_walker_surgery_examples():
     # figure-eight data at 2/1
     val = casson_walker_surgery(CassonWalkerInput(Fraction(0), 1, -2, 2, 1))
     assert val == lens_lambda(2, 1) - Fraction(1, 2)
+    with pytest.raises(ValueError, match="h1_order must be positive"):
+        casson_walker_surgery(CassonWalkerInput(Fraction(0), 0, -2, 2, 1))
 
 
 def test_casson_walker_additive_in_delta2():
@@ -288,6 +294,8 @@ def test_lambda_from_hf():
         assert lambda_from_hf(0, d_sum, p) == lens_lambda(p, q)
     # one odd generator, d = 0: the value is -1
     assert lambda_from_hf(-1, Fraction(0), 1) == -1
+    with pytest.raises(ValueError, match="h1_order must be positive"):
+        lambda_from_hf(-1, Fraction(0), 0)
 
 
 def test_totient():

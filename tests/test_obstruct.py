@@ -515,3 +515,5 @@ def test_report_json_round_trip(trefoil):
     text = canonical_json({"verdicts": [z_special(z, 2, [3, 7])]})
     assert canonical_json(json.loads(text)) == text
     assert json.loads(text)["verdicts"][0]["rule"] == "Z_SPECIAL"
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        canonical_json({"slopes": {3, 7}})
