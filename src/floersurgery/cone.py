@@ -38,14 +38,16 @@ reduced summand has no depth and is solved once per shape
 (``_reduced_bars``).  Over an L-space ambient, such as S^3, the B-row
 has no reduced generator, so d is zero on the summand: its homology is
 the A-columns' barcodes from the column records, each moved to its
-column's A-bottom.  Over any other ambient ``_reduced_summand`` lays the
-summand out grading by grading from the model's maps, which its
-constructor checked to be U-equivariant and homogeneous, and one
-ascending pass eliminates d once per grading, giving the kernel there
-and the image one grading down, hence the cokernel, both decomposed into
-bars.  The unique kernel bar reaching the ceiling is the tower of the
-surgered manifold and its bottom the d-invariant; every other bar is
-reduced homology.
+column's A-bottom.  Over any other ambient each row numbers its reduced
+generators grading by grading, so a vector at a grading is a bitmask
+over the generators there; the model's maps are homogeneous (its
+constructor checks them), so one shift places each of their columns.
+One ascending pass eliminates d once per grading, giving the kernel
+there and the image one grading down, hence the cokernel, all
+decomposed into bars.  The
+unique kernel bar reaching the ceiling is the tower of the surgered
+manifold and its bottom the d-invariant; every other bar is reduced
+homology.
 
 A cone's size is one tower bottom per retained A- and B-column plus every
 reduced generator, bounded by MAX_GENERATORS (``_shape`` checks the
@@ -86,7 +88,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import gf2
 from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall
@@ -147,17 +148,6 @@ class ConePresentation:
 
 def _gradings(bottom: dict[int, int], top: int) -> tuple[int, ...]:
     return tuple(sorted(g for b in bottom.values() for g in range(b, top + 1, 2)))
-
-
-class RowComplex(NamedTuple):
-    """A two-row complex laid out grading by grading: ``d_cols[g]`` holds
-    the columns of the A-generators at g over the B-generators at g - 1;
-    ``u_dom[g]`` and ``u_cod[g]`` the U-columns over the same row at
-    g - 2.  Gradings without generators have no entry."""
-
-    d_cols: dict[int, tuple[int, ...]]
-    u_dom: dict[int, tuple[int, ...]]
-    u_cod: dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -250,41 +240,6 @@ def _depth_floor(model: KnotModel) -> int:
     return model.max_v_plus_h() + model.max_reduced_bar()
 
 
-class _Row:
-    """The reduced generators of one row, laid out grading by grading.
-
-    Column n has reduced generators c at bottom[n] + reduced[n].gradings[c]:
-    ``at[g]`` = [(n, c), ...] lists those at g (gradings ascending),
-    ``place[n, c]`` is the local index at g, and ``u[g]`` holds the
-    U-columns.  Every model map is homogeneous (``KnotModel`` checks them
-    at construction), so an image lies at one grading.
-    """
-
-    def __init__(
-        self, bottom: dict[int, int], reduced: dict[int, FiniteUPresentation]
-    ):
-        at: dict[int, list[tuple[int, int]]] = {}
-        for n, pres in reduced.items():
-            for c, off in enumerate(pres.gradings):
-                at.setdefault(bottom[n] + off, []).append((n, c))
-        self.at = dict(sorted(at.items()))
-        self.place = {
-            key: idx for keys in self.at.values() for idx, key in enumerate(keys)
-        }
-        self.u = {
-            g: tuple(self.image(reduced[n].u_cols[c], n) for n, c in keys)
-            for g, keys in self.at.items()
-        }
-
-    def image(self, mask: int, n: int) -> int:
-        """The reduced generators c of column n set in mask, as a bitmask
-        over the generators at their grading."""
-        out = 0
-        for c in gf2.bits(mask):
-            out |= 1 << self.place[n, c]
-        return out
-
-
 def build_cone(model: KnotModel, shape: tuple, depth: int) -> ConePresentation:
     """The cone of the shape (``_shape``), its towers cut at the given
     depth (only ``cone_homology``'s certificate chooses it) and its
@@ -330,29 +285,6 @@ def build_cone(model: KnotModel, shape: tuple, depth: int) -> ConePresentation:
     return ConePresentation(shape, ceiling, a_grading, b_grading, reduced)
 
 
-def _reduced_summand(model: KnotModel, pres: ConePresentation) -> RowComplex:
-    """The reduced summand at the bottoms of ``pres``, laid out grading by
-    grading.  Over an L-space ambient the B-row is empty."""
-    columns, b_grading = model.columns(), pres.b_grading
-    blocks = {n: columns[k].block for n, k in zip(pres.a_grading, pres.shape)}
-    dom = _Row(pres.a_grading, {n: blk.pres for n, blk in blocks.items()})
-    cod = _Row(b_grading, dict.fromkeys(b_grading, model.ambient.b_red))
-
-    # reduced A-column n maps to B-column n by v_cols and to B-column
-    # n + 1 by h_cols; columns outside the window are not retained
-    d_cols = {}
-    for g, keys in dom.at.items():
-        cols = []
-        for n, c in keys:
-            col = 0
-            for m, red_cols in ((n, blocks[n].v_cols), (n + 1, blocks[n].h_cols)):
-                if m in b_grading:
-                    col ^= cod.image(red_cols[c], m)
-            cols.append(col)
-        d_cols[g] = tuple(cols)
-    return RowComplex(d_cols, dom.u, cod.u)
-
-
 def _presentation(basis: list[tuple[int, int, int]]) -> FiniteUPresentation:
     """The module on ``basis``: triples (g, key, w), ascending in g, where U
     sends the element to those at g - 2 whose keys are bits of w."""
@@ -362,32 +294,6 @@ def _presentation(basis: list[tuple[int, int, int]]) -> FiniteUPresentation:
         pos[g, key] = j
         u_cols.append(sum(1 << pos[g - 2, b] for b in gf2.bits(w) if (g - 2, b) in pos))
     return FiniteUPresentation(tuple(g for g, _, _ in basis), tuple(u_cols))
-
-
-def _kernel_and_cokernel(pres: RowComplex) -> tuple[FiniteUPresentation, ...]:
-    """ker d and coker d with their U-actions, eliminating each d_cols[g] once.
-
-    The nullspace of d_cols[g] is the kernel at g and leaves the image at
-    g - 1 in an echelon.  Kernel vectors lead with their dependent column
-    and are otherwise independent columns, so a kernel element's
-    coordinates are its bits on the dependent columns.  The cokernel at g
-    is represented on the non-pivot coordinates of the image at g, where
-    reducing against the image puts U-images from g + 2.
-    """
-    image = {g - 1: gf2.Echelon() for g in pres.d_cols}
-    kernel = []
-    for g, cols in pres.d_cols.items():
-        for vec in gf2.nullspace(list(cols), image[g - 1]):
-            w = gf2.mat_vec(pres.u_dom[g], vec)
-            kernel.append((g, vec.bit_length() - 1, w))
-    empty = gf2.Echelon()
-    cokernel = [
-        (g, i, image.get(g - 2, empty).reduce(w)[0])
-        for g, u in pres.u_cod.items()
-        for i, w in enumerate(u)
-        if i not in image.get(g, empty).pivots
-    ]
-    return _presentation(kernel), _presentation(cokernel)
 
 
 def _tower_bars(pres: ConePresentation) -> list[tuple[int, int]]:
@@ -458,25 +364,117 @@ def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
     return Fraction(num, den), tuple(red)
 
 
+def _shifted(mask: int, shift: int) -> int:
+    """mask moved up by a signed shift, or down by -shift when negative."""
+    return mask << shift if shift >= 0 else mask >> -shift
+
+
+def _graded(gradings: tuple[int, ...]) -> tuple[list, dict, list]:
+    """A module's generators in grading order, ties in index order (so
+    those at one grading are consecutive): the order, ranks and gradings."""
+    order = sorted(range(len(gradings)), key=gradings.__getitem__)
+    return order, {c: r for r, c in enumerate(order)}, [gradings[c] for c in order]
+
+
+def _relabelled(cols: tuple[int, ...], order: list[int], rank: dict) -> list:
+    """The columns taken in ``order``, bit c of each moved to bit rank[c]."""
+    return [sum(1 << rank[b] for b in gf2.bits(cols[c])) for c in order]
+
+
+@dataclass(frozen=True, slots=True)
+class _GradedBlock:
+    """A model block with its generators in grading order (``_graded``):
+    their gradings, and the columns of U, v and h in that order, each bit
+    moved to its generator's place in the order of its own module."""
+
+    gradings: list[int]
+    u_cols: list[int]
+    v_cols: list[int]
+    h_cols: list[int]
+
+
+def _numbered(bottom: int, offsets: list, us: list, at: dict) -> dict[int, int]:
+    """Number a column's generators, in grading order, after those already
+    at their gradings, append their U-columns (placed by the shift at
+    g - 2, set earlier) to ``at[g]`` and return the column's shift at each
+    g, which moves a mask over its generators at g onto their numbers."""
+    shift: dict[int, int] = {}
+    for r, (off, u) in enumerate(zip(offsets, us)):
+        g = bottom + off
+        here = at.setdefault(g, [])
+        shift.setdefault(g, len(here) - r)
+        here.append(u and _shifted(u, shift[g - 2]))
+    return shift
+
+
 def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]:
     """Kernel and cokernel bars (bottom, length) of the reduced summand:
     none without a reduced generator.  Over an L-space ambient the B-row
-    has no reduced generator, so d is zero there: the kernel is the
-    A-columns' barcodes from the model's column records, each moved to its
-    column's A-bottom, and there is no cokernel.  Otherwise the summand is
-    laid out (``_reduced_summand``) and d eliminated
-    (``_kernel_and_cokernel``), once each."""
+    has none, so d is zero: the kernel is the A-columns' barcodes from
+    the column records, each moved to its column's A-bottom.
+
+    Otherwise one pass lays the summand out and eliminates it.  Each row
+    numbers its generators grading by grading from 0, column after column
+    in window order (``_numbered``), so a vector at g is a bitmask over
+    the generators at g.  A model column lies at one grading (the maps are
+    homogeneous) and, its module taken in grading order (``_graded``, once
+    per distinct module), on consecutive numbers there: one signed shift
+    places it.  d is eliminated once per A-grading g, ascending: the
+    nullspace of its columns is the kernel at g, keyed by each vector's
+    dependent generator, and leaves the image at g - 1 in an echelon.  The
+    cokernel is the B-generators that are no pivot of the image, their
+    U-images reduced against the image two gradings down.
+    """
     if not pres.reduced:
         return [], []
-    if not model.ambient.is_l_space:
-        kernel, cokernel = _kernel_and_cokernel(_reduced_summand(model, pres))
-        return barcode(kernel), barcode(cokernel)
     columns = model.columns()
-    return [
-        (a + b, n)
-        for a, k in zip(pres.a_grading.values(), pres.shape)
-        for b, n in columns[k].bars
-    ], []
+    if model.ambient.is_l_space:
+        return [
+            (a + b, n)
+            for a, k in zip(pres.a_grading.values(), pres.shape)
+            for b, n in columns[k].bars
+        ], []
+    amb = model.ambient.b_red
+    order, b_rank, b_offs = _graded(amb.gradings)
+    b_us, b_at = _relabelled(amb.u_cols, order, b_rank), {}
+    b_shift = {m: _numbered(b, b_offs, b_us, b_at) for m, b in pres.b_grading.items()}
+
+    # d sends A-column n by v into B-column n and by h into n + 1, where
+    # retained; each distinct block is put in grading order once
+    blocks, a_at, d_at = {}, {}, {}
+    for (n, a), k in zip(pres.a_grading.items(), pres.shape):
+        if k not in blocks:
+            block = columns[k].block
+            order, rank, offsets = _graded(block.pres.gradings)
+            blocks[k] = _GradedBlock(
+                offsets,
+                _relabelled(block.pres.u_cols, order, rank),
+                _relabelled(block.v_cols, order, b_rank),
+                _relabelled(block.h_cols, order, b_rank),
+            )
+        block = blocks[k]
+        _numbered(a, block.gradings, block.u_cols, a_at)
+        for off, v, h in zip(block.gradings, block.v_cols, block.h_cols):
+            d = 0
+            for m, col in ((n, v), (n + 1, h)):
+                if col and m in b_shift:
+                    d |= _shifted(col, b_shift[m][a + off - 1])
+            d_at.setdefault(a + off, []).append(d)
+    del b_shift, blocks  # freed before the elimination, the solve's peak
+
+    image, kernel = {}, []
+    for g in sorted(a_at):
+        image[g - 1] = gf2.Echelon()
+        for vec in gf2.nullspace(d_at.pop(g), image[g - 1]):
+            kernel.append((g, vec.bit_length() - 1, gf2.mat_vec(a_at[g], vec)))
+    empty, cokernel = gf2.Echelon(), []
+    for g in sorted(b_at):
+        pivots, below = image.get(g, empty).pivots, image.get(g - 2, empty)
+        for i, u in enumerate(b_at[g]):
+            if i not in pivots:
+                cokernel.append((g, i, below.reduce(u)[0]))
+    del image, a_at, b_at  # and these before the barcodes
+    return barcode(_presentation(kernel)), barcode(_presentation(cokernel))
 
 
 def cone_homology(model: KnotModel, shape: tuple) -> tuple[int, tuple]:

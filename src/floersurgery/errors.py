@@ -10,7 +10,8 @@ class FloerError(Exception):
 class InvalidPresentation(FloerError):
     """A graded U-presentation failed validation.
 
-    Carries the full list of validation messages in ``errors``.
+    Carries the validation messages in ``errors``: ``fmod.validate``
+    stops at the first violation, so there is one.
     """
 
     def __init__(self, errors: list[str]):

@@ -91,23 +91,23 @@ def degree_violations(
 def validate(m: FiniteUPresentation) -> list[str]:
     """Check that U is homogeneous of degree -2, which is all validity is.
 
-    Returns one message per offending entry, each prefixed with the code
-    NonHomogeneousU; empty means valid.  Runs in time linear in the basis
-    size plus the nonzero entries of U (:func:`degree_violations` with
-    shift -2: e_i may occur in U(e_j) only if g_i = g_j - 2).
+    Returns the message of the first offending entry, in column order,
+    prefixed with the code NonHomogeneousU; empty means valid.  It stops
+    there, so it runs in time linear in the basis size plus the nonzero
+    entries of U up to that entry (:func:`degree_violations` with shift
+    -2: e_i may occur in U(e_j) only if g_i = g_j - 2).
 
     Nilpotency needs no test of its own: if U has degree -2, U^n(e_j) != 0
     needs basis vectors at the n + 1 distinct gradings g_j, g_j - 2, ...,
     g_j - 2n, but there are only n basis vectors, so U^n = 0.
     """
-    errs: list[str] = []
     gs = m.gradings
     for j, i in degree_violations(m.u_cols, gs, gs, -2):
-        errs.append(
+        return [
             f"NonHomogeneousU: U sends e{j} (grading {gs[j]}) "
             f"to e{i} (grading {gs[i]})"
-        )
-    return errs
+        ]
+    return []
 
 
 def barcode(m: FiniteUPresentation) -> list[tuple[int, int]]:

@@ -11,7 +11,6 @@ from floersurgery import (
     ConeResult,
     FiniteUPresentation,
     Tau,
-    barcode,
     cone,
     gf2,
     load_model,
@@ -193,84 +192,6 @@ def window_floor_reference(model, shape) -> int:
     return max(vh + ends) + model.max_reduced_bar()
 
 
-def generators(laid_out) -> int:
-    """The number of generators of a ``cone.RowComplex``, both rows."""
-    rows = (laid_out.u_dom, laid_out.u_cod)
-    return sum(len(cols) for row in rows for cols in row.values())
-
-
-def whole_cone(model, pres):
-    """The truncated cone with every generator laid out, grading by
-    grading (ascending), as a ``cone.RowComplex``: the towers of ``pres``
-    from their bottoms and the ceiling, then the reduced summand of
-    ``cone._reduced_summand``, on every ambient, L-space ambients
-    included.  At each grading the towers present come first, sorted by
-    bottom, so they are a prefix of that order and keep their index at
-    every grading; the reduced columns follow, shifted past the towers at
-    their target grading."""
-
-    def towers(bottom, top):
-        order = sorted(bottom, key=bottom.__getitem__)
-        return {
-            g: [n for n in order if bottom[n] <= g]
-            for g in range(min(bottom.values(), default=top + 1), top + 1, 2)
-        }
-
-    a_at = towers(pres.a_grading, pres.ceiling)
-    b_at = towers(pres.b_grading, pres.ceiling - 1)
-    b_index = {n: t for ns in b_at.values() for t, n in enumerate(ns)}
-
-    def lay_out(tower_cols, reduced, target_at, step):
-        out = {}
-        for g in sorted(tower_cols.keys() | reduced.keys()):
-            shift = len(target_at.get(g - step, ()))
-            out[g] = tuple(tower_cols.get(g, [])) + tuple(
-                col << shift for col in reduced.get(g, ())
-            )
-        return out
-
-    def tower_u(at):
-        # U keeps a tower's number; the towers at g - 2 are a prefix
-        return {
-            g: [1 << t if t < len(at.get(g - 2, ())) else 0 for t in range(len(ns))]
-            for g, ns in at.items()
-        }
-
-    # a tower generator at g hits the B-tower of a retained neighbour
-    # exactly when that tower reaches down to g - 1
-    d_towers = {
-        g: [
-            sum(
-                1 << b_index[m]
-                for m in (n, n + 1)
-                if m in pres.b_grading and pres.b_grading[m] < g
-            )
-            for n in ns
-        ]
-        for g, ns in a_at.items()
-    }
-    red = cone._reduced_summand(model, pres)
-    return cone.RowComplex(
-        d_cols=lay_out(d_towers, red.d_cols, b_at, 1),
-        u_dom=lay_out(tower_u(a_at), red.u_dom, a_at, 2),
-        u_cod=lay_out(tower_u(b_at), red.u_cod, b_at, 2),
-    )
-
-
-def truncated_cone_reference(model, shape, depth, whole=None):
-    """The block's homology by eliminating the whole truncated cone, tower
-    generators included: kernel and cokernel of every d_cols[g] of
-    ``whole_cone``, barcoded, then read off to offsets by the library's
-    own ``_offsets``.  Looks up ``cone.build_cone`` at call time, so a test
-    may inject a presentation, or pass the laid-out cone itself as
-    ``whole``."""
-    pres = cone.build_cone(model, shape, depth)
-    if whole is None:
-        whole = whole_cone(model, pres)
-    kernel, cokernel = cone._kernel_and_cokernel(whole)
-    return cone._offsets(pres, barcode(kernel), barcode(cokernel))
-
-
 def tower_bars_reference(pres) -> list[tuple[int, int]]:
     """Kernel bars (bottom, length) of the tower summand by union-find
     with the elder rule, over the edges sorted by birth: it assumes
@@ -294,20 +215,6 @@ def tower_bars_reference(pres) -> list[tuple[int, int]]:
     low = min(bottom.values())
     bars.append((low, (pres.ceiling - low) // 2 + 1))
     return bars
-
-
-def reduced_cone(model, shape) -> tuple[int, int]:
-    """(dim ker, dim coker) of the reduced-blocks-only cone map, for a
-    model with V_0 = 0.  The map is d on the reduced summand as
-    ``cone._reduced_summand`` lays it out, on every ambient; no tower
-    depth changes it."""
-    assert model.v_at(0) == 0, f"V_0 = {model.v_at(0)} for {model.name}"
-    pres = cone.build_cone(model, shape, cone.default_depth(model, shape))
-    red = cone._reduced_summand(model, pres)
-    dim_dom = sum(len(cols) for cols in red.d_cols.values())
-    dim_cod = sum(len(cols) for cols in red.u_cod.values())
-    r = sum(rank(cols) for cols in red.d_cols.values())
-    return dim_dom - r, dim_cod - r
 
 
 def random_presentation(rng: random.Random, max_dim: int = 12) -> FiniteUPresentation:

@@ -26,23 +26,20 @@ from floersurgery import (
     surgery,
     torsion_coefficients,
 )
-from floersurgery import cone
+from floersurgery import cone, gf2
 from floersurgery.cli import main
 from floersurgery.cone import _shape, build_cone, cone_homology
 from floersurgery.numth import lens_d_at, lens_d_numerators
 
 from conftest import (
     depth_floor_reference,
-    generators,
     read_block,
-    reduced_cone,
     solved_blocks,
     staircase_doc,
     tower_bars_reference,
-    truncated_cone_reference,
-    whole_cone,
     window_floor_reference,
 )
+from referee import referee
 
 
 def test_spec_validation():
@@ -195,29 +192,30 @@ def test_a_block_whose_u_is_not_of_degree_minus_2_is_rejected(sigma237_synthetic
 
 
 def test_build_cone_lays_out_only_reduced_generators(
-    trefoil, genus2_stress, sigma237_synthetic
+    trefoil, genus2_stress, sigma237_synthetic, spy
 ):
     # the towers are their bottoms and the ceiling, nothing else, and the
     # reduced summand lays out only reduced generators: a staircase has
-    # none, so nothing is laid out
+    # none, so nothing is laid out or eliminated; otherwise the pass
+    # eliminates each reduced A-generator once, as a column of d
+    eliminated = spy(gf2, "nullspace")
     slopes = [(1, 1), (2, 3), (5, 2), (7, 4)]
     for model in [load_model(staircase_doc(V)) for V in ([1, 0], [3, 2, 2, 1, 1, 0])]:
         for p, q in slopes:
             pres = build_cone(model, _shape(model, p, q, p - 1), 8)
-            red = cone._reduced_summand(model, pres)
-            assert red.d_cols == red.u_dom == red.u_cod == {}
             assert pres.reduced == 0
+            assert cone._reduced_bars(model, pres) == ([], [])
+    assert eliminated == []
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in slopes:
             for i in range(p):
                 shape = _shape(model, p, q, i)
                 pres = build_cone(model, shape, default_depth(model, shape))
-                red = cone._reduced_summand(model, pres)
+                del eliminated[:]
+                cone._reduced_bars(model, pres)
                 a_red = sum(model.block(k).pres.dim for k in pres.shape)
                 b_red = model.ambient.dim_red * len(pres.b_grading)
-                assert sum(map(len, red.u_dom.values())) == a_red
-                assert sum(map(len, red.d_cols.values())) == a_red
-                assert sum(map(len, red.u_cod.values())) == b_red
+                assert sum(len(cols) for cols, *_ in eliminated) == a_red
                 assert pres.reduced == a_red + b_red
     # a deeper cone differs only in how far its towers reach
     shape = _shape(trefoil, 2, 1, 0)
@@ -316,16 +314,18 @@ def test_an_empty_target_tower_is_reported(monkeypatch):
 def test_edge_born_at_the_ceiling_is_reported(trefoil, monkeypatch):
     # cut the same cone at grading 1, where both edges are born: the bar
     # ended by edge 1 tops out two below the ceiling, next to the tower;
-    # trefoil has no reduced generator, so the towers are all there is
+    # trefoil has no reduced generator, so the towers are all there is.
+    # The referee, cut far above, has that bar: (-1, 1), whose top is -1
     shape = _shape(trefoil, 2, 3, 0)
     pres = build_cone(trefoil, shape, 8)
     broken = replace(pres, ceiling=max(pres.b_grading.values()) + 1)
+    tower, bars = referee(trefoil, 2, 3, 0)
+    ((bottom, n),) = [(tower + b, n) for b, n in bars]
+    assert (bottom, n) == (-1, 1) and bottom + 2 * (n - 1) == broken.ceiling - 2
     monkeypatch.setattr(cone, "build_cone", lambda *args: broken)
-    message = "2 chains reach the ceiling; expected exactly one tower"
-    for solve in (cone_homology, lambda *args: truncated_cone_reference(*args, 8)):
-        with pytest.raises(TruncationTooSmall) as raised:
-            solve(trefoil, shape)
-        assert str(raised.value) == message
+    with pytest.raises(TruncationTooSmall) as raised:
+        cone_homology(trefoil, shape)
+    assert str(raised.value) == "2 chains reach the ceiling; expected exactly one tower"
 
 
 def test_a_cokernel_bar_at_the_ceiling_is_reported(genus2_stress, monkeypatch):
@@ -789,28 +789,29 @@ def test_first_trefoil_window_over_the_limit(trefoil):
 
 
 def test_size_guard_counts_the_generators_a_pass_lays_out(
-    trefoil, genus2_stress, monkeypatch
+    trefoil, genus2_stress, monkeypatch, spy
 ):
     for model in (trefoil, genus2_stress):
         monkeypatch.undo()
+        eliminated = spy(gf2, "nullspace")
         shape = _shape(model, 3, 2, 1)
         pres = build_cone(model, shape, 10)
-        # the counting properties, which count towers, and the reduced
-        # summand make up the reference's layout
-        whole, red = whole_cone(model, pres), cone._reduced_summand(model, pres)
-        reduced = generators(red)
-        assert pres.reduced == reduced
-        assert generators(whole) == (
-            len(pres.dom_gradings) + len(pres.cod_gradings) + reduced
-        )
-        for towers, row, laid_out in (
-            (pres.dom_gradings, red.u_dom, whole.u_dom),
-            (pres.cod_gradings, red.u_cod, whole.u_cod),
+        # the counting properties count every tower generator up to the
+        # ceiling, and ``reduced`` every reduced generator of the window's
+        # columns, of which the pass eliminates the A-row's
+        for bottom, top, towers in (
+            (pres.a_grading, pres.ceiling, pres.dom_gradings),
+            (pres.b_grading, pres.ceiling - 1, pres.cod_gradings),
         ):
-            at = [g for g, cols in row.items() for _ in cols]
-            assert tuple(sorted([*towers, *at])) == tuple(
-                g for g, c in laid_out.items() for _ in c
-            )
+            levels = [g for b in bottom.values() for g in range(b, top + 1, 2)]
+            assert towers == tuple(sorted(levels))
+        a_red = sum(model.block(k).pres.dim for k in pres.shape)
+        reduced = a_red + model.ambient.dim_red * len(pres.b_grading)
+        assert pres.reduced == reduced
+        cone._reduced_bars(model, pres)
+        assert sum(len(cols) for cols, *_ in eliminated) == (
+            a_red if not model.ambient.is_l_space else 0
+        )
         # a cone has one bottom per tower and every reduced generator,
         # however high the towers reach
         towers = len(pres.a_grading) + len(pres.b_grading)
@@ -883,15 +884,23 @@ def test_d_bounds_width_on_sigma237(sigma237_synthetic):
     assert lo <= r.d <= up
 
 
+def reduced_dims(model, shape) -> tuple[int, int]:
+    """(dim ker, dim coker) of d on the reduced summand, from the bars of
+    ``cone._reduced_bars``; no tower depth changes them."""
+    pres = build_cone(model, shape, default_depth(model, shape))
+    ker, cok = cone._reduced_bars(model, pres)
+    return sum(n for _, n in ker), sum(n for _, n in cok)
+
+
 def test_reduced_cone_examples(figure8, unknot, sigma237_synthetic):
     # both maps vanish on the figure-eight hook generator
-    assert reduced_cone(figure8, _shape(figure8, 2, 1, 0)) == (1, 0)
-    assert reduced_cone(unknot, _shape(unknot, 2, 1, 0)) == (0, 0)
+    assert reduced_dims(figure8, _shape(figure8, 2, 1, 0)) == (1, 0)
+    assert reduced_dims(unknot, _shape(unknot, 2, 1, 0)) == (0, 0)
     # rank-nullity on a model with identity blocks
     for p, q in ((2, 1), (3, 2), (2, 5)):
         for i in range(p):
             shape = _shape(sigma237_synthetic, p, q, i)
-            kd, cd = reduced_cone(sigma237_synthetic, shape)
+            kd, cd = reduced_dims(sigma237_synthetic, shape)
             pres = build_cone(sigma237_synthetic, shape, 8)
             dim_a = len(pres.a_grading)
             dim_b = len(pres.b_grading)
@@ -900,7 +909,8 @@ def test_reduced_cone_examples(figure8, unknot, sigma237_synthetic):
 
 
 def test_kernel_cokernel_inequalities(sigma237_synthetic, figure8):
-    # reduced kernel/cokernel dimensions against the full homology
+    # reduced kernel/cokernel dimensions against the full homology, read
+    # by the referee
     for model in (figure8, sigma237_synthetic):
         dim_y = model.ambient.dim_red
         for p in (1, 2, 3):
@@ -908,10 +918,10 @@ def test_kernel_cokernel_inequalities(sigma237_synthetic, figure8):
                 if gcd(p, q) != 1:
                     continue
                 for i in range(p):
-                    kd, cd = reduced_cone(model, _shape(model, p, q, i))
-                    full = read_block(model, SurgerySpec(p, q, i))
-                    assert kd <= full.dim_red
-                    assert kd + cd <= full.dim_red + dim_y
+                    kd, cd = reduced_dims(model, _shape(model, p, q, i))
+                    full = sum(n for _, n in referee(model, p, q, i)[1])
+                    assert kd <= full
+                    assert kd + cd <= full + dim_y
 
 
 def test_the_cokernel_u_action_is_read_modulo_the_image():
@@ -1024,11 +1034,13 @@ def test_parities_relative_to_tower(sigma237_synthetic):
 
 
 def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
-    unknot, trefoil, solve_at
+    unknot, trefoil, solve_at, spy
 ):
     # over S^3 an L-space knot's cone has no reduced generator, so its
-    # homology is the tower bars alone: the elimination the shortcut
-    # skips finds no bar, and the general path gives the same offsets
+    # homology is the tower bars alone: the reduced summand gives no bar
+    # and nothing is eliminated, and the general path gives the same
+    # offsets
+    eliminated = spy(gf2, "nullspace")
     staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 9)]
     for model in [unknot, trefoil, *staircases]:
         for p in range(1, 14):
@@ -1040,27 +1052,17 @@ def test_a_cone_without_reduced_generators_is_eliminated_by_nobody(
                     n = default_depth(model, shape)
                     for depth in (n, n + 2):
                         pres = build_cone(model, shape, depth)
-                        red = cone._reduced_summand(model, pres)
-                        assert not (red.d_cols or red.u_dom or red.u_cod)
-                        kernel, cokernel = cone._kernel_and_cokernel(red)
-                        ker, cok = cone.barcode(kernel), cone.barcode(cokernel)
-                        assert ker == cok == []
+                        assert pres.reduced == 0
+                        assert cone._reduced_bars(model, pres) == ([], [])
                         general = cone._offsets(pres, cone._tower_bars(pres), [])
                         assert solve_at(model, shape, depth) == general
-
-
-def _count_eliminations(spy) -> tuple[list, list]:
-    """The shapes that ``cone_homology`` is called with from now on, in
-    call order, and for each ``_kernel_and_cokernel`` call the shape of
-    the solve it runs in."""
-    solved = spy(cone, "cone_homology", record=lambda model, shape: shape)
-    eliminated = spy(cone, "_kernel_and_cokernel", record=lambda _: solved[-1])
-    return solved, eliminated
+    assert eliminated == []
 
 
 def test_l_space_surgery_eliminates_nothing(spy):
     model = load_model(staircase_doc(staircase_v(16)))
-    solved, eliminated = _count_eliminations(spy)
+    solved = spy(cone, "cone_homology", record=lambda model, shape: shape)
+    eliminated = spy(gf2, "nullspace")
     barcoded = spy(cone, "barcode", lambda m: [])
     res = surgery(model, 3, 2)
     assert len(res.results) == 3 and len(solved) == 3
@@ -1071,22 +1073,25 @@ def test_reduced_generators_are_eliminated_once_per_pass(
     spy, figure8, genus2_stress, sigma237_synthetic
 ):
     # the reduced summand has no depth, so it is solved once per solve,
-    # from the depth-N pass: by one elimination over an ambient with
-    # reduced homology, and over S^3 by the figure-eight's stored bars,
-    # with no elimination and no cone barcode, also where its window
-    # holds k = 0, its one nonempty block
-    solved, eliminated = _count_eliminations(spy)
+    # from the depth-N pass: by one pass over an ambient with reduced
+    # homology, and over S^3 by the figure-eight's stored bars, with no
+    # elimination and no cone barcode, also where its window holds
+    # k = 0, its one nonempty block
+    solved = spy(cone, "cone_homology", record=lambda model, shape: shape)
+    passes = spy(cone, "_reduced_bars", record=lambda model, pres: solved[-1])
+    eliminated = spy(gf2, "nullspace")
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in ((2, 5), (7, 3), (13, 1)):
-            del solved[:], eliminated[:]
+            del solved[:], passes[:], eliminated[:]
             surgery(model, p, q)
-            assert solved and eliminated == solved
+            assert solved and passes == solved and eliminated
     barcoded = spy(cone, "barcode", lambda m: [])
     holding = []
     for p, q in ((1, 2), (5, 1), (7, 3), (13, 2)):
-        del solved[:], eliminated[:]
+        del solved[:], passes[:], eliminated[:]
         surgery(figure8, p, q)
-        assert solved and eliminated == barcoded == []
+        assert solved and passes == solved
+        assert eliminated == barcoded == []
         reduced = [shape for shape in solved if 0 in shape]
         holding.append(len(reduced) / len(solved))
     assert min(holding) < 1 and max(holding) > 0  # both kinds of window occur
@@ -1095,23 +1100,24 @@ def test_reduced_generators_are_eliminated_once_per_pass(
 def test_the_reduced_summand_is_laid_out_once_per_solve_over_reduced_ambients(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, spy
 ):
-    # one layout per solve where d needs elimination; over S^3 the stored
-    # bars are read and nothing is laid out, figure-eight's reduced
+    # one pass per solve where d needs elimination; over S^3 the stored
+    # bars are read and nothing is eliminated, figure-eight's reduced
     # generators included
-    laid_out = spy(cone, "_reduced_summand", record=lambda model, pres: pres.shape)
+    passes = spy(cone, "_reduced_bars", record=lambda model, pres: pres.shape)
+    eliminated = spy(gf2, "nullspace")
     staircase = load_model(staircase_doc(staircase_v(4)))
     slopes = [(1, 1), (2, 5), (7, 3), (13, 1)]
     for model in (genus2_stress, sigma237_synthetic):
         for p, q in slopes:
             for i in range(p):
                 shape = _shape(model, p, q, i)
-                del laid_out[:]
+                del passes[:]
                 cone_homology(model, shape)
-                assert laid_out == [shape], (model.name, p, q, i)
-    del laid_out[:]
+                assert passes == [shape], (model.name, p, q, i)
+    del eliminated[:]
     for model in (unknot, trefoil, figure8, staircase):
         for p, q in slopes:
             for i in range(p):
                 cone_homology(model, _shape(model, p, q, i))
         surgery(model, 5, 2)
-    assert laid_out == []
+    assert eliminated == []

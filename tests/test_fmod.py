@@ -193,7 +193,7 @@ def _break(gradings: list[int], cols: list[int], rng: random.Random, kind: str):
 )
 def test_validate_matches_reference(seed, defects):
     # a valid presentation constructs and validates clean; a broken one is
-    # refused at construction with the reference's errors
+    # refused at construction with the reference's first error
     rng = random.Random(seed)
     m = random_presentation(rng, max_dim=8)
     gradings, cols = list(m.gradings), list(m.u_cols)
@@ -209,7 +209,7 @@ def test_validate_matches_reference(seed, defects):
         return
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation(tuple(gradings), tuple(cols))
-    assert exc.value.errors == expected
+    assert exc.value.errors == expected[:1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,11 +238,14 @@ def test_validate_homogeneous_runs_no_matrix_products(spy):
     rng = random.Random(7)
     for _ in range(50):
         assert validate(random_presentation(rng, max_dim=12)) == []
-    # nor does refusing a non-homogeneous U, not even a dense one
+    # nor does refusing a non-homogeneous U, not even a dense one, whose
+    # 1,600 bad entries give one message, the first in column order
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((0,), (1,))
     assert _codes(exc.value.errors) == ["NonHomogeneousU"]
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((0,) * 40, (2**40 - 1,) * 40)
-    assert _codes(exc.value.errors) == ["NonHomogeneousU"] * 40 * 40
+    assert exc.value.errors == [
+        "NonHomogeneousU: U sends e0 (grading 0) to e0 (grading 0)"
+    ]
     assert calls == []

@@ -15,10 +15,13 @@ values come from formulas, not from the cone code path:
   reduced bars, since k_j(n) = -k_i(-n) and the block at -k is the block
   at k with its two maps swapped.
 
-Beyond staircases, ``surgery``, which solves each block shape once, is
-checked against ``cone_homology`` on every block, its offsets read at the
-block's own anchor, and a cosmetic scan,
-which solves each shape once across all of its q, against a fresh
+The referee (``referee.py``), which shares no code with the cone, must
+meet the staircases' closed forms alone, and ``cone_homology`` must
+equal it on the shipped models, a genus-5 staircase and random models
+over ambients with reduced homology.  ``surgery``, which solves each
+block shape once, is checked against ``cone_homology`` on every block,
+its offsets read at the block's own anchor, and a cosmetic scan, which
+solves each shape once across all of its q, against a fresh
 ``surgery`` for every q.  Conjugation is checked on the shipped models
 too, and knots of S^3 moved to an L-space ambient at d = -2 against
 their S^3 blocks, each shifted by -2.
@@ -29,9 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from itertools import combinations
+from fractions import Fraction
 from math import ceil, gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from floersurgery import (
     CassonWalkerInput,
@@ -49,9 +55,11 @@ from floersurgery import (
     surgery,
 )
 from floersurgery.cli import resolve_model_path
+from floersurgery.numth import lens_d_at
 from floersurgery.obstruct import _matches
 
-from conftest import read_block, staircase_doc, truncated_cone_reference
+from conftest import read_block, staircase_doc
+from referee import random_model, random_models, referee
 
 SLOPES = [(p, q) for p in range(1, 8) for q in range(1, 8) if gcd(p, q) == 1]
 
@@ -88,25 +96,31 @@ def test_split_solve_matches_the_truncated_cone_reference(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, solve_at
 ):
     # the tower summand by persistence plus the reduced summand, solved
-    # once, against the elimination of the whole truncated cone, at the
-    # default depth N and at N + 2: a solve forced to depth N + 2 returns
-    # the offsets of its first pass, cut at N + 2
+    # once, against the referee, which lays out the whole truncated cone
+    # at a depth of its own, on the library's window and on the window
+    # widened by one column each side, at every coprime p, q <= 7: a solve
+    # forced to depth N or N + 2 returns the offsets of its first pass,
+    # cut there
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic]
-    models += [load_model(staircase_doc(V)) for V in FAMILY]
+    models += [load_model(staircase_doc(V)) for V in [*FAMILY, [3, 2, 2, 1, 1, 0]]]
+    blocks = 0
     for model in models:
         for p, q in SLOPES:
             for i in range(p):
                 shape = cone._shape(model, p, q, i)
                 n = default_depth(model, shape)
+                expected = referee(model, p, q, i)
+                assert referee(model, p, q, i, widen=1) == expected
                 for depth in (n, n + 2):
-                    expected = truncated_cone_reference(model, shape, depth)
                     assert solve_at(model, shape, depth) == expected
+                blocks += 1
+    assert blocks == 13 * 136
 
 
 def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
     # over an L-space ambient the reduced summand's bars are the model's
-    # per-k barcodes, each at its column's A-bottom: eliminating the same
-    # laid-out presentation finds those kernel bars and no cokernel
+    # per-k barcodes, each at its column's A-bottom, with no elimination:
+    # the referee, which eliminates every generator, finds that homology
     staircases = [load_model(staircase_doc(V)) for V in FAMILY]
     cases = [(figure8, 60)] + [(model, 14) for model in [unknot, trefoil, *staircases]]
     nonempty = 0
@@ -117,14 +131,70 @@ def test_l_space_read_equals_the_elimination(unknot, trefoil, figure8):
                     continue
                 for i in range(p):
                     shape = cone._shape(model, p, q, i)
+                    solved = cone.cone_homology(model, shape)
+                    assert solved == referee(model, p, q, i), (model.name, p, q, i)
                     pres = cone.build_cone(model, shape, default_depth(model, shape))
-                    red = cone._reduced_summand(model, pres)
-                    kernel, cokernel = cone._kernel_and_cokernel(red)
-                    ker, cok = barcode(kernel), barcode(cokernel)
-                    read, none = cone._reduced_bars(model, pres)
-                    assert (sorted(read), none) == (ker, cok), (model.name, p, q, i)
-                    nonempty += bool(ker)
+                    nonempty += bool(cone._reduced_bars(model, pres)[0])
     assert nonempty
+
+
+@pytest.mark.parametrize("V", FAMILY, ids=lambda V: "V" + "".join(map(str, V)))
+def test_the_referee_alone_meets_the_closed_forms(V):
+    # the guard on the guard: the referee, with no library solve, gives
+    # the staircases' bar count and Casson-Walker value, so a referee bug
+    # cannot hide behind agreement with the library
+    genus = len(V) - 1
+    model = load_model(staircase_doc(V))
+    delta2 = 2 * V[0] + 4 * sum(V[1:genus])
+    for p, q in SLOPES:
+        bars, chi, d_sum = 0, 0, Fraction(0)
+        for i in range(p):
+            tower, red = referee(model, p, q, i)
+            bars += len(red)
+            chi += sum(n if b % 2 == 0 else -n for b, n in red)
+            d_sum += model.ambient.d - 1 + lens_d_at(p, q, i) + tower
+        assert bars == max(0, (2 * genus - 1) * q - p), (p, q)
+        via_referee = lambda_from_hf(chi, d_sum, p)
+        assert via_referee == casson_walker_surgery(
+            CassonWalkerInput(0, 1, delta2, p, q)
+        ), (p, q)
+
+
+def test_the_referee_does_not_depend_on_its_depth(genus2_stress, sigma237_synthetic):
+    # the ceiling sits above every generator, so any depth >= 1 reads the
+    # same homology
+    for model in (genus2_stress, sigma237_synthetic):
+        for p, q in ((1, 1), (2, 3), (5, 2)):
+            for i in range(p):
+                expected = referee(model, p, q, i)
+                for depth in (1, 5):
+                    assert referee(model, p, q, i, depth=depth) == expected
+
+
+def test_the_library_equals_the_referee_on_random_models():
+    # 40 random models over ambients with reduced homology, at the small
+    # slopes, on the library's window and widened by one column; the grid
+    # at every coprime p <= 5, q <= 7 is tests/referee_grid.py
+    slopes = [(p, q) for p in range(1, 4) for q in range(1, 4) if gcd(p, q) == 1]
+    blocks = 0
+    for seed in range(40):
+        model = random_model(seed)
+        for p, q in slopes:
+            for i in range(p):
+                solved = cone.cone_homology(model, cone._shape(model, p, q, i))
+                for widen in (0, 1):
+                    assert referee(model, p, q, i, widen) == solved, (seed, p, q, i)
+                blocks += 1
+    assert blocks == 40 * 13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(model=random_models, p=st.integers(1, 6), q=st.integers(1, 9))
+def test_random_models_agree_with_the_referee(model, p, q):
+    assume(gcd(p, q) == 1)
+    for i in range(p):
+        solved = cone.cone_homology(model, cone._shape(model, p, q, i))
+        assert referee(model, p, q, i) == solved, (model.name, p, q, i)
 
 
 def test_surgery_equals_every_block_solved(
