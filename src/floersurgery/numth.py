@@ -14,13 +14,14 @@ reciprocity as the integer 12p s(q,p), O(log p) steps, and the table
 d(L(p,q), .) as the integers 4p d(L(p,q), i) (lens_d_numerators).
 The table is symmetric under spin^c conjugation,
 d(L(p,q), i) = d(L(p,q), (q-1-i) mod p), so its entries 0..r-1 form
-one palindrome and r..p-1 another: the top level of the fold computes
-only the first half of each, and the rest is mirrored by slicing.  The
-Fraction tables (lens_d, lens_invariants) likewise build one Fraction
-per entry of the two halves, about p/2, and mirror them.  A whole table
-is refused above MAX_TABLE_P entries (TableTooLarge); lens_d_at folds a
-single entry in O(log p) at any p.  Fraction appears only in return
-values; nothing is cached, so every function is pure.
+one palindrome and r..p-1 another.  Every level of the fold computes
+only the first half of each of its own palindromes, from the halves of
+the level below, and mirrors the rest by slicing.  The Fraction table
+has one builder, lens_invariants: it checks the integers, builds one
+Fraction per entry of the halves (about p/2) and mirrors them.  A whole
+table is refused above MAX_TABLE_P entries (TableTooLarge); lens_d_at
+folds a single entry in O(log p) at any p.  Fraction appears only in
+return values; nothing is cached, so every function is pure.
 """
 
 from __future__ import annotations
@@ -91,24 +92,21 @@ def _table_chain(p: int, q: int) -> list[tuple[int, int]]:
 def _d_halves(chain: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
     # N_i = 4p d(L(p,r), i) from the Ozsvath-Szabo recursion
     #   d(L(p,r), i) = ((2i+1-p-r)^2 - pr) / (4pr) - d(L(r, p mod r), i mod r),
-    # times 4p; the division by r is exact.  N = [0] at p = 1.  Lower
-    # levels are whole tables.  At the top, N_i = N_{(r-1-i) mod p}, so
-    # only the first halves of the palindromes 0..r-1 (c = 2i+1-p-r < 1-p)
-    # and r..p-1 (c < 1) are folded, from the child terms p (N' + r).
-    if not chain:
-        return [], [0]
-    table = [0]
-    for p, r in reversed(chain[1:]):
-        table = [
-            (c * c - p * r - p * n) // r
-            for c, n in zip(range(1 - p - r, p - r, 2), cycle(table))
+    # times 4p; the division by r is exact.  N = [0] at p = 1.  Every
+    # level has N_i = N_{(r-1-i) mod p}, so it keeps only the first halves
+    # of its palindromes 0..r-1 (c = 2i+1-p-r < 1-p) and r..p-1 (c < 1):
+    # the child terms p (N' + r) are formed on the child's halves, mirrored
+    # to the child's whole table, and the two halves folded from them.
+    first, second = [], [0]
+    for p, r in reversed(chain):
+        terms = _mirror(
+            [p * (n + r) for n in first], [p * (n + r) for n in second], r, p % r
+        )
+        first = [(c * c - t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)]
+        second = [
+            (c * c - t) // r for c, t in zip(range(1 + r - p, 1, 2), cycle(terms))
         ]
-    p, r = chain[0]
-    terms = [p * (n + r) for n in table]
-    return (
-        [(c * c - t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)],
-        [(c * c - t) // r for c, t in zip(range(1 + r - p, 1, 2), cycle(terms))],
-    )
+    return first, second
 
 
 def _mirror(first: list, second: list, p: int, r: int) -> list:
@@ -117,27 +115,21 @@ def _mirror(first: list, second: list, p: int, r: int) -> list:
     return first + first[: r // 2][::-1] + second + second[: (p - r) // 2][::-1]
 
 
-def _d_fractions(first: list[int], second: list[int], p: int, r: int) -> list[Fraction]:
-    # One Fraction per entry of the halves, mirrored like the integers.
-    den = repeat(4 * p)
-    first, second = list(map(Fraction, first, den)), list(map(Fraction, second, den))
-    return _mirror(first, second, p, r)
-
-
 def lens_d_numerators(p: int, q: int) -> list[int]:
     """The integers 4p d(L(p,q), i), i = 0..p-1: lens_d over its denominator."""
     return _mirror(*_d_halves(_table_chain(p, q)), p, q % p)
 
 
 def lens_d(p: int, q: int) -> list[Fraction]:
-    """Correction terms d(L(p,q), i) for i = 0..p-1.
+    """Correction terms d(L(p,q), i) for i = 0..p-1: lens_invariants'
+    checked d_table, as a list.
 
     Computed by the standard continued-fraction recursion with d of the
     3-sphere as base case.  q is reduced mod p first; the index labels
     are the surgery-block labels used by the cone module, pinned only up
     to affine relabeling.
     """
-    return _d_fractions(*_d_halves(_table_chain(p, q)), p, q % p)
+    return list(lens_invariants(p, q).d_table)
 
 
 def lens_d_at(p: int, q: int, i: int) -> Fraction:
@@ -188,13 +180,15 @@ def lens_invariants(p: int, q: int) -> LensInvariants:
         raise AssertionError(
             f"lens invariants of ({p},{q}) violate sum d = -2p lambda"
         )
+    den = repeat(4 * p)  # one Fraction per entry of the halves, then mirrored
+    first, second = list(map(Fraction, first, den)), list(map(Fraction, second, den))
     return LensInvariants(
         p=p,
         q=q,
         s=Fraction(sigma, 12 * p),
         lam=Fraction(-sigma, 24 * p),
         tau=Fraction(-sigma, 3),
-        d_table=tuple(_d_fractions(first, second, p, r)),
+        d_table=tuple(_mirror(first, second, p, r)),
     )
 
 

@@ -18,6 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Optional
 
@@ -29,7 +30,7 @@ from .numth import (
     MAX_TABLE_P,
     dedekind,
     lens_d_at,
-    lens_d_numerators,
+    lens_invariants,
     require_slope,
     totient,
 )
@@ -308,8 +309,8 @@ def d_sandwich(model: KnotModel, p: int, q: int) -> Verdict:
     rows = []
     ok = True
     results = surgery(model, p, q).results
-    for i, (result, lens) in enumerate(zip(results, lens_d_numerators(p, q))):
-        lower, upper = _d_bounds(model, p, q, i, Fraction(lens, 4 * p), odd_bar)
+    for i, (result, lens) in enumerate(zip(results, lens_invariants(p, q).d_table)):
+        lower, upper = _d_bounds(model, p, q, i, lens, odd_bar)
         inside = lower <= result.d <= upper
         if odd_bar == 0:
             inside = inside and result.d == upper
@@ -415,10 +416,11 @@ def cosmetic_pair_scan(
         for idx, q1 in enumerate(group)
         for q2 in group[idx + 1 :]
     )
+    chi_red = cache(lambda q: computed[q].chi_red)  # summed at most once per q
     hits = []
     for q1, q2 in candidates:
         if _matches(computed[q1].ids, computed[q2].ids, p):
-            if _straddles(p, q1, q2) and computed[q1].chi_red % p != 0:
+            if _straddles(p, q1, q2) and chi_red(q1) % p != 0:
                 raise AssertionError(
                     f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
                 )

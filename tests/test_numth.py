@@ -112,7 +112,13 @@ def test_lens_tables_at_the_palindrome_boundaries():
 
 
 @pytest.mark.parametrize(
-    "p, q", [(10007, 2), (10007, 5003), (100003, 7), (100003, 50002)]
+    "p, q",
+    [
+        *((10007, 2), (10007, 5003), (100003, 7), (100003, 50002)),
+        # chains whose lower levels are large: consecutive Fibonacci
+        # numbers, and q = p - 1, whose child L(p - 1, 1) is about p long
+        *((121393, 75025), (100003, 100002)),
+    ],
 )
 def test_large_lens_tables_agree_with_single_entries(p, q):
     r = q % p

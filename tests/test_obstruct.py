@@ -38,6 +38,7 @@ from floersurgery.obstruct import (
     INAPPLICABLE,
     PASS,
     _matches,
+    _straddles,
     canonical_json,
 )
 from conftest import sigma237_synthetic_doc, solved_blocks
@@ -274,6 +275,28 @@ def test_cosmetic_scan_unknot_finds_the_classical_pair(unknot):
     # 2/1 and 2/3 on the unknot give the same oriented lens space; the
     # solid-torus exterior is exactly the case the conjecture excludes
     assert cosmetic_pair_scan(unknot, 2, [1, 3]) == [(1, 3)]
+
+
+def test_cosmetic_scan_sums_each_chi_once_and_asserts_divisibility(
+    unknot, monkeypatch
+):
+    chi_red = cone.SurgeryResult.chi_red
+    summed = []
+
+    def counted(res):
+        summed.append(res.q)
+        return chi_red.fget(res)
+
+    monkeypatch.setattr(cone.SurgeryResult, "chi_red", property(counted))
+    hits = cosmetic_pair_scan(unknot, 5, range(1, 13))
+    straddling = [q1 for q1, q2 in hits if _straddles(5, q1, q2)]
+    assert (len(hits), len(straddling)) == (14, 12)
+    # only straddling hits read chi(HF_red), each q1 once
+    assert sorted(summed) == sorted(set(straddling)) == [1, 2, 3, 4, 6, 7, 8]
+    # a straddling hit whose chi(HF_red) is not divisible by p is refused
+    monkeypatch.setattr(cone.SurgeryResult, "chi_red", property(lambda res: 1))
+    with pytest.raises(AssertionError, match=r"hit \(1,3\) violates the divisibility"):
+        cosmetic_pair_scan(unknot, 2, [1, 3])
 
 
 def test_cosmetic_scan_solves_each_block_shape_once(figure8, genus2_stress, spy):
