@@ -64,12 +64,13 @@ neither p nor q: a block of the shape is that complex at its own anchor,
 d(Y) - 1 + N/4p, N its entry of the integer lens table N = 4p d(L(p,q), .)
 that ``surgery`` reads once per call.  ``surgery`` solves each shape once
 and keeps ``cone_homology``'s offsets, the tower's bottom from the anchor
-and each bar's from the tower's, so block (shape, N) has
-d(Y) - 1 + (N + 4p tower)/4p for d and its exact key is the ints
-(N + 4p tower, 4p, bars).  An interner maps each key to a small int id
-and one d and tuple of bars, built as Fractions by ``_read_off``, the one
-place this module builds them, only at the key's first appearance: one
-Tau per distinct bar, which equal bars share.
+and each bar's from the tower's, so block (shape, N) has d = d(Y) - 1 +
+(N + 4p tower)/4p and, with d(Y) - 1 = c/e in lowest terms, its exact
+key is the ints (4pc + e (N + 4p tower), 4pe, bars).  An interner maps
+each key to a small int id and one d and tuple of bars, built from the
+key as Fractions by ``_read_off``, the one place this module builds
+them, only at the key's first appearance: one Tau per distinct bar,
+which equal bars share.
 It computes the shape once per interval of blocks, not once per block.
 With t = (i + (G - 1) q) mod p, the first A-column of block i has
 i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
@@ -522,14 +523,15 @@ def surgery(
     refused block are those of one ``_shape`` per block.  An error of
     either is raised again, of its type, as "<model> at <p>/<q> block <i>:
     <error>", the one place a cone error names its block.  ``interner``
-    maps each block's exact key (N + 4p tower, 4p, bars) to (id, d, red),
-    read off at the key's first appearance, the only Fractions a call
-    builds; a key is built once per (interval, N) in a call.  Blocks at
-    one p share an id in ``SurgeryResult.ids`` exactly when they share d
-    and bars; blocks at different p never do.
+    maps each block's exact key to (id, d, red), read off the key at its
+    first appearance, the only Fractions a call builds; a key is built
+    once per (interval, N) in a call.  Blocks share an id in
+    ``SurgeryResult.ids`` only when they share d and bars, and over one
+    ambient at one p exactly then.
 
-    Both dicts are read and extended, new per call by default.  Surgeries
-    of one model may share them, whatever their p and q.  A shape whose
+    Both dicts are read and extended, new per call by default.  Any
+    surgeries may share an interner; surgeries of one model, whatever
+    their p and q, may share ``shapes``.  A shape whose
     solve raises is never stored, so shared dicts change no result and no
     error.
     """
@@ -544,10 +546,10 @@ def surgery(
     for j, (low, high) in enumerate(zip([0, *cuts], cuts)):
         by_t += [j] * (high - low)
     start = (G - 1) * q % p
-    # offset o of block i is at d(Y) - 1 + T/4p = (num + den T)/4p den, T = N + 4p o
-    scale, ambient = 4 * p, model.ambient.d
-    num, den = (ambient.numerator - ambient.denominator) * scale, ambient.denominator
-    entries: list = [None] * len(cuts)  # per interval: 4p tower, bars, {N: block}
+    # d(Y) - 1 + (N + 4p tower)/4p = (num + scale tower + den N)/scale
+    a, den = model.ambient.d.as_integer_ratio()
+    scale, num = 4 * p * den, 4 * p * (a - den)
+    entries: list = [None] * len(cuts)  # num + scale tower, bars, {N: block}
     results, ids = [], []
     for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
         entry = entries[j]
@@ -559,15 +561,14 @@ def surgery(
             except (ConeTooLarge, TruncationTooSmall) as e:
                 raise type(e)(f"{model.name} at {p}/{q} block {i}: {e}") from e
             tower, bars = shapes[shape]
-            entry = entries[j] = (scale * tower, bars, {})
-        offset, bars, by_lens = entry
+            entry = entries[j] = (num + scale * tower, bars, {})
+        base, bars, by_lens = entry
         block = by_lens.get(lens)
         if block is None:
-            key = (lens + offset, scale, bars)
+            key = (base + den * lens, scale, bars)
             block = interner.get(key)
             if block is None:
-                d, red = _read_off(num + den * key[0], den * scale, bars)
-                block = interner[key] = (len(interner), d, red)
+                block = interner[key] = (len(interner), *_read_off(*key))
             by_lens[lens] = block
         ids.append(block[0])
         results.append(ConeResult(i, block[1], block[2]))

@@ -148,9 +148,10 @@ class KnotModel:
     (``_check_map``), every 0 <= k < genus needs a block, and a block
     given outside that range must agree with the one the symmetry
     derives; a failure is the ModelError a model file gets.  The
-    ``columns`` records and ``max_reduced_bar`` are built at once, from
-    one barcode of every stored presentation and of the ambient's, and
-    ``max_v_plus_h`` from the records.
+    ``columns`` records, the one way to read a block, and
+    ``max_reduced_bar`` are built at once, from one barcode of every
+    stored presentation and of the ambient's, and ``max_v_plus_h`` from
+    the records.
     """
 
     def __init__(
@@ -217,16 +218,17 @@ class KnotModel:
             (n for pairs in bars.values() for _, n in pairs), default=0
         )
 
-        # redundant blocks must agree with what the symmetry derives
+        # redundant blocks must agree with what the symmetry derives; for
+        # |k| >= genus only the isomorphism direction is pinned
         for k, blk in blocks.items():
             if 0 <= k < genus:
                 continue
-            derived = self.block(k)
-            # only the isomorphism direction is pinned for |k| >= genus
-            if k >= genus:
-                derived = ReducedBlock(derived.pres, derived.v_cols, blk.h_cols)
-            elif k <= -genus:
-                derived = ReducedBlock(derived.pres, blk.v_cols, derived.h_cols)
+            if abs(k) < genus:
+                derived = self._columns[k].block
+            elif k >= 0:
+                derived = ReducedBlock(amb, ident, blk.h_cols)
+            else:
+                derived = ReducedBlock(amb, blk.v_cols, ident)
             if blk != derived:
                 raise ModelError(
                     "SymmetryViolation",
@@ -244,17 +246,6 @@ class KnotModel:
         """H_k = V_k + k."""
         return self.v_at(k) + k
 
-    def block(self, k: int) -> ReducedBlock:
-        """Reduced block for any k, built with the model: stored for 0 <= k <
-        genus, -k's with v/h swapped for k < 0, identity for |k| >= genus.
-
-        For |k| >= genus it is k = G's identity block, G = max(genus, 1),
-        unswapped for k < 0: v is not of degree -2 V_k for k <= -G, nor h
-        of degree -2 H_k for k >= G.  No cone window reads those maps (its
-        k lie in (-G, G], and the last column's h is not retained), so a
-        window widened past that range must not build them from ``block``."""
-        return self._columns[k if abs(k) < self.genus else max(self.genus, 1)].block
-
     def max_v_plus_h(self) -> int:
         """Max over |k| < G, G = max(genus, 1), of V_k + H_k, built at
         construction from the ``columns`` records."""
@@ -267,11 +258,13 @@ class KnotModel:
         return self._max_reduced_bar
 
     def columns(self) -> dict[int, Column]:
-        """The record (block, v, h, dim, top, bars) of every k in
-        (-G, G], G = max(genus, 1), the k a cone window reads: ``block(k)``,
-        ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, its
-        highest reduced grading (0 when it has none) and its barcode.
-        Checked and built at construction."""
+        """The record (block, v, h, dim, top, bars) of every k in (-G, G],
+        G = max(genus, 1), the k a cone window reads, and the one way to
+        read a block: stored for 0 <= k < genus, with v and h swapped for
+        k < 0, else the ambient's reduced part with identity maps (so h is
+        not of degree -2 H_G at k = G, where no window reads it).  Then
+        ``v_at(k)``, ``h_at(k)``, the block's reduced dimension, highest
+        grading (0 when it has none) and barcode.  Built at construction."""
         return self._columns
 
 
@@ -284,7 +277,8 @@ def torsion_coefficients(m: KnotModel) -> TorsionProfile:
     """
     chi_b = m.ambient.chi_red
     t = tuple(
-        m.v_at(k) + euler_z2(m.block(k).pres) - chi_b for k in range(m.genus)
+        m.v_at(k) + euler_z2(m.columns()[k].block.pres) - chi_b
+        for k in range(m.genus)
     )
     delta2 = 0
     if t:

@@ -202,8 +202,8 @@ def k_special(
         witness["note"] = "no model supplied; conclusions are forced constraints"
         return Verdict("K_SPECIAL", PASS, witness)
     even_y, odd_y = parity_dims(y.b_red)
-    G = max(model.genus, 1)
-    dims = [parity_dims(model.block(k).pres) for k in range(1 - G, G)]
+    G, columns = max(model.genus, 1), model.columns()
+    dims = [parity_dims(columns[k].block.pres) for k in range(1 - G, G)]
     conclusions = {
         "v0_zero": model.v_at(0) == 0,
         "alexander_trivial": alexander_trivial(model),

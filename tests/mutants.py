@@ -1,0 +1,222 @@
+"""Planted bugs that tier-1 must catch: a ratchet on the tests' strength.
+
+Run from the repository root as
+
+    python tests/mutants.py
+
+Each entry of BUGS is one single-line bug: a file of the package, a line
+of it (stripped, found exactly once), the line that replaces it, why the
+bug is wrong, and the tier-1 tests that should catch it.  The script
+copies ``src/`` to a temporary directory, plants one bug there, and runs
+those tests against the copy with ``pytest -x``; the bug is caught when
+they fail.  It first runs every named test on the unplanted copy, which
+must pass.  EQUIVALENT lists bugs that change no reachable behaviour, with
+the reason; each is planted and run too, and must survive, so a test that
+starts to catch one moves it to BUGS.  Prints one line per bug and exits
+1 if a listed bug survives, an equivalent one is caught, or a line is not
+found.  Tier-1 does not collect this file; CI runs it as a step of its
+own.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src/floersurgery")
+TIMEOUT_S = 120  # each run takes a few seconds with no bug planted
+
+
+class Bug(NamedTuple):
+    file: str
+    old: str
+    new: str
+    why: str
+    tests: tuple[str, ...]
+
+
+NUMTH = ("tests/test_numth.py",)
+CONE = ("tests/test_cone.py", "tests/test_identities.py")
+ORACLES = ("tests/test_oracles.py",)
+
+BUGS = [
+    Bug(
+        "numth.py",
+        "first = [(c * c - t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)]",
+        "first = [(c * c + t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)]",
+        "the lens fold adds the child's terms instead of subtracting them",
+        NUMTH,
+    ),
+    Bug(
+        "numth.py",
+        "sigma = (p * p + r * r + 1 - p * sigma) // r - 3 * p",
+        "sigma = (p * p + r * r - 1 - p * sigma) // r - 3 * p",
+        "Dedekind reciprocity loses its 1/(pr) term",
+        NUMTH,
+    ),
+    Bug(
+        "cone.py",
+        "n_minus = ((1 - G) * q - 1 - i) // p",
+        "n_minus = ((1 - G) * q - i) // p",
+        "_shape's window starts one column late when p divides (1 - G) q - i",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "cuts = sorted({a * q % p for a in range(1, 2 * G)} | {p})",
+        "cuts = sorted({a * q % p for a in range(1, 2 * G - 1)} | {p})",
+        "surgery drops the last interval cut, so two shapes share an interval",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "if low < run:",
+        "if low > run:",
+        "the tower sweep's elder rule keeps the younger run",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "del bars[bisect_left(bars, near[0])]",
+        "del bars[0]",
+        "_offsets drops the lowest bar instead of the tower",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "cokernel.append((g, i, below.reduce(u)[0]))",
+        "cokernel.append((g, i, u))",
+        "_reduced_bars leaves a cokernel generator's U-image unreduced",
+        ORACLES + CONE,
+    ),
+    Bug(
+        "cone.py",
+        "(a + b, n)",
+        "(a + b + 2, n)",
+        "_reduced_bars moves an L-space column's barcode above its A-bottom",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "tau = Tau(Fraction(num + b * den, den), n, b % 2)",
+        "tau = Tau(Fraction(num + b * den, den), n, (b + 1) % 2)",
+        "_read_off gives each bar the other parity",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "key = (base + den * lens, scale, bars)",
+        "key = (base + lens, scale, bars)",
+        "the interner key adds N unscaled by the denominator of d(Y), which "
+        "only an ambient whose d is not an integer shows",
+        CONE,
+    ),
+    Bug(
+        "obstruct.py",
+        "offsets = [b for b, k in enumerate(ids2) if k == first]",
+        "offsets = [0]",
+        "_matches tries only the relabellings that fix block 0",
+        ("tests/test_obstruct.py", "tests/test_identities.py"),
+    ),
+    Bug(
+        "knotmodel.py",
+        "if lhs != rhs:",
+        "if False:",
+        "the model constructor no longer checks a map's U-equivariance",
+        ("tests/test_knotmodel.py",),
+    ),
+    Bug(
+        "knotmodel.py",
+        "if blk != derived:",
+        "if blk.pres != derived.pres:",
+        "a redundant block's maps are not checked against the symmetry",
+        ("tests/test_knotmodel.py",),
+    ),
+]
+
+EQUIVALENT = [
+    Bug(
+        "obstruct.py",
+        "return (q_high - 1) // p > q_low // p",
+        "return q_high // p > q_low // p",
+        "the two differ only when p > 1 divides q_high, and no caller reaches "
+        "that: require_slope refuses such a q, and z_special returns before "
+        "_straddles at p = 1",
+        ("tests/test_obstruct.py", "tests/test_acceptance.py"),
+    ),
+]
+
+
+def planted(src: Path, bug: Bug) -> str:
+    """Plant the bug in the copy at ``src``, keeping the line's indent;
+    an error message if its line is not found exactly once."""
+    path = src / "floersurgery" / bug.file
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    hits = [j for j, line in enumerate(lines) if bug.old in line]
+    if len(hits) != 1:
+        return f"{len(hits)} lines of {bug.file} hold {bug.old!r}"
+    line = lines[hits[0]]
+    lines[hits[0]] = line.replace(bug.old, bug.new)
+    path.write_text("".join(lines), encoding="utf-8")
+    return ""
+
+
+def failing(src: Path, tests) -> str:
+    """The first test that fails against the package at ``src``, or ""
+    when they all pass (the exit code when pytest names none, and a run
+    past TIMEOUT_S, as a planted bug may loop, counts as failing)."""
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", "-o", f"pythonpath={src}", *tests,
+    ]
+    try:
+        run = subprocess.run(
+            command, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return f"a run of more than {TIMEOUT_S} s"
+    if run.returncode == 0:
+        return ""
+    names = [line.split()[1] for line in run.stdout.splitlines()
+             if line.startswith(("FAILED ", "ERROR "))]
+    return names[0] if names else f"pytest exit code {run.returncode}"
+
+
+def main() -> int:
+    start, failures = time.perf_counter(), 0
+    with tempfile.TemporaryDirectory() as scratch:
+        src = Path(scratch) / "src"
+        shutil.copytree(ROOT / PACKAGE, src / "floersurgery")
+        named = sorted({t for bug in BUGS + EQUIVALENT for t in bug.tests})
+        broken = failing(src, named)
+        if broken:
+            print(f"with no bug planted, {broken} fails")
+            return 1
+        runs = [(bug, False) for bug in BUGS] + [(bug, True) for bug in EQUIVALENT]
+        for bug, equivalent in runs:
+            shutil.rmtree(src)
+            shutil.copytree(ROOT / PACKAGE, src / "floersurgery")
+            error = planted(src, bug)
+            caught = "" if error else failing(src, bug.tests)
+            if error:
+                status = f"NOT PLANTED: {error}"
+            elif caught:
+                status = f"caught by {caught}"
+                status += ", yet LISTED AS EQUIVALENT" if equivalent else ""
+            else:
+                status = "survived, as an equivalent bug" if equivalent else "SURVIVED"
+            failures += bool(error) or bool(caught) == equivalent
+            print(f"{bug.file}: {bug.why}: {status}")
+    print(f"{len(BUGS)} bugs, {len(EQUIVALENT)} equivalent, {failures} failures "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

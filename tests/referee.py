@@ -1,15 +1,16 @@
 """An independent referee for the truncated mapping cone, and random models.
 
 ``referee`` computes one block's homology from the model's public
-accessors alone: ``v_at``, ``h_at``, ``block(k)`` for |k| < G and the
-ambient.  It shares no code with ``cone``, ``fmod.barcode`` or ``gf2``.
+accessors alone: ``v_at``, ``h_at``, ``columns()[k].block`` for |k| < G
+and the ambient.  It shares no code with ``cone``, ``fmod.barcode`` or
+``gf2``.
 
 * The window is the one the ``cone`` module docstring states, optionally
   widened by some columns on each side: A-columns from the first n with
   k(n) = floor((i + p n)/q) > -G to the first with k(n) >= G, B-columns
   the same less the first.  A column with |k| >= G is the ambient's
   reduced part, with v = U^{V_k} and h = U^{H_k}, built here from
-  ``v_at``, ``h_at`` and the ambient, never from ``block(k)``.
+  ``v_at``, ``h_at`` and the ambient, never from a column record.
 * b_{n+1} = b_n + 2 k(n) from b_0 = 0 and a_n = b_n + 1 - 2 V_{k(n)}.  The
   ceiling is the highest generator rounded up to odd plus 2 ``depth``, a
   fixed depth of the referee's own.  Every tower and reduced generator up
@@ -112,7 +113,7 @@ def window(model, p: int, q: int, i: int, widen: int = 0) -> dict[int, int]:
 def _column(model, k: int):
     """(gradings, U-, v- and h-columns) of the reduced part of A_k."""
     if abs(k) < max(model.genus, 1):
-        block = model.block(k)
+        block = model.columns()[k].block
         return block.pres.gradings, block.pres.u_cols, block.v_cols, block.h_cols
     amb = model.ambient.b_red
     u = amb.u_cols

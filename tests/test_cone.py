@@ -163,7 +163,7 @@ def test_misgraded_block_map_is_rejected(sigma237_synthetic):
     # a hand-built model whose block-0 generator sits two steps too high,
     # with the identity v/h maps left in place: the maps are not of the
     # degree V_0 and H_0 ask, and the constructor says so
-    blk = sigma237_synthetic.block(0)
+    blk = sigma237_synthetic.columns()[0].block
     shifted = replace(blk.pres, gradings=tuple(g + 2 for g in blk.pres.gradings))
     with pytest.raises(ModelError) as raised:
         KnotModel(
@@ -183,7 +183,7 @@ def test_a_block_whose_u_is_not_of_degree_minus_2_is_rejected(sigma237_synthetic
     # two generators at one grading, U sending one to the other: zero maps
     # would commute with this U, but the presentation refuses itself where
     # it is built, so no block and no model can hold it
-    g = sigma237_synthetic.block(0).pres.gradings[0]
+    g = sigma237_synthetic.columns()[0].block.pres.gradings[0]
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((g, g), (0b10, 0))
     assert exc.value.errors == [
@@ -213,7 +213,7 @@ def test_build_cone_lays_out_only_reduced_generators(
                 pres = build_cone(model, shape, default_depth(model, shape))
                 del eliminated[:]
                 cone._reduced_bars(model, pres)
-                a_red = sum(model.block(k).pres.dim for k in pres.shape)
+                a_red = sum(model.columns()[k].block.pres.dim for k in pres.shape)
                 b_red = model.ambient.dim_red * len(pres.b_grading)
                 assert sum(len(cols) for cols, *_ in eliminated) == a_red
                 assert pres.reduced == a_red + b_red
@@ -676,6 +676,27 @@ def test_one_cache_serves_every_p(trefoil, spy):
     assert shared == [surgery(trefoil, p, q) for p, q in slopes]
 
 
+def test_one_interner_serves_every_ambient():
+    # an interner key is the block's d, unreduced, and its bars, so one
+    # interner serves surgeries over several ambients: the staircase over
+    # an ambient with d = -2 (or d = 2/3) reads its own d, not S^3's, and
+    # ids keep their order of first appearance
+    s3_doc = staircase_doc([2, 2, 1, 0])
+    s3 = load_model(s3_doc)
+    interner = {}
+    first = surgery(s3, 3, 2, interner=interner)
+    assert [r.d for r in first.results] == [Fraction(-23, 6)] * 2 + [Fraction(-9, 2)]
+    assert first.ids == (0, 0, 1)
+    for d, ids in (("-2", (2, 2, 3)), ("2/3", (4, 4, 5))):
+        doc = dict(s3_doc, ambient=dict(s3_doc["ambient"], name="Y", d=d))
+        shifted = surgery(load_model(doc), 3, 2, interner=interner)
+        moved = [r.d + Fraction(d) for r in first.results]
+        assert [r.d for r in shifted.results] == moved
+        assert shifted == surgery(load_model(doc), 3, 2)
+        assert shifted.ids == ids
+    assert surgery(s3, 3, 2, interner=interner).ids == first.ids
+
+
 @pytest.mark.parametrize(
     "p, q, error, message",
     [
@@ -805,7 +826,7 @@ def test_size_guard_counts_the_generators_a_pass_lays_out(
         ):
             levels = [g for b in bottom.values() for g in range(b, top + 1, 2)]
             assert towers == tuple(sorted(levels))
-        a_red = sum(model.block(k).pres.dim for k in pres.shape)
+        a_red = sum(model.columns()[k].block.pres.dim for k in pres.shape)
         reduced = a_red + model.ambient.dim_red * len(pres.b_grading)
         assert pres.reduced == reduced
         cone._reduced_bars(model, pres)

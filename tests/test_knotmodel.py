@@ -35,22 +35,21 @@ def test_shipped_unknot(unknot):
     assert unknot.V == (0,)
     assert unknot.ambient.dim_red == 0
     assert unknot.ambient.d == 0
-    # every hook block is the (empty) ambient reduced part
-    assert unknot.block(0).pres.dim == 0
-    assert unknot.block(5).pres.dim == 0
+    # its one hook block is the (empty) ambient reduced part
+    assert unknot.columns()[0].block.pres.dim == 0
 
 
 def test_shipped_trefoil(trefoil):
     assert trefoil.genus == 1
     assert trefoil.V == (1, 0)
-    assert trefoil.block(0).pres.dim == 0
+    assert trefoil.columns()[0].block.pres.dim == 0
     assert trefoil.ambient.is_l_space
 
 
 def test_shipped_figure8(figure8):
     assert figure8.genus == 1
     assert figure8.V == (0, 0)
-    blk = figure8.block(0)
+    blk = figure8.columns()[0].block
     assert blk.pres.dim == 1
     assert blk.pres.gradings == (-1,)
     assert blk.pres.u_cols == (0,)  # generator lies in ker U
@@ -80,7 +79,8 @@ def _t0_oracle(model, depth: int = 9) -> int:
     ]  # columns of U^{v0} into tau(depth - v0)
     ker = depth - rank(cols)
     assert rank(cols) == depth - v0  # onto the truncated target
-    return ker + euler_z2(model.block(0).pres) - euler_z2(model.ambient.b_red)
+    chi_a = euler_z2(model.columns()[0].block.pres)
+    return ker + chi_a - euler_z2(model.ambient.b_red)
 
 
 def _t0_from_alexander(coeffs: dict[int, int]) -> int:
@@ -169,7 +169,7 @@ def test_hand_built_models_are_refused(trefoil, genus, V, code):
     # the constructor checks the genus and V, so a model built by hand is
     # refused with the error that a file with that genus and V gets
     with pytest.raises(ModelError) as built:
-        KnotModel("bad", trefoil.ambient, genus, V, {0: trefoil.block(0)})
+        KnotModel("bad", trefoil.ambient, genus, V, {0: trefoil.columns()[0].block})
     doc = json.loads(cli.resolve_model_path("trefoil_rh_s3").read_text("utf-8"))
     doc["genus"], doc["V"] = genus, list(V)
     with pytest.raises(ModelError) as loaded:
@@ -259,7 +259,7 @@ def test_euler_matches_declared_parities(path):
     model, ambient = load_model_or_ambient(path)
     assert euler_z2(ambient.b_red) == _declared_chi(doc["ambient"]["b_red"])
     for key, raw in doc.get("a_red", {}).items():
-        pres = model.block(int(key)).pres
+        pres = model.columns()[int(key)].block.pres
         assert euler_z2(pres) == _declared_chi(raw["generators"])
 
 
@@ -324,7 +324,7 @@ def test_relabelling_basis_gives_same_torsion(figure8):
 
 def test_derived_blocks(figure8, trefoil):
     # |k| >= genus: ambient reduced part with identity vertical map
-    blk = figure8.block(1)
+    blk = figure8.columns()[1].block
     assert blk.pres.dim == figure8.ambient.dim_red
     assert blk.v_cols == tuple(gf2.identity(figure8.ambient.dim_red))
     # negative k swaps the two maps
@@ -334,16 +334,17 @@ def test_derived_blocks(figure8, trefoil):
     doc["a_red"]["1"] = copy.deepcopy(doc["a_red"]["0"])
     doc["a_red"]["1"]["h_matrix"] = [[0]]
     model = load_model(doc)
-    blk = model.block(-1)
-    assert blk.v_cols == model.block(1).h_cols
-    assert blk.h_cols == model.block(1).v_cols
+    blk, stored = model.columns()[-1].block, model.columns()[1].block
+    assert blk.v_cols == stored.h_cols
+    assert blk.h_cols == stored.v_cols
 
 
 def test_blocks_are_built_once_with_the_model(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic
 ):
-    # block(k) is a lookup for |k| < G: one object on every call, and for
-    # k < 0 the stored block's presentation with v_cols and h_cols swapped.
+    # columns()[k].block is a lookup for |k| < G: one object on every
+    # call, and for k < 0 the stored block's presentation with v_cols and
+    # h_cols swapped.
     # The conjugates share the stored presentations, so the longest reduced
     # bar and the torsion coefficients read the stored blocks as before
     V = [6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 0]
@@ -358,9 +359,9 @@ def test_blocks_are_built_once_with_the_model(
     for model, longest, t in expected:
         G = max(model.genus, 1)
         for k in range(1 - G, G):
-            assert model.block(k) is model.block(k)
+            assert model.columns()[k].block is model.columns()[k].block
         for k in range(1, model.genus):
-            stored, conjugate = model.block(k), model.block(-k)
+            stored, conjugate = model.columns()[k].block, model.columns()[-k].block
             assert conjugate.pres is stored.pres
             assert conjugate.v_cols == stored.h_cols
             assert conjugate.h_cols == stored.v_cols
@@ -387,8 +388,9 @@ def test_column_records_are_the_model_read_per_k(
         records = model.columns()
         assert list(records) == list(range(1 - G, G + 1))
         for k, record in records.items():
-            pres = model.block(k).pres
-            assert record.block is model.block(k)
+            pres = record.block.pres
+            if abs(k) >= model.genus:  # the ambient's reduced part
+                assert pres is model.ambient.b_red
             assert (record.v, record.h) == (model.v_at(k), model.h_at(k))
             top = max(pres.gradings) if pres.dim else 0
             assert (record.dim, record.top) == (pres.dim, top)
@@ -436,7 +438,7 @@ def test_each_presentation_is_validated_once(spy):
         model = load_model(source)
         assert len(calls) == presentations
         calls.clear()
-        barcode(model.ambient.b_red), barcode(model.block(0).pres)
+        barcode(model.ambient.b_red), barcode(model.columns()[0].block.pres)
         assert calls == []
 
 

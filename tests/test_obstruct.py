@@ -10,6 +10,7 @@ import pytest
 
 from floersurgery import (
     ConeTooLarge,
+    KnotModel,
     MissingGradings,
     NotCoprime,
     TargetSummary,
@@ -134,14 +135,22 @@ def test_k_special_conclusions(sigma237_synthetic):
 
 
 def test_k_special_reads_the_one_hook_of_a_genus_0_model(sigma237_synthetic, spy):
-    # a genus-0 model has the hooks of G = 1: k = 0 alone, the ambient copy
+    # a genus-0 model has the hooks of G = 1: k = 0 alone, the ambient
+    # copy, read from the one columns() call
     doc = sigma237_synthetic_doc()
     doc["genus"], doc["V"], doc["a_red"] = 0, [0], {}
     model = load_model(doc)
-    read = spy(type(model), "block", record=lambda self, k: k)
+    keys, columns = [], KnotModel.columns
+
+    class Read(dict):
+        def __getitem__(self, k):
+            keys.append(k)
+            return dict.__getitem__(self, k)
+
+    read = spy(KnotModel, "columns", lambda self: Read(columns(self)))
     z = TargetSummary(h1_order=2, dim_red=1, chi_red=-1)
     v = k_special(sigma237_synthetic.ambient, z, 2, 9, model)
-    assert read == [0]
+    assert len(read) == 1 and keys == [0]
     assert v.status == PASS
     assert v.witness["N"] == 5
     assert list(v.witness["conclusions"].values()) == [True] * 4
