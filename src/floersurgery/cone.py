@@ -38,13 +38,13 @@ reduced summand has no depth and is solved once per shape
 (``_reduced_bars``).  Over an L-space ambient, such as S^3, the B-row
 has no reduced generator, so d is zero on the summand: its homology is
 the A-columns' barcodes from the column records, each moved to its
-column's A-bottom.  Over any other ambient each row numbers its reduced
-generators grading by grading, so a vector at a grading is a bitmask
-over the generators there; the model's maps are homogeneous (its
-constructor checks them), so one shift places each of their columns.
-One ascending pass eliminates d once per grading, giving the kernel
-there and the image one grading down, hence the cokernel, all
-decomposed into bars.  The
+column's A-bottom.  Over any other ambient each reduced generator takes
+the next number at its grading, so a vector at a grading is a bitmask
+over the generators there, and each column of a map has its bits moved
+onto their numbers; the model's maps are homogeneous (its constructor
+checks them), so each column lies at one grading.  One ascending pass
+eliminates d once per grading, giving the kernel there and the image
+one grading down, hence the cokernel, all decomposed into bars.  The
 unique kernel bar reaching the ceiling is the tower of the surgered
 manifold and its bottom the d-invariant; every other bar is reduced
 homology.
@@ -365,47 +365,23 @@ def _read_off(num: int, den: int, bars) -> tuple[Fraction, tuple[Tau, ...]]:
     return Fraction(num, den), tuple(red)
 
 
-def _shifted(mask: int, shift: int) -> int:
-    """mask moved up by a signed shift, or down by -shift when negative."""
-    return mask << shift if shift >= 0 else mask >> -shift
-
-
-def _graded(gradings: tuple[int, ...]) -> tuple[list, dict, list]:
-    """A module's generators in grading order, ties in index order (so
-    those at one grading are consecutive): the order, ranks and gradings."""
-    order = sorted(range(len(gradings)), key=gradings.__getitem__)
-    return order, {c: r for r, c in enumerate(order)}, [gradings[c] for c in order]
-
-
-def _relabelled(cols: tuple[int, ...], order: list[int], rank: dict) -> list:
-    """The columns taken in ``order``, bit c of each moved to bit rank[c]."""
-    return [sum(1 << rank[b] for b in gf2.bits(cols[c])) for c in order]
-
-
-@dataclass(frozen=True, slots=True)
-class _GradedBlock:
-    """A model block with its generators in grading order (``_graded``):
-    their gradings, and the columns of U, v and h in that order, each bit
-    moved to its generator's place in the order of its own module."""
-
-    gradings: list[int]
-    u_cols: list[int]
-    v_cols: list[int]
-    h_cols: list[int]
-
-
-def _numbered(bottom: int, offsets: list, us: list, at: dict) -> dict[int, int]:
-    """Number a column's generators, in grading order, after those already
-    at their gradings, append their U-columns (placed by the shift at
-    g - 2, set earlier) to ``at[g]`` and return the column's shift at each
-    g, which moves a mask over its generators at g onto their numbers."""
-    shift: dict[int, int] = {}
-    for r, (off, u) in enumerate(zip(offsets, us)):
+def _numbered(bottom: int, gradings: tuple[int, ...], count: dict) -> tuple[int, ...]:
+    """Each generator's number at its grading g = bottom + offset: the
+    next one there, in index order, after the ``count[g]`` already handed
+    out, which it advances."""
+    numbers = []
+    for off in gradings:
         g = bottom + off
-        here = at.setdefault(g, [])
-        shift.setdefault(g, len(here) - r)
-        here.append(u and _shifted(u, shift[g - 2]))
-    return shift
+        numbers.append(count.get(g, 0))
+        count[g] = numbers[-1] + 1
+    return tuple(numbers)
+
+
+def _moved(mask: int, numbers: tuple[int, ...]) -> int:
+    """The nonzero mask with bit b moved to bit numbers[b]."""
+    if not mask & (mask - 1):  # one bit, as most model columns hold
+        return 1 << numbers[mask.bit_length() - 1]
+    return sum(1 << numbers[b] for b in gf2.bits(mask))
 
 
 def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]:
@@ -414,17 +390,18 @@ def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]
     has none, so d is zero: the kernel is the A-columns' barcodes from
     the column records, each moved to its column's A-bottom.
 
-    Otherwise one pass lays the summand out and eliminates it.  Each row
-    numbers its generators grading by grading from 0, column after column
-    in window order (``_numbered``), so a vector at g is a bitmask over
-    the generators at g.  A model column lies at one grading (the maps are
-    homogeneous) and, its module taken in grading order (``_graded``, once
-    per distinct module), on consecutive numbers there: one signed shift
-    places it.  d is eliminated once per A-grading g, ascending: the
-    nullspace of its columns is the kernel at g, keyed by each vector's
-    dependent generator, and leaves the image at g - 1 in an echelon.  The
-    cokernel is the B-generators that are no pivot of the image, their
-    U-images reduced against the image two gradings down.
+    Otherwise one pass lays the summand out and eliminates it.  Each
+    generator takes the next number at its grading (``_numbered``),
+    column after column in window order and in its module's index order,
+    the order its columns are appended at g in, so a vector at g is a
+    bitmask over the generators at g, and each column of U, v or h has
+    its bits moved onto those numbers (``_moved``).  The model's maps are homogeneous (its constructor
+    checks them), so each such column lies at one grading and its moved
+    bits number generators there.  d is eliminated once per A-grading g,
+    ascending: the nullspace of its columns is the kernel at g, keyed by
+    each vector's dependent generator, and leaves the image at g - 1 in
+    an echelon.  The cokernel is the B-generators that are no pivot of
+    the image, their U-images reduced against the image two gradings down.
     """
     if not pres.reduced:
         return [], []
@@ -436,32 +413,27 @@ def _reduced_bars(model: KnotModel, pres: ConePresentation) -> tuple[list, list]
             for b, n in columns[k].bars
         ], []
     amb = model.ambient.b_red
-    order, b_rank, b_offs = _graded(amb.gradings)
-    b_us, b_at = _relabelled(amb.u_cols, order, b_rank), {}
-    b_shift = {m: _numbered(b, b_offs, b_us, b_at) for m, b in pres.b_grading.items()}
+    b_count, b_numbers, b_at = {}, {}, {}
+    for m, b in pres.b_grading.items():
+        numbers = b_numbers[m] = _numbered(b, amb.gradings, b_count)
+        for off, u in zip(amb.gradings, amb.u_cols):
+            b_at.setdefault(b + off, []).append(u and _moved(u, numbers))
 
-    # d sends A-column n by v into B-column n and by h into n + 1, where
-    # retained; each distinct block is put in grading order once
-    blocks, a_at, d_at = {}, {}, {}
+    # d sends A-column n by v into B-column n and by h into n + 1, where retained
+    a_count, a_at, d_at = {}, {}, {}
     for (n, a), k in zip(pres.a_grading.items(), pres.shape):
-        if k not in blocks:
-            block = columns[k].block
-            order, rank, offsets = _graded(block.pres.gradings)
-            blocks[k] = _GradedBlock(
-                offsets,
-                _relabelled(block.pres.u_cols, order, rank),
-                _relabelled(block.v_cols, order, b_rank),
-                _relabelled(block.h_cols, order, b_rank),
-            )
-        block = blocks[k]
-        _numbered(a, block.gradings, block.u_cols, a_at)
-        for off, v, h in zip(block.gradings, block.v_cols, block.h_cols):
+        block = columns[k].block
+        numbers = _numbered(a, block.pres.gradings, a_count)
+        for off, u, v, h in zip(
+            block.pres.gradings, block.pres.u_cols, block.v_cols, block.h_cols
+        ):
+            a_at.setdefault(a + off, []).append(u and _moved(u, numbers))
             d = 0
             for m, col in ((n, v), (n + 1, h)):
-                if col and m in b_shift:
-                    d |= _shifted(col, b_shift[m][a + off - 1])
+                if col and m in b_numbers:
+                    d |= _moved(col, b_numbers[m])
             d_at.setdefault(a + off, []).append(d)
-    del b_shift, blocks  # freed before the elimination, the solve's peak
+    del b_numbers, a_count, b_count  # freed before the elimination, the solve's peak
 
     image, kernel = {}, []
     for g in sorted(a_at):

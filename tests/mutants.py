@@ -97,6 +97,48 @@ BUGS = [
     ),
     Bug(
         "cone.py",
+        "count[g] = numbers[-1] + 1",
+        "count[g] = numbers[-1]",
+        "_numbered hands the next generator at a grading the number just taken",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "return 1 << numbers[mask.bit_length() - 1]",
+        "return 1 << numbers[0]",
+        "_moved sends a one-bit column to the number of generator 0",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "return sum(1 << numbers[b] for b in gf2.bits(mask))",
+        "return 1 << numbers[mask.bit_length() - 1]",
+        "_moved keeps only the highest bit of a column of several",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "for m, col in ((n, v), (n + 1, h)):",
+        "for m, col in ((n, h), (n + 1, v)):",
+        "_reduced_bars sends v into B-column n + 1 and h into n",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "a_at.setdefault(a + off, []).append(u and _moved(u, numbers))",
+        "a_at.setdefault(a + off, []).append(u)",
+        "_reduced_bars leaves an A-generator's U-image on its block's indices",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
+        "b_at.setdefault(b + off, []).append(u and _moved(u, numbers))",
+        "b_at.setdefault(b + off, []).append(u)",
+        "_reduced_bars leaves a B-generator's U-image on the ambient's indices",
+        CONE + ORACLES,
+    ),
+    Bug(
+        "cone.py",
         "(a + b, n)",
         "(a + b + 2, n)",
         "_reduced_bars moves an L-space column's barcode above its A-bottom",

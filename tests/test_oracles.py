@@ -22,14 +22,17 @@ over ambients with reduced homology.  ``surgery``, which solves each
 block shape once, is checked against ``cone_homology`` on every block,
 its offsets read at the block's own anchor, and a cosmetic scan, which
 solves each shape once across all of its q, against a fresh
-``surgery`` for every q.  Conjugation is checked on the shipped models
-too, and knots of S^3 moved to an L-space ambient at d = -2 against
-their S^3 blocks, each shifted by -2.
+``surgery`` for every q.  ``surgery`` must not see the order of a
+model's bases: random models give the same results with every basis
+shuffled.  Conjugation is checked on the shipped models too, and knots
+of S^3 moved to an L-space ambient at d = -2 against their S^3 blocks,
+each shifted by -2.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 from itertools import combinations
 from fractions import Fraction
@@ -42,7 +45,9 @@ from hypothesis import strategies as st
 from floersurgery import (
     CassonWalkerInput,
     ConeTooLarge,
+    FiniteUPresentation,
     FloerError,
+    KnotModel,
     SurgerySpec,
     barcode,
     casson_walker_surgery,
@@ -55,6 +60,7 @@ from floersurgery import (
     surgery,
 )
 from floersurgery.cli import resolve_model_path
+from floersurgery.knotmodel import ReducedBlock
 from floersurgery.numth import lens_d_at
 from floersurgery.obstruct import _matches
 
@@ -195,6 +201,60 @@ def test_random_models_agree_with_the_referee(model, p, q):
     for i in range(p):
         solved = cone.cone_homology(model, cone._shape(model, p, q, i))
         assert referee(model, p, q, i) == solved, (model.name, p, q, i)
+
+
+def _reordered(model: KnotModel, rng: random.Random) -> KnotModel:
+    """The model with the generators of its ambient and of every stored
+    block shuffled, each column of U, v and h moved with its generator
+    and each bit with the generator it names."""
+
+    def moved(mask: int, rank: list[int]) -> int:
+        return sum(1 << rank[b] for b in range(mask.bit_length()) if mask >> b & 1)
+
+    def shuffled(pres: FiniteUPresentation) -> tuple[list[int], list[int]]:
+        order = list(range(pres.dim))  # new generator j is old order[j]
+        rng.shuffle(order)
+        rank = [0] * pres.dim
+        for j, c in enumerate(order):
+            rank[c] = j
+        return order, rank
+
+    amb = model.ambient.b_red
+    amb_order, amb_rank = shuffled(amb)
+    b_red = FiniteUPresentation(
+        tuple(amb.gradings[c] for c in amb_order),
+        tuple(moved(amb.u_cols[c], amb_rank) for c in amb_order),
+    )
+    blocks = {}
+    for k in range(model.genus):
+        block = model.columns()[k].block
+        order, rank = shuffled(block.pres)
+        pres = FiniteUPresentation(
+            tuple(block.pres.gradings[c] for c in order),
+            tuple(moved(block.pres.u_cols[c], rank) for c in order),
+        )
+        blocks[k] = ReducedBlock(
+            pres,
+            tuple(moved(block.v_cols[c], amb_rank) for c in order),
+            tuple(moved(block.h_cols[c], amb_rank) for c in order),
+        )
+    ambient = replace(model.ambient, b_red=b_red)
+    return KnotModel(model.name, ambient, model.genus, model.V, blocks)
+
+
+def test_surgery_does_not_depend_on_the_order_of_a_basis():
+    # 40 random models against copies with the basis of the ambient and
+    # of every block shuffled; most of the shuffled ambients differ
+    rng, reordered = random.Random(0), 0
+    for seed in range(40):
+        model = random_model(seed)
+        other = _reordered(model, rng)
+        reordered += other.ambient.b_red != model.ambient.b_red
+        for p in range(1, 6):
+            for q in range(1, 8):
+                if gcd(p, q) == 1:
+                    assert surgery(other, p, q) == surgery(model, p, q), (seed, p, q)
+    assert reordered >= 20
 
 
 def test_surgery_equals_every_block_solved(
