@@ -71,12 +71,15 @@ each key to a small int id and one d and tuple of bars, built from the
 key as Fractions by ``_read_off``, the one place this module builds
 them, only at the key's first appearance: one Tau per distinct bar,
 which equal bars share.
-It computes the shape once per interval of blocks, not once per block.
-With t = (i + (G - 1) q) mod p, the first A-column of block i has
-i + p n = (1 - G) q + t, column j has k = 1 - G + floor((t + j p)/q),
-and the window ends at the first j with t + j p >= (2G - 1) q.  So the
-shape changes with t only where t + j p = a q, 1 <= a <= 2G - 1, that is
-at the cuts t = a q mod p: at most 2G intervals of t, each of one shape.
+It computes the shape once per run of blocks, not once per block.  From
+block i - 1 to block i, k(n) = floor((i + p n)/q) rises by one exactly
+at the n with i + p n = c q, and such an n exists exactly when i = c q
+mod p.  Only -G < c <= G moves what the shape holds: c = 1 - G brings a
+column into the window, 1 - G < c < G moves a k inside it, and c = G
+makes that column the window's last; a column of c <= -G stays before
+the window, and one of c > G already had k >= G.  So the shape changes
+only at the cuts i = b q mod p, -G < b <= G, and b = 0 puts block 0
+first: at most 2G runs of blocks, each of one shape.
 A cosmetic scan at one model and one p passes ``surgery`` one dict of
 shapes and one interner, so each shape is solved once across all of its
 q and blocks compare on their ids; surgeries at several p may share both.
@@ -490,14 +493,14 @@ def surgery(
     The slope is checked before any block.  Each block shape is solved
     once, by ``cone_homology`` at its lowest block index, and its int
     offsets (tower, ((b, length), ...)) are kept in ``shapes``.  ``_shape``
-    runs once per interval of blocks, at most 2G times per slope, in block
-    order (the module docstring), so the solves, their order and the
-    refused block are those of one ``_shape`` per block.  An error of
-    either is raised again, of its type, as "<model> at <p>/<q> block <i>:
-    <error>", the one place a cone error names its block.  ``interner``
-    maps each block's exact key to (id, d, red), read off the key at its
-    first appearance, the only Fractions a call builds; a key is built
-    once per (interval, N) in a call.  Blocks share an id in
+    runs once per run of blocks, at its lowest block, at most 2G times per
+    slope, in block order (the module docstring), so the solves, their
+    order and the refused block are those of one ``_shape`` per block.  An
+    error of either is raised again, of its type, as "<model> at <p>/<q>
+    block <i>: <error>", the one place a cone error names its block.
+    ``interner`` maps each block's exact key to (id, d, red), read off the
+    key at its first appearance, the only Fractions a call builds; a key
+    is built once per (run, N) in a call.  Blocks share an id in
     ``SurgeryResult.ids`` only when they share d and bars, and over one
     ambient at one p exactly then.
 
@@ -511,37 +514,31 @@ def surgery(
     shapes = {} if shapes is None else shapes
     interner = {} if interner is None else interner
     table = lens_d_numerators(p, q)  # refused above MAX_TABLE_P first
-    # the interval of t = (i + (G - 1) q) mod p between the cuts, per block
+    # the runs of blocks between the cuts b q mod p, -G < b <= G, block 0 first
     G = max(model.genus, 1)
-    cuts = sorted({a * q % p for a in range(1, 2 * G)} | {p})
-    by_t: list[int] = []
-    for j, (low, high) in enumerate(zip([0, *cuts], cuts)):
-        by_t += [j] * (high - low)
-    start = (G - 1) * q % p
+    cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})
     # d(Y) - 1 + (N + 4p tower)/4p = (num + scale tower + den N)/scale
     a, den = model.ambient.d.as_integer_ratio()
     scale, num = 4 * p * den, 4 * p * (a - den)
-    entries: list = [None] * len(cuts)  # num + scale tower, bars, {N: block}
     results, ids = [], []
-    for i, (lens, j) in enumerate(zip(table, by_t[start:] + by_t[:start])):
-        entry = entries[j]
-        if entry is None:
-            try:
-                shape = _shape(model, p, q, i)
-                if shape not in shapes:
-                    shapes[shape] = cone_homology(model, shape)
-            except (ConeTooLarge, TruncationTooSmall) as e:
-                raise type(e)(f"{model.name} at {p}/{q} block {i}: {e}") from e
-            tower, bars = shapes[shape]
-            entry = entries[j] = (num + scale * tower, bars, {})
-        base, bars, by_lens = entry
-        block = by_lens.get(lens)
-        if block is None:
-            key = (base + den * lens, scale, bars)
-            block = interner.get(key)
+    for low, high in zip(cuts, cuts[1:]):
+        try:
+            shape = _shape(model, p, q, low)
+            if shape not in shapes:
+                shapes[shape] = cone_homology(model, shape)
+        except (ConeTooLarge, TruncationTooSmall) as e:
+            raise type(e)(f"{model.name} at {p}/{q} block {low}: {e}") from e
+        tower, bars = shapes[shape]
+        base, by_lens = num + scale * tower, {}
+        for i in range(low, high):
+            lens = table[i]
+            block = by_lens.get(lens)
             if block is None:
-                block = interner[key] = (len(interner), *_read_off(*key))
-            by_lens[lens] = block
-        ids.append(block[0])
-        results.append(ConeResult(i, block[1], block[2]))
+                key = (base + den * lens, scale, bars)
+                block = interner.get(key)
+                if block is None:
+                    block = interner[key] = (len(interner), *_read_off(*key))
+                by_lens[lens] = block
+            ids.append(block[0])
+            results.append(ConeResult(i, block[1], block[2]))
     return SurgeryResult(model.name, p, q, tuple(results), tuple(ids))

@@ -69,9 +69,16 @@ BUGS = [
     ),
     Bug(
         "cone.py",
-        "cuts = sorted({a * q % p for a in range(1, 2 * G)} | {p})",
-        "cuts = sorted({a * q % p for a in range(1, 2 * G - 1)} | {p})",
-        "surgery drops the last interval cut, so two shapes share an interval",
+        "cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})",
+        "cuts = sorted({b * q % p for b in range(1 - G, G)} | {p})",
+        "surgery drops the last cut b = G, so two shapes share a run",
+        CONE,
+    ),
+    Bug(
+        "cone.py",
+        "cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})",
+        "cuts = sorted({b * q % p for b in range(2 - G, G + 1)} | {p})",
+        "surgery drops the lowest cut b = 1 - G, so two shapes share a run",
         CONE,
     ),
     Bug(

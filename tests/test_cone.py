@@ -555,9 +555,10 @@ def test_surgery_solves_each_block_shape_once(trefoil, spy):
 def test_interval_rule_gives_every_block_its_shape(
     unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, spy
 ):
-    # surgery computes the shape once per interval of blocks; every block
-    # must read the shapes entry of its own _shape, its d that entry's
-    # tower above its own anchor, as one _shape per block would give it
+    # surgery computes the shape once per run of blocks; every block must
+    # read the shapes entry of its own _shape, its d that entry's tower
+    # above its own anchor, as one _shape per block would give it, and a
+    # block's _shape differs from the one before only at a cut b q mod p
     solved_blocks(spy, stub=True)
     staircases = [load_model(staircase_doc(staircase_v(g))) for g in range(1, 13)]
     models = [unknot, trefoil, figure8, genus2_stress, sigma237_synthetic, *staircases]
@@ -576,11 +577,16 @@ def test_interval_rule_gives_every_block_its_shape(
             tower, _ = shapes[cone._shape(model, p, q, r.i)]
             anchor = base + Fraction(lens[r.i], 4 * p)
             assert r.d == anchor + tower, (model.name, p, q, r.i)
+        G = max(model.genus, 1)
+        cuts = {b * q % p for b in range(1 - G, G + 1)}
+        each = [cone._shape(model, p, q, i) for i in range(p)]
+        for i in range(1, p):
+            assert each[i] == each[i - 1] or i in cuts, (model.name, p, q, i)
 
 
 def test_surgery_computes_at_most_2g_shapes(trefoil, genus2_stress, spy):
-    # one _shape per interval of t = (i + (G - 1) q) mod p between the cuts
-    # a q mod p, 1 <= a <= 2G - 1, at the interval's first block
+    # one _shape per run of blocks between the cuts b q mod p, -G < b <= G,
+    # at the run's first block
     solved_blocks(spy, stub=True)
     calls = spy(cone, "_shape", record=lambda model, p, q, i: i)
     genus12 = load_model(staircase_doc(staircase_v(12)))

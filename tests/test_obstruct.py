@@ -313,7 +313,7 @@ def test_cosmetic_scan_solves_each_block_shape_once(figure8, genus2_stress, spy)
     solved = spy(cone, "cone_homology", record=lambda model, shape: shaped[-1])
     # the scan solves each shape once, at the first q and block that has
     # it, as one _shape per block finds them (surgery computes the shape
-    # once per interval of blocks); surgeries run one by one solve each
+    # once per run of blocks); surgeries run one by one solve each
     # shape once per q
     stress_shapes = [(1, 0), (1, 1), (1, 2), (1, 22), (8, 15)]
     cases = (
