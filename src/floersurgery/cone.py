@@ -82,7 +82,7 @@ only at the cuts i = b q mod p, -G < b <= G, and b = 0 puts block 0
 first: at most 2G runs of blocks, each of one shape.
 A cosmetic scan at one model and one p passes ``surgery`` one dict of
 shapes and one interner, so each shape is solved once across all of its
-q and blocks compare on their ids; surgeries at several p may share both.
+q and blocks compare on their ids; any surgeries may share both.
 ``cone_homology`` reads only the model and a shape, so callers may solve
 shapes concurrently.
 """
@@ -485,17 +485,18 @@ def surgery(
     p: int,
     q: int,
     *,
-    shapes: dict[tuple[int, ...], tuple[int, tuple]] | None = None,
+    shapes: dict[tuple[KnotModel, tuple[int, ...]], tuple[int, tuple]] | None = None,
     interner: dict[tuple, tuple[int, Fraction, tuple[Tau, ...]]] | None = None,
 ) -> SurgeryResult:
     """Full surgery computation: one ConeResult per block index.
 
     The slope is checked before any block.  Each block shape is solved
     once, by ``cone_homology`` at its lowest block index, and its int
-    offsets (tower, ((b, length), ...)) are kept in ``shapes``.  ``_shape``
-    runs once per run of blocks, at its lowest block, at most 2G times per
-    slope, in block order (the module docstring), so the solves, their
-    order and the refused block are those of one ``_shape`` per block.  An
+    offsets (tower, ((b, length), ...)) are kept in ``shapes`` under
+    (model, shape).  ``_shape`` runs once per run of blocks, at its lowest
+    block, at most 2G times per slope, in block order (the module
+    docstring), so the solves, their order and the refused block are
+    those of one ``_shape`` per block.  An
     error of either is raised again, of its type, as "<model> at <p>/<q>
     block <i>: <error>", the one place a cone error names its block.
     ``interner`` maps each block's exact key to (id, d, red), read off the
@@ -504,11 +505,9 @@ def surgery(
     ``SurgeryResult.ids`` only when they share d and bars, and over one
     ambient at one p exactly then.
 
-    Both dicts are read and extended, new per call by default.  Any
-    surgeries may share an interner; surgeries of one model, whatever
-    their p and q, may share ``shapes``.  A shape whose
-    solve raises is never stored, so shared dicts change no result and no
-    error.
+    Both dicts are read and extended, new per call by default, and any
+    surgeries may share both.  A shape whose solve raises is never
+    stored, so shared dicts change no result and no error.
     """
     SurgerySpec(p, q)  # the slope's errors, before any block
     shapes = {} if shapes is None else shapes
@@ -524,11 +523,11 @@ def surgery(
     for low, high in zip(cuts, cuts[1:]):
         try:
             shape = _shape(model, p, q, low)
-            if shape not in shapes:
-                shapes[shape] = cone_homology(model, shape)
+            if (model, shape) not in shapes:
+                shapes[model, shape] = cone_homology(model, shape)
         except (ConeTooLarge, TruncationTooSmall) as e:
             raise type(e)(f"{model.name} at {p}/{q} block {low}: {e}") from e
-        tower, bars = shapes[shape]
+        tower, bars = shapes[model, shape]
         base, by_lens = num + scale * tower, {}
         for i in range(low, high):
             lens = table[i]

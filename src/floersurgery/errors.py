@@ -8,15 +8,8 @@ class FloerError(Exception):
 
 
 class InvalidPresentation(FloerError):
-    """A graded U-presentation failed validation.
-
-    Carries the validation messages in ``errors``: ``fmod.validate``
-    stops at the first violation, so there is one.
-    """
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
+    """A graded U-presentation failed validation: ``fmod.validate`` names
+    the first entry of U that is not of degree -2."""
 
 
 class ModelError(FloerError):

@@ -63,9 +63,7 @@ class FiniteUPresentation:
         for c in self.u_cols:
             if c < 0 or c >> n:
                 raise ValueError("U column has bits outside the basis")
-        errs = validate(self)
-        if errs:
-            raise InvalidPresentation(errs)
+        validate(self)
 
     @property
     def dim(self) -> int:
@@ -88,14 +86,14 @@ def degree_violations(
                     yield j, i
 
 
-def validate(m: FiniteUPresentation) -> list[str]:
+def validate(m: FiniteUPresentation) -> None:
     """Check that U is homogeneous of degree -2, which is all validity is.
 
-    Returns the message of the first offending entry, in column order,
-    prefixed with the code NonHomogeneousU; empty means valid.  It stops
-    there, so it runs in time linear in the basis size plus the nonzero
-    entries of U up to that entry (:func:`degree_violations` with shift
-    -2: e_i may occur in U(e_j) only if g_i = g_j - 2).
+    Raises InvalidPresentation naming the first offending entry, in
+    column order.  It stops there, so it runs in time linear in the basis
+    size plus the nonzero entries of U up to that entry
+    (:func:`degree_violations` with shift -2: e_i may occur in U(e_j)
+    only if g_i = g_j - 2).
 
     Nilpotency needs no test of its own: if U has degree -2, U^n(e_j) != 0
     needs basis vectors at the n + 1 distinct gradings g_j, g_j - 2, ...,
@@ -103,11 +101,9 @@ def validate(m: FiniteUPresentation) -> list[str]:
     """
     gs = m.gradings
     for j, i in degree_violations(m.u_cols, gs, gs, -2):
-        return [
-            f"NonHomogeneousU: U sends e{j} (grading {gs[j]}) "
-            f"to e{i} (grading {gs[i]})"
-        ]
-    return []
+        raise InvalidPresentation(
+            f"U sends e{j} (grading {gs[j]}) to e{i} (grading {gs[i]})"
+        )
 
 
 def barcode(m: FiniteUPresentation) -> list[tuple[int, int]]:

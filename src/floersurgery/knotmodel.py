@@ -379,8 +379,7 @@ def _parse_presentation(
     try:
         return FiniteUPresentation(tuple(gradings), u_cols)
     except InvalidPresentation as e:
-        code, text = e.errors[0].split(": ", 1)
-        raise ModelError(code, f"{what}: {text}") from None
+        raise ModelError("NonHomogeneousU", f"{what}: {e}") from None
 
 
 def _check_map(

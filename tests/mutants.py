@@ -6,13 +6,14 @@ Run from the repository root as
 
 Each entry of BUGS is one single-line bug: a file of the package, a line
 of it (stripped, found exactly once), the line that replaces it, why the
-bug is wrong, and the tier-1 tests that should catch it.  The script
-copies ``src/`` to a temporary directory, plants one bug there, and runs
-those tests against the copy with ``pytest -x``; the bug is caught when
-they fail.  It first runs every named test on the unplanted copy, which
-must pass.  EQUIVALENT lists bugs that change no reachable behaviour, with
-the reason; each is planted and run too, and must survive, so a test that
-starts to catch one moves it to BUGS.  Prints one line per bug and exits
+bug is wrong, and the node ids of a few quick tier-1 tests that catch
+it.  The script copies ``src/`` to a temporary directory, plants one bug
+there, and runs those tests against the copy with ``pytest -x``; the bug
+is caught when they fail.  It first runs every named test on the
+unplanted copy, which must pass.  EQUIVALENT lists bugs that change no
+reachable behaviour, with the reason; each is planted and run against
+whole test files, and must survive, so a test that starts to catch one
+moves it to BUGS.  Prints one line per bug and exits
 1 if a listed bug survives, an equivalent one is caught, or a line is not
 found.  Tier-1 does not collect this file; CI runs it as a step of its
 own.
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,9 +43,17 @@ class Bug(NamedTuple):
     tests: tuple[str, ...]
 
 
-NUMTH = ("tests/test_numth.py",)
-CONE = ("tests/test_cone.py", "tests/test_identities.py")
-ORACLES = ("tests/test_oracles.py",)
+def node(file: str, *tests: str) -> tuple[str, ...]:
+    """The node ids of the named tests of one tier-1 test file."""
+    return tuple(f"tests/{file}::{test}" for test in tests)
+
+
+numth = partial(node, "test_numth.py")
+cone = partial(node, "test_cone.py")
+oracles = partial(node, "test_oracles.py")
+COKERNEL_U = cone("test_the_cokernel_u_action_is_read_modulo_the_image")
+GENUS2 = cone("test_genus2_model_frozen_block")
+REFEREE = oracles("test_random_models_agree_with_the_referee")
 
 BUGS = [
     Bug(
@@ -51,112 +61,115 @@ BUGS = [
         "first = [(c * c - t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)]",
         "first = [(c * c + t) // r for c, t in zip(range(1 - p - r, 1 - p, 2), terms)]",
         "the lens fold adds the child's terms instead of subtracting them",
-        NUMTH,
+        numth("test_lens_tables_at_the_palindrome_boundaries", "test_lens_d_anchors"),
     ),
     Bug(
         "numth.py",
         "sigma = (p * p + r * r + 1 - p * sigma) // r - 3 * p",
         "sigma = (p * p + r * r - 1 - p * sigma) // r - 3 * p",
         "Dedekind reciprocity loses its 1/(pr) term",
-        NUMTH,
+        numth("test_dedekind_small_values", "test_dedekind_matches_reference_oracle"),
     ),
     Bug(
         "cone.py",
         "n_minus = ((1 - G) * q - 1 - i) // p",
         "n_minus = ((1 - G) * q - i) // p",
         "_shape's window starts one column late when p divides (1 - G) q - i",
-        CONE,
+        cone("test_window_enumeration_oracle", "test_window_trefoil_2_3_block0"),
     ),
     Bug(
         "cone.py",
         "cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})",
         "cuts = sorted({b * q % p for b in range(1 - G, G)} | {p})",
         "surgery drops the last cut b = G, so two shapes share a run",
-        CONE,
+        cone("test_trefoil_2_3_frozen_values", "test_surgery_computes_at_most_2g_shapes"),
     ),
     Bug(
         "cone.py",
         "cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})",
         "cuts = sorted({b * q % p for b in range(2 - G, G + 1)} | {p})",
         "surgery drops the lowest cut b = 1 - G, so two shapes share a run",
-        CONE,
+        cone("test_unknot_cone_is_lens_space", "test_trefoil_2_3_frozen_values"),
     ),
     Bug(
         "cone.py",
         "if low < run:",
         "if low > run:",
         "the tower sweep's elder rule keeps the younger run",
-        CONE,
+        cone(
+            "test_edge_born_at_the_younger_bottom_gives_no_bar",
+            "test_tower_sweep_matches_the_union_find_reference",
+        ),
     ),
     Bug(
         "cone.py",
         "del bars[bisect_left(bars, near[0])]",
         "del bars[0]",
         "_offsets drops the lowest bar instead of the tower",
-        CONE + ORACLES,
+        cone("test_trefoil_2_3_frozen_values", "test_exactly_one_tower_per_block"),
     ),
     Bug(
         "cone.py",
         "cokernel.append((g, i, below.reduce(u)[0]))",
         "cokernel.append((g, i, u))",
         "_reduced_bars leaves a cokernel generator's U-image unreduced",
-        ORACLES + CONE,
+        COKERNEL_U + oracles("test_the_library_equals_the_referee_on_random_models"),
     ),
     Bug(
         "cone.py",
         "count[g] = numbers[-1] + 1",
         "count[g] = numbers[-1]",
         "_numbered hands the next generator at a grading the number just taken",
-        CONE + ORACLES,
+        GENUS2 + REFEREE,
     ),
     Bug(
         "cone.py",
         "return 1 << numbers[mask.bit_length() - 1]",
         "return 1 << numbers[0]",
         "_moved sends a one-bit column to the number of generator 0",
-        CONE + ORACLES,
+        GENUS2 + REFEREE,
     ),
     Bug(
         "cone.py",
         "return sum(1 << numbers[b] for b in gf2.bits(mask))",
         "return 1 << numbers[mask.bit_length() - 1]",
         "_moved keeps only the highest bit of a column of several",
-        CONE + ORACLES,
+        COKERNEL_U + oracles("test_the_library_equals_the_referee_on_random_models"),
     ),
     Bug(
         "cone.py",
         "for m, col in ((n, v), (n + 1, h)):",
         "for m, col in ((n, h), (n + 1, v)):",
         "_reduced_bars sends v into B-column n + 1 and h into n",
-        CONE + ORACLES,
+        GENUS2 + REFEREE,
     ),
     Bug(
         "cone.py",
         "a_at.setdefault(a + off, []).append(u and _moved(u, numbers))",
         "a_at.setdefault(a + off, []).append(u)",
         "_reduced_bars leaves an A-generator's U-image on its block's indices",
-        CONE + ORACLES,
+        COKERNEL_U + REFEREE,
     ),
     Bug(
         "cone.py",
         "b_at.setdefault(b + off, []).append(u and _moved(u, numbers))",
         "b_at.setdefault(b + off, []).append(u)",
         "_reduced_bars leaves a B-generator's U-image on the ambient's indices",
-        CONE + ORACLES,
+        COKERNEL_U + REFEREE,
     ),
     Bug(
         "cone.py",
         "(a + b, n)",
         "(a + b + 2, n)",
         "_reduced_bars moves an L-space column's barcode above its A-bottom",
-        CONE,
+        cone("test_figure8_dim_formula"),
     ),
     Bug(
         "cone.py",
         "tau = Tau(Fraction(num + b * den, den), n, b % 2)",
         "tau = Tau(Fraction(num + b * den, den), n, (b + 1) % 2)",
         "_read_off gives each bar the other parity",
-        CONE,
+        cone("test_trefoil_2_3_frozen_values", "test_parities_relative_to_tower"),
     ),
     Bug(
         "cone.py",
@@ -164,28 +177,54 @@ BUGS = [
         "key = (base + lens, scale, bars)",
         "the interner key adds N unscaled by the denominator of d(Y), which "
         "only an ambient whose d is not an integer shows",
-        CONE,
+        cone("test_one_interner_serves_every_ambient"),
     ),
     Bug(
         "obstruct.py",
         "offsets = [b for b, k in enumerate(ids2) if k == first]",
         "offsets = [0]",
         "_matches tries only the relabellings that fix block 0",
-        ("tests/test_obstruct.py", "tests/test_identities.py"),
+        (
+            *node("test_obstruct.py", "test_matches_is_affine_relabelling"),
+            *node("test_identities.py", "test_moser_torus_knot_surgery_is_a_lens_space"),
+        ),
     ),
     Bug(
         "knotmodel.py",
         "if lhs != rhs:",
         "if False:",
         "the model constructor no longer checks a map's U-equivariance",
-        ("tests/test_knotmodel.py",),
+        node("test_knotmodel.py", "test_map_not_u_equivariant"),
     ),
     Bug(
         "knotmodel.py",
         "if blk != derived:",
         "if blk.pres != derived.pres:",
         "a redundant block's maps are not checked against the symmetry",
-        ("tests/test_knotmodel.py",),
+        node("test_knotmodel.py", "test_symmetry_violation_on_stored_negative_block"),
+    ),
+    Bug(
+        "knotmodel.py",
+        'raise ModelError("NonHomogeneousU", f"{what}: {e}") from None',
+        'raise ModelError("MapNotEquivariant", f"{what}: {e}") from None',
+        "a presentation's refused U is reported under another model error code",
+        node(
+            "test_knotmodel.py",
+            "test_validate_error_code_appears_once",
+            "test_dense_non_homogeneous_block_is_refused_without_matrix_products",
+        ),
+    ),
+    Bug(
+        "fmod.py",
+        "for j, i in degree_violations(m.u_cols, gs, gs, -2):",
+        "for j, i in degree_violations(m.u_cols, gs, gs, 2):",
+        "validate asks U to raise gradings by 2 instead of lowering them",
+        node(
+            "test_fmod.py",
+            "test_u_decreases_grading_by_two_enforced",
+            "test_validate_matches_reference",
+            "test_validate_homogeneous_runs_no_matrix_products",
+        ),
     ),
 ]
 
@@ -219,10 +258,12 @@ def planted(src: Path, bug: Bug) -> str:
 def failing(src: Path, tests) -> str:
     """The first test that fails against the package at ``src``, or ""
     when they all pass (the exit code when pytest names none, and a run
-    past TIMEOUT_S, as a planted bug may loop, counts as failing)."""
+    past TIMEOUT_S, as a planted bug may loop, counts as failing).  Only
+    the failing test's name is read, so asserts run plain: rewriting them
+    would cost each run about a second of its few."""
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", "-o", f"pythonpath={src}", *tests,
+        "--assert=plain", "--hypothesis-seed=0", "-o", f"pythonpath={src}", *tests,
     ]
     try:
         run = subprocess.run(

@@ -565,6 +565,22 @@ def test_validate_reports_the_error_of_a_broken_model(tmp_path, capsys):
     assert "ambient summary" not in out
 
 
+def _non_homogeneous_u(doc):
+    block = doc["a_red"]["0"]
+    block["generators"].append({"grading": "3", "parity": 1})
+    block["u_matrix"] = [[0, 1], [0, 0]]  # U: grading 3 -> -1
+
+
+def test_validate_prints_the_first_non_homogeneous_entry(tmp_path, capsys):
+    path = _edited_model(tmp_path, "figure8_s3", _non_homogeneous_u)
+    assert run(capsys, "validate", path) == (
+        2,
+        f"{path}: NonHomogeneousU: a_red[0]: U sends e1 (grading 3) "
+        "to e0 (grading -1)\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize("rule", ["--k-special", "--genus-bound"])
 def test_obstruct_reports_the_error_of_a_broken_model(rule, tmp_path, capsys):
     path = _edited_model(tmp_path, "trefoil_rh_s3", _increasing_v)

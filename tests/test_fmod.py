@@ -25,28 +25,26 @@ from conftest import (
 
 
 def test_validate_zero_module():
-    assert validate(FiniteUPresentation((), ())) == []
+    assert validate(FiniteUPresentation((), ())) is None
 
 
 def test_validate_one_dim():
     m = FiniteUPresentation((0,), (0,))
-    assert validate(m) == []
+    assert validate(m) is None
 
 
 def test_validate_non_homogeneous_u():
     # U maps a degree-0 vector onto a degree -1 vector: degree -2 fails
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((-1, 0), (0, 0b01))
-    assert any(e.startswith("NonHomogeneousU") for e in exc.value.errors)
+    assert str(exc.value) == "U sends e1 (grading 0) to e0 (grading -1)"
 
 
 def test_validate_not_nilpotent():
     # a self-loop is not nilpotent, and homogeneity alone refuses it
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation((0,), (1,))
-    assert exc.value.errors == [
-        "NonHomogeneousU: U sends e0 (grading 0) to e0 (grading 0)"
-    ]
+    assert str(exc.value) == "U sends e0 (grading 0) to e0 (grading 0)"
 
 
 @pytest.mark.parametrize(
@@ -142,7 +140,7 @@ def test_u_decreases_grading_by_two_enforced():
     rng = random.Random(5)
     for _ in range(40):
         m = random_presentation(rng, max_dim=8)
-        assert validate(m) == []
+        assert validate(m) is None
         for j, col in enumerate(m.u_cols):
             for i in gf2.bits(col):
                 assert m.gradings[i] == m.gradings[j] - 2
@@ -158,7 +156,7 @@ def reference_validate(
         for i in gf2.bits(col):
             if gradings[i] != gradings[j] - 2:
                 errs.append(
-                    f"NonHomogeneousU: U sends e{j} (grading {gradings[j]}) "
+                    f"U sends e{j} (grading {gradings[j]}) "
                     f"to e{i} (grading {gradings[i]})"
                 )
     n = len(gradings)
@@ -166,10 +164,6 @@ def reference_validate(
     for _ in range(n):
         cols = gf2.mat_mul(list(u_cols), cols)
     return errs, not any(cols)
-
-
-def _codes(errs: list[str]) -> list[str]:
-    return [e.split(":", 1)[0] for e in errs]
 
 
 def _break(gradings: list[int], cols: list[int], rng: random.Random, kind: str):
@@ -205,11 +199,11 @@ def test_validate_matches_reference(seed, defects):
     # the one of homogeneity and nilpotency checked together
     assert nilpotent or expected
     if not expected:
-        assert validate(FiniteUPresentation(tuple(gradings), tuple(cols))) == []
+        assert validate(FiniteUPresentation(tuple(gradings), tuple(cols))) is None
         return
     with pytest.raises(InvalidPresentation) as exc:
         FiniteUPresentation(tuple(gradings), tuple(cols))
-    assert exc.value.errors == expected[:1]
+    assert str(exc.value) == expected[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +222,7 @@ def test_valid_presentations_are_nilpotent(seed):
             if gradings[i] == gradings[j] - 2 and rng.random() < density:
                 cols[j] |= 1 << i
     m = FiniteUPresentation(tuple(gradings), tuple(cols))
-    assert validate(m) == []
+    assert validate(m) is None
     assert u_power_rank(m, m.dim) == 0
 
 
@@ -237,15 +231,11 @@ def test_validate_homogeneous_runs_no_matrix_products(spy):
     calls = spy(gf2, "mat_mul")
     rng = random.Random(7)
     for _ in range(50):
-        assert validate(random_presentation(rng, max_dim=12)) == []
+        assert validate(random_presentation(rng, max_dim=12)) is None
     # nor does refusing a non-homogeneous U, not even a dense one, whose
     # 1,600 bad entries give one message, the first in column order
-    with pytest.raises(InvalidPresentation) as exc:
-        FiniteUPresentation((0,), (1,))
-    assert _codes(exc.value.errors) == ["NonHomogeneousU"]
-    with pytest.raises(InvalidPresentation) as exc:
-        FiniteUPresentation((0,) * 40, (2**40 - 1,) * 40)
-    assert exc.value.errors == [
-        "NonHomogeneousU: U sends e0 (grading 0) to e0 (grading 0)"
-    ]
+    for n in (1, 40):
+        with pytest.raises(InvalidPresentation) as exc:
+            FiniteUPresentation((0,) * n, (2**n - 1,) * n)
+        assert str(exc.value) == "U sends e0 (grading 0) to e0 (grading 0)"
     assert calls == []

@@ -22,7 +22,7 @@ slopes, with no closed form of the Floer homology:
 
 Two surgeries are compared as ``cosmetic_pair_scan`` compares them: block
 ids from one interner, up to an affine relabelling of the blocks
-(``obstruct._matches``), each model solving its shapes in its own dict.
+(``obstruct._matches``), every model solving its shapes in one dict.
 Every surgery here is an L-space, so no reduced bar is checked.
 """
 
@@ -108,8 +108,8 @@ GORDON = [(knot, cable, 1) for knot in CABLES for cable in CABLES[knot]] + [
 
 
 class Solver:
-    """Surgeries of several models on one interner, each model with its
-    own dict of shapes, and a model per Alexander polynomial."""
+    """Surgeries of several models on one interner and one dict of
+    shapes, and a model per Alexander polynomial."""
 
     def __init__(self):
         self.interner, self.shapes, self.models = {}, {}, {}
@@ -121,8 +121,9 @@ class Solver:
         return self.models[key]
 
     def ids(self, model, p: int, q: int) -> tuple[int, ...]:
-        shapes = self.shapes.setdefault(id(model), {})
-        return surgery(model, p, q, shapes=shapes, interner=self.interner).ids
+        return surgery(
+            model, p, q, shapes=self.shapes, interner=self.interner
+        ).ids
 
 
 @pytest.fixture(scope="module")
