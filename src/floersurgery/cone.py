@@ -496,9 +496,9 @@ def surgery(
     (model, shape).  ``_shape`` runs once per run of blocks, at its lowest
     block, at most 2G times per slope, in block order (the module
     docstring), so the solves, their order and the refused block are
-    those of one ``_shape`` per block.  An
-    error of either is raised again, of its type, as "<model> at <p>/<q>
-    block <i>: <error>", the one place a cone error names its block.
+    those of one ``_shape`` per block.  An error of either is raised
+    again, of its type, as "<model> at <p>/<q> block <i>: <error>", the
+    one place a cone error names its block.
     ``interner`` maps each block's exact key to (id, d, red), read off the
     key at its first appearance, the only Fractions a call builds; a key
     is built once per (run, N) in a call.  Blocks share an id in

@@ -13,10 +13,9 @@ is caught when they fail.  It first runs every named test on the
 unplanted copy, which must pass.  EQUIVALENT lists bugs that change no
 reachable behaviour, with the reason; each is planted and run against
 whole test files, and must survive, so a test that starts to catch one
-moves it to BUGS.  Prints one line per bug and exits
-1 if a listed bug survives, an equivalent one is caught, or a line is not
-found.  Tier-1 does not collect this file; CI runs it as a step of its
-own.
+moves it to BUGS.  Prints one line per bug and exits 1 if a listed bug
+survives, an equivalent one is caught, or a line is not found.  Tier-1
+does not collect this file; CI runs it as a step of its own.
 """
 
 from __future__ import annotations
@@ -82,7 +81,10 @@ BUGS = [
         "cuts = sorted({b * q % p for b in range(1 - G, G + 1)} | {p})",
         "cuts = sorted({b * q % p for b in range(1 - G, G)} | {p})",
         "surgery drops the last cut b = G, so two shapes share a run",
-        cone("test_trefoil_2_3_frozen_values", "test_surgery_computes_at_most_2g_shapes"),
+        cone(
+            "test_trefoil_2_3_frozen_values",
+            "test_surgery_computes_at_most_2g_shapes",
+        ),
     ),
     Bug(
         "cone.py",
@@ -186,7 +188,10 @@ BUGS = [
         "_matches tries only the relabellings that fix block 0",
         (
             *node("test_obstruct.py", "test_matches_is_affine_relabelling"),
-            *node("test_identities.py", "test_moser_torus_knot_surgery_is_a_lens_space"),
+            *node(
+                "test_identities.py",
+                "test_moser_torus_knot_surgery_is_a_lens_space",
+            ),
         ),
     ),
     Bug(
