@@ -59,6 +59,7 @@ from .obstruct import (
     k_special,
     lens_complement,
     n_bound,
+    recognise,
     v0_bound,
     z_special,
 )

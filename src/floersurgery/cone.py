@@ -80,9 +80,9 @@ makes that column the window's last; a column of c <= -G stays before
 the window, and one of c > G already had k >= G.  So the shape changes
 only at the cuts i = b q mod p, -G < b <= G, and b = 0 puts block 0
 first: at most 2G runs of blocks, each of one shape.
-A cosmetic scan at one model and one p passes ``surgery`` one dict of
-shapes and one interner, so each shape is solved once across all of its
-q and blocks compare on their ids; any surgeries may share both.
+``obstruct.recognise``, and so a cosmetic scan, passes ``surgery`` one
+dict of shapes and one interner, so each shape is solved once across all
+of its cases and blocks compare on their ids; any surgeries may share both.
 ``cone_homology`` reads only the model and a shape, so callers may solve
 shapes concurrently.
 """

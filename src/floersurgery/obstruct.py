@@ -8,21 +8,20 @@ Every rule examines a hypothetical surgery scenario and returns a
 * ``inapplicable``  -- the rule's hypotheses are not met.
 
 Each verdict carries the exact inputs that produced it in ``witness``,
-so identical inputs give identical verdicts.  A cosmetic scan runs its
-slopes in order and solves each block shape once across all of them.
+so identical inputs give identical verdicts.  A cosmetic scan is one
+call to ``recognise``, which solves each block shape once.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .cone import SurgerySpec, surgery
+from .cone import SurgeryResult, SurgerySpec, surgery
 from .errors import MissingGradings, NotCoprime, TableTooLarge, V0Zero
 from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
@@ -81,11 +80,6 @@ def _jsonable(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _straddles(p: int, q_low: int, q_high: int) -> bool:
-    """Is there a multiple of p strictly between q_low and q_high?"""
-    return (q_high - 1) // p > q_low // p
-
-
 def z_special(z: TargetSummary, p: int, q_list: list[int]) -> Verdict:
     """Slope-count gate for a target whose |H1| does not divide chi_red.
 
@@ -111,7 +105,7 @@ def z_special(z: TargetSummary, p: int, q_list: list[int]) -> Verdict:
             "Z_SPECIAL", FAIL, {**witness, "slope_bound": bound, "reason": "count"}
         )
     for a, b in zip(qs, qs[1:]):
-        if _straddles(p, a, b):
+        if a // p != b // p:  # p > 1 divides neither a nor b
             return Verdict(
                 "Z_SPECIAL",
                 FAIL,
@@ -385,6 +379,27 @@ def unscanned(p: int, q_range: list[int]) -> dict[str, list[int]]:
     return skipped
 
 
+def recognise(cases) -> tuple[list[SurgeryResult], list[list[int]]]:
+    """The surgeries of the (model, p, q) triples ``cases``, on one dict of
+    shapes and one interner (see ``surgery``), and their classes: ascending
+    lists of indices of cases whose Floer data match (``_matches``), by
+    first index.  Relabellings form a group, so a case meets only the first
+    member of each class with its multiset of block ids, which they keep."""
+    shapes, interner = {}, {}
+    results = [surgery(*case, shapes=shapes, interner=interner) for case in cases]
+    classes, by_ids = [], {}
+    for j, res in enumerate(results):
+        same = by_ids.setdefault(tuple(sorted(res.ids)), [])
+        for c in same:
+            if _matches(results[c[0]].ids, res.ids, res.p):
+                c.append(j)
+                break
+        else:
+            classes.append([j])
+            same.append(classes[-1])
+    return results, classes
+
+
 def cosmetic_pair_scan(
     model: KnotModel, p: int, q_range: list[int]
 ) -> list[tuple[int, int]]:
@@ -393,36 +408,19 @@ def cosmetic_pair_scan(
     Matching is up to an affine relabeling of the p blocks, so a pair is
     only reported when some relabeling aligns every d-invariant and
     every reduced bar; this quantification makes the scan conservative.
-    Every reported pair straddling a multiple of p is asserted to have
-    p | chi(HF_red), as the divisibility rule demands.
-
-    The surgeries share one dict of block shapes and one interner (see
-    ``surgery``), so each shape is solved once over the whole scan, not
-    once per q, and each block carries an int id, equal for two blocks
-    exactly when their d and bars are.  Blocks are compared on these ids.
-    A relabelling keeps the multiset of ids, so only surgeries with equal
-    multisets are paired, in order of (q1, q2).
+    The pairs lie within the classes of ``recognise``.  A class that
+    straddles a multiple of p is asserted to have p | chi(HF_red), which
+    its members share, as the divisibility rule demands.
     """
     require_slope(p)
     qs = sorted(set(q_range).difference(*unscanned(p, q_range).values()))
-    shapes, interner = {}, {}
-    computed = {q: surgery(model, p, q, shapes=shapes, interner=interner) for q in qs}
-    groups: dict = {}
-    for q in qs:
-        groups.setdefault(frozenset(Counter(computed[q].ids).items()), []).append(q)
-    candidates = sorted(
-        (q1, q2)
-        for group in groups.values()
-        for idx, q1 in enumerate(group)
-        for q2 in group[idx + 1 :]
-    )
-    chi_red = cache(lambda q: computed[q].chi_red)  # summed at most once per q
+    results, classes = recognise([(model, p, q) for q in qs])
     hits = []
-    for q1, q2 in candidates:
-        if _matches(computed[q1].ids, computed[q2].ids, p):
-            if _straddles(p, q1, q2) and chi_red(q1) % p != 0:
-                raise AssertionError(
-                    f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
-                )
-            hits.append((q1, q2))
-    return hits
+    for c in classes:
+        q1, q2 = qs[c[0]], qs[c[-1]]
+        if q1 // p != q2 // p and results[c[0]].chi_red % p != 0:
+            raise AssertionError(
+                f"cosmetic hit ({q1},{q2}) violates the divisibility rule"
+            )
+        hits += combinations([qs[j] for j in c], 2)
+    return sorted(hits)

@@ -195,6 +195,33 @@ BUGS = [
         ),
     ),
     Bug(
+        "obstruct.py",
+        "c.append(j)",
+        "classes.append([j])",
+        "recognise opens a class of its own for every case, so nothing matches",
+        (
+            *node(
+                "test_obstruct.py",
+                "test_cosmetic_scan_unknot_finds_the_classical_pair",
+            ),
+            *node(
+                "test_identities.py",
+                "test_moser_torus_knot_surgery_is_a_lens_space",
+            ),
+        ),
+    ),
+    Bug(
+        "obstruct.py",
+        "if q1 // p != q2 // p and results[c[0]].chi_red % p != 0:",
+        "if q1 // p == q2 // p and results[c[0]].chi_red % p != 0:",
+        "the scan checks divisibility on the classes that straddle no "
+        "multiple of p instead of on those that do",
+        node(
+            "test_obstruct.py",
+            "test_cosmetic_scan_sums_each_chi_once_and_asserts_divisibility",
+        ),
+    ),
+    Bug(
         "knotmodel.py",
         "if lhs != rhs:",
         "if False:",
@@ -233,17 +260,7 @@ BUGS = [
     ),
 ]
 
-EQUIVALENT = [
-    Bug(
-        "obstruct.py",
-        "return (q_high - 1) // p > q_low // p",
-        "return q_high // p > q_low // p",
-        "the two differ only when p > 1 divides q_high, and no caller reaches "
-        "that: require_slope refuses such a q, and z_special returns before "
-        "_straddles at p = 1",
-        ("tests/test_obstruct.py", "tests/test_acceptance.py"),
-    ),
-]
+EQUIVALENT: list[Bug] = []
 
 
 def planted(src: Path, bug: Bug) -> str:

@@ -542,7 +542,7 @@ def test_readme_library_example_runs(monkeypatch):
         if comment:
             assert repr(value) == comment.strip(), line
             checked += 1
-    assert checked == block.count("#") == 5
+    assert checked == block.count("#") == 6
 
 
 def _edited_model(tmp_path, name, edit):

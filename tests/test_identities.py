@@ -20,20 +20,20 @@ slopes, with no closed form of the Floer homology:
   = L(m, n) # S^3_{n/m}(K), whose d-invariants are the sums of one of
   each summand's.
 
-Two surgeries are compared as ``cosmetic_pair_scan`` compares them: block
-ids from one interner, up to an affine relabelling of the blocks
-(``obstruct._matches``), every model solving its shapes in one dict.
-Every surgery here is an L-space, so no reduced bar is checked.
+Surgeries are compared through ``recognise``, as ``cosmetic_pair_scan``
+compares them: block ids from one interner, up to an affine relabelling
+of the blocks, all models solving their shapes in one dict.  Every
+surgery here is an L-space, so no reduced bar is checked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
-from floersurgery import lens_d, load_model, surgery
-from floersurgery.obstruct import _matches
+from floersurgery import lens_d, load_model, recognise, surgery
 
 from conftest import staircase_doc
 
@@ -107,28 +107,10 @@ GORDON = [(knot, cable, 1) for knot in CABLES for cable in CABLES[knot]] + [
 ]
 
 
-class Solver:
-    """Surgeries of several models on one interner and one dict of
-    shapes, and a model per Alexander polynomial."""
-
-    def __init__(self):
-        self.interner, self.shapes, self.models = {}, {}, {}
-
-    def model(self, delta: list[int]):
-        key = tuple(delta)
-        if key not in self.models:
-            self.models[key] = staircase_from_alexander(delta)
-        return self.models[key]
-
-    def ids(self, model, p: int, q: int) -> tuple[int, ...]:
-        return surgery(
-            model, p, q, shapes=self.shapes, interner=self.interner
-        ).ids
-
-
-@pytest.fixture(scope="module")
-def solver():
-    return Solver()
+@cache
+def model_of(delta: tuple[int, ...]):
+    """The model of a Delta, built once per Delta."""
+    return staircase_from_alexander(list(delta))
 
 
 def test_alexander_polynomials_give_the_semigroup_staircases():
@@ -151,22 +133,33 @@ def test_alexander_polynomials_give_the_semigroup_staircases():
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("m, n", TORUS)
-def test_moser_torus_knot_surgery_is_a_lens_space(solver, unknot, m, n, sign):
+def test_moser_torus_knot_surgery_is_a_lens_space(unknot, m, n, sign):
     p = m * n + sign
-    torus = solver.model(torus_alexander(m, n))
-    assert _matches(solver.ids(torus, p, 1), solver.ids(unknot, p, n * n % p), p)
+    torus = model_of(tuple(torus_alexander(m, n)))
+    _, classes = recognise([(torus, p, 1), (unknot, p, n * n % p)])
+    assert classes == [[0, 1]]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m, n", TORUS)
+def test_moser_lens_space_is_its_inverse_slope_lens_space(unknot, m, n, sign):
+    # L(p, x) = L(p, 1/x): the unknot at n^-2 joins the class of the
+    # torus knot's p/1 by matching its first member, the torus knot
+    p = m * n + sign
+    torus = model_of(tuple(torus_alexander(m, n)))
+    cases = [(torus, p, 1), (unknot, p, n * n % p), (unknot, p, pow(n, -2, p))]
+    assert recognise(cases)[1] == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("knot, cable, k", GORDON)
-def test_gordon_cable_surgery_is_a_surgery_on_the_companion(
-    solver, knot, cable, k, sign
-):
+def test_gordon_cable_surgery_is_a_surgery_on_the_companion(knot, cable, k, sign):
     (m, n), delta = cable, torus_alexander(*knot)
     p = k * m * n + sign
-    companion = solver.model(delta)
-    cabled = solver.model(cable_alexander(delta, m, n))
-    assert _matches(solver.ids(cabled, p, k), solver.ids(companion, p, k * m * m), p)
+    companion = model_of(tuple(delta))
+    cabled = model_of(tuple(cable_alexander(delta, m, n)))
+    _, classes = recognise([(cabled, p, k), (companion, p, k * m * m)])
+    assert classes == [[0, 1]]
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])

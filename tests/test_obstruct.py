@@ -39,7 +39,6 @@ from floersurgery.obstruct import (
     INAPPLICABLE,
     PASS,
     _matches,
-    _straddles,
     canonical_json,
 )
 from conftest import sigma237_synthetic_doc, solved_blocks
@@ -298,10 +297,12 @@ def test_cosmetic_scan_sums_each_chi_once_and_asserts_divisibility(
 
     monkeypatch.setattr(cone.SurgeryResult, "chi_red", property(counted))
     hits = cosmetic_pair_scan(unknot, 5, range(1, 13))
-    straddling = [q1 for q1, q2 in hits if _straddles(5, q1, q2)]
+    straddling = [q1 for q1, q2 in hits if q1 // 5 != q2 // 5]
     assert (len(hits), len(straddling)) == (14, 12)
-    # only straddling hits read chi(HF_red), each q1 once
-    assert sorted(summed) == sorted(set(straddling)) == [1, 2, 3, 4, 6, 7, 8]
+    # the members of a class share chi(HF_red): only classes that straddle
+    # read it, once each, at their first q (the classes {1, 6, 11},
+    # {2, 3, 7, 8, 12} and {4, 9}), not once per straddling q1
+    assert summed == [1, 2, 4]
     # a straddling hit whose chi(HF_red) is not divisible by p is refused
     monkeypatch.setattr(cone.SurgeryResult, "chi_red", property(lambda res: 1))
     with pytest.raises(AssertionError, match=r"hit \(1,3\) violates the divisibility"):
