@@ -11,14 +11,12 @@ from .cone import (
     surgery,
 )
 from .errors import (
-    ConeTooLarge,
     FloerError,
     InvalidPresentation,
     MissingGradings,
     ModelError,
     NotCoprime,
-    NumberTooLarge,
-    TableTooLarge,
+    TooLarge,
     TruncationTooSmall,
     V0Zero,
 )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import obstruct
 from .cone import surgery
-from .errors import FloerError, ModelError, TruncationTooSmall
+from .errors import FloerError, ModelError, TooLarge, TruncationTooSmall
 from .knotmodel import (
     load_model,
     load_model_or_ambient,
@@ -78,8 +78,9 @@ def parse_slope(text: str) -> tuple[int, int, int]:
 
 
 def parse_q_values(values: list[str]) -> list[int]:
-    """The q of each value, a single q or a range LOW..HIGH; refused with
-    ValueError above MAX_TABLE_P values, counted before any is listed."""
+    """The q of each value, a single q or a range LOW..HIGH; ValueError on
+    a malformed value, TooLarge above MAX_TABLE_P values, counted before
+    any is listed."""
     out: list[int] = []
     for v in values:
         low_str, dots, high_str = v.partition("..")
@@ -92,7 +93,7 @@ def parse_q_values(values: list[str]) -> list[int]:
             raise ValueError(f"empty range {v!r}; expected LOW..HIGH")
         count = len(out) + high - low + 1
         if count > MAX_TABLE_P:
-            raise ValueError(f"{count} q values, more than the limit of {MAX_TABLE_P}")
+            raise TooLarge(f"{count} q values, more than the limit of {MAX_TABLE_P}")
         out.extend(range(low, high + 1))
     return out
 

@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gf2
-from .errors import ConeTooLarge, NotCoprime, TruncationTooSmall
+from .errors import NotCoprime, TooLarge, TruncationTooSmall
 from .fmod import FiniteUPresentation, Tau, barcode
 from .knotmodel import KnotModel
 from .numth import lens_d_numerators, require_slope
@@ -207,7 +207,7 @@ class SurgeryResult:
 
 def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     """The window's k-sequence, with the last k written as G; the module
-    docstring states the window.  Raises ConeTooLarge, before the window
+    docstring states the window.  Raises TooLarge, before the window
     is walked, when its tower bottoms alone, one per A-column and one per
     B-column, are more than MAX_GENERATORS."""
     G = max(model.genus, 1)
@@ -216,7 +216,7 @@ def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:
     columns = n_plus - n_minus
     bottoms = 2 * columns - 1  # one B-column fewer than A-columns
     if bottoms > MAX_GENERATORS:
-        raise ConeTooLarge(
+        raise TooLarge(
             f"window of {columns} A-columns: {bottoms} tower bottoms, "
             f"more than {MAX_GENERATORS} generators"
         )
@@ -247,7 +247,7 @@ def _depth_floor(model: KnotModel) -> int:
 def build_cone(model: KnotModel, shape: tuple, depth: int) -> ConePresentation:
     """The cone of the shape (``_shape``), its towers cut at the given
     depth (only ``cone_homology``'s certificate chooses it) and its
-    reduced generators counted, not laid out: ConeTooLarge when the cone
+    reduced generators counted, not laid out: TooLarge when the cone
     has more than MAX_GENERATORS.  The walk reads one ``model.columns()``
     record per run of equal k."""
     if depth < _depth_floor(model) + 2:
@@ -274,7 +274,7 @@ def build_cone(model: KnotModel, shape: tuple, depth: int) -> ConePresentation:
     reduced = a_red + len(b_grading) * amb.dim
     gens = len(a_grading) + len(b_grading) + reduced
     if gens > MAX_GENERATORS:
-        raise ConeTooLarge(f"cone of {gens} generators, more than {MAX_GENERATORS}")
+        raise TooLarge(f"cone of {gens} generators, more than {MAX_GENERATORS}")
 
     # common ceiling, where all A-towers top out: the highest A-bottom or
     # reduced generator rounded up to odd (every A-bottom is), plus 2 depth
@@ -525,7 +525,7 @@ def surgery(
             shape = _shape(model, p, q, low)
             if (model, shape) not in shapes:
                 shapes[model, shape] = cone_homology(model, shape)
-        except (ConeTooLarge, TruncationTooSmall) as e:
+        except (TooLarge, TruncationTooSmall) as e:
             raise type(e)(f"{model.name} at {p}/{q} block {low}: {e}") from e
         tower, bars = shapes[model, shape]
         base, by_lens = num + scale * tower, {}

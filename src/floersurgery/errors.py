@@ -32,8 +32,8 @@ class TruncationTooSmall(FloerError):
     """The truncated cone could not be certified stable in its depth."""
 
 
-class ConeTooLarge(FloerError):
-    """A pass would lay out more generators than the size limit."""
+class TooLarge(FloerError):
+    """An input over a size limit."""
 
 
 class V0Zero(FloerError):
@@ -42,11 +42,3 @@ class V0Zero(FloerError):
 
 class MissingGradings(FloerError):
     """A grading-based obstruction was invoked without grading data."""
-
-
-class TableTooLarge(FloerError):
-    """A whole lens-space table of more entries than the size limit."""
-
-
-class NumberTooLarge(FloerError):
-    """An integer above the size limit of the function it was passed to."""

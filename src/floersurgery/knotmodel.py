@@ -405,14 +405,14 @@ def _check_map(
         )
 
 
-def load_ambient(doc: dict, what: str = "ambient") -> AmbientSummary:
+def load_ambient(doc: dict) -> AmbientSummary:
     if not isinstance(doc, dict):
-        raise ModelError("Syntax", f"{what} must be an object")
+        raise ModelError("Syntax", "ambient must be an object")
     for key in ("name", "d", "b_red", "u_matrix"):
         if key not in doc:
-            raise ModelError("Syntax", f"{what} is missing '{key}'")
-    d = parse_rational(doc["d"], f"{what}.d")
-    b_red = _parse_presentation(doc["b_red"], doc["u_matrix"], d, what)
+            raise ModelError("Syntax", f"ambient is missing '{key}'")
+    d = parse_rational(doc["d"], "ambient.d")
+    b_red = _parse_presentation(doc["b_red"], doc["u_matrix"], d, "ambient")
     return AmbientSummary(name=str(doc["name"]), d=d, b_red=b_red)
 
 

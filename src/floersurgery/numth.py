@@ -19,7 +19,7 @@ only the first half of each of its own palindromes, from the halves of
 the level below, and mirrors the rest by slicing.  The Fraction table
 has one builder, lens_invariants: it checks the integers, builds one
 Fraction per entry of the halves (about p/2) and mirrors them.  A whole
-table is refused above MAX_TABLE_P entries (TableTooLarge); lens_d_at
+table is refused above MAX_TABLE_P entries (TooLarge); lens_d_at
 folds a single entry in O(log p) at any p.  Fraction appears only in
 return values; nothing is cached, so every function is pure.
 """
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd
 
-from .errors import NotCoprime, NumberTooLarge, TableTooLarge
+from .errors import NotCoprime, TooLarge
 
 # The largest p of a whole lens table: `floersurgery lens p 3` prints a
 # table of this size in about a second.  Larger tables are refused.
@@ -82,7 +82,7 @@ def _table_chain(p: int, q: int) -> list[tuple[int, int]]:
     """_euclid_chain of a whole table, refused above MAX_TABLE_P entries."""
     chain = _euclid_chain(p, q)
     if p > MAX_TABLE_P:
-        raise TableTooLarge(
+        raise TooLarge(
             f"the lens table of L({p},{q}) has {p} entries, "
             f"more than the limit of {MAX_TABLE_P}"
         )
@@ -170,7 +170,7 @@ def lens_invariants(p: int, q: int) -> LensInvariants:
 
     s, lambda and tau are sigma = 12p s(q,p) over 12p, -24p and 3.  The
     integer table is checked against sum d = p s (3 sum N = p sigma)
-    before it is returned; TableTooLarge above MAX_TABLE_P.
+    before it is returned; TooLarge above MAX_TABLE_P.
     """
     chain = _table_chain(p, q)
     sigma = _sigma(chain)
@@ -220,11 +220,11 @@ def lambda_from_hf(chi_red: int, d_sum: Fraction, h1_order: int) -> Fraction:
 
 
 def totient(n: int) -> int:
-    """Euler's totient, by trial division; NumberTooLarge above MAX_TOTIENT_N."""
+    """Euler's totient, by trial division; TooLarge above MAX_TOTIENT_N."""
     if n < 1:
         raise ValueError("totient needs n >= 1")
     if n > MAX_TOTIENT_N:
-        raise NumberTooLarge(f"totient of {n}: more than the limit of {MAX_TOTIENT_N}")
+        raise TooLarge(f"totient of {n}: more than the limit of {MAX_TOTIENT_N}")
     result = n
     m = n
     f = 2

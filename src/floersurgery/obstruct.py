@@ -22,7 +22,7 @@ from math import gcd
 from typing import Optional
 
 from .cone import SurgeryResult, SurgerySpec, surgery
-from .errors import MissingGradings, NotCoprime, TableTooLarge, V0Zero
+from .errors import MissingGradings, NotCoprime, TooLarge, V0Zero
 from .fmod import parity_dims
 from .knotmodel import AmbientSummary, KnotModel, alexander_trivial
 from .numth import (
@@ -215,7 +215,7 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
     Also exposes the intermediate count: block i contributes at least
     n_i V_0 to the reduced part, n_i = #{0 <= j < q : j = i mod p} - 1.
     That witness has p entries, so p above MAX_TABLE_P is refused
-    (TableTooLarge) before it is built.
+    (TooLarge) before it is built.
     """
     v0 = model.v_at(0)
     if v0 == 0:
@@ -224,7 +224,7 @@ def v0_bound(model: KnotModel, z: TargetSummary, p: int, q: int) -> Verdict:
         raise NotCoprime("the bound applies to positive slopes")
     require_slope(p, q)
     if p > MAX_TABLE_P:
-        raise TableTooLarge(
+        raise TooLarge(
             f"the n_i witness has {p} entries, more than the limit of {MAX_TABLE_P}"
         )
     n_i = [max(0, len(range(i, q, p)) - 1) for i in range(p)]

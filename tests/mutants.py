@@ -70,6 +70,20 @@ BUGS = [
         numth("test_dedekind_small_values", "test_dedekind_matches_reference_oracle"),
     ),
     Bug(
+        "numth.py",
+        "if p > MAX_TABLE_P:",
+        "if p > MAX_TABLE_P + 1:",
+        "a whole lens table one entry over the limit is built, not refused",
+        numth("test_whole_tables_are_refused_above_the_limit"),
+    ),
+    Bug(
+        "numth.py",
+        "if 3 * sum(_mirror(first, second, p, r)) != p * sigma:",
+        "if False:",
+        "lens_invariants returns a table that breaks sum d = p s",
+        numth("test_lens_invariants_refuses_a_table_off_the_sum_identity"),
+    ),
+    Bug(
         "cone.py",
         "n_minus = ((1 - G) * q - 1 - i) // p",
         "n_minus = ((1 - G) * q - i) // p",

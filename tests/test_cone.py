@@ -8,7 +8,6 @@ import pytest
 
 from floersurgery import (
     CassonWalkerInput,
-    ConeTooLarge,
     FiniteUPresentation,
     InvalidPresentation,
     KnotModel,
@@ -16,6 +15,7 @@ from floersurgery import (
     NotCoprime,
     SurgerySpec,
     Tau,
+    TooLarge,
     TruncationTooSmall,
     casson_walker_surgery,
     d_invariant_bounds,
@@ -607,7 +607,7 @@ def test_surgery_refuses_the_first_block_whose_window_is_too_large(
     for i in range(3):
         assert len(cone._shape(genus2_stress, 5, 208332, i)) == 125000
     solved = solved_blocks(spy, stub=True)
-    with pytest.raises(ConeTooLarge) as raised:
+    with pytest.raises(TooLarge) as raised:
         surgery(genus2_stress, 5, 208332)
     assert str(raised.value) == (
         "genus2_stress at 5/208332 block 3: window of 125001 A-columns: "
@@ -724,7 +724,7 @@ def test_one_shapes_dict_serves_every_model(trefoil, figure8):
         (
             2,
             100000001,
-            ConeTooLarge,
+            TooLarge,
             "window of 50000002 A-columns: 100000003 tower bottoms, more than "
             "250000 generators",
         ),
@@ -761,7 +761,7 @@ def _no_depth_floor(monkeypatch):
     [
         pytest.param(
             lambda monkeypatch: monkeypatch.setattr(cone, "MAX_GENERATORS", 19),
-            "genus2_stress", 9, 5, 5, ConeTooLarge,
+            "genus2_stress", 9, 5, 5, TooLarge,
             "cone of 20 generators, more than 19",
             id="cone_size",
         ),
@@ -821,7 +821,7 @@ def test_first_trefoil_window_over_the_limit(trefoil):
     # block 0 of trefoil 2/q has (q + 3)/2 A-columns and one B-column
     # fewer; 2/249997 lays out 249,999 tower bottoms, 2/249999 250,001
     assert len(cone._shape(trefoil, 2, 249997, 0)) == 125000
-    with pytest.raises(ConeTooLarge, match="250001 tower bottoms"):
+    with pytest.raises(TooLarge, match="250001 tower bottoms"):
         cone._shape(trefoil, 2, 249999, 0)
 
 
@@ -857,7 +857,7 @@ def test_size_guard_counts_the_generators_a_pass_lays_out(
         assert build_cone(model, shape, 10) == pres
         assert build_cone(model, shape, 10**6).ceiling == pres.ceiling + 2 * (10**6 - 10)
         monkeypatch.setattr(cone, "MAX_GENERATORS", gens - 1)
-        with pytest.raises(ConeTooLarge) as raised:
+        with pytest.raises(TooLarge) as raised:
             build_cone(model, shape, 10)
         assert str(raised.value) == f"cone of {gens} generators, more than {gens - 1}"
         if reduced:
@@ -865,7 +865,7 @@ def test_size_guard_counts_the_generators_a_pass_lays_out(
             assert cone._shape(model, 3, 2, 1) == shape
         else:
             # the bottoms alone are over, refused before the window is walked
-            with pytest.raises(ConeTooLarge) as raised:
+            with pytest.raises(TooLarge) as raised:
                 cone._shape(model, 3, 2, 1)
             assert str(raised.value) == (
                 f"window of {len(pres.a_grading)} A-columns: "

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from floersurgery import (
     CassonWalkerInput,
     NotCoprime,
-    NumberTooLarge,
-    TableTooLarge,
+    TargetSummary,
+    TooLarge,
     casson_walker_surgery,
     dedekind,
     lambda_from_hf,
@@ -20,7 +20,10 @@ from floersurgery import (
     lens_invariants,
     lens_lambda,
     totient,
+    v0_bound,
 )
+from floersurgery import numth
+from floersurgery.cli import parse_q_values
 from floersurgery.numth import (
     MAX_TABLE_P,
     MAX_TOTIENT_N,
@@ -145,11 +148,31 @@ def test_large_lens_tables_agree_with_single_entries(p, q):
     assert inv.tau == -4 * p * inv.s
 
 
-def test_whole_tables_are_refused_above_the_limit():
+def test_lens_invariants_refuses_a_table_off_the_sum_identity(monkeypatch):
+    # one numerator off by one breaks 3 sum N = p sigma, and the check
+    # names the slope before any Fraction is built
+    halves = numth._d_halves
+
+    def corrupt(chain):
+        first, second = halves(chain)
+        second[0] += 1
+        return first, second
+
+    monkeypatch.setattr(numth, "_d_halves", corrupt)
+    with pytest.raises(AssertionError, match=r"lens invariants of \(11,4\) violate"):
+        lens_invariants(11, 4)
+
+
+def test_whole_tables_are_refused_above_the_limit(trefoil):
     p = MAX_TABLE_P + 1
     for table in (lens_d_numerators, lens_d, lens_invariants):
-        with pytest.raises(TableTooLarge, match=f"{p} entries.*limit of {MAX_TABLE_P}"):
+        with pytest.raises(TooLarge, match=f"{p} entries.*limit of {MAX_TABLE_P}"):
             table(p, 1)
+    # V0_BOUND's n_i witness has p entries, and a cosmetic scan lists its q
+    with pytest.raises(TooLarge, match=f"{p} entries.*limit of {MAX_TABLE_P}"):
+        v0_bound(trefoil, TargetSummary(h1_order=1, dim_red=1, chi_red=1), p, 1)
+    with pytest.raises(TooLarge, match=f"{p} q values.*limit of {MAX_TABLE_P}"):
+        parse_q_values([f"1..{p}"])
     assert len(lens_d_numerators(MAX_TABLE_P, 1)) == MAX_TABLE_P
     # a slope that is no slope is refused as such, at any size
     for table in (lens_d_numerators, lens_d, lens_invariants):
@@ -319,6 +342,6 @@ def test_totient_is_refused_above_the_limit():
     # the limit itself is factored: 10^14 = 2^14 5^14
     assert totient(MAX_TOTIENT_N) == 4 * 10**13
     message = f"totient of {MAX_TOTIENT_N + 1}: more than the limit of {MAX_TOTIENT_N}"
-    with pytest.raises(NumberTooLarge) as raised:
+    with pytest.raises(TooLarge) as raised:
         totient(MAX_TOTIENT_N + 1)
     assert str(raised.value) == message

@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 
 from floersurgery import (
-    ConeTooLarge,
     KnotModel,
     MissingGradings,
     NotCoprime,
     TargetSummary,
+    TooLarge,
     V0Zero,
     chi_relation,
     cone,
@@ -403,10 +403,10 @@ def test_d_sandwich_reads_the_surgery(trefoil, genus2_stress, spy, monkeypatch):
     # with its message
     monkeypatch.setattr(cone, "MAX_GENERATORS", 19)
     solved.clear()
-    with pytest.raises(ConeTooLarge) as sandwich:
+    with pytest.raises(TooLarge) as sandwich:
         d_sandwich(genus2_stress, 9, 5)
     assert solved[-1] == 5
-    with pytest.raises(ConeTooLarge) as every:
+    with pytest.raises(TooLarge) as every:
         for i in range(9):
             cone.cone_homology(genus2_stress, cone._shape(genus2_stress, 9, 5, i))
     assert str(sandwich.value) == f"genus2_stress at 9/5 block {i}: {every.value}" == (

@@ -44,11 +44,11 @@ from hypothesis import strategies as st
 
 from floersurgery import (
     CassonWalkerInput,
-    ConeTooLarge,
     FiniteUPresentation,
     FloerError,
     KnotModel,
     SurgerySpec,
+    TooLarge,
     barcode,
     casson_walker_surgery,
     cone,
@@ -331,9 +331,9 @@ def test_surgery_raises_at_the_first_block_that_raises(genus2_stress, monkeypatc
     # index with that shape: with at most 19 generators genus2_stress 9/5
     # passes blocks 0-4 and raises at block 5, whose cone has 20
     monkeypatch.setattr(cone, "MAX_GENERATORS", 19)
-    with pytest.raises(ConeTooLarge) as shared:
+    with pytest.raises(TooLarge) as shared:
         surgery(genus2_stress, 9, 5)
-    with pytest.raises(ConeTooLarge) as every:
+    with pytest.raises(TooLarge) as every:
         for i in range(9):
             cone.cone_homology(genus2_stress, cone._shape(genus2_stress, 9, 5, i))
     assert str(shared.value) == f"genus2_stress at 9/5 block {i}: {every.value}" == (
