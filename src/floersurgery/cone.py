@@ -92,6 +92,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import gf2
 from .errors import NotCoprime, TooLarge, TruncationTooSmall
@@ -104,7 +105,7 @@ from .numth import lens_d_numerators, require_slope
 MAX_GENERATORS = 250_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgerySpec:
     """Coprime positive surgery coefficients and a block index 0 <= i < p."""
 
@@ -120,7 +121,7 @@ class SurgerySpec:
             raise ValueError(f"block index {self.i} outside 0..{self.p - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConePresentation:
     """The towers of a finite cone, by their bottoms and the ceiling.
 
@@ -154,7 +155,7 @@ def _gradings(bottom: dict[int, int], top: int) -> tuple[int, ...]:
     return tuple(sorted(g for b in bottom.values() for g in range(b, top + 1, 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeResult:
     """Homology of one block: d-invariant, reduced bars, graded dimensions.
     The slope is on ``SurgeryResult`` and the library reads the block index
@@ -181,7 +182,7 @@ class ConeResult:
         return even - odd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryResult:
     """The slope's block results, block i at position i, their aggregates,
     and each block's id in the interner of ``surgery`` (never compared)."""
@@ -202,7 +203,11 @@ class SurgeryResult:
 
     @property
     def d_sum(self) -> Fraction:
-        return sum(r.d for r in self.results)
+        """The blocks' d summed as numerators over the lcm of their
+        denominators: one Fraction, not one per block."""
+        ds = [r.d for r in self.results]
+        den = lcm(*{d.denominator for d in ds})
+        return Fraction(sum(d.numerator * (den // d.denominator) for d in ds), den)
 
 
 def _shape(model: KnotModel, p: int, q: int, i: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from . import gf2
 from .errors import InvalidPresentation
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Tau:
     """A reduced bar of a surgery result: the length-N truncated tower at
     the absolute grading ``bottom``, its dimension N and its Z_2-parity.
@@ -41,7 +41,7 @@ class Tau:
             raise ValueError("parity must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteUPresentation:
     """Concrete finite F_2[U]-module: graded basis plus the U matrix.
 

@@ -70,7 +70,7 @@ from .errors import InvalidPresentation, ModelError
 from .fmod import FiniteUPresentation, barcode, degree_violations, euler_z2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmbientSummary:
     """d-invariant and reduced Floer homology of the ambient homology sphere.
 
@@ -105,7 +105,7 @@ class AmbientSummary:
         return Fraction(min(self.b_red.gradings))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedBlock:
     """Reduced summand of one hook module with its two maps to b_red.
 
@@ -118,7 +118,7 @@ class ReducedBlock:
     h_cols: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionProfile:
     """Torsion coefficients t_0..t_{g-1} and the Alexander second derivative."""
 

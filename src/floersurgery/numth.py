@@ -2,7 +2,8 @@
 
 Dedekind sums, lens-space correction terms, Casson-Walker values and the
 Euler totient, all in exact rational arithmetic.  The three quantities
-are tied together by identities that double as self-checks:
+are tied together by identities; the first two read lambda and tau off
+s, and the third is a self-check:
 
     lambda(L(p,q)) = -s(q,p)/2
     tau(L(p,q))    = -4p s(q,p)
@@ -18,10 +19,12 @@ one palindrome and r..p-1 another.  Every level of the fold computes
 only the first half of each of its own palindromes, from the halves of
 the level below, and mirrors the rest by slicing.  The Fraction table
 has one builder, lens_invariants: it checks the integers, builds one
-Fraction per entry of the halves (about p/2) and mirrors them.  A whole
-table is refused above MAX_TABLE_P entries (TooLarge); lens_d_at
-folds a single entry in O(log p) at any p.  Fraction appears only in
-return values; nothing is cached, so every function is pure.
+Fraction per entry of the halves (about p/2) and mirrors them.  Its
+record, LensInvariants, a slotted frozen dataclass, stores only p, q, s
+and the table.  A whole table is refused above MAX_TABLE_P entries
+(TooLarge); lens_d_at folds a single entry in O(log p) at any p.
+Fraction appears only in return values; nothing is cached, so every
+function is pure.
 """
 
 from __future__ import annotations
@@ -152,25 +155,34 @@ def lens_lambda(p: int, q: int) -> Fraction:
     return -dedekind(q, p) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LensInvariants:
-    """Invariant bundle of L(p,q), cross-checked on construction."""
+    """Invariant bundle of L(p,q), cross-checked by lens_invariants.
+    lambda and tau are read off s, so they cannot disagree with it."""
 
     p: int
     q: int
     s: Fraction
-    lam: Fraction
-    tau: Fraction
     d_table: tuple[Fraction, ...]
+
+    @property
+    def lam(self) -> Fraction:
+        """Casson-Walker lambda(L(p,q)) = -s/2."""
+        return -self.s / 2
+
+    @property
+    def tau(self) -> Fraction:
+        """tau(L(p,q)) = -4p s."""
+        return -4 * self.p * self.s
 
 
 def lens_invariants(p: int, q: int) -> LensInvariants:
-    """Dedekind sum s(q,p), Casson-Walker lambda, tau and the d-table of
-    L(p,q), all from one Euclid chain.
+    """Dedekind sum s(q,p) and the d-table of L(p,q), both from one
+    Euclid chain; the bundle reads lambda and tau off s.
 
-    s, lambda and tau are sigma = 12p s(q,p) over 12p, -24p and 3.  The
-    integer table is checked against sum d = p s (3 sum N = p sigma)
-    before it is returned; TooLarge above MAX_TABLE_P.
+    s is sigma = 12p s(q,p) over 12p.  The integer table is checked
+    against sum d = p s (3 sum N = p sigma) before it is returned;
+    TooLarge above MAX_TABLE_P.
     """
     chain = _table_chain(p, q)
     sigma = _sigma(chain)
@@ -186,13 +198,11 @@ def lens_invariants(p: int, q: int) -> LensInvariants:
         p=p,
         q=q,
         s=Fraction(sigma, 12 * p),
-        lam=Fraction(-sigma, 24 * p),
-        tau=Fraction(-sigma, 3),
         d_table=tuple(_mirror(first, second, p, r)),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CassonWalkerInput:
     """Data feeding the Casson-Walker surgery formula."""
 

@@ -39,7 +39,7 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetSummary:
     """Floer-theoretic summary of the surgered manifold Z."""
 
@@ -59,7 +59,7 @@ class TargetSummary:
             raise ValueError("chi_red and dim_red must agree mod 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     rule: str
     status: str

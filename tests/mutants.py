@@ -196,6 +196,14 @@ BUGS = [
         cone("test_one_interner_serves_every_ambient"),
     ),
     Bug(
+        "cone.py",
+        "den = lcm(*{d.denominator for d in ds})",
+        "den = max(d.denominator for d in ds)",
+        "d_sum rescales the blocks' numerators to the largest denominator, "
+        "which the others need not divide",
+        cone("test_d_sum_is_the_fraction_sum_over_a_fractional_ambient_d"),
+    ),
+    Bug(
         "obstruct.py",
         "offsets = [b for b, k in enumerate(ids2) if k == first]",
         "offsets = [0]",

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import importlib
+import pkgutil
+from dataclasses import is_dataclass, replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import floersurgery
 from floersurgery import (
     CassonWalkerInput,
+    ConeResult,
     FiniteUPresentation,
     InvalidPresentation,
     KnotModel,
     ModelError,
     NotCoprime,
+    SurgeryResult,
     SurgerySpec,
     Tau,
     TooLarge,
@@ -39,7 +44,7 @@ from conftest import (
     tower_bars_reference,
     window_floor_reference,
 )
-from referee import referee
+from referee import random_model, referee
 
 
 def test_spec_validation():
@@ -891,6 +896,52 @@ def test_large_q_surgery_runs(name, p, q, bars, request):
     delta2 = 2 * model.V[0] + 4 * sum(model.V[1:g])
     via_cone = lambda_from_hf(result.chi_red, result.d_sum, p)
     assert via_cone == casson_walker_surgery(CassonWalkerInput(0, 1, delta2, p, q))
+
+
+def _fraction_sum(result) -> Fraction:
+    return sum((r.d for r in result.results), Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_d_sum_is_the_fraction_sum_on_random_models(seed):
+    model = random_model(seed)
+    for p, q in ((1, 1), (2, 3), (5, 2), (7, 4), (12, 5)):
+        result = surgery(model, p, q)
+        assert result.d_sum == _fraction_sum(result), (p, q)
+        assert type(result.d_sum) is Fraction
+
+
+def test_d_sum_is_the_fraction_sum_over_a_fractional_ambient_d():
+    # over d(Y) = 5/3 the blocks' d have several denominators, so their
+    # lcm is more than some of them
+    doc = staircase_doc([2, 2, 1, 0])
+    model = load_model(dict(doc, ambient=dict(doc["ambient"], name="Y", d="5/3")))
+    for p, q in ((4, 3), (7, 2), (12, 7)):
+        result = surgery(model, p, q)
+        denominators = {r.d.denominator for r in result.results}
+        assert len(denominators) > 1, (p, q)
+        assert result.d_sum == _fraction_sum(result), (p, q)
+        assert str(result.d_sum) == str(_fraction_sum(result))
+    # and by hand, where the lcm 36 is more than every denominator
+    ds = (Fraction(1, 4), Fraction(1, 6), Fraction(-2, 9))
+    blocks = tuple(ConeResult(i, d, ()) for i, d in enumerate(ds))
+    result = SurgeryResult("Y", 3, 1, blocks)
+    assert result.d_sum == _fraction_sum(result) == Fraction(7, 36)
+
+
+def test_every_record_is_a_frozen_slotted_dataclass(trefoil):
+    # no record carries a per-instance dict, and none can be changed
+    records = {
+        cls.__name__: cls
+        for info in pkgutil.iter_modules(floersurgery.__path__)
+        for cls in vars(importlib.import_module(f"floersurgery.{info.name}")).values()
+        if is_dataclass(cls) and cls.__module__ == f"floersurgery.{info.name}"
+    }
+    assert {"Column", "ConeResult", "LensInvariants", "Verdict"} <= set(records)
+    for name, cls in records.items():
+        assert cls.__dataclass_params__.frozen, name
+        assert "__slots__" in vars(cls), name
+    assert not hasattr(surgery(trefoil, 3, 2).results[0], "__dict__")
 
 
 def test_d_invariant_bounds_unknot(unknot):

@@ -60,7 +60,7 @@ def test_lens_tables_match_reference_oracle():
         assert lens_d(p, q) == table, (p, q)
         s = dedekind_reference(q, p)
         assert lens_invariants(p, q) == LensInvariants(
-            p=p, q=q, s=s, lam=-s / 2, tau=-4 * p * s, d_table=tuple(table)
+            p=p, q=q, s=s, d_table=tuple(table)
         ), (p, q)
 
 
