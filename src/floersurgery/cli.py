@@ -18,6 +18,7 @@ import argparse
 import re
 import sys
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from . import obstruct
@@ -34,7 +35,7 @@ from .numth import (
     CassonWalkerInput,
     casson_walker_surgery,
     lambda_from_hf,
-    lens_invariants,
+    lens_table,
     require_slope,
 )
 from .obstruct import TargetSummary, Verdict, canonical_json
@@ -166,8 +167,14 @@ def cmd_surgery(args) -> int:
     return 0
 
 
+def fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}" if g != d else str(n // g)
+
+
 def cmd_lens(args) -> int:
-    inv = lens_invariants(args.p, args.q)
+    inv = lens_table(args.p, args.q, fraction_text)
     if args.format == "json":
         payload = {
             "p": inv.p,
@@ -175,7 +182,7 @@ def cmd_lens(args) -> int:
             "dedekind_s": str(inv.s),
             "lambda": str(inv.lam),
             "tau": str(inv.tau),
-            "d": [str(d) for d in inv.d_table],
+            "d": list(inv.d_table),
         }
         print(canonical_json(payload))
         return 0
@@ -183,7 +190,7 @@ def cmd_lens(args) -> int:
     print(f"  s({inv.q},{inv.p}) = {inv.s}")
     print(f"  lambda = {inv.lam}")
     print(f"  tau = {inv.tau}")
-    print("  d = {" + ", ".join(str(d) for d in inv.d_table) + "}")
+    print("  d = {" + ", ".join(inv.d_table) + "}")
     return 0
 
 

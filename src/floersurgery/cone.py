@@ -168,18 +168,24 @@ class ConeResult:
 
     @property
     def dims(self) -> tuple[int, int]:
-        even = sum(b.length for b in self.red if b.parity == 0)
-        odd = sum(b.length for b in self.red if b.parity == 1)
-        return even, odd
+        return _dims(self.red)
 
     @property
     def dim_red(self) -> int:
-        return sum(b.length for b in self.red)
+        return sum(self.dims)
 
     @property
     def chi_red(self) -> int:
         even, odd = self.dims
         return even - odd
+
+
+def _dims(bars) -> tuple[int, int]:
+    """Reduced dimensions in even and odd grading, one pass over ``bars``."""
+    dims = [0, 0]
+    for bar in bars:
+        dims[bar.parity] += bar.length
+    return dims[0], dims[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +200,19 @@ class SurgeryResult:
     ids: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
+    def dims(self) -> tuple[int, int]:
+        """The blocks' reduced dimensions in even and odd grading, summed
+        in one pass over all of their bars."""
+        return _dims(bar for r in self.results for bar in r.red)
+
+    @property
     def total_dim_red(self) -> int:
-        return sum(r.dim_red for r in self.results)
+        return sum(self.dims)
 
     @property
     def chi_red(self) -> int:
-        return sum(r.chi_red for r in self.results)
+        even, odd = self.dims
+        return even - odd
 
     @property
     def d_sum(self) -> Fraction:

@@ -17,11 +17,14 @@ The table is symmetric under spin^c conjugation,
 d(L(p,q), i) = d(L(p,q), (q-1-i) mod p), so its entries 0..r-1 form
 one palindrome and r..p-1 another.  Every level of the fold computes
 only the first half of each of its own palindromes, from the halves of
-the level below, and mirrors the rest by slicing.  The Fraction table
-has one builder, lens_invariants: it checks the integers, builds one
-Fraction per entry of the halves (about p/2) and mirrors them.  Its
-record, LensInvariants, a slotted frozen dataclass, stores only p, q, s
-and the table.  A whole table is refused above MAX_TABLE_P entries
+the level below, and mirrors the rest by slicing.  A table of entries
+has one builder, lens_table: it checks the integer halves against
+sum d = p s, maps a per-entry form of (N_i, 4p) over the halves (about
+p/2 calls) and mirrors the results.  lens_invariants passes Fraction;
+the CLI passes a formatter, so it prints without a Fraction per entry.
+Their record, LensInvariants, a slotted frozen dataclass, stores only p,
+q, the integer sigma = 12p s(q,p) and the table, and reads s, lambda and
+tau off sigma.  A whole table is refused above MAX_TABLE_P entries
 (TooLarge); lens_d_at folds a single entry in O(log p) at any p.
 Fraction appears only in return values; nothing is cached, so every
 function is pure.
@@ -33,11 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd
+from typing import Any, Callable
 
 from .errors import NotCoprime, TooLarge
 
-# The largest p of a whole lens table: `floersurgery lens p 3` prints a
-# table of this size in about a second.  Larger tables are refused.
+# The largest p of a whole lens table: `floersurgery lens 600000 7` prints
+# a table of this size in under half a second.  Larger tables are refused.
 MAX_TABLE_P = 600_000
 # The largest n whose totient trial division finishes in about a second.
 MAX_TOTIENT_N = 10**14
@@ -157,49 +161,60 @@ def lens_lambda(p: int, q: int) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class LensInvariants:
-    """Invariant bundle of L(p,q), cross-checked by lens_invariants.
-    lambda and tau are read off s, so they cannot disagree with it."""
+    """Invariant bundle of L(p,q), cross-checked by lens_table.  It stores
+    the integer sigma = 12p s(q,p); s, lambda and tau are read off it, so
+    they cannot disagree.  d_table holds each entry d(L(p,q), i) in the
+    form its builder was given: Fractions from lens_invariants."""
 
     p: int
     q: int
-    s: Fraction
-    d_table: tuple[Fraction, ...]
+    sigma: int
+    d_table: tuple
+
+    @property
+    def s(self) -> Fraction:
+        """Dedekind sum s(q,p) = sigma/12p."""
+        return Fraction(self.sigma, 12 * self.p)
 
     @property
     def lam(self) -> Fraction:
-        """Casson-Walker lambda(L(p,q)) = -s/2."""
-        return -self.s / 2
+        """Casson-Walker lambda(L(p,q)) = -s/2 = -sigma/24p."""
+        return Fraction(-self.sigma, 24 * self.p)
 
     @property
     def tau(self) -> Fraction:
-        """tau(L(p,q)) = -4p s."""
-        return -4 * self.p * self.s
+        """tau(L(p,q)) = -4p s = -sigma/3."""
+        return Fraction(-self.sigma, 3)
 
 
-def lens_invariants(p: int, q: int) -> LensInvariants:
-    """Dedekind sum s(q,p) and the d-table of L(p,q), both from one
-    Euclid chain; the bundle reads lambda and tau off s.
+def lens_table(p: int, q: int, form: Callable[[int, int], Any]) -> LensInvariants:
+    """sigma and the d-table of L(p,q), both from one Euclid chain, with
+    entry i as form(N_i, 4p), N_i = 4p d(L(p,q), i).
 
-    s is sigma = 12p s(q,p) over 12p.  The integer table is checked
-    against sum d = p s (3 sum N = p sigma) before it is returned;
-    TooLarge above MAX_TABLE_P.
+    The integer halves are checked against sum d = p s (3 sum N = p
+    sigma) before any entry is formed; form is mapped over the halves
+    only, about p/2 calls, and the rest mirrored.  TooLarge above
+    MAX_TABLE_P.
     """
     chain = _table_chain(p, q)
     sigma = _sigma(chain)
     first, second = _d_halves(chain)
     r = q % p
-    if 3 * sum(_mirror(first, second, p, r)) != p * sigma:
+    # the pieces _mirror joins into the table, summed without joining them
+    parts = (first, first[: r // 2], second, second[: (p - r) // 2])
+    if 3 * sum(map(sum, parts)) != p * sigma:
         raise AssertionError(
             f"lens invariants of ({p},{q}) violate sum d = -2p lambda"
         )
-    den = repeat(4 * p)  # one Fraction per entry of the halves, then mirrored
-    first, second = list(map(Fraction, first, den)), list(map(Fraction, second, den))
-    return LensInvariants(
-        p=p,
-        q=q,
-        s=Fraction(sigma, 12 * p),
-        d_table=tuple(_mirror(first, second, p, r)),
-    )
+    den = repeat(4 * p)
+    first, second = list(map(form, first, den)), list(map(form, second, den))
+    return LensInvariants(p, q, sigma, tuple(_mirror(first, second, p, r)))
+
+
+def lens_invariants(p: int, q: int) -> LensInvariants:
+    """lens_table with Fraction entries: one Fraction per entry of the
+    halves, C-level, and the bundle reads s, lambda and tau off sigma."""
+    return lens_table(p, q, Fraction)
 
 
 @dataclass(frozen=True, slots=True)

@@ -78,10 +78,32 @@ BUGS = [
     ),
     Bug(
         "numth.py",
-        "if 3 * sum(_mirror(first, second, p, r)) != p * sigma:",
+        "if 3 * sum(map(sum, parts)) != p * sigma:",
         "if False:",
         "lens_invariants returns a table that breaks sum d = p s",
         numth("test_lens_invariants_refuses_a_table_off_the_sum_identity"),
+    ),
+    Bug(
+        "numth.py",
+        "parts = (first, first[: r // 2], second, second[: (p - r) // 2])",
+        "parts = (first, first[: r // 2], second)",
+        "the sum check drops the mirrored half of the palindrome r..p-1, so "
+        "every table with one fails it",
+        numth("test_lens_tables_at_the_palindrome_boundaries"),
+    ),
+    Bug(
+        "cli.py",
+        "g = gcd(n, d)",
+        "g = 1",
+        "lens prints each entry N/4p unreduced, not as str(Fraction) does",
+        node("test_cli.py", "test_lens_text"),
+    ),
+    Bug(
+        "cone.py",
+        "dims[bar.parity] += bar.length",
+        "dims[0] += bar.length",
+        "every reduced bar counts as even, so chi_red is dim_red",
+        cone("test_dims_sum_each_parity_on_random_models"),
     ),
     Bug(
         "cone.py",

@@ -3,15 +3,17 @@ from __future__ import annotations
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from floersurgery import cone
+from floersurgery import cone, numth
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
 from floersurgery.errors import ModelError
-from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N
+from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N, lens_d_numerators
 from floersurgery.obstruct import canonical_json
+from conftest import coprime_pairs, dedekind_reference, lens_d_reference
 
 
 def run(capsys, *argv):
@@ -141,6 +143,62 @@ def test_lens_json_round_trip(capsys):
     code, out, _ = run(capsys, "--format", "json", "lens", "3", "1")
     assert code == 0
     assert canonical_json(json.loads(out)) == out.strip()
+
+
+def lens_rendering(p: int, q: int, s: Fraction, table) -> tuple[str, str]:
+    """The text and the JSON of ``lens p q``, each value rendered by str
+    from its Fraction: s = s(q,p), lambda = -s/2, tau = -4p s."""
+    lam, tau = -s / 2, -4 * p * s
+    text = (
+        f"L({p},{q})\n  s({q},{p}) = {s}\n  lambda = {lam}\n  tau = {tau}\n"
+        "  d = {" + ", ".join(map(str, table)) + "}\n"
+    )
+    payload = {
+        "p": p,
+        "q": q,
+        "dedekind_s": str(s),
+        "lambda": str(lam),
+        "tau": str(tau),
+        "d": [str(d) for d in table],
+    }
+    return text, canonical_json(payload) + "\n"
+
+
+def test_lens_prints_every_entry_as_str_of_its_fraction(capsys):
+    # every coprime p <= 60 (p = 1 and p = 2 among them) against the
+    # Fraction oracles; L(4,1) and L(5,1) hold the integral entries 0 and 1
+    for p, q in coprime_pairs(60):
+        text, json_text = lens_rendering(
+            p, q, dedekind_reference(q, p), lens_d_reference(p, q)
+        )
+        assert run(capsys, "lens", str(p), str(q)) == (0, text, ""), (p, q)
+        json_run = run(capsys, "--format", "json", "lens", str(p), str(q))
+        assert json_run == (0, json_text, ""), (p, q)
+    for p, table in (
+        ("1", "0"),
+        ("2", "1/4, -1/4"),
+        ("4", "3/4, 0, -1/4, 0"),
+        ("5", "1, 1/5, -1/5, -1/5, 1/5"),
+    ):
+        assert run(capsys, "lens", p, "1")[1].endswith("  d = {" + table + "}\n")
+
+
+def test_lens_prints_a_large_table_as_str_of_its_fractions(capsys):
+    p, q = 100003, 50002
+    table = [Fraction(n, 4 * p) for n in lens_d_numerators(p, q)]
+    text, json_text = lens_rendering(p, q, dedekind_reference(q, p), table)
+    assert run(capsys, "lens", str(p), str(q)) == (0, text, "")
+    assert run(capsys, "--format", "json", "lens", str(p), str(q)) == (0, json_text, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lens_builds_no_fraction_per_entry(capsys, spy, fmt):
+    # s, lambda and tau are the only Fractions; the table's 20,011
+    # entries go from integers to text
+    built = spy(numth, "Fraction")
+    code, out, _ = run(capsys, "--format", fmt, "lens", "20011", "7")
+    assert code == 0 and out.count("/") >= 20011
+    assert len(built) <= 3
 
 
 def test_lens_rejects_non_coprime(capsys):

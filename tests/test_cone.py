@@ -911,6 +911,29 @@ def test_d_sum_is_the_fraction_sum_on_random_models(seed):
         assert type(result.d_sum) is Fraction
 
 
+def _parity_sums(bars) -> tuple[int, int]:
+    return (
+        sum(b.length for b in bars if b.parity == 0),
+        sum(b.length for b in bars if b.parity == 1),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dims_sum_each_parity_on_random_models(seed):
+    # every seed's slopes hold bars of both parities
+    model = random_model(seed)
+    for p, q in ((5, 2), (7, 4), (12, 5)):
+        result = surgery(model, p, q)
+        for r in result.results:
+            even, odd = _parity_sums(r.red)
+            assert r.dims == (even, odd)
+            assert (r.dim_red, r.chi_red) == (even + odd, even - odd)
+        even, odd = _parity_sums([b for r in result.results for b in r.red])
+        assert even > 0 and odd > 0, (p, q)
+        assert result.dims == (even, odd), (p, q)
+        assert (result.total_dim_red, result.chi_red) == (even + odd, even - odd)
+
+
 def test_d_sum_is_the_fraction_sum_over_a_fractional_ambient_d():
     # over d(Y) = 5/3 the blocks' d have several denominators, so their
     # lcm is more than some of them

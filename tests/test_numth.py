@@ -58,9 +58,10 @@ def test_lens_tables_match_reference_oracle():
     for p, q in coprime_pairs(120):
         table = lens_d_reference(p, q)
         assert lens_d(p, q) == table, (p, q)
-        s = dedekind_reference(q, p)
+        sigma = 12 * p * dedekind_reference(q, p)  # an integer
+        assert sigma.denominator == 1, (p, q)
         assert lens_invariants(p, q) == LensInvariants(
-            p=p, q=q, s=s, d_table=tuple(table)
+            p=p, q=q, sigma=sigma.numerator, d_table=tuple(table)
         ), (p, q)
 
 
@@ -281,8 +282,24 @@ def test_lens_invariants_bundle():
     assert inv.s == 0 and inv.lam == 0 and inv.tau == 0
     assert sorted(inv.d_table) == [Fraction(-1, 4), Fraction(1, 4)]
     inv = lens_invariants(3, 1)
+    assert inv.sigma == 2 and inv.s == Fraction(1, 18)  # sigma = 12p s
     assert inv.lam == -Fraction(1, 36)
     assert inv.tau == -4 * 3 * Fraction(1, 18)
+
+
+def test_lens_table_forms_the_halves_only():
+    # form(N_i, 4p) at every entry, called on the halves, about p/2
+    # entries, and mirrored
+    for p, q in (*PALINDROME_CASES, *coprime_pairs(40)):
+        calls = []
+
+        def form(n, den):
+            calls.append(n)
+            return n, den
+
+        inv = numth.lens_table(p, q, form)
+        assert inv.d_table == tuple((n, 4 * p) for n in lens_d_numerators(p, q))
+        assert len(calls) <= p // 2 + 1, (p, q)
 
 
 def test_casson_walker_surgery_examples():
