@@ -18,6 +18,7 @@ import argparse
 import re
 import sys
 from importlib import resources
+from itertools import repeat
 from math import gcd
 from pathlib import Path
 
@@ -99,50 +100,59 @@ def parse_q_values(values: list[str]) -> list[int]:
     return out
 
 
-def _tau_json(bar) -> dict:
-    return {
-        "bottom": str(bar.bottom),
-        "length": bar.length,
-        "parity": bar.parity,
-    }
+def _block_json(r) -> tuple[str, str]:
+    """canonical_json of block r's {"i", "d", "red", "dims"}, in the two
+    pieces either side of i's value: keys sorted, no spaces, and no
+    escapes, as str of a Fraction has none."""
+    even, odd = r.dims
+    red = ",".join(
+        f'{{"bottom":"{b.bottom}","length":{b.length},"parity":{b.parity}}}'
+        for b in r.red
+    )
+    return (
+        f'{{"d":"{r.d}","dims":{{"even":{even},"odd":{odd}}},"i":',
+        f',"red":[{red}]}}',
+    )
 
 
-def _tau_text(bar) -> str:
-    return f"tau({bar.bottom};{bar.length};p{bar.parity})"
+def _block_text(r) -> str:
+    """Block r's line after its index."""
+    bars = " ".join(f"tau({b.bottom};{b.length};p{b.parity})" for b in r.red)
+    even, odd = r.dims
+    return f"  d = {r.d}  red: {bars or '-'}  dims: even {even}, odd {odd}"
 
 
 def _print_surgery(result, fmt: str) -> None:
+    # blocks with one id share d and bars, so each id is rendered once
+    # and its blocks differ only in i
+    render = _block_json if fmt == "json" else _block_text
+    rendered = {}
+    for k, r in zip(result.ids, result.results):
+        if k not in rendered:
+            rendered[k] = render(r)
+    blocks = map(rendered.__getitem__, result.ids)
     if fmt == "json":
         payload = {
             "model": result.model_name,
             "p": result.p,
             "q": result.q,
-            "spin_c": [
-                {
-                    "i": i,
-                    "d": str(r.d),
-                    "red": [_tau_json(b) for b in r.red],
-                    "dims": dict(zip(("even", "odd"), r.dims)),
-                }
-                for i, r in enumerate(result.results)
-            ],
+            "spin_c": [],
             "total_dim_red": result.total_dim_red,
             "chi_red": result.chi_red,
             "d_sum": str(result.d_sum),
         }
-        print(canonical_json(payload))
+        spin_c = ",".join(f"{head}{i}{tail}" for i, (head, tail) in enumerate(blocks))
+        # the first '"spin_c":[]' is the key's: a quote inside a JSON
+        # string is escaped
+        text = canonical_json(payload)
+        print(text.replace('"spin_c":[]', f'"spin_c":[{spin_c}]', 1))
         return
-    print(f"model: {result.model_name}  slope: {result.p}/{result.q}")
-    for i, r in enumerate(result.results):
-        bars = " ".join(_tau_text(b) for b in r.red) or "-"
-        even, odd = r.dims
-        print(
-            f"  i={i}  d = {r.d}  red: {bars}  "
-            f"dims: even {even}, odd {odd}"
-        )
     print(
+        f"model: {result.model_name}  slope: {result.p}/{result.q}",
+        *(f"  i={i}{line}" for i, line in enumerate(blocks)),
         f"aggregate: dim HF_red = {result.total_dim_red}  "
-        f"chi = {result.chi_red}  sum d = {result.d_sum}"
+        f"chi = {result.chi_red}  sum d = {result.d_sum}",
+        sep="\n",
     )
 
 
@@ -173,8 +183,14 @@ def fraction_text(n: int, d: int) -> str:
     return f"{n // g}/{d // g}" if g != d else str(n // g)
 
 
+def fraction_texts(halves, d: int) -> list[list[str]]:
+    """lens_table's form for text: fraction_text(n, d) of each n of each
+    half."""
+    return [list(map(fraction_text, half, repeat(d))) for half in halves]
+
+
 def cmd_lens(args) -> int:
-    inv = lens_table(args.p, args.q, fraction_text)
+    inv = lens_table(args.p, args.q, fraction_texts)
     if args.format == "json":
         payload = {
             "p": inv.p,

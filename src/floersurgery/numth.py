@@ -19,15 +19,23 @@ one palindrome and r..p-1 another.  Every level of the fold computes
 only the first half of each of its own palindromes, from the halves of
 the level below, and mirrors the rest by slicing.  A table of entries
 has one builder, lens_table: it checks the integer halves against
-sum d = p s, maps a per-entry form of (N_i, 4p) over the halves (about
-p/2 calls) and mirrors the results.  lens_invariants passes Fraction;
-the CLI passes a formatter, so it prints without a Fraction per entry.
-Their record, LensInvariants, a slotted frozen dataclass, stores only p,
-q, the integer sigma = 12p s(q,p) and the table, and reads s, lambda and
-tau off sigma.  A whole table is refused above MAX_TABLE_P entries
-(TooLarge); lens_d_at folds a single entry in O(log p) at any p.
-Fraction appears only in return values; nothing is cached, so every
-function is pure.
+sum d = p s, forms the entries of both halves of (N_i) over 4p and
+mirrors the results.  The CLI forms text, so it prints without a
+Fraction per entry.  lens_invariants forms Fractions through one
+module-level store, {4p: {N: Fraction(N, 4p)}}: the first table at a p
+is built afresh and only marks p, and from the second on each (p, N) is
+built once across calls, so later tables at the same p share the same
+immutable objects.  The 4,386 tables of p <= 120 hold 178,519 half
+entries but only 26,427 distinct (p, N).  The store holds at most
+_STORE_ENTRIES entries and marks in all and is emptied before a table
+that would overflow it; a table of p above _STORE_ENTRIES bypasses it.
+It changes no value, only which equal Fraction object is returned.
+lens_table's record, LensInvariants, a slotted frozen dataclass, stores
+only p, q, the integer sigma = 12p s(q,p) and the table, and reads s,
+lambda and tau off sigma.  A whole table is refused above MAX_TABLE_P
+entries (TooLarge); lens_d_at folds a single entry in O(log p) at any
+p.  Fraction appears only in return values; apart from the store, which
+a lock guards, nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -36,13 +44,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd
-from typing import Any, Callable
+from threading import Lock
+from typing import Callable
 
 from .errors import NotCoprime, TooLarge
 
 # The largest p of a whole lens table: `floersurgery lens 600000 7` prints
-# a table of this size in under half a second.  Larger tables are refused.
+# a table of this size in 0.36-0.53 s as a whole process, text or JSON
+# (2 CPUs, Python 3.11).  Larger tables are refused.
 MAX_TABLE_P = 600_000
+# The most entries and marked p the lens store keeps: all 26,427 distinct
+# (p, N) of the tables of p <= 120 fit, and a full store takes about
+# 4.3 MiB (tracemalloc).
+_STORE_ENTRIES = 2**15
 # The largest n whose totient trial division finishes in about a second.
 MAX_TOTIENT_N = 10**14
 
@@ -187,14 +201,17 @@ class LensInvariants:
         return Fraction(-self.sigma, 3)
 
 
-def lens_table(p: int, q: int, form: Callable[[int, int], Any]) -> LensInvariants:
+def lens_table(
+    p: int, q: int, form: Callable[[tuple[list[int], list[int]], int], list]
+) -> LensInvariants:
     """sigma and the d-table of L(p,q), both from one Euclid chain, with
-    entry i as form(N_i, 4p), N_i = 4p d(L(p,q), i).
+    entry i formed from N_i = 4p d(L(p,q), i) and 4p.
 
     The integer halves are checked against sum d = p s (3 sum N = p
-    sigma) before any entry is formed; form is mapped over the halves
-    only, about p/2 calls, and the rest mirrored.  TooLarge above
-    MAX_TABLE_P.
+    sigma) before any entry is formed.  form((first, second), 4p)
+    returns the entries of the two halves of the N_i, each in order: it
+    forms about p/2 entries, once per table, and the rest are mirrored.
+    TooLarge above MAX_TABLE_P.
     """
     chain = _table_chain(p, q)
     sigma = _sigma(chain)
@@ -206,15 +223,81 @@ def lens_table(p: int, q: int, form: Callable[[int, int], Any]) -> LensInvariant
         raise AssertionError(
             f"lens invariants of ({p},{q}) violate sum d = -2p lambda"
         )
-    den = repeat(4 * p)
-    first, second = list(map(form, first, den)), list(map(form, second, den))
+    first, second = form((first, second), 4 * p)
     return LensInvariants(p, q, sigma, tuple(_mirror(first, second, p, r)))
 
 
+def _fractions(halves, den: int) -> list[list[Fraction]]:
+    """Fraction(N, den) of each N of each half, built afresh."""
+    return [list(map(Fraction, half, repeat(den))) for half in halves]
+
+
+class _Entries(dict):
+    """{N: Fraction(N, den)} at one den = 4p, each built at its first
+    lookup."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, n: int) -> Fraction:
+        entry = self[n] = Fraction(n, self.den)
+        return entry
+
+
+class _FractionStore:
+    """The Fractions of the lens tables formed so far, one _Entries per
+    denominator 4p, and held, which counts their entries and their p.
+    held never exceeds _STORE_ENTRIES: a table that could take it over
+    empties the store first.  The lock makes each table's check,
+    lookups and count one step."""
+
+    __slots__ = ("tables", "held", "lock")
+
+    def __init__(self):
+        self.lock = Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        self.tables: dict[int, _Entries] = {}
+        self.held = 0
+
+    def fractions(self, halves, den: int) -> list[list[Fraction]]:
+        """lens_table's form: Fraction(N, den) of each N of the two halves
+        of one table at den = 4p.  The first table at a p is built afresh,
+        as one seen once may not come again, and only marks p; a later
+        one reads the store, which builds each missing entry once.  A
+        table of p above _STORE_ENTRIES is built afresh and not marked."""
+        if den > 4 * _STORE_ENTRIES:
+            return _fractions(halves, den)
+        with self.lock:
+            # a table adds at most one entry per N, or 1 to mark p
+            if self.held + sum(map(len, halves)) > _STORE_ENTRIES:
+                self.clear()
+            entries = self.tables.get(den)
+            if entries is not None:
+                size = len(entries)
+                formed = [list(map(entries.__getitem__, half)) for half in halves]
+                self.held += len(entries) - size
+                return formed
+            self.tables[den] = _Entries(den)
+            self.held += 1
+        return _fractions(halves, den)
+
+
+_store = _FractionStore()
+
+
 def lens_invariants(p: int, q: int) -> LensInvariants:
-    """lens_table with Fraction entries: one Fraction per entry of the
-    halves, C-level, and the bundle reads s, lambda and tau off sigma."""
-    return lens_table(p, q, Fraction)
+    """lens_table with Fraction entries, and the bundle reads s, lambda
+    and tau off sigma.  From the second table at a p on, each (p, N) is
+    built once and kept in a module-level store bounded by _STORE_ENTRIES
+    (2^15) entries, so later tables at p return the same immutable
+    objects.  A table that would overflow the store empties it first,
+    and a table of p above _STORE_ENTRIES builds its Fractions afresh
+    without touching it."""
+    return lens_table(p, q, _store.fractions)
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,6 +92,24 @@ BUGS = [
         numth("test_lens_tables_at_the_palindrome_boundaries"),
     ),
     Bug(
+        "numth.py",
+        "entries = self.tables.get(den)",
+        "entries = next(iter(self.tables.values()), None)",
+        "the lens store keys its Fractions by N alone, so a later p reads "
+        "the first p's N/4p",
+        numth(
+            "test_one_numerator_at_two_p_is_two_values",
+            "test_stored_tables_match_their_numerators_in_any_order",
+        ),
+    ),
+    Bug(
+        "numth.py",
+        "if self.held + sum(map(len, halves)) > _STORE_ENTRIES:",
+        "if False:",
+        "the lens store is never emptied, so it grows past its bound",
+        numth("test_overflowing_the_store_empties_it_first"),
+    ),
+    Bug(
         "cli.py",
         "g = gcd(n, d)",
         "g = 1",

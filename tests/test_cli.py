@@ -8,12 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from floersurgery import cone, numth
+from floersurgery import cone, load_model, numth, surgery
 from floersurgery.cli import main, parse_q_values, parse_slope, resolve_model_path
 from floersurgery.errors import ModelError
 from floersurgery.numth import MAX_TABLE_P, MAX_TOTIENT_N, lens_d_numerators
 from floersurgery.obstruct import canonical_json
-from conftest import coprime_pairs, dedekind_reference, lens_d_reference
+from conftest import (
+    STRESS_MODEL,
+    coprime_pairs,
+    dedekind_reference,
+    lens_d_reference,
+    staircase_doc,
+)
 
 
 def run(capsys, *argv):
@@ -113,6 +119,62 @@ def test_surgery_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["total_dim_red"] == 3
     assert canonical_json(payload) == out.strip()
+
+
+def surgery_rendering(result) -> tuple[str, str]:
+    """The text and canonical JSON of a surgery, built one block at a
+    time from the result."""
+    payload = {
+        "model": result.model_name,
+        "p": result.p,
+        "q": result.q,
+        "spin_c": [
+            {
+                "i": i,
+                "d": str(r.d),
+                "red": [
+                    {"bottom": str(b.bottom), "length": b.length, "parity": b.parity}
+                    for b in r.red
+                ],
+                "dims": {"even": r.dims[0], "odd": r.dims[1]},
+            }
+            for i, r in enumerate(result.results)
+        ],
+        "total_dim_red": result.total_dim_red,
+        "chi_red": result.chi_red,
+        "d_sum": str(result.d_sum),
+    }
+    lines = [f"model: {result.model_name}  slope: {result.p}/{result.q}"]
+    for i, r in enumerate(result.results):
+        bars = " ".join(f"tau({b.bottom};{b.length};p{b.parity})" for b in r.red)
+        lines.append(
+            f"  i={i}  d = {r.d}  red: {bars or '-'}  "
+            f"dims: even {r.dims[0]}, odd {r.dims[1]}"
+        )
+    lines.append(
+        f"aggregate: dim HF_red = {result.total_dim_red}  "
+        f"chi = {result.chi_red}  sum d = {result.d_sum}"
+    )
+    return "\n".join(lines) + "\n", canonical_json(payload) + "\n"
+
+
+def test_surgery_prints_each_block_as_its_reference_rendering(capsys, tmp_path):
+    # blocks are rendered once per id; every block must still print as
+    # it does alone, over an ambient with d = 2/3 and under a model name
+    # that holds the text of the spin_c key
+    doc = staircase_doc([2, 2, 1, 0])
+    doc = dict(doc, name='a "spin_c":[] b', ambient=dict(doc["ambient"], d="2/3"))
+    odd_name = tmp_path / "odd_name.json"
+    odd_name.write_text(json.dumps(doc))
+    models = ("trefoil_rh_s3", "figure8_s3", "unknot_s3", STRESS_MODEL, odd_name)
+    for path in models:
+        model = load_model(resolve_model_path(str(path)))
+        for p, q in ((1, 1), (2, 1), (3, 2), (7, 3), (29, 7), (1, 5), (12, 5)):
+            text, json_text = surgery_rendering(surgery(model, p, q))
+            slope = f"{p}/{q}"
+            assert run(capsys, "surgery", str(path), slope) == (0, text, "")
+            out = run(capsys, "--format", "json", "surgery", str(path), slope)
+            assert out == (0, json_text, ""), (path, slope)
 
 
 def test_surgery_unknot_three_towers(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -288,18 +290,143 @@ def test_lens_invariants_bundle():
 
 
 def test_lens_table_forms_the_halves_only():
-    # form(N_i, 4p) at every entry, called on the halves, about p/2
-    # entries, and mirrored
+    # form((first, second), 4p) is called once per table, on about p/2
+    # entries, and its entries are mirrored
     for p, q in (*PALINDROME_CASES, *coprime_pairs(40)):
-        calls = []
+        sizes = []
 
-        def form(n, den):
-            calls.append(n)
-            return n, den
+        def form(halves, den):
+            sizes.append([len(half) for half in halves])
+            return [[(n, den) for n in half] for half in halves]
 
         inv = numth.lens_table(p, q, form)
         assert inv.d_table == tuple((n, 4 * p) for n in lens_d_numerators(p, q))
-        assert len(calls) <= p // 2 + 1, (p, q)
+        assert len(sizes) == 1 and len(sizes[0]) == 2, (p, q)
+        assert sum(sizes[0]) <= p // 2 + 1, (p, q)
+
+
+@pytest.fixture
+def store():
+    """The lens store, emptied before and after the test."""
+    numth._store.clear()
+    yield numth._store
+    numth._store.clear()
+
+
+def held(store) -> int:
+    """The store's entries and marked p, counted afresh."""
+    return sum(map(len, store.tables.values())) + len(store.tables)
+
+
+def fraction_table(p: int, q: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, 4 * p) for n in lens_d_numerators(p, q))
+
+
+def test_stored_tables_match_their_numerators_in_any_order(store):
+    # the second order reads what the first stored
+    pairs = coprime_pairs(60)
+    for seed in (1, 2):
+        random.Random(seed).shuffle(pairs)
+        for p, q in pairs:
+            assert lens_invariants(p, q).d_table == fraction_table(p, q), (p, q)
+    assert store.held == held(store) <= numth._STORE_ENTRIES
+
+
+def test_one_numerator_at_two_p_is_two_values(store):
+    # N = -2 is d = -1/4 in L(2,1) and d = -1/6 in L(3,1); the second
+    # round reads both from the store
+    assert -2 in lens_d_numerators(2, 1) and -2 in lens_d_numerators(3, 1)
+    for p, q in ((2, 1), (3, 1)) * 2:
+        assert lens_invariants(p, q).d_table == fraction_table(p, q), (p, q)
+
+
+def test_one_p_and_numerator_is_one_object_across_calls(store):
+    p = 97
+    lens_invariants(p, 1)  # the first table at p marks it
+    seen = {}
+    for q in (1, 2, 5, 96, 2):
+        for n, entry in zip(lens_d_numerators(p, q), lens_invariants(p, q).d_table):
+            assert seen.setdefault(n, entry) is entry, (q, n)
+
+
+def test_a_sweep_builds_one_fraction_per_distinct_p_and_numerator(store, spy):
+    pairs = coprime_pairs(60)
+    firsts = {p: (p, q) for p, q in reversed(pairs)}
+    built = spy(numth, "Fraction")
+    # the first table at each p is built afresh and stores only its mark
+    for p, q in firsts.values():
+        lens_invariants(p, q)
+    halves = [numth._d_halves(numth._euclid_chain(*pair)) for pair in firsts.values()]
+    assert len(built) == sum(len(a) + len(b) for a, b in halves)
+    assert store.held == len(store.tables) == len(firsts)
+    # from then on each (p, N) is built once, and a second sweep builds none
+    distinct = {(p, n) for p, q in pairs for n in lens_d_numerators(p, q)}
+    before = len(built)
+    for _ in range(2):
+        for p, q in pairs:
+            lens_invariants(p, q)
+        assert len(built) - before == len(distinct) == store.held - len(firsts)
+
+
+def test_a_table_above_the_bound_leaves_the_store_unchanged(store):
+    lens_invariants(7, 2)
+    lens_invariants(7, 3)
+    before = {den: dict(entries) for den, entries in store.tables.items()}
+    p = numth._STORE_ENTRIES + 1
+    for _ in range(2):
+        assert lens_invariants(p, 2).d_table == fraction_table(p, 2)
+        assert store.held == held(store) and store.tables == before
+    # at the bound itself the table marks its p
+    p = numth._STORE_ENTRIES
+    assert lens_invariants(p, 1).d_table == fraction_table(p, 1)
+    assert 4 * p in store.tables and store.held == held(store)
+
+
+def test_overflowing_the_store_empties_it_first(store, monkeypatch):
+    limit = 64
+    monkeypatch.setattr(numth, "_STORE_ENTRIES", limit)
+    pairs = coprime_pairs(40)
+    random.Random(3).shuffle(pairs)
+    emptied = stored = 0
+    for p, q in pairs:
+        size = store.held
+        assert lens_invariants(p, q).d_table == fraction_table(p, q), (p, q)
+        assert store.held == held(store) <= limit, (p, q)
+        stored = max(stored, store.held - len(store.tables))
+        if store.held < size:  # emptied: this table marked its p afresh
+            emptied += 1
+            assert store.tables == {4 * p: {}}, (p, q)
+    assert emptied > 10 and stored > limit // 2
+
+
+def test_threads_share_the_store_and_its_count(store):
+    # more threads than cores, switching often, miss on the same p at
+    # once: a lost or doubled count shows as held off the entries the
+    # store holds (without the lock it reads thousands over)
+    pairs = [(p, q) for p in (4093, 4099) for q in range(1, 7)]
+    tables = {pair: fraction_table(*pair) for pair in pairs}
+    wrong = []
+
+    def sweep(seed):
+        order = pairs[:]
+        random.Random(seed).shuffle(order)
+        for p, q in order:
+            if lens_invariants(p, q).d_table != tables[p, q]:
+                wrong.append((p, q))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert store.held == held(store) <= numth._STORE_ENTRIES
 
 
 def test_casson_walker_surgery_examples():
