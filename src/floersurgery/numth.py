@@ -26,10 +26,22 @@ module-level store, {4p: {N: Fraction(N, 4p)}}: the first table at a p
 is built afresh and only marks p, and from the second on each (p, N) is
 built once across calls, so later tables at the same p share the same
 immutable objects.  The 4,386 tables of p <= 120 hold 178,519 half
-entries but only 26,427 distinct (p, N).  The store holds at most
-_STORE_ENTRIES entries and marks in all and is emptied before a table
-that would overflow it; a table of p above _STORE_ENTRIES bypasses it.
-It changes no value, only which equal Fraction object is returned.
+entries but only 26,427 distinct (p, N).  The tables formed from the
+store are held on their p, by q mod p.  When qq* = 1 (mod p), L(p,q)
+and L(p,q*) are one oriented manifold, and
+
+    d(L(p,q), i) = d(L(p,q*), (q*(i+1) - 1) mod p),
+
+so a table whose own or inverse partner's table is held is read off
+it, after checking s(q,p) = s(q*,p), with no fold and no new Fraction:
+while the store keeps one table of a pair {q, q*}, neither is folded
+again, and a relabelled table is not held itself.  The store holds at
+most _STORE_ENTRIES entries and marks in all and is emptied before a
+table that would overflow it, and its held tables at most
+8 _STORE_ENTRIES entries in all (8 bytes each against about 135 per
+Fraction), a table that would overflow them emptying it; a table of p
+above _STORE_ENTRIES bypasses it.  It changes no value, only which
+equal Fraction object is returned.
 lens_table's record, LensInvariants, a slotted frozen dataclass, stores
 only p, q, the integer sigma = 12p s(q,p) and the table, and reads s,
 lambda and tau off sigma.  A whole table is refused above MAX_TABLE_P
@@ -53,9 +65,10 @@ from .errors import NotCoprime, TooLarge
 # a table of this size in 0.36-0.53 s as a whole process, text or JSON
 # (2 CPUs, Python 3.11).  Larger tables are refused.
 MAX_TABLE_P = 600_000
-# The most entries and marked p the lens store keeps: all 26,427 distinct
-# (p, N) of the tables of p <= 120 fit, and a full store takes about
-# 4.3 MiB (tracemalloc).
+# The most entries and marked p the lens store keeps, and an eighth of
+# the entries its held tables may have: all 26,427 distinct (p, N) of the
+# tables of p <= 120 fit, with the 188,921 entries of the 2,382 tables a
+# shuffled sweep holds, and a full store takes about 7 MiB (tracemalloc).
 _STORE_ENTRIES = 2**15
 # The largest n whose totient trial division finishes in about a second.
 MAX_TOTIENT_N = 10**14
@@ -213,7 +226,11 @@ def lens_table(
     forms about p/2 entries, once per table, and the rest are mirrored.
     TooLarge above MAX_TABLE_P.
     """
-    chain = _table_chain(p, q)
+    return _table(p, q, _table_chain(p, q), form)
+
+
+def _table(p: int, q: int, chain: list[tuple[int, int]], form) -> LensInvariants:
+    # lens_table on the chain _table_chain(p, q) gave
     sigma = _sigma(chain)
     first, second = _d_halves(chain)
     r = q % p
@@ -234,12 +251,13 @@ def _fractions(halves, den: int) -> list[list[Fraction]]:
 
 class _Entries(dict):
     """{N: Fraction(N, den)} at one den = 4p, each built at its first
-    lookup."""
+    lookup, and tables, the tables at p formed from them, by q mod p."""
 
-    __slots__ = ("den",)
+    __slots__ = ("den", "tables")
 
     def __init__(self, den: int):
         self.den = den
+        self.tables: dict[int, LensInvariants] = {}
 
     def __missing__(self, n: int) -> Fraction:
         entry = self[n] = Fraction(n, self.den)
@@ -248,12 +266,14 @@ class _Entries(dict):
 
 class _FractionStore:
     """The Fractions of the lens tables formed so far, one _Entries per
-    denominator 4p, and held, which counts their entries and their p.
-    held never exceeds _STORE_ENTRIES: a table that could take it over
-    empties the store first.  The lock makes each table's check,
-    lookups and count one step."""
+    denominator 4p, and held, which counts their entries and their p;
+    and the tables formed from them, whose entries slots counts.  held
+    never exceeds _STORE_ENTRIES nor slots 8 _STORE_ENTRIES: a table
+    that could take held over empties the store first, and one that
+    would take slots over empties it and is not held.  The lock makes
+    each table's check, lookups and count one step."""
 
-    __slots__ = ("tables", "held", "lock")
+    __slots__ = ("tables", "held", "slots", "lock")
 
     def __init__(self):
         self.lock = Lock()
@@ -262,6 +282,7 @@ class _FractionStore:
     def clear(self) -> None:
         self.tables: dict[int, _Entries] = {}
         self.held = 0
+        self.slots = 0
 
     def fractions(self, halves, den: int) -> list[list[Fraction]]:
         """lens_table's form: Fraction(N, den) of each N of the two halves
@@ -285,6 +306,31 @@ class _FractionStore:
             self.held += 1
         return _fractions(halves, den)
 
+    def partner(self, p: int, r: int):
+        """(entries, held): the _Entries of p, if p is marked, and the
+        table held there of L(p, r) or else of L(p, r*), r* = r^-1 mod p,
+        if any (else None)."""
+        with self.lock:
+            entries = self.tables.get(4 * p)
+            if entries is None:
+                return None, None
+            tables = entries.tables
+            return entries, tables.get(r) or tables.get(pow(r, -1, p))
+
+    def hold(self, entries, inv: LensInvariants) -> None:
+        """Hold inv, formed after partner gave entries, while they are
+        still the store's: it was then formed from them, so its entries
+        are counted.  A table that would take slots over 8 _STORE_ENTRIES
+        empties the store instead."""
+        p = inv.p
+        with self.lock:
+            if entries is None or self.tables.get(4 * p) is not entries:
+                return
+            if self.slots + p > 8 * _STORE_ENTRIES:
+                self.clear()
+            elif entries.tables.setdefault(inv.q % p, inv) is inv:
+                self.slots += p
+
 
 _store = _FractionStore()
 
@@ -294,10 +340,29 @@ def lens_invariants(p: int, q: int) -> LensInvariants:
     and tau off sigma.  From the second table at a p on, each (p, N) is
     built once and kept in a module-level store bounded by _STORE_ENTRIES
     (2^15) entries, so later tables at p return the same immutable
-    objects.  A table that would overflow the store empties it first,
-    and a table of p above _STORE_ENTRIES builds its Fractions afresh
-    without touching it."""
-    return lens_table(p, q, _store.fractions)
+    objects, and the table is held there.  When the table of L(p, q) or
+    of its inverse partner L(p, q*), qq* = 1 (mod p), is held, the table
+    is read off it with no fold, entry i at (q*(i+1) - 1) mod p of the
+    partner's, once sigma is checked against the held one (s(q*,p) =
+    s(q,p)).  Held tables have at most 8 _STORE_ENTRIES entries in all.
+    A table that would overflow either bound empties the store, and a
+    table of p above _STORE_ENTRIES builds its Fractions afresh without
+    touching it.  The slope and the size are checked before any lookup."""
+    chain = _table_chain(p, q)
+    entries, held = _store.partner(p, q % p)
+    if held is None:
+        inv = _table(p, q, chain, _store.fractions)
+        _store.hold(entries, inv)
+        return inv
+    sigma = _sigma(chain)
+    if sigma != held.sigma:
+        raise AssertionError(
+            f"lens invariants of ({p},{q}) violate s(q,p) = s({held.q},p)"
+        )
+    r, d = held.q % p, held.d_table
+    if r != q % p:
+        d = tuple([d[(r * i - 1) % p] for i in range(1, p + 1)])
+    return LensInvariants(p, q, sigma, d)
 
 
 @dataclass(frozen=True, slots=True)

@@ -110,6 +110,32 @@ BUGS = [
         numth("test_overflowing_the_store_empties_it_first"),
     ),
     Bug(
+        "numth.py",
+        "d = tuple([d[(r * i - 1) % p] for i in range(1, p + 1)])",
+        "d = tuple([d[r * (i - 1) % p] for i in range(1, p + 1)])",
+        "a table read off its held inverse partner L(p, r) takes entry "
+        "r i, not r (i + 1) - 1",
+        numth(
+            "test_a_held_table_is_relabelled_with_no_fold",
+            "test_stored_tables_match_their_numerators_in_any_order",
+        ),
+    ),
+    Bug(
+        "numth.py",
+        "return entries, tables.get(r) or tables.get(pow(r, -1, p))",
+        "return entries, tables.get(r) or tables.get(r)",
+        "the held partner is looked up at r, not r^-1 mod p, so the fold "
+        "runs for both tables of a pair",
+        numth("test_a_held_table_is_relabelled_with_no_fold"),
+    ),
+    Bug(
+        "numth.py",
+        "if self.slots + p > 8 * _STORE_ENTRIES:",
+        "if False:",
+        "held tables are never emptied, so they grow past their budget",
+        numth("test_held_tables_stay_within_their_budget"),
+    ),
+    Bug(
         "cli.py",
         "g = gcd(n, d)",
         "g = 1",

@@ -99,6 +99,17 @@ def test_lens_tables_are_conjugation_symmetric():
         assert [numerators[(q - 1 - i) % p] for i in range(p)] == numerators, (p, q)
 
 
+def test_a_table_is_its_inverse_partners_relabelled():
+    # qq* = 1 mod p makes L(p,q) and L(p,q*) one oriented manifold: their
+    # tables, folded along two different Euclid chains, agree under
+    # i -> q*(i+1) - 1, and so do their Dedekind sums
+    for p, q in coprime_pairs(80):
+        r = pow(q, -1, p)
+        table, partner = lens_d_numerators(p, q), lens_d_numerators(p, r)
+        assert table == [partner[(r * (i + 1) - 1) % p] for i in range(p)], (p, q)
+        assert dedekind(q, p) == dedekind(r, p), (p, q)
+
+
 # (p, q) with r = q mod p and p - r of every possible parity (both even
 # is not coprime), r = 1, r = p - 1, q outside 1..p, and p <= 3
 PALINDROME_CASES = (
@@ -151,9 +162,10 @@ def test_large_lens_tables_agree_with_single_entries(p, q):
     assert inv.tau == -4 * p * inv.s
 
 
-def test_lens_invariants_refuses_a_table_off_the_sum_identity(monkeypatch):
+def test_lens_invariants_refuses_a_table_off_the_sum_identity(store, monkeypatch):
     # one numerator off by one breaks 3 sum N = p sigma, and the check
-    # names the slope before any Fraction is built
+    # names the slope before any Fraction is built (from an empty store,
+    # as a held L(11,3) would skip the fold)
     halves = numth._d_halves
 
     def corrupt(chain):
@@ -313,9 +325,16 @@ def store():
     numth._store.clear()
 
 
-def held(store) -> int:
-    """The store's entries and marked p, counted afresh."""
-    return sum(map(len, store.tables.values())) + len(store.tables)
+def held(store) -> tuple[int, int]:
+    """The store's entries and marked p, and the entries of its held
+    tables, counted afresh: what store.held and store.slots count."""
+    entries = store.tables.values()
+    tables = [inv for e in entries for inv in e.tables.values()]
+    return sum(map(len, entries)) + len(entries), sum(len(t.d_table) for t in tables)
+
+
+def counts(store) -> tuple[int, int]:
+    return store.held, store.slots
 
 
 def fraction_table(p: int, q: int) -> tuple[Fraction, ...]:
@@ -329,7 +348,8 @@ def test_stored_tables_match_their_numerators_in_any_order(store):
         random.Random(seed).shuffle(pairs)
         for p, q in pairs:
             assert lens_invariants(p, q).d_table == fraction_table(p, q), (p, q)
-    assert store.held == held(store) <= numth._STORE_ENTRIES
+    assert counts(store) == held(store)
+    assert store.held <= numth._STORE_ENTRIES
 
 
 def test_one_numerator_at_two_p_is_two_values(store):
@@ -344,9 +364,12 @@ def test_one_p_and_numerator_is_one_object_across_calls(store):
     p = 97
     lens_invariants(p, 1)  # the first table at p marks it
     seen = {}
-    for q in (1, 2, 5, 96, 2):
+    # 49 = 2^-1 mod 97 is read off the held L(97, 2), and 2 again off itself
+    for q in (1, 2, 5, 96, 2, 49):
         for n, entry in zip(lens_d_numerators(p, q), lens_invariants(p, q).d_table):
             assert seen.setdefault(n, entry) is entry, (q, n)
+    assert sorted(store.tables[4 * p].tables) == [1, 2, 5, 96]
+    assert counts(store) == held(store) == (len(seen) + 1, 4 * p)
 
 
 def test_a_sweep_builds_one_fraction_per_distinct_p_and_numerator(store, spy):
@@ -358,14 +381,16 @@ def test_a_sweep_builds_one_fraction_per_distinct_p_and_numerator(store, spy):
         lens_invariants(p, q)
     halves = [numth._d_halves(numth._euclid_chain(*pair)) for pair in firsts.values()]
     assert len(built) == sum(len(a) + len(b) for a, b in halves)
-    assert store.held == len(store.tables) == len(firsts)
-    # from then on each (p, N) is built once, and a second sweep builds none
+    assert counts(store) == held(store) == (len(firsts), 0)
+    # from then on each (p, N) is built once, and a second sweep builds
+    # none; the tables formed from the store are held, and read again
     distinct = {(p, n) for p, q in pairs for n in lens_d_numerators(p, q)}
     before = len(built)
     for _ in range(2):
         for p, q in pairs:
             lens_invariants(p, q)
         assert len(built) - before == len(distinct) == store.held - len(firsts)
+        assert store.slots == held(store)[1] > 0
 
 
 def test_a_table_above_the_bound_leaves_the_store_unchanged(store):
@@ -375,11 +400,11 @@ def test_a_table_above_the_bound_leaves_the_store_unchanged(store):
     p = numth._STORE_ENTRIES + 1
     for _ in range(2):
         assert lens_invariants(p, 2).d_table == fraction_table(p, 2)
-        assert store.held == held(store) and store.tables == before
+        assert counts(store) == held(store) and store.tables == before
     # at the bound itself the table marks its p
     p = numth._STORE_ENTRIES
     assert lens_invariants(p, 1).d_table == fraction_table(p, 1)
-    assert 4 * p in store.tables and store.held == held(store)
+    assert 4 * p in store.tables and counts(store) == held(store)
 
 
 def test_overflowing_the_store_empties_it_first(store, monkeypatch):
@@ -391,12 +416,88 @@ def test_overflowing_the_store_empties_it_first(store, monkeypatch):
     for p, q in pairs:
         size = store.held
         assert lens_invariants(p, q).d_table == fraction_table(p, q), (p, q)
-        assert store.held == held(store) <= limit, (p, q)
+        assert counts(store) == held(store), (p, q)
+        assert store.held <= limit and store.slots <= 8 * limit, (p, q)
         stored = max(stored, store.held - len(store.tables))
         if store.held < size:  # emptied: this table marked its p afresh
             emptied += 1
             assert store.tables == {4 * p: {}}, (p, q)
     assert emptied > 10 and stored > limit // 2
+
+
+def test_a_held_table_is_relabelled_with_no_fold(store, spy):
+    # the second table at p is held, and its inverse partner, the table
+    # itself and their residues outside 1..p are read off it
+    cases = ((97, 2), (97, 96), (120, 7), (120, 49), (61, 1), (13, 5))
+    for p, q in cases:
+        lens_invariants(p, 1 if q != 1 else 2)
+        lens_invariants(p, q)
+    tables = {}
+    for p, q in cases:
+        r = pow(q, -1, p)
+        for k in (r, q, r + p, q - p, r - 3 * p):
+            tables[p, k] = fraction_table(p, k)
+    folds = spy(numth, "_d_halves")
+    for (p, k), table in tables.items():
+        assert lens_invariants(p, k).d_table == table, (p, k)
+    assert folds == []
+
+
+def test_held_tables_keep_the_checks_and_the_edge_cases(store, spy):
+    # the slope is checked before any lookup, so a held table at p
+    # changes no refusal
+    for q in (1, 5, 7, 5, 7):
+        lens_invariants(12, q)
+    assert store.tables[48].tables
+    for q in (2, 0, 6, -4):
+        with pytest.raises(NotCoprime):
+            lens_invariants(12, q)
+    with pytest.raises(TooLarge, match=f"limit of {MAX_TABLE_P}"):
+        lens_invariants(MAX_TABLE_P + 1, 1)
+    # p = 1 and 2, q <= 0 and q > p: three rounds, the last two reading
+    # held tables
+    cases = [(p, q) for p in (1, 2, 3, 12) for q in range(-2 * p, 2 * p + 2)]
+    tables = {(p, q): fraction_table(p, q) for p, q in cases if gcd(p, q) == 1}
+    folds = spy(numth, "_d_halves")
+    for _ in range(3):
+        for (p, q), table in tables.items():
+            assert lens_invariants(p, q).d_table == table, (p, q)
+    assert 0 < len(folds) < len(tables)
+    assert counts(store) == held(store)
+
+
+def test_held_tables_stay_within_their_budget(store, monkeypatch):
+    # the tables at p = 97 hold 443 distinct N but about 4,700 entries,
+    # so a store of 512 entries fills its 8 x 512 held slots first, and
+    # the table that would overflow them empties the store
+    limit, p = 512, 97
+    monkeypatch.setattr(numth, "_STORE_ENTRIES", limit)
+    qs = list(range(1, p)) * 2
+    random.Random(5).shuffle(qs)
+    emptied = 0
+    for q in qs:
+        slots = store.slots
+        assert lens_invariants(p, q).d_table == fraction_table(p, q), q
+        assert counts(store) == held(store), q
+        assert store.held <= limit and store.slots <= 8 * limit, q
+        if store.slots < slots:
+            emptied += 1
+            assert store.tables == {}, q
+    assert emptied > 0
+
+
+def test_the_relabelled_path_checks_the_dedekind_sum(store, monkeypatch):
+    # s(q*,p) = s(q,p), so a sigma off the held table's names the slope
+    for q in (1, 3, 3):
+        lens_invariants(11, q)
+    sigma = numth._sigma
+    monkeypatch.setattr(numth, "_sigma", lambda chain: sigma(chain) + 12)
+    folds = []
+    monkeypatch.setattr(numth, "_d_halves", lambda chain: folds.append(chain))
+    for q in (4, 3):
+        with pytest.raises(AssertionError, match=rf"lens invariants of \(11,{q}\)"):
+            lens_invariants(11, q)
+    assert folds == []
 
 
 def test_threads_share_the_store_and_its_count(store):
@@ -426,7 +527,8 @@ def test_threads_share_the_store_and_its_count(store):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert store.held == held(store) <= numth._STORE_ENTRIES
+    assert counts(store) == held(store)
+    assert store.held <= numth._STORE_ENTRIES
 
 
 def test_casson_walker_surgery_examples():
